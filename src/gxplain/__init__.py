@@ -57,14 +57,10 @@ from .metrics import (
     EvalReport,
     GraphVerdict,
     default_prediction,
-    ep_attribute,
-    ep_explained,
-    ep_remaining,
     evaluate,
     extract_topk_nodes,
     keep_top_attributes,
     resolve_budget,
-    sparsity,
     write_eval_csv,
 )
 from .model import (

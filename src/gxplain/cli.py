@@ -10,6 +10,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from ._atomic import write_atomic
 from .datasets import generate_ba2motifs, load_dataset, save_dataset
 from .errors import (
     GxplainError,
@@ -285,9 +286,7 @@ def cmd_export_dot(args) -> int:
         explanation, _ = load_explanation(path)
         text = render_dot(explanation, attr_top=args.attr_top)
         target = out_dir / (path.stem + ".dot")
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, target)
+        write_atomic(target, text.encode("utf-8"))
     print(f"exported graphs={len(files)} out_dir={out_dir}")
     return EXIT_OK
 

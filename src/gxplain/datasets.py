@@ -6,11 +6,11 @@ preferential-attachment base graph; the motif kind is the class label.
 
 import gzip
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import json_text, write_atomic
 from .errors import (
     InvalidCount,
     ParseError,
@@ -172,16 +172,10 @@ def save_dataset(dataset: Dataset, path) -> None:
         "splits": {k: list(v) for k, v in dataset.splits.items()},
         "graphs": [_graph_to_dict(g) for g in dataset.graphs],
     }
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
+    data = json_text(doc).encode("utf-8")
     if str(path).endswith(".gz"):
-        with gzip.open(tmp, "wt", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    os.replace(tmp, path)
+        data = gzip.compress(data)
+    write_atomic(path, data)
 
 
 def _require(doc: dict, key: str, where: str):

@@ -15,11 +15,11 @@ incoming arcs yields the final node score.
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import write_json
 from .errors import (
     DomainError,
     IndexOutOfRange,
@@ -578,14 +578,7 @@ def save_explanation(
     explanation: Explanation, config: ExplainConfig, path
 ) -> None:
     """Write one explanation as JSON (atomic replace, stable key order)."""
-    text = json.dumps(
-        explanation_to_dict(explanation, config), indent=2, allow_nan=False
-    )
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    os.replace(tmp, path)
+    write_json(path, explanation_to_dict(explanation, config))
 
 
 def load_explanation(path) -> tuple[Explanation, dict]:

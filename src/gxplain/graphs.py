@@ -95,14 +95,6 @@ class AttributedGraph:
         """Source and destination indices of every arc, as int arrays."""
         return self._src, self._dst
 
-    def pair_mate(self, arc_index: int) -> int:
-        """Index of the opposite direction of an undirected arc."""
-        if self.directed:
-            raise InvalidGraph("directed arcs have no pair mate")
-        if not 0 <= arc_index < self.arc_count:
-            raise IndexOutOfRange(f"arc index {arc_index} out of range")
-        return arc_index ^ 1
-
 
 def build_graph(
     node_count: int,

@@ -7,13 +7,13 @@ one node; a fixed budget larger than a graph skips that graph entirely.
 """
 
 import csv
-import json
+import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import write_atomic, write_json
 from .errors import (
     InvalidBudget,
     MissingAttributeScores,
@@ -222,66 +222,6 @@ def evaluate(
     )
 
 
-def ep_explained(
-    model: GnnModel,
-    dataset,
-    explanations: dict[str, Explanation],
-    k: int | None = None,
-    rate: float | None = None,
-) -> float | None:
-    """Fraction of budgeted subgraphs that keep the original prediction."""
-    return evaluate(
-        model, dataset, explanations, k=k, rate=rate, compute_sparsity=False
-    ).ep_explained
-
-
-def ep_remaining(
-    model: GnnModel,
-    dataset,
-    explanations: dict[str, Explanation],
-    k: int | None = None,
-    rate: float | None = None,
-) -> float | None:
-    """Same as :func:`ep_explained` but on the complement node set."""
-    return evaluate(
-        model, dataset, explanations, k=k, rate=rate, compute_sparsity=False
-    ).ep_remaining
-
-
-def ep_attribute(
-    model: GnnModel,
-    dataset,
-    explanations: dict[str, Explanation],
-    top_t: int,
-) -> float | None:
-    """Retention when keeping each node's top ``top_t`` attributes only."""
-    graphs = _graph_list(dataset)
-    _lookup_all(graphs, explanations)
-    if not graphs:
-        return None
-    hits = 0
-    for g in graphs:
-        expl = explanations[g.graph_id]
-        _require_attr_scores(g, expl)
-        masked = keep_top_attributes(g, expl.attr_score, top_t)
-        hits += forward(model, masked).predicted_class == expl.original_prediction
-    return hits / len(graphs)
-
-
-def sparsity(
-    model: GnnModel, dataset, explanations: dict[str, Explanation]
-) -> tuple[float | None, int]:
-    """Mean minimal retaining ranking prefix over eligible graphs.
-
-    Graphs whose original prediction equals the empty-graph default are
-    excluded; the second return value counts the eligible graphs.
-    """
-    report = evaluate(
-        model, dataset, explanations, rate=1.0, compute_sparsity=True
-    )
-    return report.sparsity, report.eligible_count
-
-
 def write_eval_csv(path, rows: list[GraphVerdict]) -> None:
     """One CSV row per verdict: graph_id, budget, retentions, min_k."""
 
@@ -292,30 +232,28 @@ def write_eval_csv(path, rows: list[GraphVerdict]) -> None:
             return int(value)
         return value
 
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(
+        [
+            "graph_id",
+            "budget",
+            "retained_explained",
+            "retained_remaining",
+            "min_k",
+        ]
+    )
+    for r in rows:
         writer.writerow(
             [
-                "graph_id",
-                "budget",
-                "retained_explained",
-                "retained_remaining",
-                "min_k",
+                r.graph_id,
+                cell(r.budget),
+                cell(r.retained_explained),
+                cell(r.retained_remaining),
+                cell(r.min_k),
             ]
         )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.graph_id,
-                    cell(r.budget),
-                    cell(r.retained_explained),
-                    cell(r.retained_remaining),
-                    cell(r.min_k),
-                ]
-            )
-    os.replace(tmp, path)
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -341,8 +279,4 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def save_report(report: EvalReport, path) -> None:
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report_to_dict(report), indent=2) + "\n")
-    os.replace(tmp, path)
+    write_json(path, report_to_dict(report))

@@ -13,11 +13,11 @@ Conventions used throughout:
 """
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import write_json
 from .errors import (
     IndexOutOfRange,
     ParseError,
@@ -222,6 +222,32 @@ def _check_mask(g: AttributedGraph, mask: MaskedInput) -> None:
         )
 
 
+def _propagation_matrix(
+    g: AttributedGraph,
+    adj: NormalizedAdjacency,
+    edge_gate: np.ndarray | None = None,
+) -> np.ndarray:
+    """Dense ``(n, n)`` operator of one GCN layer: row ``t`` mixes the
+    (gated) messages into node ``t`` with its own self-loop term."""
+    n = g.node_count
+    src, dst = g.arc_index_arrays()
+    a = np.zeros((n, n))
+    a[dst, src] = (
+        adj.arc_coeff if edge_gate is None else adj.arc_coeff * edge_gate
+    )
+    idx = np.arange(n)
+    a[idx, idx] = adj.self_coeff
+    return a
+
+
+def _readout(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Max+mean pooling of node fields and the per-column argmax, or the
+    zero vector and ``None`` on an empty graph."""
+    if h.shape[0] == 0:
+        return np.zeros(2 * h.shape[1]), None
+    return np.concatenate([h.max(axis=0), h.mean(axis=0)]), h.argmax(axis=0)
+
+
 def _forward_trace(
     model: GnnModel,
     g: AttributedGraph,
@@ -236,20 +262,11 @@ def _forward_trace(
     if mask is not None:
         _check_mask(g, mask)
     adj = adjacency if adjacency is not None else normalize_adjacency(g)
-    n = g.node_count
-    src, dst = g.arc_index_arrays()
-
-    a_eff = np.zeros((n, n))
     if mask is None:
-        a_eff[dst, src] = adj.arc_coeff
-    else:
-        a_eff[dst, src] = adj.arc_coeff * mask.edge_gate
-    idx = np.arange(n)
-    a_eff[idx, idx] = adj.self_coeff
-
-    if mask is None:
+        a_eff = _propagation_matrix(g, adj)
         h = np.asarray(g.attributes)
     else:
+        a_eff = _propagation_matrix(g, adj, mask.edge_gate)
         h = g.attributes * mask.attribute_gate
     node_h = [h]
     node_m = []
@@ -262,14 +279,7 @@ def _forward_trace(
         node_z.append(z)
         node_h.append(h)
 
-    width = h.shape[1]
-    if n > 0:
-        max_index = h.argmax(axis=0)
-        readout = np.concatenate([h.max(axis=0), h.mean(axis=0)])
-    else:
-        max_index = None
-        readout = np.zeros(2 * width)
-
+    readout, max_index = _readout(h)
     head_u = [readout]
     head_z = []
     u = readout
@@ -430,14 +440,6 @@ def _layer_from_dict(doc: dict, where: str) -> Layer:
     return Layer(weight, bias, doc["activation"])
 
 
-def _atomic_write_text(path, text: str) -> None:
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def save_model(model: GnnModel, path) -> None:
     """Write the model as JSON; floats round-trip exactly."""
     doc = {
@@ -448,9 +450,7 @@ def save_model(model: GnnModel, path) -> None:
         "gcn_layers": [_layer_to_dict(l) for l in model.gcn_layers],
         "head_layers": [_layer_to_dict(l) for l in model.head_layers],
     }
-    _atomic_write_text(
-        path, json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    )
+    write_json(path, doc)
 
 
 def load_model(path) -> GnnModel:

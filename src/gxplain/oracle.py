@@ -5,12 +5,11 @@ are used to audit the learned explainer, never to produce explanations.
 """
 
 import itertools
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import write_json
 from .errors import InvalidBudget, TooLarge
 from .graphs import AttributedGraph, NodeSet, node_induced_subgraph
 from .model import GnnModel, MaskedInput, forward, normalize_adjacency
@@ -118,8 +117,4 @@ def save_oracle_result(result: OracleResult, g: AttributedGraph, path) -> None:
             for (s, d), v in zip(g.arcs, result.occlusion_drop)
         ],
     }
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
-    os.replace(tmp, path)
+    write_json(path, doc)

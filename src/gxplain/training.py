@@ -7,13 +7,14 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import EmptyDataset, NonFiniteLoss, ValidationError
-from .graphs import AttributedGraph
 from .model import (
     PROBABILITY_FLOOR,
     GnnModel,
     Layer,
     _backward,
     _forward_trace,
+    _propagation_matrix,
+    _readout,
     forward,
     normalize_adjacency,
 )
@@ -52,15 +53,6 @@ def init_parameters(
     return params
 
 
-def _dense_propagation(g: AttributedGraph, adj) -> np.ndarray:
-    a = np.zeros((g.node_count, g.node_count))
-    src, dst = g.arc_index_arrays()
-    a[dst, src] = adj.arc_coeff
-    idx = np.arange(g.node_count)
-    a[idx, idx] = adj.self_coeff
-    return a
-
-
 def _center_and_scale(weight, bias, pre) -> None:
     if pre.shape[0] == 0:
         return
@@ -82,21 +74,16 @@ def calibrate_parameters(params, hidden_dims, graphs, adjacency) -> None:
     bias set to cancel the mean) removes the offset before the first
     update.  Uses only the given split, deterministic for a fixed draw.
     """
-    props = [_dense_propagation(g, adj) for g, adj in zip(graphs, adjacency)]
+    props = [_propagation_matrix(g, adj) for g, adj in zip(graphs, adjacency)]
     hs = [np.asarray(g.attributes, dtype=float) for g in graphs]
     for i in range(len(hidden_dims)):
         w, b = params[2 * i], params[2 * i + 1]
-        _center_and_scale(w, b, np.vstack([a @ h @ w for a, h in zip(props, hs)]))
-        hs = [np.maximum(a @ h @ w + b, 0.0) for a, h in zip(props, hs)]
+        # one propagation per graph; the layer input is not kept past it
+        hs = [a @ h for a, h in zip(props, hs)]
+        _center_and_scale(w, b, np.vstack([m @ w for m in hs]))
+        hs = [np.maximum(m @ w + b, 0.0) for m in hs]
     w, b = params[-2], params[-1]
-    readouts = np.vstack(
-        [
-            np.concatenate([h.max(axis=0), h.mean(axis=0)])
-            if h.shape[0]
-            else np.zeros(w.shape[0])
-            for h in hs
-        ]
-    )
+    readouts = np.vstack([_readout(h)[0] for h in hs])
     _center_and_scale(w, b, readouts @ w)
 
 

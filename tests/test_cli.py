@@ -1,5 +1,6 @@
 """End-to-end command pipeline: gen-dataset, train, explain, eval, export-dot."""
 
+import csv
 import json
 import os
 
@@ -121,6 +122,29 @@ def test_eval_prints_metric_line_and_writes_artifacts(pipeline, capsys, tmp_path
     doc = json.loads(report_path.read_text())
     assert "ep_explained" in doc
     assert doc["evaluated_count"] == 4
+
+
+def test_eval_sweep_csv_has_every_budget_in_order(pipeline, tmp_path):
+    _, ds, model, out = pipeline
+    common = ["eval", "--model", str(model), "--dataset", str(ds),
+              "--explanations", str(out), "--top-k", "5"]
+    sweep_path = tmp_path / "sweep.csv"
+    report_path = tmp_path / "report.json"
+    assert main(common + ["--sweep", "--csv", str(sweep_path)]) == 0
+    assert main(common + ["--report", str(report_path)]) == 0
+    with open(sweep_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # 4 test graphs of 25 nodes each, budgets 1..25
+    assert len(rows) == 4 * 25
+    budgets = [int(r["budget"]) for r in rows]
+    assert budgets == [b for b in range(1, 26) for _ in range(4)]
+    min_k = {
+        r["graph_id"]: "" if r["min_k"] is None else str(r["min_k"])
+        for r in json.loads(report_path.read_text())["per_graph"]
+    }
+    assert len(min_k) == 4
+    for r in rows:
+        assert r["min_k"] == min_k[r["graph_id"]]
 
 
 def test_eval_is_deterministic_across_runs(pipeline, capsys):

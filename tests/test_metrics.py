@@ -15,7 +15,6 @@ from gxplain.metrics import (
     extract_topk_nodes,
     keep_top_attributes,
     resolve_budget,
-    sparsity,
     write_eval_csv,
 )
 from gxplain.model import forward
@@ -148,28 +147,29 @@ def test_sparsity_excludes_default_prediction_graphs():
         "hot": manual_explanation(hot, [2, 0, 1, 3, 4]),
         "cold": manual_explanation(cold, [0, 1, 2, 3, 4], pred=0),
     }
-    value, eligible = sparsity(model, [hot, cold], expls)
-    assert eligible == 1
+    report = evaluate(model, [hot, cold], expls, rate=1.0)
+    assert report.eligible_count == 1
     # hot ranking starts at the hot node: one node already retains class 1
-    assert value == pytest.approx(1.0)
+    assert report.sparsity == pytest.approx(1.0)
 
 
 def test_sparsity_min_k_walks_the_ranking_prefix():
     model = detector_model()
     hot = hot_path_graph("walk")
     expls = {"walk": manual_explanation(hot, [4, 3, 0, 2, 1])}
-    value, eligible = sparsity(model, [hot], expls)
+    report = evaluate(model, [hot], expls, rate=1.0)
     # prefixes {4}, {4,3}, {4,3,0} miss the hot node; {4,3,0,2} retains
-    assert eligible == 1
-    assert value == pytest.approx(4.0)
+    assert report.eligible_count == 1
+    assert report.sparsity == pytest.approx(4.0)
 
 
 def test_sparsity_none_when_no_graph_is_eligible():
     model = detector_model()
     cold = build_graph(3, [], np.zeros((3, 1)), True, graph_id="c")
-    value, eligible = sparsity(model, [cold], {"c": manual_explanation(cold, [0, 1, 2], pred=0)})
-    assert value is None
-    assert eligible == 0
+    expls = {"c": manual_explanation(cold, [0, 1, 2], pred=0)}
+    report = evaluate(model, [cold], expls, rate=1.0)
+    assert report.sparsity is None
+    assert report.eligible_count == 0
 
 
 def test_evaluate_requires_every_explanation():

@@ -5,9 +5,10 @@ import pytest
 
 from gxplain.datasets import Dataset, generate_ba2motifs
 from gxplain.graphs import build_graph
-from gxplain.model import forward, loss, normalize_adjacency
+from gxplain.model import _forward_trace, forward, loss, normalize_adjacency
 from gxplain.optim import Adam
 from gxplain.training import (
+    _assemble,
     calibrate_parameters,
     evaluate_accuracy,
     init_parameters,
@@ -109,12 +110,10 @@ def test_calibration_centers_and_scales_preactivations():
     adjacency = [normalize_adjacency(g) for g in graphs]
     calibrate_parameters(params, (8, 8), graphs, adjacency)
 
-    from gxplain.training import _dense_propagation
-
-    hs = [np.asarray(g.attributes) for g in graphs]
-    props = [_dense_propagation(g, a) for g, a in zip(graphs, adjacency)]
-    w, b = params[0], params[1]
-    pre = np.vstack([a @ h @ w + b for a, h in zip(props, hs)])
+    # the first layer's pre-activations, as the model's own forward pass
+    # computes them
+    model = _assemble(ds.attr_dim, ds.num_classes, (8, 8), params)
+    pre = np.vstack([_forward_trace(model, g, None).node_z[0] for g in graphs])
     assert np.abs(pre.mean(axis=0)).max() < 1e-9
     assert pre.std(axis=0) == pytest.approx(np.ones(8), abs=1e-9)
 
