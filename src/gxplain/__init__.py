@@ -76,6 +76,7 @@ from .model import (
     mask_gradients,
     normalize_adjacency,
     save_model,
+    subset_probabilities,
 )
 from .oracle import (
     MAX_ORACLE_NODES,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import json_text, write_atomic
+from ._schema import as_float_array, as_int, as_list, require
 from .errors import (
     InvalidCount,
     ParseError,
@@ -178,17 +179,38 @@ def save_dataset(dataset: Dataset, path) -> None:
     write_atomic(path, data)
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return doc[key]
+def _load_graph(entry, attr_dim: int, where: str) -> AttributedGraph:
+    n = as_int(require(entry, "n", where), f"{where}: n")
+    edges = []
+    for j, pair in enumerate(as_list(require(entry, "edges", where), where)):
+        at = f"{where}: edges[{j}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ParseError(f"{at}: expected a [src, dst] pair")
+        edges.append((as_int(pair[0], at), as_int(pair[1], at)))
+    attrs = as_float_array(require(entry, "x", where), f"{where}: x")
+    if n == 0 and attrs.size == 0:
+        attrs = attrs.reshape(0, attr_dim)
+    if attrs.ndim != 2 or attrs.shape[0] != n:
+        raise ParseError(
+            f"{where}: x has shape {attrs.shape}, expected {n} rows"
+        )
+    label = entry.get("y")
+    return build_graph(
+        n,
+        edges,
+        attrs,
+        directed=bool(require(entry, "directed", where)),
+        label=None if label is None else as_int(label, f"{where}: y"),
+        graph_id=str(require(entry, "id", where)),
+    )
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
     Raises:
-        ParseError: unreadable or truncated JSON, or missing fields.
+        ParseError: unreadable or truncated JSON, missing fields, or a
+            value of the wrong type or shape.
         VersionMismatch: unknown format version.
         ValidationError: internally inconsistent content.
     """
@@ -199,38 +221,38 @@ def load_dataset(path) -> Dataset:
         raise ParseError(f"{path}: {exc}") from exc
     except (EOFError, gzip.BadGzipFile) as exc:
         raise ParseError(f"{path}: truncated or corrupt ({exc})") from exc
+    where = str(path)
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object at top level")
-    version = _require(doc, "format_version", str(path))
+        raise ParseError(f"{where}: expected a JSON object at top level")
+    version = require(doc, "format_version", where)
     if version != DATASET_FORMAT_VERSION:
         raise VersionMismatch(
             f"{path}: format_version {version!r}, expected"
             f" {DATASET_FORMAT_VERSION}"
         )
-    graphs = []
-    for i, entry in enumerate(_require(doc, "graphs", str(path))):
-        where = f"{path}: graphs[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: expected an object")
-        label = entry.get("y")
-        graphs.append(
-            build_graph(
-                int(_require(entry, "n", where)),
-                _require(entry, "edges", where),
-                _require(entry, "x", where),
-                directed=bool(_require(entry, "directed", where)),
-                label=None if label is None else int(label),
-                graph_id=str(_require(entry, "id", where)),
-            )
+    attr_dim = as_int(require(doc, "attr_dim", where), f"{where}: attr_dim")
+    graphs = [
+        _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
+        for i, entry in enumerate(
+            as_list(require(doc, "graphs", where), f"{where}: graphs")
         )
+    ]
+    splits = require(doc, "splits", where)
+    if not isinstance(splits, dict):
+        raise ParseError(f"{where}: splits must be an object")
     return Dataset(
-        name=str(_require(doc, "name", str(path))),
+        name=str(require(doc, "name", where)),
         graphs=graphs,
-        attr_dim=int(_require(doc, "attr_dim", str(path))),
-        num_classes=int(_require(doc, "num_classes", str(path))),
+        attr_dim=attr_dim,
+        num_classes=as_int(
+            require(doc, "num_classes", where), f"{where}: num_classes"
+        ),
         splits={
-            str(k): [int(i) for i in v]
-            for k, v in _require(doc, "splits", str(path)).items()
+            str(k): [
+                as_int(i, f"{where}: splits[{k!r}]")
+                for i in as_list(v, f"{where}: splits[{k!r}]")
+            ]
+            for k, v in splits.items()
         },
         generation_seed=doc.get("generation_seed"),
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import write_json
+from ._schema import as_float, as_float_array, as_int, as_list, require
 from .errors import (
     DomainError,
     IndexOutOfRange,
@@ -53,8 +54,6 @@ SHARING_MODES = (
 )
 NODE_AGGS = ("max", "mean")
 PAIR_AGGS = ("mean", "max", "min")
-
-_AGG = {"max": np.max, "mean": np.mean, "min": np.min}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -281,19 +280,23 @@ def _node_scores_from_messages(
     agg1: str,
     agg2: str,
 ) -> np.ndarray:
-    f1, f2 = _AGG[agg1], _AGG[agg2]
-    out = np.empty(node_count)
-    for i in range(node_count):
-        sides = []
-        outgoing = message_score[src == i]
-        if outgoing.size:
-            sides.append(f1(outgoing))
-        incoming = message_score[dst == i]
-        if incoming.size:
-            sides.append(f1(incoming))
-        # an isolated node falls back to its own attribute score
-        out[i] = f2(np.asarray(sides)) if sides else node_attr_score[i]
-    return out
+    # agg1 over each node's outgoing and incoming messages, agg2 over the
+    # sides that have any
+    sides = []
+    for ends in (src, dst):
+        count = np.bincount(ends, minlength=node_count)
+        if agg1 == "max":
+            side = np.full(node_count, -np.inf)
+            np.maximum.at(side, ends, message_score)
+        else:
+            total = np.bincount(ends, message_score, minlength=node_count)
+            side = total / np.maximum(count, 1)
+        sides.append((side, count > 0))
+    (out_v, has_out), (in_v, has_in) = sides
+    both = np.maximum(out_v, in_v) if agg2 == "max" else (out_v + in_v) / 2.0
+    score = np.where(has_out & has_in, both, np.where(has_out, out_v, in_v))
+    # an isolated node falls back to its own attribute score
+    return np.where(has_out | has_in, score, node_attr_score)
 
 
 def _rank_nodes(node_score: np.ndarray) -> tuple[int, ...]:
@@ -612,25 +615,42 @@ def load_explanation(path) -> tuple[Explanation, dict]:
             f"{path}: format_version {doc['format_version']!r}, expected"
             f" {EXPLANATION_FORMAT_VERSION}"
         )
-    arcs = tuple(
-        (int(e["src"]), int(e["dst"])) for e in doc["edge_scores"]
-    )
-    attr_score = np.asarray(doc["attr_scores"], dtype=np.float64)
+    arcs = []
+    edge_score = []
+    entries = as_list(doc["edge_scores"], f"{path}: edge_scores")
+    for i, entry in enumerate(entries):
+        where = f"{path}: edge_scores[{i}]"
+        arcs.append(
+            (
+                as_int(require(entry, "src", where), where),
+                as_int(require(entry, "dst", where), where),
+            )
+        )
+        edge_score.append(as_float(require(entry, "score", where), where))
+    node_score = as_float_array(doc["node_scores"], f"{path}: node_scores")
+    attr_score = as_float_array(doc["attr_scores"], f"{path}: attr_scores")
     if attr_score.ndim != 2:
-        attr_score = attr_score.reshape(len(doc["node_scores"]), 0)
+        if attr_score.size:
+            raise ParseError(f"{path}: attr_scores must be a matrix")
+        attr_score = attr_score.reshape(len(node_score), 0)
     explanation = Explanation(
         graph_id=str(doc["graph_id"]),
-        arcs=arcs,
-        original_prediction=int(doc["predicted_class"]),
-        original_probability=float(doc["probability"]),
-        edge_score=np.asarray(
-            [e["score"] for e in doc["edge_scores"]], dtype=np.float64
+        arcs=tuple(arcs),
+        original_prediction=as_int(
+            doc["predicted_class"], f"{path}: predicted_class"
         ),
+        original_probability=as_float(
+            doc["probability"], f"{path}: probability"
+        ),
+        edge_score=np.asarray(edge_score, dtype=np.float64),
         attr_score=attr_score,
-        node_attr_score=np.asarray(
-            doc["node_attr_scores"], dtype=np.float64
+        node_attr_score=as_float_array(
+            doc["node_attr_scores"], f"{path}: node_attr_scores"
         ),
-        node_score=np.asarray(doc["node_scores"], dtype=np.float64),
-        node_ranking=tuple(int(i) for i in doc["node_ranking"]),
+        node_score=node_score,
+        node_ranking=tuple(
+            as_int(v, f"{path}: node_ranking")
+            for v in as_list(doc["node_ranking"], f"{path}: node_ranking")
+        ),
     )
     return explanation, doc.get("config", {})

@@ -20,8 +20,8 @@ from .errors import (
     MissingExplanation,
 )
 from .explain import Explanation
-from .graphs import AttributedGraph, NodeSet, complement_set, node_induced_subgraph
-from .model import GnnModel, forward
+from .graphs import AttributedGraph, NodeSet, complement_set
+from .model import GnnModel, _block_rows, forward, subset_probabilities
 
 
 @dataclass
@@ -132,22 +132,54 @@ def _require_attr_scores(g: AttributedGraph, expl: Explanation) -> None:
         )
 
 
-def _retains(
-    model: GnnModel, g: AttributedGraph, keep: NodeSet, original: int
-) -> bool:
-    sub = node_induced_subgraph(g, keep)
-    return forward(model, sub).predicted_class == original
+def _retained(model: GnnModel, requests) -> list[bool]:
+    """For each ``(graph, keep, original)`` request: does the subgraph
+    induced by ``keep`` still predict ``original``?  Requests of one size
+    are scored together in stacked blocks, whatever graph they come
+    from."""
+    by_size: dict[int, list[int]] = {}
+    for i, (_, keep, _) in enumerate(requests):
+        by_size.setdefault(len(keep), []).append(i)
+    out = [False] * len(requests)
+    for size, same_size in by_size.items():
+        rows = _block_rows(size)
+        for start in range(0, len(same_size), rows):
+            block = same_size[start : start + rows]
+            pairs = []
+            for i in block:
+                g, keep, _ = requests[i]
+                pairs.append((g, np.array([keep.members], dtype=np.int64)))
+            predicted = subset_probabilities(model, pairs).argmax(axis=-1)
+            for i, p in zip(block, predicted):
+                out[i] = bool(p == requests[i][2])
+    return out
 
 
-def _min_retaining_prefix(
-    model: GnnModel, g: AttributedGraph, explanation: Explanation
-) -> int:
-    # the full ranking reproduces the graph, so the scan always terminates
-    for k in range(1, g.node_count + 1):
-        keep = NodeSet(explanation.node_ranking[:k])
-        if _retains(model, g, keep, explanation.original_prediction):
-            return k
-    return g.node_count
+def _min_retaining_prefixes(
+    model: GnnModel, graphs, explanations: dict[str, Explanation]
+) -> dict[str, int]:
+    """Shortest ranking prefix of each graph that keeps its original
+    prediction.  The scan runs in lockstep: step k scores the k-node
+    prefix of every graph still pending in one stacked pass."""
+    # the full ranking reproduces the graph, so every scan terminates
+    min_k = {g.graph_id: 0 for g in graphs if g.node_count == 0}
+    pending = [g for g in graphs if g.node_count > 0]
+    size = 0
+    while pending:
+        size += 1
+        requests = []
+        for g in pending:
+            expl = explanations[g.graph_id]
+            keep = NodeSet(expl.node_ranking[:size])
+            requests.append((g, keep, expl.original_prediction))
+        still = []
+        for g, hit in zip(pending, _retained(model, requests)):
+            if hit or size >= g.node_count:
+                min_k[g.graph_id] = size
+            else:
+                still.append(g)
+        pending = still
+    return min_k
 
 
 def evaluate(
@@ -161,6 +193,10 @@ def evaluate(
 ) -> EvalReport:
     """Full evaluation pass; per-graph rows come out sorted by graph id.
 
+    The budgeted keep and remaining sets of all graphs are scored in
+    stacked passes grouped by size, and ``min_k`` comes from one lockstep
+    ranking-prefix scan over the eligible graphs.
+
     Raises:
         MissingExplanation: some selected graph has no explanation.
         InvalidBudget: malformed node or attribute budget.
@@ -170,56 +206,60 @@ def evaluate(
     resolve_budget(1, k, rate)  # validate the budget form once up front
 
     default = default_prediction(model)
-    rows: list[GraphVerdict] = []
-    explained_hits = remaining_hits = evaluated = 0
-    attribute_hits = attribute_total = 0
-    min_ks: list[int] = []
+    budgets, eligible, requests, attribute_hits = [], [], [], []
     for g in graphs:
         expl = explanations[g.graph_id]
         original = expl.original_prediction
         budget = resolve_budget(g.node_count, k, rate)
-        retained_explained = retained_remaining = None
+        budgets.append(budget)
+        eligible.append(original != default)
         if budget is not None:
             keep = NodeSet(expl.node_ranking[:budget])
-            retained_explained = _retains(model, g, keep, original)
-            rest = complement_set(g, keep)
-            retained_remaining = _retains(model, g, rest, original)
-            evaluated += 1
-            explained_hits += retained_explained
-            remaining_hits += retained_remaining
+            requests.append((g, keep, original))
+            requests.append((g, complement_set(g, keep), original))
         if attr_top is not None:
             _require_attr_scores(g, expl)
             masked = keep_top_attributes(g, expl.attr_score, attr_top)
-            attribute_hits += (
+            attribute_hits.append(
                 forward(model, masked).predicted_class == original
             )
-            attribute_total += 1
-        eligible = original != default
-        min_k = None
-        if compute_sparsity and eligible:
-            min_k = _min_retaining_prefix(model, g, expl)
-            min_ks.append(min_k)
+    verdicts = iter(_retained(model, requests))
+    min_k = {}
+    if compute_sparsity:
+        min_k = _min_retaining_prefixes(
+            model, [g for g, e in zip(graphs, eligible) if e], explanations
+        )
+
+    rows: list[GraphVerdict] = []
+    for g, budget, is_eligible in zip(graphs, budgets, eligible):
+        kept = rest = None
+        if budget is not None:
+            kept, rest = next(verdicts), next(verdicts)
         rows.append(
             GraphVerdict(
                 g.graph_id,
                 budget,
-                retained_explained,
-                retained_remaining,
-                eligible,
-                min_k,
+                kept,
+                rest,
+                is_eligible,
+                min_k.get(g.graph_id),
             )
         )
+    scored = [r for r in rows if r.budget is not None]
+    min_ks = [r.min_k for r in rows if r.min_k is not None]
     return EvalReport(
-        ep_explained=explained_hits / evaluated if evaluated else None,
-        ep_remaining=remaining_hits / evaluated if evaluated else None,
-        ep_attribute=(
-            attribute_hits / attribute_total if attribute_total else None
-        ),
+        ep_explained=_share([r.retained_explained for r in scored]),
+        ep_remaining=_share([r.retained_remaining for r in scored]),
+        ep_attribute=_share(attribute_hits),
         sparsity=float(np.mean(min_ks)) if min_ks else None,
-        eligible_count=sum(r.eligible for r in rows),
-        evaluated_count=evaluated,
+        eligible_count=sum(eligible),
+        evaluated_count=len(scored),
         per_graph=rows,
     )
+
+
+def _share(hits: list[bool]) -> float | None:
+    return sum(hits) / len(hits) if hits else None
 
 
 def write_eval_csv(path, rows: list[GraphVerdict]) -> None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_json
+from ._schema import as_int, as_list, require
 from .errors import (
     IndexOutOfRange,
     ParseError,
@@ -30,6 +31,13 @@ from .graphs import AttributedGraph
 MODEL_FORMAT_VERSION = 1
 READOUT_MAX_MEAN = "max_mean_concat"
 PROBABILITY_FLOOR = 1e-12
+# graphs per stacked pass; on 13-node graphs larger blocks ran slower
+# (their node fields outgrow the cache) and use more memory
+SUBSET_BLOCK_ROWS = 128
+# propagation entries per pass (128 graphs of 16 nodes): stacks of larger
+# graphs get fewer rows, so a block never needs much more memory than
+# one forward of its largest graph
+_BLOCK_ENTRIES = SUBSET_BLOCK_ROWS * 16 * 16
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -179,23 +187,25 @@ class MaskGradients:
 
 @dataclass
 class _Trace:
-    adjacency: NormalizedAdjacency
     a_eff: np.ndarray
     node_h: list[np.ndarray]
     node_m: list[np.ndarray]
     node_z: list[np.ndarray]
-    max_index: np.ndarray | None
     head_u: list[np.ndarray]
     head_z: list[np.ndarray]
     logits: np.ndarray
     probabilities: np.ndarray
-    predicted_class: int
+    adjacency: NormalizedAdjacency | None = None
+
+    @property
+    def predicted_class(self) -> int:
+        return int(np.argmax(self.probabilities))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _activate(layer: Layer, z: np.ndarray) -> np.ndarray:
@@ -207,6 +217,14 @@ def _activation_grad(layer: Layer, z: np.ndarray) -> np.ndarray:
     if layer.activation == "relu":
         return (z > 0.0).astype(np.float64)
     return np.ones_like(z)
+
+
+def _check_attr_dim(model: GnnModel, g: AttributedGraph) -> None:
+    if g.attr_dim != model.attr_dim:
+        raise ShapeMismatch(
+            f"graph has {g.attr_dim} attributes, model expects"
+            f" {model.attr_dim}"
+        )
 
 
 def _check_mask(g: AttributedGraph, mask: MaskedInput) -> None:
@@ -240,34 +258,47 @@ def _propagation_matrix(
     return a
 
 
-def _readout(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Max+mean pooling of node fields and the per-column argmax, or the
-    zero vector and ``None`` on an empty graph."""
-    if h.shape[0] == 0:
-        return np.zeros(2 * h.shape[1]), None
-    return np.concatenate([h.max(axis=0), h.mean(axis=0)]), h.argmax(axis=0)
+def _induced_stack(
+    g: AttributedGraph, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagation matrices ``(b, k, k)`` and attributes ``(b, k, d)`` of
+    the subgraphs of ``g`` induced by each row of ``rows``, a ``(b, k)``
+    array of ascending node indices.
+
+    The coefficients are those :func:`normalize_adjacency` gives the
+    extracted subgraph: in-degree + 1 counted inside the subset.
+    """
+    n = g.node_count
+    if rows.size and rows.max() >= n:
+        raise IndexOutOfRange(f"node {rows.max()} outside [0, {n})")
+    src, dst = g.arc_index_arrays()
+    arcs = np.zeros((n, n))
+    arcs[dst, src] = 1.0
+    sub = arcs[rows[:, :, None], rows[:, None, :]]
+    deg = sub.sum(axis=-1) + 1.0
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    a = sub * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
+    idx = np.arange(rows.shape[1])
+    a[:, idx, idx] = 1.0 / deg
+    return a, g.attributes[rows]
 
 
-def _forward_trace(
-    model: GnnModel,
-    g: AttributedGraph,
-    mask: MaskedInput | None,
-    adjacency: NormalizedAdjacency | None = None,
-) -> _Trace:
-    if g.attr_dim != model.attr_dim:
-        raise ShapeMismatch(
-            f"graph has {g.attr_dim} attributes, model expects"
-            f" {model.attr_dim}"
-        )
-    if mask is not None:
-        _check_mask(g, mask)
-    adj = adjacency if adjacency is not None else normalize_adjacency(g)
-    if mask is None:
-        a_eff = _propagation_matrix(g, adj)
-        h = np.asarray(g.attributes)
-    else:
-        a_eff = _propagation_matrix(g, adj, mask.edge_gate)
-        h = g.attributes * mask.attribute_gate
+def _readout(h: np.ndarray) -> np.ndarray:
+    """Max+mean pooling of node fields ``(..., n, w)`` over the node axis,
+    or zero vectors when n = 0."""
+    if h.shape[-2] == 0:
+        return np.zeros(h.shape[:-2] + (2 * h.shape[-1],))
+    return np.concatenate([h.max(axis=-2), h.mean(axis=-2)], axis=-1)
+
+
+def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
+    """GCN layers, readout, head and softmax on ``(..., n, n)`` propagation
+    and ``(..., n, d)`` node fields; leading axes stack independent graphs.
+
+    Each product is a per-graph one (stacked ``a @ h``, broadcast
+    ``h @ W``, a head row as ``(1, w) @ W``), so every slice of a stack is
+    bit-identical to the same graph run alone.
+    """
     node_h = [h]
     node_m = []
     node_z = []
@@ -279,30 +310,46 @@ def _forward_trace(
         node_z.append(z)
         node_h.append(h)
 
-    readout, max_index = _readout(h)
-    head_u = [readout]
+    u = _readout(h)
+    head_u = [u]
     head_z = []
-    u = readout
     for layer in model.head_layers:
-        z = u @ layer.weight + layer.bias
+        z = (u[..., None, :] @ layer.weight)[..., 0, :] + layer.bias
         u = _activate(layer, z)
         head_z.append(z)
         head_u.append(u)
 
-    probabilities = _softmax(u)
     return _Trace(
-        adjacency=adj,
         a_eff=a_eff,
         node_h=node_h,
         node_m=node_m,
         node_z=node_z,
-        max_index=max_index,
         head_u=head_u,
         head_z=head_z,
         logits=u,
-        probabilities=probabilities,
-        predicted_class=int(np.argmax(probabilities)),
+        probabilities=_softmax(u),
     )
+
+
+def _forward_trace(
+    model: GnnModel,
+    g: AttributedGraph,
+    mask: MaskedInput | None,
+    adjacency: NormalizedAdjacency | None = None,
+) -> _Trace:
+    _check_attr_dim(model, g)
+    if mask is not None:
+        _check_mask(g, mask)
+    adj = adjacency if adjacency is not None else normalize_adjacency(g)
+    if mask is None:
+        a_eff = _propagation_matrix(g, adj)
+        h = np.asarray(g.attributes)
+    else:
+        a_eff = _propagation_matrix(g, adj, mask.edge_gate)
+        h = g.attributes * mask.attribute_gate
+    tr = _layer_stack(model, a_eff, h)
+    tr.adjacency = adj
+    return tr
 
 
 def forward(
@@ -314,6 +361,32 @@ def forward(
     """Run the classifier on ``g``, optionally through a ``MaskedInput``."""
     tr = _forward_trace(model, g, mask, adjacency)
     return ForwardResult(tr.logits, tr.probabilities, tr.predicted_class)
+
+
+def _block_rows(k: int) -> int:
+    """Rows of ``k``-node graphs that one stacked pass takes."""
+    return max(1, min(SUBSET_BLOCK_ROWS, _BLOCK_ENTRIES // max(k * k, 1)))
+
+
+def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:
+    """Class probabilities of many node-induced subgraphs in one pass.
+
+    ``pairs`` holds ``(graph, rows)`` items, ``rows`` a ``(b, k)`` int
+    array of ascending node subsets of that graph, with one ``k`` for all
+    items.  Row ``i`` of the result equals, bit for bit, the probabilities
+    of :func:`forward` on the subgraph extracted for the ``i``-th subset.
+    Callers pass at most :func:`_block_rows` rows at a time.
+    """
+    stacks = []
+    for g, rows in pairs:
+        _check_attr_dim(model, g)
+        stacks.append(_induced_stack(g, rows))
+    if len(stacks) == 1:
+        a, x = stacks[0]
+    else:
+        a = np.concatenate([s[0] for s in stacks])
+        x = np.concatenate([s[1] for s in stacks])
+    return _layer_stack(model, a, x).probabilities
 
 
 def _check_target(model: GnnModel, target_class: int) -> None:
@@ -372,7 +445,8 @@ def _backward(
     if n > 0:
         d_max = du[:width]
         d_mean = du[width:]
-        dh[tr.max_index, np.arange(width)] += d_max
+        max_index = tr.node_h[-1].argmax(axis=0)
+        dh[max_index, np.arange(width)] += d_max
         dh += d_mean / n
 
     gcn_w: list[tuple[np.ndarray, np.ndarray]] = []
@@ -430,8 +504,7 @@ def _layer_to_dict(layer: Layer) -> dict:
 
 def _layer_from_dict(doc: dict, where: str) -> Layer:
     for key in ("weight", "bias", "activation"):
-        if key not in doc:
-            raise ParseError(f"{where}: missing field {key!r}")
+        require(doc, key, where)
     try:
         weight = np.asarray(doc["weight"], dtype=np.float64)
         bias = np.asarray(doc["bias"], dtype=np.float64)
@@ -487,15 +560,19 @@ def load_model(path) -> GnnModel:
         )
     gcn = tuple(
         _layer_from_dict(d, f"{path}: gcn_layers[{i}]")
-        for i, d in enumerate(doc["gcn_layers"])
+        for i, d in enumerate(
+            as_list(doc["gcn_layers"], f"{path}: gcn_layers")
+        )
     )
     head = tuple(
         _layer_from_dict(d, f"{path}: head_layers[{i}]")
-        for i, d in enumerate(doc["head_layers"])
+        for i, d in enumerate(
+            as_list(doc["head_layers"], f"{path}: head_layers")
+        )
     )
     return GnnModel(
-        attr_dim=int(doc["attr_dim"]),
-        num_classes=int(doc["num_classes"]),
+        attr_dim=as_int(doc["attr_dim"], f"{path}: attr_dim"),
+        num_classes=as_int(doc["num_classes"], f"{path}: num_classes"),
         gcn_layers=gcn,
         head_layers=head,
         readout=doc["readout"],

@@ -11,8 +11,16 @@ import numpy as np
 
 from ._atomic import write_json
 from .errors import InvalidBudget, TooLarge
-from .graphs import AttributedGraph, NodeSet, node_induced_subgraph
-from .model import GnnModel, MaskedInput, forward, normalize_adjacency
+from .graphs import AttributedGraph, NodeSet
+from .model import (
+    GnnModel,
+    _block_rows,
+    _layer_stack,
+    _propagation_matrix,
+    forward,
+    normalize_adjacency,
+    subset_probabilities,
+)
 
 MAX_ORACLE_NODES = 14
 
@@ -33,6 +41,14 @@ def _guard_size(g: AttributedGraph) -> None:
         )
 
 
+def _subset_blocks(n: int, k: int):
+    """Every k-subset of ``range(n)`` in lexicographic order, as ``(b, k)``
+    row blocks of one stacked pass each."""
+    combos = itertools.combinations(range(n), k)
+    while block := list(itertools.islice(combos, _block_rows(k))):
+        yield np.array(block, dtype=np.int64).reshape(len(block), k)
+
+
 def brute_force_best_subset(
     model: GnnModel, g: AttributedGraph, k: int
 ) -> tuple[NodeSet, float]:
@@ -43,17 +59,17 @@ def brute_force_best_subset(
         raise InvalidBudget(
             f"k must lie in [0, {g.node_count}], got {k}"
         )
-    original = forward(model, g)
-    target = original.predicted_class
-    best_subset: tuple[int, ...] | None = None
+    target = forward(model, g).predicted_class
+    best_subset: np.ndarray | None = None
     best_probability = -1.0
-    for combo in itertools.combinations(range(g.node_count), k):
-        sub = node_induced_subgraph(g, NodeSet(combo))
-        p = float(forward(model, sub).probabilities[target])
-        if p > best_probability:
-            best_probability = p
-            best_subset = combo
-    return NodeSet(best_subset), best_probability
+    for rows in _subset_blocks(g.node_count, k):
+        p = subset_probabilities(model, [(g, rows)])[:, target]
+        i = int(np.argmax(p))
+        # strict: an equal value in a later block loses the tie
+        if p[i] > best_probability:
+            best_probability = float(p[i])
+            best_subset = rows[i]
+    return NodeSet(tuple(best_subset)), best_probability
 
 
 def exhaustive_sparsity(model: GnnModel, g: AttributedGraph) -> int:
@@ -62,9 +78,9 @@ def exhaustive_sparsity(model: GnnModel, g: AttributedGraph) -> int:
     _guard_size(g)
     original = forward(model, g).predicted_class
     for k in range(1, g.node_count + 1):
-        for combo in itertools.combinations(range(g.node_count), k):
-            sub = node_induced_subgraph(g, NodeSet(combo))
-            if forward(model, sub).predicted_class == original:
+        for rows in _subset_blocks(g.node_count, k):
+            probs = subset_probabilities(model, [(g, rows)])
+            if (probs.argmax(axis=-1) == original).any():
                 return k
     return g.node_count
 
@@ -73,26 +89,28 @@ def occlusion_scores(model: GnnModel, g: AttributedGraph) -> np.ndarray:
     """Drop in original-class probability when each arc is gated to zero.
 
     On an undirected graph both directions of an edge are gated together
-    and their entries share the drop value.
+    and their entries share the drop value.  The gated copies of ``g`` run
+    as stacks, one row per occluded edge.
     """
     adjacency = normalize_adjacency(g)
     original = forward(model, g, None, adjacency)
-    p0 = float(original.probabilities[original.predicted_class])
-    ones_attr = np.ones((g.node_count, g.attr_dim))
-    drops = np.zeros(g.arc_count)
+    target = original.predicted_class
+    p0 = float(original.probabilities[target])
     step = 1 if g.directed else 2
-    for a in range(0, g.arc_count, step):
-        gate = np.ones(g.arc_count)
-        gate[a] = 0.0
-        if not g.directed:
-            gate[a + 1] = 0.0
-        masked = MaskedInput(gate, ones_attr)
-        res = forward(model, g, masked, adjacency)
-        drop = p0 - float(res.probabilities[original.predicted_class])
-        drops[a] = drop
-        if not g.directed:
-            drops[a + 1] = drop
-    return drops
+    src, dst = g.arc_index_arrays()
+    full = _propagation_matrix(g, adjacency)
+    # one row per occluded edge: its arc and, when undirected, the mate
+    occluded = np.arange(0, g.arc_count, step)[:, None] + np.arange(step)
+    drops = np.empty(len(occluded))
+    rows = _block_rows(g.node_count)
+    for first in range(0, len(occluded), rows):
+        arcs = occluded[first : first + rows]
+        a = np.repeat(full[None], len(arcs), axis=0)
+        a[np.arange(len(arcs))[:, None], dst[arcs], src[arcs]] = 0.0
+        x = np.broadcast_to(g.attributes, (len(arcs),) + g.attributes.shape)
+        probs = _layer_stack(model, a, x).probabilities[:, target]
+        drops[first : first + rows] = p0 - probs
+    return np.repeat(drops, step)
 
 
 def oracle_report(model: GnnModel, g: AttributedGraph, k: int) -> OracleResult:

@@ -83,7 +83,7 @@ def calibrate_parameters(params, hidden_dims, graphs, adjacency) -> None:
         _center_and_scale(w, b, np.vstack([m @ w for m in hs]))
         hs = [np.maximum(m @ w + b, 0.0) for m in hs]
     w, b = params[-2], params[-1]
-    readouts = np.vstack([_readout(h)[0] for h in hs])
+    readouts = np.vstack([_readout(h) for h in hs])
     _center_and_scale(w, b, readouts @ w)
 
 

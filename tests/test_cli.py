@@ -209,3 +209,66 @@ def test_explain_deterministic_output_bytes(pipeline):
     a = (a_dir / "ba2motifs-0037.json").read_bytes()
     b = (b_dir / "ba2motifs-0037.json").read_bytes()
     assert a == b
+
+
+def _assert_one_line_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+EDGE_ENTRY_FAULTS = {
+    "missing score": lambda e: e.pop("score"),
+    "missing src": lambda e: e.pop("src"),
+    "missing dst": lambda e: e.pop("dst"),
+    "text score": lambda e: e.update(score="high"),
+    "text src": lambda e: e.update(src="a"),
+    "null dst": lambda e: e.update(dst=None),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EDGE_ENTRY_FAULTS))
+def test_eval_rejects_malformed_edge_scores(pipeline, capsys, tmp_path, fault):
+    _, ds, model, out = pipeline
+    bad = tmp_path / "expl"
+    bad.mkdir()
+    for path in out.glob("*.json"):
+        (bad / path.name).write_bytes(path.read_bytes())
+    victim = sorted(bad.glob("*.json"))[0]
+    doc = json.loads(victim.read_text())
+    EDGE_ENTRY_FAULTS[fault](doc["edge_scores"][0])
+    victim.write_text(json.dumps(doc))
+    code = main(["eval", "--model", str(model), "--dataset", str(ds),
+                 "--explanations", str(bad), "--top-k", "3"])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert "edge_scores[0]" in err
+
+
+DATASET_FAULTS = {
+    "text n": lambda d: d["graphs"][0].update(n="abc"),
+    "text y": lambda d: d["graphs"][1].update(y="house"),
+    "float attr_dim": lambda d: d.update(attr_dim=10.5),
+    "text num_classes": lambda d: d.update(num_classes="two"),
+    "text split index": lambda d: d["splits"]["train"].append("x"),
+    "short x": lambda d: d["graphs"][2]["x"].pop(),
+    "ragged x": lambda d: d["graphs"][2]["x"][0].pop(),
+    "text edge end": lambda d: d["graphs"][3]["edges"][0].__setitem__(1, "b"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DATASET_FAULTS))
+def test_train_rejects_malformed_dataset(tmp_path, capsys, fault):
+    path = tmp_path / "ds.json"
+    assert main(["gen-dataset", "--n", "4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    DATASET_FAULTS[fault](doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(path), "--out",
+                 str(tmp_path / "m.json"), "--epochs", "1"])
+    err = _assert_one_line_usage_error(code, capsys)
+    if fault not in ("float attr_dim", "text num_classes", "text split index"):
+        assert "graphs[" in err

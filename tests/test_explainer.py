@@ -114,6 +114,49 @@ def test_node_importance_max_max_equals_direct_recomputation():
         assert omega[v] == pytest.approx(expected, abs=1e-12)
 
 
+def _loop_node_scores(node_count, src, dst, message, node_attr, agg1, agg2):
+    # reference: one pass per node over all arcs
+    agg = {"max": np.max, "mean": np.mean}
+    out = np.empty(node_count)
+    for i in range(node_count):
+        sides = [
+            agg[agg1](side)
+            for side in (message[src == i], message[dst == i])
+            if side.size
+        ]
+        out[i] = agg[agg2](np.asarray(sides)) if sides else node_attr[i]
+    return out
+
+
+@pytest.mark.parametrize("agg1", ["max", "mean"])
+@pytest.mark.parametrize("agg2", ["max", "mean"])
+def test_vectorised_node_scores_match_the_per_node_loop(agg1, agg2):
+    from gxplain.explain import _node_scores_from_messages
+
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rng.integers(1, 16))
+        # a hub with many arcs, random extra arcs, some nodes left isolated
+        edges = [(0, int(v)) for v in range(1, n) if rng.random() < 0.7]
+        edges += [
+            (int(rng.integers(n)), int(rng.integers(n))) for _ in range(n)
+        ]
+        g = build_graph(
+            n, edges, np.ones((n, 1)), directed=bool(trial % 2), graph_id="v"
+        )
+        src, dst = g.arc_index_arrays()
+        message = rng.random(g.arc_count)
+        node_attr = rng.random(n)
+        got = _node_scores_from_messages(
+            n, src, dst, message, node_attr, agg1, agg2
+        )
+        want = _loop_node_scores(n, src, dst, message, node_attr, agg1, agg2)
+        if agg1 == "max":
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_message_importance_is_arc_times_source_attr_score():
     _, g, expl, _ = scored_explanation(seed=3)
     for idx, (s, d) in enumerate(expl.arcs[:5]):

@@ -1,0 +1,199 @@
+"""Stacked scoring of candidate subgraphs: every slice of a stack must be
+bit-identical to extracting that subgraph and running the forward pass."""
+
+import itertools
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import detector_model, random_model, random_small_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gxplain
+from gxplain.explain import Explanation
+from gxplain.graphs import (
+    NodeSet,
+    build_graph,
+    complement_set,
+    node_induced_subgraph,
+)
+from gxplain.metrics import default_prediction, evaluate, resolve_budget
+from gxplain.model import (
+    GnnModel,
+    Layer,
+    MaskedInput,
+    _block_rows,
+    forward,
+    subset_probabilities,
+)
+from gxplain.oracle import brute_force_best_subset, occlusion_scores
+
+
+@st.composite
+def graph_and_model(draw):
+    n = draw(st.integers(1, 10))
+    directed = draw(st.booleans())
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=3 * n))
+    attr_dim = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 5), max_size=3))
+    acts = draw(
+        st.lists(
+            st.sampled_from(["relu", "identity"]),
+            min_size=len(widths) + 1,
+            max_size=len(widths) + 1,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = build_graph(
+        n, edges, rng.normal(size=(n, attr_dim)), directed, graph_id="h"
+    )
+    layers, dim = [], attr_dim
+    for width, act in zip(widths, acts):
+        layers.append(
+            Layer(rng.normal(size=(dim, width)), rng.normal(size=width), act)
+        )
+        dim = width
+    classes = int(rng.integers(2, 4))
+    head = Layer(
+        rng.normal(size=(2 * dim, classes)), rng.normal(size=classes), acts[-1]
+    )
+    return g, GnnModel(attr_dim, classes, tuple(layers), (head,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_and_model())
+def test_stacked_subsets_are_bitwise_the_extracted_forward(case):
+    g, model = case
+    n = g.node_count
+    for k in range(n + 1):
+        combos = list(itertools.combinations(range(n), k))
+        rows = np.array(combos, dtype=np.int64).reshape(len(combos), k)
+        probs = subset_probabilities(model, [(g, rows)])
+        for row, p in zip(combos, probs):
+            sub = node_induced_subgraph(g, NodeSet(row))
+            assert np.array_equal(forward(model, sub).probabilities, p)
+
+
+def test_stacks_of_several_graphs_match_each_graph_alone():
+    rng = np.random.default_rng(5)
+    model = random_model(rng, hidden=(4, 3))
+    graphs = [random_small_graph(rng, 3, 9, gid=f"s{i}") for i in range(6)]
+    pairs = [
+        (g, np.sort(rng.permutation(g.node_count)[:3])[None]) for g in graphs
+    ]
+    stacked = subset_probabilities(model, pairs)
+    for (g, rows), p in zip(pairs, stacked):
+        alone = subset_probabilities(model, [(g, rows)])[0]
+        assert np.array_equal(alone, p)
+
+
+def test_ties_across_blocks_keep_the_lexicographically_first_subset(blocks):
+    g = build_graph(
+        12, [(i, i + 1) for i in range(11)], np.zeros((12, 1)), False
+    )
+    assert math.comb(12, 6) > 2 * _block_rows(6)
+    best, _ = brute_force_best_subset(detector_model(), g, k=6)
+    assert best.members == (0, 1, 2, 3, 4, 5)
+
+
+@pytest.fixture(params=["default blocks", "3-row blocks"])
+def blocks(request, monkeypatch):
+    if request.param != "default blocks":
+        monkeypatch.setattr("gxplain.model.SUBSET_BLOCK_ROWS", 3)
+
+
+def test_large_graphs_get_fewer_rows_per_block():
+    assert _block_rows(0) == _block_rows(13) == 128
+    assert _block_rows(64) == 8
+    assert _block_rows(10_000) == 1
+
+
+def test_occlusion_equals_one_gated_forward_per_arc(blocks):
+    rng = np.random.default_rng(8)
+    model = random_model(rng, hidden=(5, 4))
+    for i, directed in enumerate((True, False, True, False)):
+        g = random_small_graph(rng, 2, 9, directed=directed, gid=f"o{i}")
+        target = forward(model, g).predicted_class
+        p0 = forward(model, g).probabilities[target]
+        drops = occlusion_scores(model, g)
+        for a in range(g.arc_count):
+            gate = np.ones(g.arc_count)
+            mate = a if directed else a ^ 1
+            gate[[a, mate]] = 0.0
+            masked = MaskedInput(gate, np.ones((g.node_count, g.attr_dim)))
+            p = forward(model, g, masked).probabilities[target]
+            assert drops[a] == p0 - p
+
+
+def _verdict_by_definition(model, g, expl, budget, default):
+    def retains(keep):
+        sub = node_induced_subgraph(g, keep)
+        return forward(model, sub).predicted_class == expl.original_prediction
+
+    kept = rest = None
+    if budget is not None:
+        keep = NodeSet(expl.node_ranking[:budget])
+        kept, rest = retains(keep), retains(complement_set(g, keep))
+    min_k = None
+    if expl.original_prediction != default:
+        min_k = next(
+            (
+                k
+                for k in range(1, g.node_count + 1)
+                if retains(NodeSet(expl.node_ranking[:k]))
+            ),
+            g.node_count,
+        )
+    return kept, rest, min_k
+
+
+@pytest.mark.parametrize("budget", [{"k": 3}, {"k": 6}, {"rate": 0.4}])
+def test_evaluate_matches_a_per_subgraph_loop_on_mixed_sizes(budget, blocks):
+    rng = np.random.default_rng(13)
+    model = random_model(rng, hidden=(6, 6), num_classes=3)
+    default = default_prediction(model)
+    graphs, expls = [], {}
+    for i in range(40):
+        directed = bool(i % 3)
+        g = random_small_graph(rng, 1, 12, directed=directed, gid=f"g{i:02d}")
+        graphs.append(g)
+        original = forward(model, g).predicted_class
+        if i % 5 == 4:
+            # an explanation of another model: no prefix may retain it
+            original = (original + 1) % 3
+        expls[g.graph_id] = Explanation(
+            graph_id=g.graph_id,
+            arcs=g.arcs,
+            original_prediction=original,
+            original_probability=0.5,
+            edge_score=np.zeros(g.arc_count),
+            attr_score=np.zeros((g.node_count, g.attr_dim)),
+            node_attr_score=np.zeros(g.node_count),
+            node_score=np.zeros(g.node_count),
+            node_ranking=tuple(int(v) for v in rng.permutation(g.node_count)),
+        )
+    report = evaluate(model, graphs, expls, **budget)
+    assert sum(r.eligible for r in report.per_graph) >= 5
+    assert [r.graph_id for r in report.per_graph] == sorted(expls)
+    for row in report.per_graph:
+        g = next(x for x in graphs if x.graph_id == row.graph_id)
+        expl = expls[g.graph_id]
+        b = resolve_budget(g.node_count, **budget)
+        want = _verdict_by_definition(model, g, expl, b, default)
+        assert row.budget == b
+        got = (row.retained_explained, row.retained_remaining, row.min_k)
+        assert got == want
+        assert row.eligible == (expl.original_prediction != default)
+
+
+def test_hot_paths_do_not_extract_one_subgraph_per_candidate():
+    src = Path(gxplain.__file__).parent
+    users = [
+        name
+        for name in ("oracle.py", "metrics.py")
+        if "node_induced_subgraph(" in (src / name).read_text("utf-8")
+    ]
+    assert users == []
