@@ -5,6 +5,8 @@ naming where in the file the bad value sits, so a malformed document ends
 in a one-line message rather than a ``KeyError`` or ``ValueError``.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import ParseError
@@ -33,6 +35,20 @@ def as_float(value, where: str) -> float:
     return float(value)
 
 
+def as_str(value, where: str) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def as_bool(value, where: str) -> bool:
+    """A JSON boolean."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def as_list(value, where: str) -> list:
     """A JSON array."""
     if not isinstance(value, list):
@@ -48,4 +64,13 @@ def as_float_array(value, where: str) -> np.ndarray:
         raise ParseError(f"{where}: expected numbers ({exc})") from exc
     if arr.ndim == 0 or arr.dtype.kind not in "iuf":
         raise ParseError(f"{where}: expected a list of numbers")
+    # numpy reads a boolean among numbers as 0 or 1, so only arrays
+    # holding a 0 or 1 are searched; the nesting is regular here, so
+    # flattening it takes ndim - 1 steps
+    if ((arr == 0) | (arr == 1)).any():
+        flat = value
+        for _ in range(arr.ndim - 1):
+            flat = itertools.chain.from_iterable(flat)
+        if any(v is True or v is False for v in flat):
+            raise ParseError(f"{where}: expected numbers, got a boolean")
     return arr.astype(np.float64)

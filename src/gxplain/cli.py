@@ -171,7 +171,14 @@ def cmd_eval(args) -> int:
         if not path.exists():
             missing.append(g.graph_id)
             continue
-        explanations[g.graph_id], _ = load_explanation(path)
+        expl, _ = load_explanation(path)
+        if expl.node_count != g.node_count or expl.arcs != g.arcs:
+            raise ParseError(
+                f"{path}: scores {expl.node_count} nodes and"
+                f" {len(expl.arcs)} arcs, graph {g.graph_id!r} has"
+                f" {g.node_count} nodes and {g.arc_count} arcs"
+            )
+        explanations[g.graph_id] = expl
     if missing:
         print(
             f"missing explanations for: {', '.join(missing)}",

@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import json_text, write_atomic
-from ._schema import as_float_array, as_int, as_list, require
+from ._schema import (
+    as_bool,
+    as_float_array,
+    as_int,
+    as_list,
+    as_str,
+    require,
+)
 from .errors import (
     InvalidCount,
     ParseError,
@@ -181,27 +188,34 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def _load_graph(entry, attr_dim: int, where: str) -> AttributedGraph:
     n = as_int(require(entry, "n", where), f"{where}: n")
+    if n < 0:
+        raise ParseError(f"{where}: n is negative ({n})")
     edges = []
     for j, pair in enumerate(as_list(require(entry, "edges", where), where)):
         at = f"{where}: edges[{j}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{at}: expected a [src, dst] pair")
-        edges.append((as_int(pair[0], at), as_int(pair[1], at)))
+        src, dst = as_int(pair[0], at), as_int(pair[1], at)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ParseError(f"{at}: ({src}, {dst}) outside [0, {n})")
+        edges.append((src, dst))
     attrs = as_float_array(require(entry, "x", where), f"{where}: x")
     if n == 0 and attrs.size == 0:
         attrs = attrs.reshape(0, attr_dim)
-    if attrs.ndim != 2 or attrs.shape[0] != n:
+    if attrs.shape != (n, attr_dim):
         raise ParseError(
-            f"{where}: x has shape {attrs.shape}, expected {n} rows"
+            f"{where}: x has shape {attrs.shape}, expected ({n}, {attr_dim})"
         )
     label = entry.get("y")
     return build_graph(
         n,
         edges,
         attrs,
-        directed=bool(require(entry, "directed", where)),
+        directed=as_bool(
+            require(entry, "directed", where), f"{where}: directed"
+        ),
         label=None if label is None else as_int(label, f"{where}: y"),
-        graph_id=str(require(entry, "id", where)),
+        graph_id=as_str(require(entry, "id", where), f"{where}: id"),
     )
 
 
@@ -209,10 +223,11 @@ def load_dataset(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
     Raises:
-        ParseError: unreadable or truncated JSON, missing fields, or a
-            value of the wrong type or shape.
+        ParseError: unreadable or truncated JSON, missing fields, a value
+            of the wrong type or shape, or internally inconsistent
+            content (an edge endpoint outside the graph, a split index
+            past the last graph, a label outside the classes).
         VersionMismatch: unknown format version.
-        ValidationError: internally inconsistent content.
     """
     try:
         with _open_text(path, "r") as fh:
@@ -224,7 +239,9 @@ def load_dataset(path) -> Dataset:
     where = str(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected a JSON object at top level")
-    version = require(doc, "format_version", where)
+    version = as_int(
+        require(doc, "format_version", where), f"{where}: format_version"
+    )
     if version != DATASET_FORMAT_VERSION:
         raise VersionMismatch(
             f"{path}: format_version {version!r}, expected"
@@ -240,22 +257,28 @@ def load_dataset(path) -> Dataset:
     splits = require(doc, "splits", where)
     if not isinstance(splits, dict):
         raise ParseError(f"{where}: splits must be an object")
-    return Dataset(
-        name=str(require(doc, "name", where)),
-        graphs=graphs,
-        attr_dim=attr_dim,
-        num_classes=as_int(
-            require(doc, "num_classes", where), f"{where}: num_classes"
-        ),
-        splits={
-            str(k): [
-                as_int(i, f"{where}: splits[{k!r}]")
-                for i in as_list(v, f"{where}: splits[{k!r}]")
-            ]
-            for k, v in splits.items()
-        },
-        generation_seed=doc.get("generation_seed"),
+    name = as_str(require(doc, "name", where), f"{where}: name")
+    num_classes = as_int(
+        require(doc, "num_classes", where), f"{where}: num_classes"
     )
+    split_lists = {
+        str(k): [
+            as_int(i, f"{where}: splits[{k!r}]")
+            for i in as_list(v, f"{where}: splits[{k!r}]")
+        ]
+        for k, v in splits.items()
+    }
+    try:
+        return Dataset(
+            name,
+            graphs,
+            attr_dim,
+            num_classes,
+            split_lists,
+            doc.get("generation_seed"),
+        )
+    except ValidationError as exc:  # split indices or labels out of range
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import write_json
-from ._schema import as_float, as_float_array, as_int, as_list, require
+from ._schema import (
+    as_float,
+    as_float_array,
+    as_int,
+    as_list,
+    as_str,
+    require,
+)
 from .errors import (
     DomainError,
     IndexOutOfRange,
@@ -432,9 +439,7 @@ def learn_masks(
         tr = _forward_trace(model, g, masked, adjacency)
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
         objective = -math.log(p_target)
-        _, ce_edge, ce_attr = _backward(
-            model, g, tr, target, want_weights=False, want_gates=True
-        )
+        ce_edge, ce_attr = _backward(model, tr, target, g)
 
         grads: list[np.ndarray] = []
         if learn_edges:
@@ -588,6 +593,12 @@ def load_explanation(path) -> tuple[Explanation, dict]:
     """Read an explanation written by :func:`save_explanation`.
 
     Returns the explanation and the configuration echo as a plain dict.
+
+    Raises:
+        ParseError: invalid JSON, a missing field, a value of the wrong
+            type, per-node arrays of different lengths, or a ranking that
+            is not a permutation of the nodes.
+        VersionMismatch: unknown format version.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -610,9 +621,10 @@ def load_explanation(path) -> tuple[Explanation, dict]:
     ):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
-    if doc["format_version"] != EXPLANATION_FORMAT_VERSION:
+    version = as_int(doc["format_version"], f"{path}: format_version")
+    if version != EXPLANATION_FORMAT_VERSION:
         raise VersionMismatch(
-            f"{path}: format_version {doc['format_version']!r}, expected"
+            f"{path}: format_version {version!r}, expected"
             f" {EXPLANATION_FORMAT_VERSION}"
         )
     arcs = []
@@ -628,13 +640,37 @@ def load_explanation(path) -> tuple[Explanation, dict]:
         )
         edge_score.append(as_float(require(entry, "score", where), where))
     node_score = as_float_array(doc["node_scores"], f"{path}: node_scores")
+    n = len(node_score)
+    node_attr_score = as_float_array(
+        doc["node_attr_scores"], f"{path}: node_attr_scores"
+    )
     attr_score = as_float_array(doc["attr_scores"], f"{path}: attr_scores")
     if attr_score.ndim != 2:
         if attr_score.size:
             raise ParseError(f"{path}: attr_scores must be a matrix")
-        attr_score = attr_score.reshape(len(node_score), 0)
+        attr_score = attr_score.reshape(n, 0)
+    ranking = tuple(
+        as_int(v, f"{path}: node_ranking")
+        for v in as_list(doc["node_ranking"], f"{path}: node_ranking")
+    )
+    # every per-node array covers the same n nodes, and the ranking
+    # orders exactly those
+    if node_score.shape != (n,) or node_attr_score.shape != (n,):
+        raise ParseError(
+            f"{path}: node_scores and node_attr_scores must be vectors of"
+            f" one length, got {node_score.shape} and {node_attr_score.shape}"
+        )
+    if attr_score.shape[0] != n:
+        raise ParseError(
+            f"{path}: attr_scores has {attr_score.shape[0]} rows for {n}"
+            " nodes"
+        )
+    if sorted(ranking) != list(range(n)):
+        raise ParseError(
+            f"{path}: node_ranking is not a permutation of the {n} nodes"
+        )
     explanation = Explanation(
-        graph_id=str(doc["graph_id"]),
+        graph_id=as_str(doc["graph_id"], f"{path}: graph_id"),
         arcs=tuple(arcs),
         original_prediction=as_int(
             doc["predicted_class"], f"{path}: predicted_class"
@@ -644,13 +680,8 @@ def load_explanation(path) -> tuple[Explanation, dict]:
         ),
         edge_score=np.asarray(edge_score, dtype=np.float64),
         attr_score=attr_score,
-        node_attr_score=as_float_array(
-            doc["node_attr_scores"], f"{path}: node_attr_scores"
-        ),
+        node_attr_score=node_attr_score,
         node_score=node_score,
-        node_ranking=tuple(
-            as_int(v, f"{path}: node_ranking")
-            for v in as_list(doc["node_ranking"], f"{path}: node_ranking")
-        ),
+        node_ranking=ranking,
     )
     return explanation, doc.get("config", {})

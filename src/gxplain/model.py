@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_json
-from ._schema import as_int, as_list, require
+from ._schema import as_float_array, as_int, as_list, as_str, require
 from .errors import (
     IndexOutOfRange,
     ParseError,
@@ -412,70 +412,73 @@ def loss(
 
 def _backward(
     model: GnnModel,
-    g: AttributedGraph,
     tr: _Trace,
-    target_class: int,
-    want_weights: bool,
-    want_gates: bool,
+    target,
+    g: AttributedGraph | None = None,
 ):
     """Reverse-mode gradients of the floored cross-entropy.
 
-    Returns ``(weight_grads, edge_gate_grad, attribute_gate_grad)`` where
-    ``weight_grads`` lists ``dW, db`` per layer in forward order.
+    ``tr`` may stack graphs on leading axes, as :func:`_layer_stack`
+    does; ``target`` then holds one class per graph.  Without ``g`` the
+    result lists the weight gradients ``dW, db`` per layer in forward
+    order, each with the stack's leading axes, so slice ``i`` is the
+    gradient of graph ``i`` alone.  With ``g``, the graph of a 2-D trace,
+    the result is ``(edge_gate_grad, attribute_gate_grad)`` instead.
+    Every product is a per-graph one, as in the forward pass, so each
+    slice is bit-identical to the same graph run alone.
     """
-    n = g.node_count
     p = tr.probabilities
-    d_logits = np.zeros_like(p)
-    if p[target_class] >= PROBABILITY_FLOOR:
-        d_logits = p.copy()
-        d_logits[target_class] -= 1.0
-    # else the loss sits on the floor and every gradient is zero
+    # each graph's position in the stack; () for a single graph
+    stack = np.ix_(*map(range, p.shape[:-1]))
+    at = stack + (target,)
+    d_logits = p.copy()
+    d_logits[at] -= 1.0
+    # where the loss sits on the floor every gradient is zero
+    d_logits[~(p[at] >= PROBABILITY_FLOOR)] = 0.0
 
+    want_weights = g is None
     head_w: list[tuple[np.ndarray, np.ndarray]] = []
     du = d_logits
     for j in reversed(range(len(model.head_layers))):
         layer = model.head_layers[j]
         dz = du * _activation_grad(layer, tr.head_z[j])
         if want_weights:
-            head_w.append((np.outer(tr.head_u[j], dz), dz.copy()))
-        du = dz @ layer.weight.T
+            head_w.append((tr.head_u[j][..., :, None] * dz[..., None, :], dz))
+        du = (dz[..., None, :] @ layer.weight.T)[..., 0, :]
 
-    width = tr.node_h[-1].shape[1]
-    dh = np.zeros((n, width))
+    h_last = tr.node_h[-1]
+    n, width = h_last.shape[-2:]
+    dh = np.zeros(h_last.shape)
     if n > 0:
-        d_max = du[:width]
-        d_mean = du[width:]
-        max_index = tr.node_h[-1].argmax(axis=0)
-        dh[max_index, np.arange(width)] += d_max
-        dh += d_mean / n
+        # the max pool's gradient goes to each column's argmax node
+        rows = tuple(i[..., None] for i in stack)
+        cols = np.arange(width)
+        dh[(*rows, h_last.argmax(axis=-2), cols)] += du[..., :width]
+        dh += du[..., None, width:] / n
 
     gcn_w: list[tuple[np.ndarray, np.ndarray]] = []
-    da = np.zeros((n, n)) if want_gates else None
+    da = None if want_weights else np.zeros((n, n))
     for l in reversed(range(len(model.gcn_layers))):
         layer = model.gcn_layers[l]
         dz = dh * _activation_grad(layer, tr.node_z[l])
         if want_weights:
-            gcn_w.append((tr.node_m[l].T @ dz, dz.sum(axis=0)))
+            gcn_w.append((tr.node_m[l].mT @ dz, dz.sum(axis=-2)))
+            if l == 0:
+                break  # the input layer's dm and dh feed gate gradients only
         dm = dz @ layer.weight.T
-        if want_gates:
+        if not want_weights:
             da += dm @ tr.node_h[l].T
-        dh = tr.a_eff.T @ dm
+        dh = tr.a_eff.mT @ dm
 
-    weight_grads = None
     if want_weights:
         weight_grads = []
         for dw, db in reversed(gcn_w):
             weight_grads.extend((dw, db))
         for dw, db in reversed(head_w):
             weight_grads.extend((dw, db))
-
-    edge_grad = None
-    attr_grad = None
-    if want_gates:
-        src, dst = g.arc_index_arrays()
-        edge_grad = da[dst, src] * tr.adjacency.arc_coeff
-        attr_grad = dh * g.attributes
-    return weight_grads, edge_grad, attr_grad
+        return weight_grads
+    src, dst = g.arc_index_arrays()
+    return da[dst, src] * tr.adjacency.arc_coeff, dh * g.attributes
 
 
 def mask_gradients(
@@ -488,9 +491,7 @@ def mask_gradients(
     """Exact d loss / d gate for every edge and attribute gate."""
     _check_target(model, target_class)
     tr = _forward_trace(model, g, mask, adjacency)
-    _, edge_grad, attr_grad = _backward(
-        model, g, tr, target_class, want_weights=False, want_gates=True
-    )
+    edge_grad, attr_grad = _backward(model, tr, target_class, g)
     return MaskGradients(edge_grad, attr_grad)
 
 
@@ -506,11 +507,13 @@ def _layer_from_dict(doc: dict, where: str) -> Layer:
     for key in ("weight", "bias", "activation"):
         require(doc, key, where)
     try:
-        weight = np.asarray(doc["weight"], dtype=np.float64)
-        bias = np.asarray(doc["bias"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: non-numeric layer data ({exc})") from exc
-    return Layer(weight, bias, doc["activation"])
+        return Layer(
+            as_float_array(doc["weight"], f"{where}: weight"),
+            as_float_array(doc["bias"], f"{where}: bias"),
+            as_str(doc["activation"], f"{where}: activation"),
+        )
+    except (ShapeMismatch, UnsupportedActivation) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def save_model(model: GnnModel, path) -> None:
@@ -530,10 +533,10 @@ def load_model(path) -> GnnModel:
     """Read a model written by :func:`save_model`.
 
     Raises:
-        ParseError: the file is not valid JSON or misses required fields.
+        ParseError: the file is not valid JSON, misses required fields,
+            holds a value of the wrong type, has an inconsistent dimension
+            chain or names an unknown activation.
         VersionMismatch: the file declares an unknown format version.
-        ShapeMismatch: the dimension chain is inconsistent.
-        UnsupportedActivation: a layer names an unknown activation.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -553,9 +556,10 @@ def load_model(path) -> GnnModel:
     ):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
-    if doc["format_version"] != MODEL_FORMAT_VERSION:
+    version = as_int(doc["format_version"], f"{path}: format_version")
+    if version != MODEL_FORMAT_VERSION:
         raise VersionMismatch(
-            f"{path}: format_version {doc['format_version']!r}, expected"
+            f"{path}: format_version {version!r}, expected"
             f" {MODEL_FORMAT_VERSION}"
         )
     gcn = tuple(
@@ -570,10 +574,13 @@ def load_model(path) -> GnnModel:
             as_list(doc["head_layers"], f"{path}: head_layers")
         )
     )
-    return GnnModel(
-        attr_dim=as_int(doc["attr_dim"], f"{path}: attr_dim"),
-        num_classes=as_int(doc["num_classes"], f"{path}: num_classes"),
-        gcn_layers=gcn,
-        head_layers=head,
-        readout=doc["readout"],
-    )
+    try:
+        return GnnModel(
+            attr_dim=as_int(doc["attr_dim"], f"{path}: attr_dim"),
+            num_classes=as_int(doc["num_classes"], f"{path}: num_classes"),
+            gcn_layers=gcn,
+            head_layers=head,
+            readout=as_str(doc["readout"], f"{path}: readout"),
+        )
+    except ShapeMismatch as exc:
+        raise ParseError(f"{path}: {exc}") from exc

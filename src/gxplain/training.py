@@ -1,7 +1,14 @@
-"""Full-batch Adam trainer for the graph classifier."""
+"""Full-batch Adam trainer for the graph classifier.
+
+The graphs of a split are stacked by node count once per call, and every
+pass (calibration, the training epochs, validation) runs on blocks of
+those stacks: one forward and one backward per block rather than per
+graph.
+"""
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,10 +19,11 @@ from .model import (
     GnnModel,
     Layer,
     _backward,
-    _forward_trace,
+    _block_rows,
+    _check_attr_dim,
+    _layer_stack,
     _propagation_matrix,
     _readout,
-    forward,
     normalize_adjacency,
 )
 from .optim import Adam
@@ -27,6 +35,88 @@ class TrainResult:
     train_accuracy: list[float]
     validation_accuracy: list[float]
     train_loss: list[float]
+
+
+class _Stack(NamedTuple):
+    """The graphs of a split with one node count, in split order."""
+
+    propagation: np.ndarray  # (b, n, n) unmasked GCN operators
+    attributes: np.ndarray  # (b, n, d)
+    labels: np.ndarray  # (b,), -1 for an unlabeled graph
+
+
+def _stack_graphs(graphs) -> list[_Stack]:
+    """Stacks of ``graphs`` by ascending node count.
+
+    Normalization is fixed, so the stacks serve every pass of a training
+    run.  Graph order within the split is kept inside each stack; on a
+    split of equal-size graphs the stack order is the split order.
+    """
+    by_size: dict[int, list] = {}
+    for g in graphs:
+        by_size.setdefault(g.node_count, []).append(g)
+    return [
+        _Stack(
+            np.stack(
+                [_propagation_matrix(g, normalize_adjacency(g)) for g in group]
+            ),
+            np.stack([g.attributes for g in group]),
+            np.array([-1 if g.label is None else g.label for g in group]),
+        )
+        for _, group in sorted(by_size.items())
+    ]
+
+
+def _blocks(stacks: list[_Stack]):
+    """Slices of each stack, at most :func:`_block_rows` graphs each."""
+    for a, x, y in stacks:
+        rows = _block_rows(x.shape[1])
+        for lo in range(0, len(y), rows):
+            yield a[lo : lo + rows], x[lo : lo + rows], y[lo : lo + rows]
+
+
+def _accuracy(model: GnnModel, stacks: list[_Stack]) -> float:
+    """Fraction of the stacked graphs whose prediction matches the label,
+    or NaN when there are none."""
+    count = sum(len(s.labels) for s in stacks)
+    if not count:
+        return float("nan")
+    hits = sum(
+        int((_layer_stack(model, a, x).probabilities.argmax(-1) == y).sum())
+        for a, x, y in _blocks(stacks)
+    )
+    return hits / count
+
+
+def _epoch_gradients(
+    model: GnnModel, stacks: list[_Stack]
+) -> tuple[list[np.ndarray], float, int]:
+    """Summed weight gradients, summed floored cross-entropy and hit count
+    over the stacked graphs, one forward and backward per block.
+
+    Sums run graph by graph in block order (``cumsum`` adds its rows
+    sequentially, where ``sum`` may add them pairwise), so they equal a
+    per-graph loop over the same order bit for bit.
+    """
+    grads: list[np.ndarray] | None = None
+    total_loss = 0.0
+    hits = 0
+    for a, x, y in _blocks(stacks):
+        tr = _layer_stack(model, a, x)
+        p = tr.probabilities
+        for p_target in p[np.arange(len(y)), y].tolist():
+            total_loss += -math.log(max(p_target, PROBABILITY_FLOOR))
+        hits += int((p.argmax(-1) == y).sum())
+        block = _backward(model, tr, y)
+        if grads is None:
+            grads = [np.zeros(g.shape[1:]) for g in block]
+        # copies: a row of the running sums would keep them all alive
+        grads = [
+            np.concatenate([acc[None], g]).cumsum(axis=0)[-1].copy()
+            for acc, g in zip(grads, block)
+        ]
+        del tr, p, block  # free this block before the next one's forward
+    return grads, total_loss, hits
 
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -64,7 +154,7 @@ def _center_and_scale(weight, bias, pre) -> None:
     bias[:] = np.where(live, -mean / scale, 0.0)
 
 
-def calibrate_parameters(params, hidden_dims, graphs, adjacency) -> None:
+def calibrate_parameters(params, hidden_dims, stacks: list[_Stack]) -> None:
     """Center and unit-scale each layer's pre-activations on the split.
 
     Near-constant attributes push every node field toward one shared
@@ -72,18 +162,19 @@ def calibrate_parameters(params, hidden_dims, graphs, adjacency) -> None:
     spends most of its budget escaping that flat region.  One exact
     affine pass per layer (weights divided by the pre-activation std,
     bias set to cancel the mean) removes the offset before the first
-    update.  Uses only the given split, deterministic for a fixed draw.
+    update.  Uses only the given split (as :func:`_stack_graphs` stacks
+    it), deterministic for a fixed draw.
     """
-    props = [_propagation_matrix(g, adj) for g, adj in zip(graphs, adjacency)]
-    hs = [np.asarray(g.attributes, dtype=float) for g in graphs]
+    hs = [s.attributes for s in stacks]
     for i in range(len(hidden_dims)):
         w, b = params[2 * i], params[2 * i + 1]
-        # one propagation per graph; the layer input is not kept past it
-        hs = [a @ h for a, h in zip(props, hs)]
-        _center_and_scale(w, b, np.vstack([m @ w for m in hs]))
+        # one propagation per stack; the layer input is not kept past it
+        hs = [s.propagation @ h for s, h in zip(stacks, hs)]
+        pre = [(m @ w).reshape(-1, w.shape[1]) for m in hs]
+        _center_and_scale(w, b, np.concatenate(pre))
         hs = [np.maximum(m @ w + b, 0.0) for m in hs]
     w, b = params[-2], params[-1]
-    readouts = np.vstack([_readout(h) for h in hs])
+    readouts = np.concatenate([_readout(h) for h in hs])
     _center_and_scale(w, b, readouts @ w)
 
 
@@ -104,12 +195,9 @@ def _assemble(
 def evaluate_accuracy(model: GnnModel, graphs) -> float:
     """Fraction of graphs whose prediction matches the stored label."""
     graphs = list(graphs)
-    if not graphs:
-        return float("nan")
-    hits = sum(
-        1 for g in graphs if forward(model, g).predicted_class == g.label
-    )
-    return hits / len(graphs)
+    for g in graphs:
+        _check_attr_dim(model, g)
+    return _accuracy(model, _stack_graphs(graphs))
 
 
 def train_model(
@@ -137,13 +225,13 @@ def train_model(
     for g in train_graphs:
         if g.label is None:
             raise ValidationError(f"graph {g.graph_id!r} has no label")
-    val_graphs = dataset.split_graphs(validation_split)
 
     params = init_parameters(
         dataset.attr_dim, dataset.num_classes, tuple(hidden_dims), seed
     )
-    adjacency = [normalize_adjacency(g) for g in train_graphs]
-    calibrate_parameters(params, tuple(hidden_dims), train_graphs, adjacency)
+    train_stacks = _stack_graphs(train_graphs)
+    val_stacks = _stack_graphs(dataset.split_graphs(validation_split))
+    calibrate_parameters(params, tuple(hidden_dims), train_stacks)
     optimizer = Adam(params, learning_rate)
 
     train_accuracy: list[float] = []
@@ -153,21 +241,7 @@ def train_model(
         dataset.attr_dim, dataset.num_classes, tuple(hidden_dims), params
     )
     for epoch in range(epochs):
-        grads = [np.zeros_like(p) for p in params]
-        total_loss = 0.0
-        hits = 0
-        for g, adj in zip(train_graphs, adjacency):
-            tr = _forward_trace(model, g, None, adj)
-            p_target = max(
-                float(tr.probabilities[g.label]), PROBABILITY_FLOOR
-            )
-            total_loss += -math.log(p_target)
-            hits += tr.predicted_class == g.label
-            weight_grads, _, _ = _backward(
-                model, g, tr, g.label, want_weights=True, want_gates=False
-            )
-            for acc, wg in zip(grads, weight_grads):
-                acc += wg
+        grads, total_loss, hits = _epoch_gradients(model, train_stacks)
         mean_loss = total_loss / len(train_graphs)
         if not math.isfinite(mean_loss):
             raise NonFiniteLoss(f"epoch {epoch}: training loss {mean_loss}")
@@ -179,5 +253,5 @@ def train_model(
         model = _assemble(
             dataset.attr_dim, dataset.num_classes, tuple(hidden_dims), params
         )
-        validation_accuracy.append(evaluate_accuracy(model, val_graphs))
+        validation_accuracy.append(_accuracy(model, val_stacks))
     return TrainResult(model, train_accuracy, validation_accuracy, train_loss)

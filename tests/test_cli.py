@@ -1,10 +1,20 @@
 """End-to-end command pipeline: gen-dataset, train, explain, eval, export-dot."""
 
+import contextlib
+import copy
 import csv
+import dataclasses
+import functools
+import io
 import json
+import operator
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxplain.cli import main, render_dot
 from gxplain.explain import load_explanation
@@ -256,6 +266,13 @@ DATASET_FAULTS = {
     "short x": lambda d: d["graphs"][2]["x"].pop(),
     "ragged x": lambda d: d["graphs"][2]["x"][0].pop(),
     "text edge end": lambda d: d["graphs"][3]["edges"][0].__setitem__(1, "b"),
+    "narrow x": lambda d: [row.pop() for row in d["graphs"][2]["x"]],
+    "edge end outside graph": lambda d: d["graphs"][3]["edges"][0].__setitem__(1, 99),
+}
+# where the message must point, for faults that name one exact location
+DATASET_FAULT_WHERE = {
+    "narrow x": "graphs[2]: x",
+    "edge end outside graph": "graphs[3]: edges[0]",
 }
 
 
@@ -272,3 +289,150 @@ def test_train_rejects_malformed_dataset(tmp_path, capsys, fault):
     err = _assert_one_line_usage_error(code, capsys)
     if fault not in ("float attr_dim", "text num_classes", "text split index"):
         assert "graphs[" in err
+    assert DATASET_FAULT_WHERE.get(fault, "") in err
+
+
+# Mutations of whole documents: every field dropped, retyped or truncated
+# must end in exit 2 with one error line.  Paths use "*" for any index or
+# key.  Echo fields are written for the reader and never read back.
+ECHO = {("generation_seed",), ("config",), ("seed",)}
+# may be missing (a graph without a label, a dataset without some split)
+OPTIONAL = {("graphs", "*", "y"), ("splits", "*")}
+# arrays whose length no other field fixes
+FREE_LENGTH = {("graphs", "*", "edges"), ("splits", "*")}
+JSON_TYPES = {
+    "string": "text",
+    "number": 7.5,
+    "boolean": True,
+    "null": None,
+    "array": [],
+    "object": {},
+}
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if value is None:
+        return "null"
+    return "array" if isinstance(value, list) else "object"
+
+
+def _matches(path, patterns) -> bool:
+    return any(
+        len(path) == len(p) and all(a == "*" or a == b for a, b in zip(p, path))
+        for p in patterns
+    )
+
+
+def _walk(node, path=()):
+    if _matches(path[:1], ECHO):
+        return
+    yield path, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _walk(child, path + (key,))
+
+
+def _mutation_sites(doc) -> dict[str, list]:
+    sites = {"drop": [], "retype": [], "truncate": []}
+    for path, value in _walk(doc):
+        sites["retype"].append(path)
+        if path and isinstance(path[-1], str) and not _matches(path, OPTIONAL):
+            sites["drop"].append(path)
+        if isinstance(value, list) and value and not _matches(path, FREE_LENGTH):
+            sites["truncate"].append(path)
+    return sites
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A small dataset, model and explanation that `eval` accepts."""
+    root = tmp_path_factory.mktemp("docs")
+    paths = {
+        "dataset": root / "ds.json",
+        "model": root / "model.json",
+        "explanation": None,
+    }
+    assert main(["gen-dataset", "--n", "10", "--seed", "0",
+                 "--out", str(paths["dataset"])]) == 0
+    assert main(["train", "--dataset", str(paths["dataset"]),
+                 "--out", str(paths["model"]), "--hidden", "3",
+                 "--layers", "1", "--epochs", "2"]) == 0
+    assert main(["explain", "--model", str(paths["model"]),
+                 "--dataset", str(paths["dataset"]),
+                 "--out-dir", str(root / "expl"), "--epochs", "2",
+                 "--jobs", "1"]) == 0
+    (paths["explanation"],) = (root / "expl").glob("*.json")
+    docs = {kind: json.loads(p.read_text()) for kind, p in paths.items()}
+    sites = {kind: _mutation_sites(doc) for kind, doc in docs.items()}
+    return Documents(paths, docs, sites)
+
+
+@dataclasses.dataclass(repr=False)  # a falsifying example prints no data
+class Documents:
+    paths: dict
+    docs: dict
+    sites: dict
+
+
+def _eval_exit(paths) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--model", str(paths["model"]),
+                     "--dataset", str(paths["dataset"]),
+                     "--explanations", str(paths["explanation"].parent),
+                     "--top-k", "2"])
+    return code, err.getvalue()
+
+
+def test_mutation_fixture_documents_are_accepted(documents):
+    paths, sites = documents.paths, documents.sites
+    assert _eval_exit(paths) == (0, "")
+    assert all(len(s) > 10 for by_op in sites.values() for s in by_op.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_exit_2_with_one_error_line(documents, data):
+    paths, docs, sites = documents.paths, documents.docs, documents.sites
+    kind = data.draw(st.sampled_from(sorted(docs)), label="document")
+    op = data.draw(st.sampled_from(sorted(sites[kind])), label="mutation")
+    path = data.draw(st.sampled_from(sites[kind][op]), label="path")
+    doc = copy.deepcopy(docs[kind])
+    if path:
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        value = parent[path[-1]]
+    else:
+        parent, value = None, doc
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        if op == "retype":
+            choices = sorted(
+                t for t in JSON_TYPES
+                if t != _json_type(value)
+                and not (t == "null" and _matches(path, OPTIONAL))
+            )
+            new = JSON_TYPES[data.draw(st.sampled_from(choices), label="as")]
+        else:
+            new = value[:-1]
+        if parent is None:
+            doc = new
+        else:
+            parent[path[-1]] = new
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = dict(paths)
+        target = Path(tmp) / paths[kind].name
+        target.write_text(json.dumps(doc))
+        mutated[kind] = target
+        code, err = _eval_exit(mutated)
+    assert code == 2, (kind, op, path, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

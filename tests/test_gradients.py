@@ -104,3 +104,91 @@ def test_gradient_of_inert_arc_is_zero():
     mask = MaskedInput(np.ones(1), np.array([[0.0], [1.0]]))
     grads = mask_gradients(model, g, mask, 0)
     assert grads.edge_gate[0] == 0.0
+
+
+def _with_parameter(model, index, value):
+    """``model`` with parameter ``index`` (W0, b0, W1, b1, ... over the GCN
+    and then the head layers) replaced by ``value``."""
+    layers = list(model.gcn_layers) + list(model.head_layers)
+    i, part = divmod(index, 2)
+    w, b = layers[i].weight, layers[i].bias
+    layers[i] = Layer(
+        value if part == 0 else w, value if part == 1 else b,
+        layers[i].activation,
+    )
+    n_gcn = len(model.gcn_layers)
+    return GnnModel(
+        model.attr_dim, model.num_classes, layers[:n_gcn], layers[n_gcn:]
+    )
+
+
+def central_diff_weights(model, g, target):
+    """Central differences of the loss for every entry of every W and b."""
+    layers = list(model.gcn_layers) + list(model.head_layers)
+    params = [p for layer in layers for p in (layer.weight, layer.bias)]
+    out = []
+    for index, p in enumerate(params):
+        fd = np.zeros(p.shape)
+        for pos in np.ndindex(p.shape):
+            step = np.array(p)
+            step[pos] += FD_STEP
+            hi = loss(_with_parameter(model, index, step), g, None, target)
+            step[pos] -= 2 * FD_STEP
+            lo = loss(_with_parameter(model, index, step), g, None, target)
+            fd[pos] = (hi - lo) / (2 * FD_STEP)
+        out.append(fd)
+    return out
+
+
+def readout_tie_free(model, g):
+    """True when each max-pooled column has a clear winner: a finite step
+    that swaps the argmax makes central differences straddle a kink."""
+    from gxplain.model import _forward_trace
+
+    top2 = np.sort(_forward_trace(model, g, None).node_h[-1], axis=0)[-2:]
+    return bool(np.all(top2[1] - top2[0] > 1e-3))
+
+
+def test_weight_gradients_match_finite_differences_alone_and_stacked():
+    from gxplain.model import (
+        _backward,
+        _forward_trace,
+        _layer_stack,
+        _propagation_matrix,
+        normalize_adjacency,
+    )
+
+    rng = np.random.default_rng(13)
+    checked = 0
+    for trial in range(40):
+        model = random_model(rng, attr_dim=3, hidden=(4, 3))
+        # a relu layer inside the head, so the head's chain rule is covered
+        inner = Layer(rng.normal(size=(6, 5)), rng.normal(size=5), "relu")
+        outer = Layer(rng.normal(size=(5, 2)), rng.normal(size=2), "identity")
+        model = GnnModel(3, 2, model.gcn_layers, (inner, outer))
+        # equal node counts, so the graphs stack
+        graphs = [
+            random_small_graph(rng, 6, 6, gid=f"w{trial}.{i}") for i in range(3)
+        ]
+        if not all(
+            relu_kink_free(model, g, None) and readout_tie_free(model, g)
+            for g in graphs
+        ):
+            continue
+        targets = rng.integers(0, 2, len(graphs))
+        a = np.stack(
+            [_propagation_matrix(g, normalize_adjacency(g)) for g in graphs]
+        )
+        x = np.stack([g.attributes for g in graphs])
+        stacked = _backward(model, _layer_stack(model, a, x), targets)
+        for i, (g, target) in enumerate(zip(graphs, targets)):
+            alone = _backward(model, _forward_trace(model, g, None), target)
+            fd = central_diff_weights(model, g, int(target))
+            assert len(alone) == len(fd) == 2 * 4
+            for grad, grad_stacked, expected in zip(alone, stacked, fd):
+                np.testing.assert_allclose(grad, expected, rtol=1e-4, atol=1e-7)
+                assert np.array_equal(grad_stacked[i], grad)
+        checked += 1
+        if checked == 4:
+            break
+    assert checked == 4

@@ -1,14 +1,32 @@
 """Optimizer behavior and end-to-end training."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxplain.datasets import Dataset, generate_ba2motifs
 from gxplain.graphs import build_graph
-from gxplain.model import _forward_trace, forward, loss, normalize_adjacency
+from gxplain.model import (
+    PROBABILITY_FLOOR,
+    GnnModel,
+    Layer,
+    _backward,
+    _forward_trace,
+    _propagation_matrix,
+    _readout,
+    normalize_adjacency,
+    save_model,
+)
 from gxplain.optim import Adam
 from gxplain.training import (
     _assemble,
+    _center_and_scale,
+    _epoch_gradients,
+    _stack_graphs,
     calibrate_parameters,
     evaluate_accuracy,
     init_parameters,
@@ -107,8 +125,7 @@ def test_calibration_centers_and_scales_preactivations():
     ds = generate_ba2motifs(40, seed=2)
     graphs = ds.split_graphs("train")
     params = init_parameters(ds.attr_dim, ds.num_classes, (8, 8), seed=0)
-    adjacency = [normalize_adjacency(g) for g in graphs]
-    calibrate_parameters(params, (8, 8), graphs, adjacency)
+    calibrate_parameters(params, (8, 8), _stack_graphs(graphs))
 
     # the first layer's pre-activations, as the model's own forward pass
     # computes them
@@ -129,3 +146,131 @@ def test_loss_history_decreases_overall():
     result = train_model(ds, epochs=60, seed=0)
     assert result.train_loss[-1] < result.train_loss[0]
     assert len(result.train_loss) == 60
+
+
+def reference_epoch(model, graphs):
+    """The per-graph loop that stacked training replaces: one forward and
+    one backward per graph, in (node count, position) order."""
+    order = sorted(range(len(graphs)), key=lambda i: (graphs[i].node_count, i))
+    grads = None
+    total_loss = 0.0
+    hits = 0
+    for i in order:
+        g = graphs[i]
+        tr = _forward_trace(model, g, None)
+        p_target = max(float(tr.probabilities[g.label]), PROBABILITY_FLOOR)
+        total_loss += -math.log(p_target)
+        hits += tr.predicted_class == g.label
+        weight_grads = _backward(model, tr, g.label)
+        if grads is None:
+            grads = [np.zeros_like(w) for w in weight_grads]
+        for acc, w in zip(grads, weight_grads):
+            acc += w
+    return grads, total_loss, hits
+
+
+@st.composite
+def labeled_graphs_and_model(draw):
+    attr_dim = draw(st.integers(1, 3))
+    classes = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graphs = []
+    # a few node counts shared by many graphs, so stacks span blocks
+    pool = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    for i, n in enumerate(sizes):
+        edges = []
+        if n:
+            ends = st.integers(0, n - 1)
+            edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+        graphs.append(
+            build_graph(
+                n, edges, rng.normal(size=(n, attr_dim)), draw(st.booleans()),
+                label=int(rng.integers(classes)), graph_id=f"g{i}",
+            )
+        )
+    widths = draw(st.lists(st.integers(1, 5), max_size=3))
+    acts = draw(
+        st.lists(
+            st.sampled_from(["relu", "identity"]),
+            min_size=len(widths) + 1,
+            max_size=len(widths) + 1,
+        )
+    )
+    layers, dim = [], attr_dim
+    for width, act in zip(widths, acts):
+        layers.append(
+            Layer(rng.normal(size=(dim, width)), rng.normal(size=width), act)
+        )
+        dim = width
+    head = Layer(
+        rng.normal(size=(2 * dim, classes)), rng.normal(size=classes), acts[-1]
+    )
+    return graphs, GnnModel(attr_dim, classes, tuple(layers), (head,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_graphs_and_model(), st.sampled_from([3, 128]))
+def test_stacked_epoch_is_bitwise_the_per_graph_loop(case, block_rows):
+    graphs, model = case
+    with mock.patch("gxplain.model.SUBSET_BLOCK_ROWS", block_rows):
+        grads, total_loss, hits = _epoch_gradients(model, _stack_graphs(graphs))
+    ref_grads, ref_loss, ref_hits = reference_epoch(model, graphs)
+    assert total_loss == ref_loss
+    assert hits == ref_hits
+    assert len(grads) == len(ref_grads)
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_epoch_sums_one_entry_parameters_in_order():
+    # numpy sums a long column of one-entry arrays pairwise; the stacked
+    # epoch must still add graph by graph, as the loop does
+    rng = np.random.default_rng(21)
+    graphs = [
+        build_graph(
+            5, [(j, (j + 1) % 5) for j in range(5)], rng.normal(size=(5, 1)),
+            False, label=i % 2, graph_id=f"c{i}",
+        )
+        for i in range(60)
+    ]
+    model = GnnModel(
+        1, 2,
+        (Layer(rng.normal(size=(1, 1)), rng.normal(size=1), "identity"),),
+        (Layer(rng.normal(size=(2, 2)), rng.normal(size=2), "identity"),),
+    )
+    grads, _, _ = _epoch_gradients(model, _stack_graphs(graphs))
+    ref_grads, _, _ = reference_epoch(model, graphs)
+    for got, want in zip(grads, ref_grads):
+        assert got.tobytes() == want.tobytes()
+
+
+def reference_train(dataset, epochs, seed, hidden_dims=(20, 20, 20)):
+    """``train_model`` as a per-graph loop: calibration, forward and
+    backward one graph at a time, in split order."""
+    graphs = dataset.split_graphs("train")
+    params = init_parameters(dataset.attr_dim, dataset.num_classes, hidden_dims, seed)
+    props = [_propagation_matrix(g, normalize_adjacency(g)) for g in graphs]
+    hs = [g.attributes for g in graphs]
+    for i in range(len(hidden_dims)):
+        w, b = params[2 * i], params[2 * i + 1]
+        hs = [a @ h for a, h in zip(props, hs)]
+        _center_and_scale(w, b, np.vstack([m @ w for m in hs]))
+        hs = [np.maximum(m @ w + b, 0.0) for m in hs]
+    readouts = np.vstack([_readout(h) for h in hs])
+    _center_and_scale(params[-2], params[-1], readouts @ params[-2])
+    optimizer = Adam(params, 0.001)
+    for _ in range(epochs):
+        model = _assemble(dataset.attr_dim, dataset.num_classes, hidden_dims, params)
+        grads, _, _ = reference_epoch(model, graphs)
+        optimizer.step([acc / len(graphs) for acc in grads])
+    return _assemble(dataset.attr_dim, dataset.num_classes, hidden_dims, params)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_train_model_saves_the_bytes_of_the_per_graph_loop(tmp_path, seed):
+    ds = generate_ba2motifs(200, seed=seed)
+    save_model(train_model(ds, epochs=4, seed=seed).model, tmp_path / "a.json")
+    save_model(reference_train(ds, epochs=4, seed=seed), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
