@@ -64,13 +64,11 @@ def as_float_array(value, where: str) -> np.ndarray:
         raise ParseError(f"{where}: expected numbers ({exc})") from exc
     if arr.ndim == 0 or arr.dtype.kind not in "iuf":
         raise ParseError(f"{where}: expected a list of numbers")
-    # numpy reads a boolean among numbers as 0 or 1, so only arrays
-    # holding a 0 or 1 are searched; the nesting is regular here, so
-    # flattening it takes ndim - 1 steps
-    if ((arr == 0) | (arr == 1)).any():
-        flat = value
-        for _ in range(arr.ndim - 1):
-            flat = itertools.chain.from_iterable(flat)
-        if any(v is True or v is False for v in flat):
-            raise ParseError(f"{where}: expected numbers, got a boolean")
+    # numpy reads a boolean among numbers as 0 or 1; the nesting is
+    # regular here, so flattening it takes ndim - 1 steps
+    flat = value
+    for _ in range(arr.ndim - 1):
+        flat = itertools.chain.from_iterable(flat)
+    if any(v is True or v is False for v in flat):
+        raise ParseError(f"{where}: expected numbers, got a boolean")
     return arr.astype(np.float64)

@@ -428,13 +428,20 @@ def _backward(
     slice is bit-identical to the same graph run alone.
     """
     p = tr.probabilities
-    # each graph's position in the stack; () for a single graph
-    stack = np.ix_(*map(range, p.shape[:-1]))
-    at = stack + (target,)
     d_logits = p.copy()
-    d_logits[at] -= 1.0
     # where the loss sits on the floor every gradient is zero
-    d_logits[~(p[at] >= PROBABILITY_FLOOR)] = 0.0
+    if p.ndim == 1:
+        # one graph, as in every mask step: plain scalar indexing
+        stack = ()
+        d_logits[target] -= 1.0
+        if not p[target] >= PROBABILITY_FLOOR:
+            d_logits[:] = 0.0
+    else:
+        # each graph's position in the stack
+        stack = np.ix_(*map(range, p.shape[:-1]))
+        at = stack + (target,)
+        d_logits[at] -= 1.0
+        d_logits[~(p[at] >= PROBABILITY_FLOOR)] = 0.0
 
     want_weights = g is None
     head_w: list[tuple[np.ndarray, np.ndarray]] = []
@@ -458,17 +465,19 @@ def _backward(
 
     gcn_w: list[tuple[np.ndarray, np.ndarray]] = []
     da = None if want_weights else np.zeros((n, n))
+    a_t = np.swapaxes(tr.a_eff, -1, -2)
     for l in reversed(range(len(model.gcn_layers))):
         layer = model.gcn_layers[l]
         dz = dh * _activation_grad(layer, tr.node_z[l])
         if want_weights:
-            gcn_w.append((tr.node_m[l].mT @ dz, dz.sum(axis=-2)))
+            m_t = np.swapaxes(tr.node_m[l], -1, -2)
+            gcn_w.append((m_t @ dz, dz.sum(axis=-2)))
             if l == 0:
                 break  # the input layer's dm and dh feed gate gradients only
         dm = dz @ layer.weight.T
         if not want_weights:
             da += dm @ tr.node_h[l].T
-        dh = tr.a_eff.mT @ dm
+        dh = a_t @ dm
 
     if want_weights:
         weight_grads = []

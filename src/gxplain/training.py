@@ -154,7 +154,9 @@ def _center_and_scale(weight, bias, pre) -> None:
     bias[:] = np.where(live, -mean / scale, 0.0)
 
 
-def calibrate_parameters(params, hidden_dims, stacks: list[_Stack]) -> None:
+def _calibrate_parameters(
+    params, hidden_dims, stacks: list[_Stack]
+) -> None:
     """Center and unit-scale each layer's pre-activations on the split.
 
     Near-constant attributes push every node field toward one shared
@@ -231,7 +233,7 @@ def train_model(
     )
     train_stacks = _stack_graphs(train_graphs)
     val_stacks = _stack_graphs(dataset.split_graphs(validation_split))
-    calibrate_parameters(params, tuple(hidden_dims), train_stacks)
+    _calibrate_parameters(params, tuple(hidden_dims), train_stacks)
     optimizer = Adam(params, learning_rate)
 
     train_accuracy: list[float] = []

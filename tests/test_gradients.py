@@ -192,3 +192,53 @@ def test_weight_gradients_match_finite_differences_alone_and_stacked():
         if checked == 4:
             break
     assert checked == 4
+
+
+def test_floored_target_has_zero_gradients_alone_and_stacked():
+    from gxplain.model import (
+        PROBABILITY_FLOOR,
+        _backward,
+        _forward_trace,
+        _layer_stack,
+        _propagation_matrix,
+        normalize_adjacency,
+    )
+
+    rng = np.random.default_rng(5)
+    # identity GCN layers: no dead relu zeroes the unfloored gradients
+    gcn = (
+        Layer(rng.normal(size=(3, 4)), rng.normal(size=4), "identity"),
+        Layer(rng.normal(size=(4, 3)), rng.normal(size=3), "identity"),
+    )
+    # class 1 outscores class 0 by about 28 nats: p(0) sits below the floor
+    head = Layer(
+        1e-3 * rng.normal(size=(6, 2)), np.array([0.0, 28.0]), "identity"
+    )
+    model = GnnModel(3, 2, gcn, (head,))
+    graphs = [random_small_graph(rng, 6, 6, gid=f"f{i}") for i in range(2)]
+    mask = MaskedInput(
+        rng.uniform(size=graphs[0].arc_count),
+        rng.uniform(size=(6, 3)),
+    )
+    assert forward_probability(model, graphs[0], mask, 0) < PROBABILITY_FLOOR
+
+    grads = mask_gradients(model, graphs[0], mask, 0)
+    assert not grads.edge_gate.any() and not grads.attribute_gate.any()
+    assert mask_gradients(model, graphs[0], mask, 1).edge_gate.any()
+
+    a = np.stack(
+        [_propagation_matrix(g, normalize_adjacency(g)) for g in graphs]
+    )
+    x = np.stack([g.attributes for g in graphs])
+    stacked = _backward(model, _layer_stack(model, a, x), np.array([0, 1]))
+    for target, (i, g) in zip((0, 1), enumerate(graphs)):
+        alone = _backward(model, _forward_trace(model, g, None), target)
+        for grad, grad_stacked in zip(alone, stacked):
+            assert np.array_equal(grad_stacked[i], grad)
+        assert any(grad.any() for grad in alone) == (target == 1)
+
+
+def forward_probability(model, g, mask, target):
+    from gxplain.model import forward
+
+    return float(forward(model, g, mask).probabilities[target])

@@ -24,10 +24,10 @@ from gxplain.model import (
 from gxplain.optim import Adam
 from gxplain.training import (
     _assemble,
+    _calibrate_parameters,
     _center_and_scale,
     _epoch_gradients,
     _stack_graphs,
-    calibrate_parameters,
     evaluate_accuracy,
     init_parameters,
     train_model,
@@ -125,7 +125,7 @@ def test_calibration_centers_and_scales_preactivations():
     ds = generate_ba2motifs(40, seed=2)
     graphs = ds.split_graphs("train")
     params = init_parameters(ds.attr_dim, ds.num_classes, (8, 8), seed=0)
-    calibrate_parameters(params, (8, 8), _stack_graphs(graphs))
+    _calibrate_parameters(params, (8, 8), _stack_graphs(graphs))
 
     # the first layer's pre-activations, as the model's own forward pass
     # computes them
