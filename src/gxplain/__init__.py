@@ -69,12 +69,10 @@ from .model import (
     Layer,
     MaskGradients,
     MaskedInput,
-    NormalizedAdjacency,
     forward,
     load_model,
     loss,
     mask_gradients,
-    normalize_adjacency,
     save_model,
     subset_probabilities,
 )

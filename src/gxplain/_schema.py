@@ -1,15 +1,47 @@
-"""Field checks shared by the JSON loaders.
+"""Document and field checks shared by the JSON loaders.
 
 Each helper returns the converted value or raises :class:`ParseError`
 naming where in the file the bad value sits, so a malformed document ends
 in a one-line message rather than a ``KeyError`` or ``ValueError``.
 """
 
+import gzip
 import itertools
+import json
+import math
+import zlib
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, VersionMismatch
+
+
+def read_document(fh, where: str, version: int) -> dict:
+    """The top-level JSON object read from the binary file ``fh``.
+
+    Raises:
+        ParseError: the bytes are not UTF-8, not JSON, or corrupt gzip
+            data, or the top level is not an object.
+        VersionMismatch: ``format_version`` is not ``version``.
+    """
+    try:
+        doc = json.loads(fh.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # bad JSON, or an integer of too many digits
+        raise ParseError(f"{where}: {exc}") from exc
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise ParseError(f"{where}: truncated or corrupt ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object at top level")
+    found = as_int(
+        require(doc, "format_version", where), f"{where}: format_version"
+    )
+    if found != version:
+        raise VersionMismatch(
+            f"{where}: format_version {found!r}, expected {version}"
+        )
+    return doc
 
 
 def require(doc, key: str, where: str):
@@ -21,6 +53,11 @@ def require(doc, key: str, where: str):
     return doc[key]
 
 
+def read_field(doc, key: str, read, where: str):
+    """``read(doc[key])`` of a JSON object, located as ``where: key``."""
+    return read(require(doc, key, where), f"{where}: {key}")
+
+
 def as_int(value, where: str) -> int:
     """A JSON integer (booleans and integral floats are not integers)."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -29,10 +66,16 @@ def as_int(value, where: str) -> int:
 
 
 def as_float(value, where: str) -> float:
-    """A JSON number."""
+    """A finite JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def as_str(value, where: str) -> str:
@@ -57,7 +100,8 @@ def as_list(value, where: str) -> list:
 
 
 def as_float_array(value, where: str) -> np.ndarray:
-    """A (possibly nested) JSON array of numbers as a float64 array."""
+    """A (possibly nested) JSON array of finite numbers as a float64
+    array."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
@@ -71,4 +115,6 @@ def as_float_array(value, where: str) -> np.ndarray:
         flat = itertools.chain.from_iterable(flat)
     if any(v is True or v is False for v in flat):
         raise ParseError(f"{where}: expected numbers, got a boolean")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{where}: expected finite numbers")
     return arr.astype(np.float64)

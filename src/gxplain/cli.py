@@ -13,6 +13,7 @@ from pathlib import Path
 from ._atomic import write_atomic
 from .datasets import generate_ba2motifs, load_dataset, save_dataset
 from .errors import (
+    DomainError,
     GxplainError,
     InvalidBudget,
     InvalidCount,
@@ -37,7 +38,14 @@ EXIT_COMPUTE = 3
 
 JOBS_ENV_VAR = "GXPLAIN_JOBS"
 
-_USAGE_ERRORS = (ParseError, VersionMismatch, InvalidCount, InvalidBudget)
+# bad input, arguments or files; OSError covers unreadable paths
+_USAGE_ERRORS = (
+    ParseError,
+    VersionMismatch,
+    InvalidCount,
+    InvalidBudget,
+    OSError,
+)
 
 
 def _default_jobs() -> int:
@@ -144,10 +152,13 @@ def _explain_one(job) -> str:
 
 
 def cmd_explain(args) -> int:
+    try:
+        config = _config_from_args(args)
+    except DomainError as exc:  # an argument outside its range
+        return _usage_error(exc)
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, args.ids)
-    config = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(model, g, config, str(out_dir), args.oracle) for g in graphs]
@@ -161,6 +172,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.sweep and not args.csv:
+        return _usage_error("--sweep needs --csv")
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, None)
@@ -407,17 +420,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     except GxplainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -5,7 +5,6 @@ preferential-attachment base graph; the motif kind is the class label.
 """
 
 import gzip
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,14 +16,11 @@ from ._schema import (
     as_int,
     as_list,
     as_str,
+    read_document,
+    read_field,
     require,
 )
-from .errors import (
-    InvalidCount,
-    ParseError,
-    ValidationError,
-    VersionMismatch,
-)
+from .errors import InvalidCount, ParseError, ValidationError
 from .graphs import AttributedGraph, build_graph, graphs_equal
 
 DATASET_FORMAT_VERSION = 1
@@ -147,12 +143,6 @@ def generate_ba2motifs(n_graphs: int, seed: int) -> Dataset:
     return generate_motif_graphs(n_graphs, seed)
 
 
-def _open_text(path, mode: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
-
-
 def _graph_to_dict(g: AttributedGraph) -> dict:
     if g.directed:
         edges = [list(a) for a in g.arcs]
@@ -187,11 +177,11 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def _load_graph(entry, attr_dim: int, where: str) -> AttributedGraph:
-    n = as_int(require(entry, "n", where), f"{where}: n")
+    n = read_field(entry, "n", as_int, where)
     if n < 0:
         raise ParseError(f"{where}: n is negative ({n})")
     edges = []
-    for j, pair in enumerate(as_list(require(entry, "edges", where), where)):
+    for j, pair in enumerate(read_field(entry, "edges", as_list, where)):
         at = f"{where}: edges[{j}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{at}: expected a [src, dst] pair")
@@ -199,7 +189,7 @@ def _load_graph(entry, attr_dim: int, where: str) -> AttributedGraph:
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"{at}: ({src}, {dst}) outside [0, {n})")
         edges.append((src, dst))
-    attrs = as_float_array(require(entry, "x", where), f"{where}: x")
+    attrs = read_field(entry, "x", as_float_array, where)
     if n == 0 and attrs.size == 0:
         attrs = attrs.reshape(0, attr_dim)
     if attrs.shape != (n, attr_dim):
@@ -211,11 +201,9 @@ def _load_graph(entry, attr_dim: int, where: str) -> AttributedGraph:
         n,
         edges,
         attrs,
-        directed=as_bool(
-            require(entry, "directed", where), f"{where}: directed"
-        ),
+        directed=read_field(entry, "directed", as_bool, where),
         label=None if label is None else as_int(label, f"{where}: y"),
-        graph_id=as_str(require(entry, "id", where), f"{where}: id"),
+        graph_id=read_field(entry, "id", as_str, where),
     )
 
 
@@ -229,38 +217,19 @@ def load_dataset(path) -> Dataset:
             past the last graph, a label outside the classes).
         VersionMismatch: unknown format version.
     """
-    try:
-        with _open_text(path, "r") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    except (EOFError, gzip.BadGzipFile) as exc:
-        raise ParseError(f"{path}: truncated or corrupt ({exc})") from exc
     where = str(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected a JSON object at top level")
-    version = as_int(
-        require(doc, "format_version", where), f"{where}: format_version"
-    )
-    if version != DATASET_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"{path}: format_version {version!r}, expected"
-            f" {DATASET_FORMAT_VERSION}"
-        )
-    attr_dim = as_int(require(doc, "attr_dim", where), f"{where}: attr_dim")
+    with (gzip.open if where.endswith(".gz") else open)(path, "rb") as fh:
+        doc = read_document(fh, where, DATASET_FORMAT_VERSION)
+    attr_dim = read_field(doc, "attr_dim", as_int, where)
     graphs = [
         _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
-        for i, entry in enumerate(
-            as_list(require(doc, "graphs", where), f"{where}: graphs")
-        )
+        for i, entry in enumerate(read_field(doc, "graphs", as_list, where))
     ]
     splits = require(doc, "splits", where)
     if not isinstance(splits, dict):
         raise ParseError(f"{where}: splits must be an object")
-    name = as_str(require(doc, "name", where), f"{where}: name")
-    num_classes = as_int(
-        require(doc, "num_classes", where), f"{where}: num_classes"
-    )
+    name = read_field(doc, "name", as_str, where)
+    num_classes = read_field(doc, "num_classes", as_int, where)
     split_lists = {
         str(k): [
             as_int(i, f"{where}: splits[{k!r}]")

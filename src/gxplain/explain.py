@@ -13,7 +13,6 @@ incoming arcs yields the final node score.
 """
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +25,8 @@ from ._schema import (
     as_int,
     as_list,
     as_str,
+    read_document,
+    read_field,
     require,
 )
 from .errors import (
@@ -35,7 +36,6 @@ from .errors import (
     NotUndirected,
     ParseError,
     ShapeMismatch,
-    VersionMismatch,
 )
 from .graphs import AttributedGraph
 from .model import (
@@ -44,8 +44,7 @@ from .model import (
     MaskedInput,
     _backward,
     _forward_trace,
-    forward,
-    normalize_adjacency,
+    _propagation,
 )
 from .optim import Adam
 
@@ -390,8 +389,8 @@ def learn_masks(
     mask object.
     """
     hc = config.hard_concrete
-    adjacency = normalize_adjacency(g)
-    base = forward(model, g, None, adjacency)
+    unmasked = _propagation(g)
+    base = _forward_trace(model, g, None, unmasked)
     target = base.predicted_class
     if initial_masks is None:
         masks = init_masks(g, config, hc.seed)
@@ -436,7 +435,7 @@ def learn_masks(
             gate_x = ones_attr
 
         masked = MaskedInput(gate_e, gate_x)
-        tr = _forward_trace(model, g, masked, adjacency)
+        tr = _forward_trace(model, g, masked, unmasked)
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
         objective = -math.log(p_target)
         ce_edge, ce_attr = _backward(model, tr, target, g)
@@ -600,36 +599,11 @@ def load_explanation(path) -> tuple[Explanation, dict]:
             is not a permutation of the nodes.
         VersionMismatch: unknown format version.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object at top level")
-    for key in (
-        "format_version",
-        "graph_id",
-        "predicted_class",
-        "probability",
-        "node_scores",
-        "node_attr_scores",
-        "node_ranking",
-        "edge_scores",
-        "attr_scores",
-    ):
-        if key not in doc:
-            raise ParseError(f"{path}: missing field {key!r}")
-    version = as_int(doc["format_version"], f"{path}: format_version")
-    if version != EXPLANATION_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"{path}: format_version {version!r}, expected"
-            f" {EXPLANATION_FORMAT_VERSION}"
-        )
+    with open(path, "rb") as fh:
+        doc = read_document(fh, str(path), EXPLANATION_FORMAT_VERSION)
     arcs = []
     edge_score = []
-    entries = as_list(doc["edge_scores"], f"{path}: edge_scores")
+    entries = read_field(doc, "edge_scores", as_list, path)
     for i, entry in enumerate(entries):
         where = f"{path}: edge_scores[{i}]"
         arcs.append(
@@ -639,19 +613,17 @@ def load_explanation(path) -> tuple[Explanation, dict]:
             )
         )
         edge_score.append(as_float(require(entry, "score", where), where))
-    node_score = as_float_array(doc["node_scores"], f"{path}: node_scores")
+    node_score = read_field(doc, "node_scores", as_float_array, path)
     n = len(node_score)
-    node_attr_score = as_float_array(
-        doc["node_attr_scores"], f"{path}: node_attr_scores"
-    )
-    attr_score = as_float_array(doc["attr_scores"], f"{path}: attr_scores")
+    node_attr_score = read_field(doc, "node_attr_scores", as_float_array, path)
+    attr_score = read_field(doc, "attr_scores", as_float_array, path)
     if attr_score.ndim != 2:
         if attr_score.size:
             raise ParseError(f"{path}: attr_scores must be a matrix")
         attr_score = attr_score.reshape(n, 0)
     ranking = tuple(
         as_int(v, f"{path}: node_ranking")
-        for v in as_list(doc["node_ranking"], f"{path}: node_ranking")
+        for v in read_field(doc, "node_ranking", as_list, path)
     )
     # every per-node array covers the same n nodes, and the ranking
     # orders exactly those
@@ -670,14 +642,10 @@ def load_explanation(path) -> tuple[Explanation, dict]:
             f"{path}: node_ranking is not a permutation of the {n} nodes"
         )
     explanation = Explanation(
-        graph_id=as_str(doc["graph_id"], f"{path}: graph_id"),
+        graph_id=read_field(doc, "graph_id", as_str, path),
         arcs=tuple(arcs),
-        original_prediction=as_int(
-            doc["predicted_class"], f"{path}: predicted_class"
-        ),
-        original_probability=as_float(
-            doc["probability"], f"{path}: probability"
-        ),
+        original_prediction=read_field(doc, "predicted_class", as_int, path),
+        original_probability=read_field(doc, "probability", as_float, path),
         edge_score=np.asarray(edge_score, dtype=np.float64),
         attr_score=attr_score,
         node_attr_score=node_attr_score,

@@ -70,6 +70,9 @@ class AttributedGraph:
                 )
             if s == d:
                 raise InvalidGraph(f"self-loop stored on node {s}")
+        if len(set(arcs)) != len(arcs):
+            repeat = next(a for i, a in enumerate(arcs) if a in arcs[:i])
+            raise InvalidGraph(f"arc {repeat} stored twice")
         if not self.directed:
             if len(arcs) % 2:
                 raise InvalidGraph("undirected graph with an odd arc count")

@@ -12,19 +12,24 @@ Conventions used throughout:
   empty graph it is the zero vector, so every model still emits a prediction.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._atomic import write_json
-from ._schema import as_float_array, as_int, as_list, as_str, require
+from ._schema import (
+    as_float_array,
+    as_int,
+    as_list,
+    as_str,
+    read_document,
+    read_field,
+)
 from .errors import (
     IndexOutOfRange,
     ParseError,
     ShapeMismatch,
     UnsupportedActivation,
-    VersionMismatch,
 )
 from .graphs import AttributedGraph
 
@@ -121,27 +126,6 @@ class GnnModel:
 
 
 @dataclass(frozen=True, eq=False)
-class NormalizedAdjacency:
-    """Fixed propagation coefficients of one graph.
-
-    ``arc_coeff[a] = 1 / sqrt(deg(src) * deg(dst))`` and
-    ``self_coeff[i] = 1 / deg(i)`` where ``deg`` counts received messages
-    plus the implicit self-loop (in-degree + 1) on the unmasked graph.
-    """
-
-    arc_coeff: np.ndarray
-    self_coeff: np.ndarray
-
-
-def normalize_adjacency(g: AttributedGraph) -> NormalizedAdjacency:
-    """Symmetric GCN coefficients of ``g`` with implicit self-loops."""
-    src, dst = g.arc_index_arrays()
-    deg = np.bincount(dst, minlength=g.node_count).astype(np.float64) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return NormalizedAdjacency(inv_sqrt[src] * inv_sqrt[dst], 1.0 / deg)
-
-
-@dataclass(frozen=True, eq=False)
 class MaskedInput:
     """Per-arc edge gates and per-(node, attribute) gates, clamped to [0, 1]."""
 
@@ -195,7 +179,7 @@ class _Trace:
     head_z: list[np.ndarray]
     logits: np.ndarray
     probabilities: np.ndarray
-    adjacency: NormalizedAdjacency | None = None
+    unmasked: np.ndarray | None = None  # the operator before edge gates
 
     @property
     def predicted_class(self) -> int:
@@ -240,47 +224,31 @@ def _check_mask(g: AttributedGraph, mask: MaskedInput) -> None:
         )
 
 
-def _propagation_matrix(
-    g: AttributedGraph,
-    adj: NormalizedAdjacency,
-    edge_gate: np.ndarray | None = None,
+def _propagation(
+    g: AttributedGraph, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """Dense ``(n, n)`` operator of one GCN layer: row ``t`` mixes the
-    (gated) messages into node ``t`` with its own self-loop term."""
-    n = g.node_count
-    src, dst = g.arc_index_arrays()
-    a = np.zeros((n, n))
-    a[dst, src] = (
-        adj.arc_coeff if edge_gate is None else adj.arc_coeff * edge_gate
-    )
-    idx = np.arange(n)
-    a[idx, idx] = adj.self_coeff
-    return a
+    """The unmasked GCN operator of ``g``, dense ``(n, n)``: row ``t``
+    holds ``1 / sqrt(deg(s) * deg(t))`` for each arc ``(s, t)`` and
+    ``1 / deg(t)`` on the diagonal, ``deg`` being in-degree + 1.
 
-
-def _induced_stack(
-    g: AttributedGraph, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagation matrices ``(b, k, k)`` and attributes ``(b, k, d)`` of
-    the subgraphs of ``g`` induced by each row of ``rows``, a ``(b, k)``
-    array of ascending node indices.
-
-    The coefficients are those :func:`normalize_adjacency` gives the
-    extracted subgraph: in-degree + 1 counted inside the subset.
+    With ``rows``, a ``(b, k)`` array of ascending node indices, the
+    ``(b, k, k)`` operators of the subgraphs induced by each row instead,
+    degrees counted inside the subset.
     """
     n = g.node_count
-    if rows.size and rows.max() >= n:
-        raise IndexOutOfRange(f"node {rows.max()} outside [0, {n})")
     src, dst = g.arc_index_arrays()
     arcs = np.zeros((n, n))
     arcs[dst, src] = 1.0
-    sub = arcs[rows[:, :, None], rows[:, None, :]]
-    deg = sub.sum(axis=-1) + 1.0
+    if rows is not None:
+        if rows.size and rows.max() >= n:
+            raise IndexOutOfRange(f"node {rows.max()} outside [0, {n})")
+        arcs = arcs[rows[:, :, None], rows[:, None, :]]
+    deg = arcs.sum(axis=-1) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg)
-    a = sub * (inv_sqrt[:, :, None] * inv_sqrt[:, None, :])
-    idx = np.arange(rows.shape[1])
-    a[:, idx, idx] = 1.0 / deg
-    return a, g.attributes[rows]
+    a = arcs * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
+    idx = np.arange(a.shape[-1])
+    a[..., idx, idx] = 1.0 / deg
+    return a
 
 
 def _readout(h: np.ndarray) -> np.ndarray:
@@ -335,31 +303,33 @@ def _forward_trace(
     model: GnnModel,
     g: AttributedGraph,
     mask: MaskedInput | None,
-    adjacency: NormalizedAdjacency | None = None,
+    unmasked: np.ndarray | None = None,
 ) -> _Trace:
+    """Forward pass of one graph; ``unmasked`` is ``_propagation(g)``
+    when the caller already holds it."""
     _check_attr_dim(model, g)
     if mask is not None:
         _check_mask(g, mask)
-    adj = adjacency if adjacency is not None else normalize_adjacency(g)
+    if unmasked is None:
+        unmasked = _propagation(g)
     if mask is None:
-        a_eff = _propagation_matrix(g, adj)
+        a_eff = unmasked
         h = np.asarray(g.attributes)
     else:
-        a_eff = _propagation_matrix(g, adj, mask.edge_gate)
+        src, dst = g.arc_index_arrays()
+        a_eff = unmasked.copy()
+        a_eff[dst, src] *= mask.edge_gate
         h = g.attributes * mask.attribute_gate
     tr = _layer_stack(model, a_eff, h)
-    tr.adjacency = adj
+    tr.unmasked = unmasked
     return tr
 
 
 def forward(
-    model: GnnModel,
-    g: AttributedGraph,
-    mask: MaskedInput | None = None,
-    adjacency: NormalizedAdjacency | None = None,
+    model: GnnModel, g: AttributedGraph, mask: MaskedInput | None = None
 ) -> ForwardResult:
     """Run the classifier on ``g``, optionally through a ``MaskedInput``."""
-    tr = _forward_trace(model, g, mask, adjacency)
+    tr = _forward_trace(model, g, mask)
     return ForwardResult(tr.logits, tr.probabilities, tr.predicted_class)
 
 
@@ -377,15 +347,14 @@ def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:
     of :func:`forward` on the subgraph extracted for the ``i``-th subset.
     Callers pass at most :func:`_block_rows` rows at a time.
     """
-    stacks = []
+    a, x = [], []
     for g, rows in pairs:
         _check_attr_dim(model, g)
-        stacks.append(_induced_stack(g, rows))
-    if len(stacks) == 1:
-        a, x = stacks[0]
-    else:
-        a = np.concatenate([s[0] for s in stacks])
-        x = np.concatenate([s[1] for s in stacks])
+        a.append(_propagation(g, rows))
+        x.append(g.attributes[rows])
+    # one pair is stacked as it is, without a copy
+    a = a[0] if len(a) == 1 else np.concatenate(a)
+    x = x[0] if len(x) == 1 else np.concatenate(x)
     return _layer_stack(model, a, x).probabilities
 
 
@@ -401,11 +370,10 @@ def loss(
     g: AttributedGraph,
     mask: MaskedInput | None,
     target_class: int,
-    adjacency: NormalizedAdjacency | None = None,
 ) -> float:
     """Cross-entropy toward ``target_class`` with the probability floored."""
     _check_target(model, target_class)
-    tr = _forward_trace(model, g, mask, adjacency)
+    tr = _forward_trace(model, g, mask)
     p = max(float(tr.probabilities[target_class]), PROBABILITY_FLOOR)
     return -float(np.log(p))
 
@@ -487,7 +455,7 @@ def _backward(
             weight_grads.extend((dw, db))
         return weight_grads
     src, dst = g.arc_index_arrays()
-    return da[dst, src] * tr.adjacency.arc_coeff, dh * g.attributes
+    return da[dst, src] * tr.unmasked[dst, src], dh * g.attributes
 
 
 def mask_gradients(
@@ -495,11 +463,10 @@ def mask_gradients(
     g: AttributedGraph,
     mask: MaskedInput,
     target_class: int,
-    adjacency: NormalizedAdjacency | None = None,
 ) -> MaskGradients:
     """Exact d loss / d gate for every edge and attribute gate."""
     _check_target(model, target_class)
-    tr = _forward_trace(model, g, mask, adjacency)
+    tr = _forward_trace(model, g, mask)
     edge_grad, attr_grad = _backward(model, tr, target_class, g)
     return MaskGradients(edge_grad, attr_grad)
 
@@ -513,13 +480,11 @@ def _layer_to_dict(layer: Layer) -> dict:
 
 
 def _layer_from_dict(doc: dict, where: str) -> Layer:
-    for key in ("weight", "bias", "activation"):
-        require(doc, key, where)
     try:
         return Layer(
-            as_float_array(doc["weight"], f"{where}: weight"),
-            as_float_array(doc["bias"], f"{where}: bias"),
-            as_str(doc["activation"], f"{where}: activation"),
+            read_field(doc, "weight", as_float_array, where),
+            read_field(doc, "bias", as_float_array, where),
+            read_field(doc, "activation", as_str, where),
         )
     except (ShapeMismatch, UnsupportedActivation) as exc:
         raise ParseError(f"{where}: {exc}") from exc
@@ -547,49 +512,23 @@ def load_model(path) -> GnnModel:
             chain or names an unknown activation.
         VersionMismatch: the file declares an unknown format version.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object at top level")
-    for key in (
-        "format_version",
-        "attr_dim",
-        "num_classes",
-        "readout",
-        "gcn_layers",
-        "head_layers",
-    ):
-        if key not in doc:
-            raise ParseError(f"{path}: missing field {key!r}")
-    version = as_int(doc["format_version"], f"{path}: format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise VersionMismatch(
-            f"{path}: format_version {version!r}, expected"
-            f" {MODEL_FORMAT_VERSION}"
+    where = str(path)
+    with open(path, "rb") as fh:
+        doc = read_document(fh, where, MODEL_FORMAT_VERSION)
+    layers = {
+        key: tuple(
+            _layer_from_dict(d, f"{where}: {key}[{i}]")
+            for i, d in enumerate(read_field(doc, key, as_list, where))
         )
-    gcn = tuple(
-        _layer_from_dict(d, f"{path}: gcn_layers[{i}]")
-        for i, d in enumerate(
-            as_list(doc["gcn_layers"], f"{path}: gcn_layers")
-        )
-    )
-    head = tuple(
-        _layer_from_dict(d, f"{path}: head_layers[{i}]")
-        for i, d in enumerate(
-            as_list(doc["head_layers"], f"{path}: head_layers")
-        )
-    )
+        for key in ("gcn_layers", "head_layers")
+    }
     try:
         return GnnModel(
-            attr_dim=as_int(doc["attr_dim"], f"{path}: attr_dim"),
-            num_classes=as_int(doc["num_classes"], f"{path}: num_classes"),
-            gcn_layers=gcn,
-            head_layers=head,
-            readout=as_str(doc["readout"], f"{path}: readout"),
+            attr_dim=read_field(doc, "attr_dim", as_int, where),
+            num_classes=read_field(doc, "num_classes", as_int, where),
+            gcn_layers=layers["gcn_layers"],
+            head_layers=layers["head_layers"],
+            readout=read_field(doc, "readout", as_str, where),
         )
     except ShapeMismatch as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc

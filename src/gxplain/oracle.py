@@ -15,10 +15,10 @@ from .graphs import AttributedGraph, NodeSet
 from .model import (
     GnnModel,
     _block_rows,
+    _forward_trace,
     _layer_stack,
-    _propagation_matrix,
+    _propagation,
     forward,
-    normalize_adjacency,
     subset_probabilities,
 )
 
@@ -92,13 +92,12 @@ def occlusion_scores(model: GnnModel, g: AttributedGraph) -> np.ndarray:
     and their entries share the drop value.  The gated copies of ``g`` run
     as stacks, one row per occluded edge.
     """
-    adjacency = normalize_adjacency(g)
-    original = forward(model, g, None, adjacency)
+    full = _propagation(g)
+    original = _forward_trace(model, g, None, full)
     target = original.predicted_class
     p0 = float(original.probabilities[target])
     step = 1 if g.directed else 2
     src, dst = g.arc_index_arrays()
-    full = _propagation_matrix(g, adjacency)
     # one row per occluded edge: its arc and, when undirected, the mate
     occluded = np.arange(0, g.arc_count, step)[:, None] + np.arange(step)
     drops = np.empty(len(occluded))

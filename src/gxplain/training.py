@@ -22,9 +22,8 @@ from .model import (
     _block_rows,
     _check_attr_dim,
     _layer_stack,
-    _propagation_matrix,
+    _propagation,
     _readout,
-    normalize_adjacency,
 )
 from .optim import Adam
 
@@ -57,9 +56,7 @@ def _stack_graphs(graphs) -> list[_Stack]:
         by_size.setdefault(g.node_count, []).append(g)
     return [
         _Stack(
-            np.stack(
-                [_propagation_matrix(g, normalize_adjacency(g)) for g in group]
-            ),
+            np.stack([_propagation(g) for g in group]),
             np.stack([g.attributes for g in group]),
             np.array([-1 if g.label is None else g.label for g in group]),
         )

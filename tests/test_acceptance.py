@@ -28,8 +28,8 @@ from gxplain.model import (
     MaskedInput,
     forward,
     mask_gradients,
+    _propagation,
     loss,
-    normalize_adjacency,
     save_model,
 )
 from gxplain.oracle import (
@@ -194,7 +194,7 @@ def test_criterion_4_gradients_match_finite_differences():
         )
         from gxplain.model import _forward_trace
 
-        trace = _forward_trace(model, g, mask, normalize_adjacency(g))
+        trace = _forward_trace(model, g, mask, _propagation(g))
         pres = list(trace.node_z) + list(trace.head_z)
         layers = list(model.gcn_layers) + list(model.head_layers)
         if any(

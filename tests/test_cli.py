@@ -157,6 +157,14 @@ def test_eval_sweep_csv_has_every_budget_in_order(pipeline, tmp_path):
         assert r["min_k"] == min_k[r["graph_id"]]
 
 
+def test_eval_sweep_without_csv_is_usage_error(pipeline, capsys):
+    _, ds, model, out = pipeline
+    code = main(["eval", "--model", str(model), "--dataset", str(ds),
+                 "--explanations", str(out), "--top-k", "5", "--sweep"])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert "--csv" in err
+
+
 def test_eval_is_deterministic_across_runs(pipeline, capsys):
     _, ds, model, out = pipeline
     args = ["eval", "--model", str(model), "--dataset", str(ds),
@@ -230,8 +238,56 @@ def _assert_one_line_usage_error(code, capsys):
     return err
 
 
+@pytest.mark.parametrize(
+    "arg",
+    [
+        ("--epochs", "-1"),
+        ("--beta", "0"),
+        ("--lr", "0"),
+        ("--lambda-edge-size", "-0.5"),
+    ],
+)
+def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg):
+    _, ds, model, _ = pipeline
+    out = tmp_path / "expl"
+    code = main(["explain", "--model", str(model), "--dataset", str(ds),
+                 "--out-dir", str(out), "--jobs", "1", *arg])
+    _assert_one_line_usage_error(code, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["model", "dataset", "explanation"])
+def test_undecodable_input_file_is_usage_error(pipeline, capsys, tmp_path, kind):
+    _, ds, model, out = pipeline
+    inputs = {"model": model, "dataset": ds, "explanation": tmp_path / "expl"}
+    inputs["explanation"].mkdir()
+    for path in out.glob("*.json"):
+        (inputs["explanation"] / path.name).write_bytes(path.read_bytes())
+    if kind == "explanation":
+        victim = sorted(inputs["explanation"].glob("*.json"))[0]
+    else:
+        victim = inputs[kind] = tmp_path / f"{kind}.json"
+    victim.write_bytes(b"\xff\xfe{")
+    code = main(["eval", "--model", str(inputs["model"]),
+                 "--dataset", str(inputs["dataset"]),
+                 "--explanations", str(inputs["explanation"]), "--top-k", "3"])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert "UTF-8" in err
+
+
+def test_integer_past_the_json_digit_limit_is_usage_error(tmp_path, capsys):
+    # json.loads refuses integers of more than 4300 digits with ValueError
+    path = tmp_path / "model.json"
+    path.write_text('{"format_version": ' + "1" * 5000 + "}")
+    code = main(["eval", "--model", str(path), "--dataset", str(path),
+                 "--explanations", str(tmp_path), "--top-k", "3"])
+    _assert_one_line_usage_error(code, capsys)
+
+
 EDGE_ENTRY_FAULTS = {
     "missing score": lambda e: e.pop("score"),
+    "nan score": lambda e: e.update(score=float("nan")),
+    "score beyond float range": lambda e: e.update(score=10**400),
     "missing src": lambda e: e.pop("src"),
     "missing dst": lambda e: e.pop("dst"),
     "text score": lambda e: e.update(score="high"),
@@ -268,11 +324,13 @@ DATASET_FAULTS = {
     "text edge end": lambda d: d["graphs"][3]["edges"][0].__setitem__(1, "b"),
     "narrow x": lambda d: [row.pop() for row in d["graphs"][2]["x"]],
     "edge end outside graph": lambda d: d["graphs"][3]["edges"][0].__setitem__(1, 99),
+    "nan x": lambda d: d["graphs"][2]["x"][0].__setitem__(0, float("nan")),
 }
 # where the message must point, for faults that name one exact location
 DATASET_FAULT_WHERE = {
     "narrow x": "graphs[2]: x",
     "edge end outside graph": "graphs[3]: edges[0]",
+    "nan x": "graphs[2]: x",
 }
 
 

@@ -34,9 +34,9 @@ def relu_kink_free(model, g, mask):
     Finite differences straddle the kink and disagree with the exact
     one-sided derivative there, so those draws are skipped.
     """
-    from gxplain.model import _forward_trace, normalize_adjacency
+    from gxplain.model import _forward_trace, _propagation
 
-    trace = _forward_trace(model, g, mask, normalize_adjacency(g))
+    trace = _forward_trace(model, g, mask, _propagation(g))
     pres = list(trace.node_z) + list(trace.head_z)
     layers = list(model.gcn_layers) + list(model.head_layers)
     for layer, pre in zip(layers, pres):
@@ -154,8 +154,7 @@ def test_weight_gradients_match_finite_differences_alone_and_stacked():
         _backward,
         _forward_trace,
         _layer_stack,
-        _propagation_matrix,
-        normalize_adjacency,
+        _propagation,
     )
 
     rng = np.random.default_rng(13)
@@ -176,9 +175,7 @@ def test_weight_gradients_match_finite_differences_alone_and_stacked():
         ):
             continue
         targets = rng.integers(0, 2, len(graphs))
-        a = np.stack(
-            [_propagation_matrix(g, normalize_adjacency(g)) for g in graphs]
-        )
+        a = np.stack([_propagation(g) for g in graphs])
         x = np.stack([g.attributes for g in graphs])
         stacked = _backward(model, _layer_stack(model, a, x), targets)
         for i, (g, target) in enumerate(zip(graphs, targets)):
@@ -200,8 +197,7 @@ def test_floored_target_has_zero_gradients_alone_and_stacked():
         _backward,
         _forward_trace,
         _layer_stack,
-        _propagation_matrix,
-        normalize_adjacency,
+        _propagation,
     )
 
     rng = np.random.default_rng(5)
@@ -226,9 +222,7 @@ def test_floored_target_has_zero_gradients_alone_and_stacked():
     assert not grads.edge_gate.any() and not grads.attribute_gate.any()
     assert mask_gradients(model, graphs[0], mask, 1).edge_gate.any()
 
-    a = np.stack(
-        [_propagation_matrix(g, normalize_adjacency(g)) for g in graphs]
-    )
+    a = np.stack([_propagation(g) for g in graphs])
     x = np.stack([g.attributes for g in graphs])
     stacked = _backward(model, _layer_stack(model, a, x), np.array([0, 1]))
     for target, (i, g) in zip((0, 1), enumerate(graphs)):

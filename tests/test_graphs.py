@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gxplain.errors import IndexOutOfRange, ShapeMismatch
+from gxplain.errors import IndexOutOfRange, InvalidGraph, ShapeMismatch
 from gxplain.graphs import (
     AttributedGraph,
     NodeSet,
@@ -42,6 +42,19 @@ def test_build_undirected_stores_mates_adjacent():
 def test_build_drops_duplicate_edges():
     g = build_graph(3, [(0, 1), (0, 1), (1, 0)], np.zeros((3, 1)), False)
     assert g.arc_count == 2
+
+
+@pytest.mark.parametrize(
+    "arcs, directed",
+    [
+        (((0, 1), (0, 1), (1, 2)), True),
+        (((0, 1), (1, 0), (0, 1), (1, 0)), False),
+    ],
+)
+def test_repeated_arc_is_rejected(arcs, directed):
+    # the GCN operator counts each arc once, so a repeat has no meaning
+    with pytest.raises(InvalidGraph, match="stored twice"):
+        AttributedGraph(3, arcs, np.zeros((3, 1)), directed)
 
 
 def test_build_drops_self_loops():

@@ -1,9 +1,13 @@
 """Forward pass, masking semantics, and model serialization."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph, two_node_chain
 
+from gxplain import model as model_module
 from gxplain.errors import ShapeMismatch, UnsupportedActivation
 from gxplain.graphs import build_graph
 from gxplain.model import (
@@ -12,8 +16,8 @@ from gxplain.model import (
     MaskedInput,
     forward,
     load_model,
+    _propagation,
     loss,
-    normalize_adjacency,
     save_model,
 )
 
@@ -29,10 +33,22 @@ def identity_model():
 
 def test_normalization_uses_in_degree_plus_one():
     g = two_node_chain()
-    adj = normalize_adjacency(g)
+    a = _propagation(g)
     # d~ = (1, 2): node 1 has one incoming arc
-    assert adj.self_coeff.tolist() == [1.0, 0.5]
-    assert adj.arc_coeff.tolist() == pytest.approx([1.0 / SQRT2])
+    assert np.diag(a).tolist() == [1.0, 0.5]
+    assert a[1, 0] == pytest.approx(1.0 / SQRT2)
+
+
+def test_gcn_normalization_is_written_once():
+    # every operator, masked, stacked or induced, comes from _propagation
+    text = Path(model_module.__file__).read_text(encoding="utf-8")
+    users = [
+        node.name
+        for node in ast.parse(text).body
+        if "np.sqrt(" in (ast.get_source_segment(text, node) or "")
+    ]
+    assert text.count("np.sqrt(") == 1
+    assert users == ["_propagation"]
 
 
 def test_forward_hand_computed_two_node_chain():

@@ -16,9 +16,8 @@ from gxplain.model import (
     Layer,
     _backward,
     _forward_trace,
-    _propagation_matrix,
+    _propagation,
     _readout,
-    normalize_adjacency,
     save_model,
 )
 from gxplain.optim import Adam
@@ -251,7 +250,7 @@ def reference_train(dataset, epochs, seed, hidden_dims=(20, 20, 20)):
     backward one graph at a time, in split order."""
     graphs = dataset.split_graphs("train")
     params = init_parameters(dataset.attr_dim, dataset.num_classes, hidden_dims, seed)
-    props = [_propagation_matrix(g, normalize_adjacency(g)) for g in graphs]
+    props = [_propagation(g) for g in graphs]
     hs = [g.attributes for g in graphs]
     for i in range(len(hidden_dims)):
         w, b = params[2 * i], params[2 * i + 1]
