@@ -38,10 +38,7 @@ from .explain import (
     init_masks,
     learn_masks,
     load_explanation,
-    message_importance,
-    node_attr_importance,
     node_importance,
-    pair_aggregate_edge_scores,
     sample_hard_concrete,
     save_explanation,
 )

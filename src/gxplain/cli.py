@@ -90,13 +90,16 @@ def cmd_gen_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset)
-    result = train_model(
-        dataset,
-        hidden_dims=tuple([args.hidden] * args.layers),
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    try:
+        result = train_model(
+            dataset,
+            hidden_dims=tuple([args.hidden] * args.layers),
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            seed=args.seed,
+        )
+    except DomainError as exc:  # an argument outside its range
+        return _usage_error(exc)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(result.model, out)
@@ -288,6 +291,8 @@ def render_dot(explanation, attr_top: int = 3) -> str:
 
 
 def cmd_export_dot(args) -> int:
+    if args.attr_top < 0:
+        return _usage_error(f"--attr-top must be >= 0, got {args.attr_top}")
     in_dir = Path(args.explanations)
     if not in_dir.is_dir():
         print(f"not a directory: {in_dir}", file=sys.stderr)

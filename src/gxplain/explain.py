@@ -31,7 +31,6 @@ from ._schema import (
 )
 from .errors import (
     DomainError,
-    IndexOutOfRange,
     NonFiniteLoss,
     NotUndirected,
     ParseError,
@@ -84,12 +83,15 @@ class HardConcreteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if not self.stretch_low < 0.0 < 1.0 < self.stretch_high:
+        if not 0.0 < self.beta < math.inf:
             raise DomainError(
-                f"stretch interval ({self.stretch_low}, {self.stretch_high})"
-                " must strictly contain [0, 1]"
+                f"beta must be positive and finite, got {self.beta}"
+            )
+        low, high = self.stretch_low, self.stretch_high
+        if not -math.inf < low < 0.0 < 1.0 < high < math.inf:
+            raise DomainError(
+                f"stretch interval ({low}, {high}) must be finite and"
+                " strictly contain [0, 1]"
             )
 
 
@@ -115,9 +117,10 @@ class ExplainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.learning_rate > 0.0:
+        if not 0.0 < self.learning_rate < math.inf:
             raise DomainError(
-                f"learning rate must be positive, got {self.learning_rate}"
+                "learning rate must be positive and finite, got"
+                f" {self.learning_rate}"
             )
         for name in (
             "lambda_edge_size",
@@ -125,8 +128,8 @@ class ExplainConfig:
             "lambda_edge_entropy",
             "lambda_attr_entropy",
         ):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0")
         if self.agg1 not in NODE_AGGS or self.agg2 not in NODE_AGGS:
             raise DomainError(
                 f"node aggregators must be one of {NODE_AGGS}"
@@ -175,15 +178,26 @@ def importance_from_mask(mask_logits, beta: float) -> np.ndarray:
 class MaskSet:
     """Learnable mask logits plus the arc/cell -> parameter-slot maps.
 
-    Sharing modes collapse several arcs or attribute cells onto one slot;
-    slot arrays expand parameters back to per-arc and per-cell views.
+    ``logits`` holds the edge parameters first, then the attribute
+    parameters; ``edge_logits`` and ``attr_logits`` are writable views of
+    the two sides.  Sharing modes collapse several arcs or attribute cells
+    onto one slot; slot arrays expand parameters back to per-arc and
+    per-cell views.
     """
 
-    edge_logits: np.ndarray
-    attr_logits: np.ndarray
+    logits: np.ndarray
+    edge_params: int
     edge_slot: np.ndarray
     attr_slot: np.ndarray
     sharing: str
+
+    @property
+    def edge_logits(self) -> np.ndarray:
+        return self.logits[: self.edge_params]
+
+    @property
+    def attr_logits(self) -> np.ndarray:
+        return self.logits[self.edge_params :]
 
     def edge_logit_per_arc(self) -> np.ndarray:
         return self.edge_logits[self.edge_slot]
@@ -193,8 +207,8 @@ class MaskSet:
 
     def copy(self) -> "MaskSet":
         return MaskSet(
-            self.edge_logits.copy(),
-            self.attr_logits.copy(),
+            self.logits.copy(),
+            self.edge_params,
             self.edge_slot.copy(),
             self.attr_slot.copy(),
             self.sharing,
@@ -234,10 +248,10 @@ def init_masks(
     else:
         attr_slot = np.arange(n * d, dtype=np.int64).reshape(n, d)
         attr_params = n * d
-    rng = np.random.default_rng(seed)
-    edge_logits = rng.normal(0.0, 0.1, edge_params)
-    attr_logits = rng.normal(0.0, 0.1, attr_params)
-    return MaskSet(edge_logits, attr_logits, edge_slot, attr_slot, sharing)
+    logits = np.random.default_rng(seed).normal(
+        0.0, 0.1, edge_params + attr_params
+    )
+    return MaskSet(logits, edge_params, edge_slot, attr_slot, sharing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,6 +399,12 @@ def learn_masks(
     (edges in ``attribute_only``, attributes in ``edge_only``) keeps gate
     and score fixed at 1.
 
+    Edge and attribute logits are one vector, so each epoch makes one
+    sample, one penalty and one Adam step over both sides.  Per-gate
+    arrays (one entry per arc, then one per attribute cell) carry each
+    gate's slot, penalty weights and mean divisor; a pinned side has
+    gate 1, weight 0 and zero gradient, so its logits never move.
+
     ``on_epoch(epoch, masks)`` is called after each update with the live
     mask object.
     """
@@ -397,90 +417,55 @@ def learn_masks(
     else:
         masks = initial_masks.copy()
 
-    learn_edges = config.mode != "attribute_only"
-    learn_attrs = config.mode != "edge_only"
     n, d, n_arcs = g.node_count, g.attr_dim, g.arc_count
-    edge_params = len(masks.edge_logits)
-    attr_params = len(masks.attr_logits)
-    ones_edge = np.ones(n_arcs)
-    ones_attr = np.ones((n, d))
-    attr_slot_flat = masks.attr_slot.ravel()
-
-    optimized: list[np.ndarray] = []
-    if learn_edges:
-        optimized.append(masks.edge_logits)
-    if learn_attrs:
-        optimized.append(masks.attr_logits)
-    optimizer = Adam(optimized, config.learning_rate)
+    params = len(masks.logits)
+    slot = np.concatenate(
+        [masks.edge_slot, masks.edge_params + masks.attr_slot.ravel()]
+    )
+    learned = np.repeat(
+        [config.mode != "attribute_only", config.mode != "edge_only"],
+        [masks.edge_params, params - masks.edge_params],
+    )
+    counts = [n_arcs, n * d]
+    gate_learned = learned[slot]
+    size_w = gate_learned * np.repeat(
+        [config.lambda_edge_size, config.lambda_attr_size], counts
+    )
+    entropy_w = gate_learned * np.repeat(
+        [config.lambda_edge_entropy, config.lambda_attr_entropy], counts
+    )
+    divisor = np.repeat(np.array(counts, dtype=np.float64), counts)
+    optimizer = Adam([masks.logits], config.learning_rate)
 
     for epoch in range(config.epochs):
         if hc.stochastic:
-            u = _epoch_uniforms(hc.seed, epoch, edge_params + attr_params)
+            u = _epoch_uniforms(hc.seed, epoch, params)
         else:
-            u = np.full(edge_params + attr_params, 0.5)
+            u = np.full(params, 0.5)
+        gate, dgate = _hard_concrete_with_grad(masks.logits, hc, u)
+        gate = np.where(learned, gate, 1.0)[slot]
+        dgate *= learned
 
-        if learn_edges:
-            gate_e_slots, dgate_e_slots = _hard_concrete_with_grad(
-                masks.edge_logits, hc, u[:edge_params]
-            )
-            gate_e = gate_e_slots[masks.edge_slot]
-        else:
-            gate_e = ones_edge
-        if learn_attrs:
-            gate_x_slots, dgate_x_slots = _hard_concrete_with_grad(
-                masks.attr_logits, hc, u[edge_params:]
-            )
-            gate_x = gate_x_slots[attr_slot_flat].reshape(n, d)
-        else:
-            gate_x = ones_attr
-
-        masked = MaskedInput(gate_e, gate_x)
+        masked = MaskedInput(gate[:n_arcs], gate[n_arcs:].reshape(n, d))
         tr = _forward_trace(model, g, masked, unmasked)
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
-        objective = -math.log(p_target)
+        ce = -math.log(p_target)
         ce_edge, ce_attr = _backward(model, tr, target, g)
+        grad = np.zeros(params)
+        np.add.at(grad, slot, np.concatenate([ce_edge, ce_attr.ravel()]))
+        grad *= dgate
 
-        grads: list[np.ndarray] = []
-        if learn_edges:
-            g_edge = np.zeros(edge_params)
-            np.add.at(g_edge, masks.edge_slot, ce_edge)
-            g_edge *= dgate_e_slots
-            if n_arcs:
-                m_exp = masks.edge_logit_per_arc()
-                p = _sigmoid(m_exp)
-                objective += config.lambda_edge_size * p.mean()
-                objective += (
-                    config.lambda_edge_entropy
-                    * _binary_entropy_of_logit(m_exp, p).mean()
-                )
-                reg = (
-                    config.lambda_edge_size * p * (1.0 - p)
-                    - config.lambda_edge_entropy * m_exp * p * (1.0 - p)
-                ) / n_arcs
-                np.add.at(g_edge, masks.edge_slot, reg)
-            grads.append(g_edge)
-        if learn_attrs:
-            g_attr = np.zeros(attr_params)
-            np.add.at(g_attr, attr_slot_flat, ce_attr.ravel())
-            g_attr *= dgate_x_slots
-            if n * d:
-                m_exp = masks.attr_logit_matrix().ravel()
-                p = _sigmoid(m_exp)
-                objective += config.lambda_attr_size * p.mean()
-                objective += (
-                    config.lambda_attr_entropy
-                    * _binary_entropy_of_logit(m_exp, p).mean()
-                )
-                reg = (
-                    config.lambda_attr_size * p * (1.0 - p)
-                    - config.lambda_attr_entropy * m_exp * p * (1.0 - p)
-                ) / (n * d)
-                np.add.at(g_attr, attr_slot_flat, reg)
-            grads.append(g_attr)
+        m = masks.logits[slot]
+        p = _sigmoid(m)
+        size = float(size_w @ (p / divisor))
+        entropy = float(entropy_w @ (_binary_entropy_of_logit(m, p) / divisor))
+        reg = (size_w * p * (1.0 - p) - entropy_w * m * p * (1.0 - p)) / divisor
+        np.add.at(grad, slot, reg)
 
+        objective = ce + size + entropy
         if not math.isfinite(objective):
             raise NonFiniteLoss(f"epoch {epoch}: objective {objective}")
-        optimizer.step(grads)
+        optimizer.step([grad])
         if on_epoch is not None:
             on_epoch(epoch, masks)
 
@@ -495,43 +480,6 @@ def explain(
         config = ExplainConfig()
     _, explanation = learn_masks(model, g, config)
     return explanation
-
-
-def pair_aggregate_edge_scores(
-    explanation: Explanation, g: AttributedGraph, pair_agg: str = "mean"
-) -> np.ndarray:
-    """Collapse the two directions of every undirected edge to one score."""
-    if g.directed:
-        raise NotUndirected("pair aggregation needs an undirected graph")
-    if pair_agg not in PAIR_AGGS:
-        raise DomainError(f"pair_agg must be one of {PAIR_AGGS}")
-    if len(explanation.edge_score) != g.arc_count:
-        raise ShapeMismatch(
-            f"explanation scores {len(explanation.edge_score)} arcs, graph"
-            f" has {g.arc_count}"
-        )
-    if not g.arc_count:
-        return np.zeros(0)
-    return _pair_aggregated(explanation.edge_score, pair_agg)
-
-
-def node_attr_importance(explanation: Explanation, node: int) -> float:
-    """Geometric mean of one node's attribute scores, floored at 1e-12."""
-    if not 0 <= node < explanation.node_count:
-        raise IndexOutOfRange(f"node {node} out of range")
-    row = explanation.attr_score[node : node + 1]
-    return float(_geometric_mean_rows(row)[0])
-
-
-def message_importance(explanation: Explanation, src: int, dst: int) -> float:
-    """Edge score of arc (src, dst) weighted by the source attribute score."""
-    try:
-        idx = explanation.arcs.index((src, dst))
-    except ValueError:
-        raise IndexOutOfRange(f"no arc ({src}, {dst}) in explanation") from None
-    return float(
-        explanation.edge_score[idx] * explanation.node_attr_score[src]
-    )
 
 
 def node_importance(

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datasets import Dataset
-from .errors import EmptyDataset, NonFiniteLoss, ValidationError
+from .errors import DomainError, EmptyDataset, NonFiniteLoss, ValidationError
 from .model import (
     PROBABILITY_FLOOR,
     GnnModel,
@@ -214,10 +214,22 @@ def train_model(
     training split; accuracy traces are recorded before each update.
 
     Raises:
+        DomainError: no hidden layer, a width below 1, a learning rate
+            that is not positive and finite, or negative epochs.
         EmptyDataset: the training split selects no graphs.
         ValidationError: a training graph has no label.
         NonFiniteLoss: the objective became NaN or infinite.
     """
+    if not hidden_dims or min(hidden_dims) < 1:
+        raise DomainError(
+            f"hidden_dims must be one or more widths >= 1, got {hidden_dims}"
+        )
+    if not 0.0 < learning_rate < math.inf:
+        raise DomainError(
+            f"learning rate must be positive and finite, got {learning_rate}"
+        )
+    if epochs < 0:
+        raise DomainError(f"epochs must be >= 0, got {epochs}")
     train_graphs = dataset.split_graphs(train_split)
     if not train_graphs:
         raise EmptyDataset(f"split {train_split!r} selects no graphs")

@@ -245,6 +245,10 @@ def _assert_one_line_usage_error(code, capsys):
         ("--beta", "0"),
         ("--lr", "0"),
         ("--lambda-edge-size", "-0.5"),
+        ("--lambda-edge-size", "inf", "--mode", "attribute_only"),
+        ("--beta", "inf"),
+        ("--lambda-attr-entropy", "nan"),
+        ("--lr", "inf"),
     ],
 )
 def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg):
@@ -252,6 +256,32 @@ def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg)
     out = tmp_path / "expl"
     code = main(["explain", "--model", str(model), "--dataset", str(ds),
                  "--out-dir", str(out), "--jobs", "1", *arg])
+    _assert_one_line_usage_error(code, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, arg",
+    [
+        ("train", ("--hidden", "0")),
+        ("train", ("--lr", "-1")),
+        ("train", ("--epochs", "-3")),
+        ("train", ("--layers", "-1")),
+        ("train", ("--lr", "nan")),
+        ("export-dot", ("--attr-top", "-1")),
+    ],
+)
+def test_train_and_export_dot_reject_out_of_range_arguments(
+    pipeline, capsys, tmp_path, command, arg
+):
+    _, ds, _, expl = pipeline
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--dataset", str(ds), "--out", str(out / "m.json"),
+                "--epochs", "2"]
+    else:
+        argv = ["export-dot", "--explanations", str(expl), "--out-dir", str(out)]
+    code = main([*argv, *arg])
     _assert_one_line_usage_error(code, capsys)
     assert not out.exists()
 

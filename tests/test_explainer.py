@@ -12,13 +12,11 @@ from gxplain.explain import (
     HardConcreteConfig,
     explain,
     explanation_to_dict,
+    importance_from_mask,
     init_masks,
     learn_masks,
     load_explanation,
-    message_importance,
-    node_attr_importance,
     node_importance,
-    pair_aggregate_edge_scores,
     save_explanation,
 )
 from gxplain.graphs import build_graph
@@ -92,6 +90,17 @@ def test_ranking_is_permutation_consistent_with_scores():
 
 def test_node_importance_max_max_equals_direct_recomputation():
     model, g, expl, _ = scored_explanation(seed=2)
+    # max/max is the best message on any incident arc, a message being the
+    # arc's edge score times its source node's attribute score
+    omega = node_importance(expl, g, agg1="max", agg2="max")
+    for v in range(g.node_count):
+        incident = [
+            s * expl.node_attr_score[i]
+            for (i, j), s in zip(expl.arcs, expl.edge_score)
+            if v in (i, j)
+        ]
+        expected = max(incident) if incident else expl.node_attr_score[v]
+        assert omega[v] == pytest.approx(expected, abs=1e-12)
     # with all attribute scores forced to 1, max/max reduces to the best
     # incident arc score
     pinned = type(expl)(
@@ -157,17 +166,10 @@ def test_vectorised_node_scores_match_the_per_node_loop(agg1, agg2):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def test_message_importance_is_arc_times_source_attr_score():
-    _, g, expl, _ = scored_explanation(seed=3)
-    for idx, (s, d) in enumerate(expl.arcs[:5]):
-        expected = expl.edge_score[idx] * expl.node_attr_score[s]
-        assert message_importance(expl, s, d) == pytest.approx(expected, abs=1e-12)
-
-
 def test_node_attr_importance_is_geometric_mean_within_bounds():
     _, g, expl, _ = scored_explanation(seed=4)
     for v in range(g.node_count):
-        geo = node_attr_importance(expl, v)
+        geo = expl.node_attr_score[v]
         row = np.maximum(expl.attr_score[v], 1e-12)
         assert geo == pytest.approx(float(np.exp(np.log(row).mean())), rel=1e-9)
         assert row.min() - 1e-12 <= geo <= row.max() + 1e-12
@@ -177,13 +179,17 @@ def test_pair_aggregation_collapses_directions():
     rng = np.random.default_rng(5)
     model = random_model(rng, attr_dim=2)
     g = build_graph(3, [(0, 1), (1, 2)], rng.normal(size=(3, 2)), False)
-    expl = explain(model, g, ExplainConfig(epochs=10))
     for agg, fn in (("mean", np.mean), ("max", np.max), ("min", np.min)):
-        pair = pair_aggregate_edge_scores(expl, g, pair_agg=agg)
+        cfg = ExplainConfig(epochs=10, pair_agg=agg)
+        masks, expl = learn_masks(model, g, cfg)
+        arc_score = importance_from_mask(
+            masks.edge_logit_per_arc(), cfg.hard_concrete.beta
+        )
+        pair = expl.edge_score
         # one value per pair, repeated at both mate positions
         assert pair.shape == (4,)
-        assert pair[0] == pair[1] == pytest.approx(fn(expl.edge_score[0:2]))
-        assert pair[2] == pair[3] == pytest.approx(fn(expl.edge_score[2:4]))
+        assert pair[0] == pair[1] == pytest.approx(fn(arc_score[0:2]))
+        assert pair[2] == pair[3] == pytest.approx(fn(arc_score[2:4]))
 
 
 def test_pair_shared_masks_give_equal_mate_scores():
