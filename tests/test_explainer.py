@@ -88,8 +88,8 @@ def test_ranking_is_permutation_consistent_with_scores():
         )
 
 
-def test_node_importance_max_max_equals_direct_recomputation():
-    model, g, expl, _ = scored_explanation(seed=2)
+def test_message_importance_is_arc_times_source_attr_score():
+    _, g, expl, _ = scored_explanation(seed=3)
     # max/max is the best message on any incident arc, a message being the
     # arc's edge score times its source node's attribute score
     omega = node_importance(expl, g, agg1="max", agg2="max")
@@ -101,6 +101,10 @@ def test_node_importance_max_max_equals_direct_recomputation():
         ]
         expected = max(incident) if incident else expl.node_attr_score[v]
         assert omega[v] == pytest.approx(expected, abs=1e-12)
+
+
+def test_node_importance_max_max_equals_direct_recomputation():
+    model, g, expl, _ = scored_explanation(seed=2)
     # with all attribute scores forced to 1, max/max reduces to the best
     # incident arc score
     pinned = type(expl)(
