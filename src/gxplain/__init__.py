@@ -58,6 +58,7 @@ from .metrics import (
     extract_topk_nodes,
     keep_top_attributes,
     resolve_budget,
+    sweep,
     write_eval_csv,
 )
 from .model import (

@@ -27,7 +27,7 @@ from .explain import (
     load_explanation,
     save_explanation,
 )
-from .metrics import evaluate, save_report, write_eval_csv
+from .metrics import evaluate, save_report, sweep, write_eval_csv
 from .model import load_model, save_model
 from .oracle import MAX_ORACLE_NODES, oracle_report, save_oracle_result
 from .training import evaluate_accuracy, train_model
@@ -72,10 +72,7 @@ def _select_graphs(dataset, split: str, ids: str | None):
 def cmd_gen_dataset(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
-        print(
-            f"refusing to overwrite {out} (use --force)", file=sys.stderr
-        )
-        return EXIT_USAGE
+        return _usage_error(f"refusing to overwrite {out} (use --force)")
     dataset = generate_ba2motifs(args.n, args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out)
@@ -177,16 +174,17 @@ def cmd_explain(args) -> int:
 def cmd_eval(args) -> int:
     if args.sweep and not args.csv:
         return _usage_error("--sweep needs --csv")
+    in_dir = Path(args.explanations)
+    if not in_dir.is_dir():
+        return _usage_error(f"not a directory: {in_dir}")
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, None)
     explanations = {}
-    missing = []
     for g in graphs:
-        path = Path(args.explanations) / f"{g.graph_id}.json"
+        path = in_dir / f"{g.graph_id}.json"
         if not path.exists():
-            missing.append(g.graph_id)
-            continue
+            continue  # evaluate names every missing explanation
         expl, _ = load_explanation(path)
         if expl.node_count != g.node_count or expl.arcs != g.arcs:
             raise ParseError(
@@ -195,12 +193,6 @@ def cmd_eval(args) -> int:
                 f" {g.node_count} nodes and {g.arc_count} arcs"
             )
         explanations[g.graph_id] = expl
-    if missing:
-        print(
-            f"missing explanations for: {', '.join(missing)}",
-            file=sys.stderr,
-        )
-        return EXIT_COMPUTE
     report = evaluate(
         model,
         graphs,
@@ -209,13 +201,10 @@ def cmd_eval(args) -> int:
         rate=args.top_r,
         attr_top=args.attr_top,
     )
-    sparsity_txt = (
-        "nan" if report.sparsity is None else f"{report.sparsity:.6f}"
-    )
     line = (
         f"ep_explained={_fmt(report.ep_explained)}"
         f" ep_remaining={_fmt(report.ep_remaining)}"
-        f" sparsity={sparsity_txt}"
+        f" sparsity={_fmt(report.sparsity)}"
         f" eligible={report.eligible_count}"
     )
     if args.attr_top is not None:
@@ -224,22 +213,9 @@ def cmd_eval(args) -> int:
     if args.report:
         save_report(report, args.report)
     if args.csv:
-        rows = list(report.per_graph)
+        rows = report.per_graph
         if args.sweep:
-            rows = []
-            max_n = max((g.node_count for g in graphs), default=0)
-            min_k_by_id = {r.graph_id: r.min_k for r in report.per_graph}
-            for budget in range(1, max_n + 1):
-                swept = evaluate(
-                    model,
-                    graphs,
-                    explanations,
-                    k=budget,
-                    compute_sparsity=False,
-                )
-                for row in swept.per_graph:
-                    row.min_k = min_k_by_id.get(row.graph_id)
-                    rows.append(row)
+            rows = sweep(model, graphs, explanations)
         write_eval_csv(args.csv, rows)
     return EXIT_OK
 
@@ -295,16 +271,14 @@ def cmd_export_dot(args) -> int:
         return _usage_error(f"--attr-top must be >= 0, got {args.attr_top}")
     in_dir = Path(args.explanations)
     if not in_dir.is_dir():
-        print(f"not a directory: {in_dir}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"not a directory: {in_dir}")
     files = sorted(
         p
         for p in in_dir.glob("*.json")
         if not p.name.endswith(".oracle.json")
     )
     if not files:
-        print(f"no explanation files in {in_dir}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"no explanation files in {in_dir}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in files:

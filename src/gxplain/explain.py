@@ -319,6 +319,25 @@ def _node_scores_from_messages(
     return np.where(has_out | has_in, score, node_attr_score)
 
 
+def _node_scores(
+    g: AttributedGraph,
+    edge_score: np.ndarray,
+    node_attr_score: np.ndarray,
+    agg1: str,
+    agg2: str,
+) -> np.ndarray:
+    src, dst = g.arc_index_arrays()
+    return _node_scores_from_messages(
+        g.node_count,
+        src,
+        dst,
+        edge_score * node_attr_score[src],
+        node_attr_score,
+        agg1,
+        agg2,
+    )
+
+
 def _rank_nodes(node_score: np.ndarray) -> tuple[int, ...]:
     return tuple(
         sorted(range(len(node_score)), key=lambda i: (-node_score[i], i))
@@ -357,16 +376,8 @@ def _build_explanation(
     if config.mode == "attribute_only":
         node_score = node_attr_score.copy()
     else:
-        src, dst = g.arc_index_arrays()
-        message_score = edge_score * node_attr_score[src]
-        node_score = _node_scores_from_messages(
-            g.node_count,
-            src,
-            dst,
-            message_score,
-            node_attr_score,
-            config.agg1,
-            config.agg2,
+        node_score = _node_scores(
+            g, edge_score, node_attr_score, config.agg1, config.agg2
         )
     return Explanation(
         graph_id=g.graph_id,
@@ -493,16 +504,8 @@ def node_importance(
         raise DomainError(f"node aggregators must be one of {NODE_AGGS}")
     if g.arcs != explanation.arcs:
         raise ShapeMismatch("graph arcs do not match the explanation")
-    src, dst = g.arc_index_arrays()
-    messages = explanation.edge_score * explanation.node_attr_score[src]
-    return _node_scores_from_messages(
-        g.node_count,
-        src,
-        dst,
-        messages,
-        explanation.node_attr_score,
-        agg1,
-        agg2,
+    return _node_scores(
+        g, explanation.edge_score, explanation.node_attr_score, agg1, agg2
     )
 
 

@@ -108,20 +108,6 @@ def keep_top_attributes(
     )
 
 
-def _graph_list(dataset) -> list[AttributedGraph]:
-    if hasattr(dataset, "graphs"):
-        return list(dataset.graphs)
-    return list(dataset)
-
-
-def _lookup_all(graphs, explanations) -> None:
-    missing = [g.graph_id for g in graphs if g.graph_id not in explanations]
-    if missing:
-        raise MissingExplanation(
-            f"no explanation for graphs: {', '.join(sorted(missing))}"
-        )
-
-
 def _require_attr_scores(g: AttributedGraph, expl: Explanation) -> None:
     empty = expl.attr_score is None or (
         g.node_count > 0 and expl.attr_score.size == 0
@@ -155,31 +141,77 @@ def _retained(model: GnnModel, requests) -> list[bool]:
     return out
 
 
-def _min_retaining_prefixes(
-    model: GnnModel, graphs, explanations: dict[str, Explanation]
-) -> dict[str, int]:
-    """Shortest ranking prefix of each graph that keeps its original
-    prediction.  The scan runs in lockstep: step k scores the k-node
-    prefix of every graph still pending in one stacked pass."""
-    # the full ranking reproduces the graph, so every scan terminates
-    min_k = {g.graph_id: 0 for g in graphs if g.node_count == 0}
-    pending = [g for g in graphs if g.node_count > 0]
+def _sorted_graphs(dataset, explanations) -> list[AttributedGraph]:
+    graphs = getattr(dataset, "graphs", dataset)
+    graphs = sorted(graphs, key=lambda g: g.graph_id)
+    missing = [g.graph_id for g in graphs if g.graph_id not in explanations]
+    if missing:
+        raise MissingExplanation(
+            f"missing explanations for: {', '.join(missing)}"
+        )
+    return graphs
+
+
+def _scan(
+    model: GnnModel, graphs, explanations, slots, find_min_k: bool = True
+) -> list[GraphVerdict]:
+    """One row per ``(graph index, budget)`` slot, all read from one
+    lockstep scan over ranking prefixes; a ``None`` budget is unscored.
+
+    Step s scores, in one stacked pass, the s-node prefix of every graph
+    with a slot of budget s or whose ``min_k`` is still pending (eligible
+    graphs only), plus the complement of each budgeted prefix.  Steps no
+    graph needs are skipped.
+    """
+    default = default_prediction(model)
+    eligible = [
+        explanations[g.graph_id].original_prediction != default
+        for g in graphs
+    ]
+    budgets = [set() for _ in graphs]
+    for i, budget in slots:
+        if budget is not None:
+            budgets[i].add(budget)
+    pending = {i for i, e in enumerate(eligible) if e and find_min_k}
+    # the full ranking reproduces the graph, so every min_k is found
+    min_k = {i: 0 for i in pending if graphs[i].node_count == 0}
+    pending -= min_k.keys()
+    last = max((b for bs in budgets for b in bs), default=0)
+    verdicts = {}
     size = 0
-    while pending:
+    while pending or size < last:
         size += 1
+        needed = [
+            i for i in range(len(graphs)) if size in budgets[i] or i in pending
+        ]
+        if not needed:
+            continue
         requests = []
-        for g in pending:
-            expl = explanations[g.graph_id]
+        for i in needed:
+            g, expl = graphs[i], explanations[graphs[i].graph_id]
             keep = NodeSet(expl.node_ranking[:size])
             requests.append((g, keep, expl.original_prediction))
-        still = []
-        for g, hit in zip(pending, _retained(model, requests)):
-            if hit or size >= g.node_count:
-                min_k[g.graph_id] = size
-            else:
-                still.append(g)
-        pending = still
-    return min_k
+            if size in budgets[i]:
+                rest = complement_set(g, keep)
+                requests.append((g, rest, expl.original_prediction))
+        hits = iter(_retained(model, requests))
+        for i in needed:
+            hit = next(hits)
+            if size in budgets[i]:
+                verdicts[i, size] = (hit, next(hits))
+            if i in pending and (hit or size >= graphs[i].node_count):
+                min_k[i] = size
+        pending -= min_k.keys()
+    return [
+        GraphVerdict(
+            graphs[i].graph_id,
+            budget,
+            *verdicts.get((i, budget), (None, None)),
+            eligible[i],
+            min_k.get(i),
+        )
+        for i, budget in slots
+    ]
 
 
 def evaluate(
@@ -193,58 +225,30 @@ def evaluate(
 ) -> EvalReport:
     """Full evaluation pass; per-graph rows come out sorted by graph id.
 
-    The budgeted keep and remaining sets of all graphs are scored in
-    stacked passes grouped by size, and ``min_k`` comes from one lockstep
-    ranking-prefix scan over the eligible graphs.
+    The budgeted keep and remaining sets and the ``min_k`` ranking
+    prefixes of the eligible graphs all come from one lockstep scan.
 
     Raises:
         MissingExplanation: some selected graph has no explanation.
         InvalidBudget: malformed node or attribute budget.
     """
-    graphs = sorted(_graph_list(dataset), key=lambda g: g.graph_id)
-    _lookup_all(graphs, explanations)
+    graphs = _sorted_graphs(dataset, explanations)
     resolve_budget(1, k, rate)  # validate the budget form once up front
-
-    default = default_prediction(model)
-    budgets, eligible, requests, attribute_hits = [], [], [], []
-    for g in graphs:
-        expl = explanations[g.graph_id]
-        original = expl.original_prediction
-        budget = resolve_budget(g.node_count, k, rate)
-        budgets.append(budget)
-        eligible.append(original != default)
-        if budget is not None:
-            keep = NodeSet(expl.node_ranking[:budget])
-            requests.append((g, keep, original))
-            requests.append((g, complement_set(g, keep), original))
-        if attr_top is not None:
+    attribute_hits = []
+    if attr_top is not None:
+        for g in graphs:
+            expl = explanations[g.graph_id]
             _require_attr_scores(g, expl)
             masked = keep_top_attributes(g, expl.attr_score, attr_top)
             attribute_hits.append(
-                forward(model, masked).predicted_class == original
+                forward(model, masked).predicted_class
+                == expl.original_prediction
             )
-    verdicts = iter(_retained(model, requests))
-    min_k = {}
-    if compute_sparsity:
-        min_k = _min_retaining_prefixes(
-            model, [g for g, e in zip(graphs, eligible) if e], explanations
-        )
-
-    rows: list[GraphVerdict] = []
-    for g, budget, is_eligible in zip(graphs, budgets, eligible):
-        kept = rest = None
-        if budget is not None:
-            kept, rest = next(verdicts), next(verdicts)
-        rows.append(
-            GraphVerdict(
-                g.graph_id,
-                budget,
-                kept,
-                rest,
-                is_eligible,
-                min_k.get(g.graph_id),
-            )
-        )
+    slots = [
+        (i, resolve_budget(g.node_count, k, rate))
+        for i, g in enumerate(graphs)
+    ]
+    rows = _scan(model, graphs, explanations, slots, compute_sparsity)
     scored = [r for r in rows if r.budget is not None]
     min_ks = [r.min_k for r in rows if r.min_k is not None]
     return EvalReport(
@@ -252,10 +256,30 @@ def evaluate(
         ep_remaining=_share([r.retained_remaining for r in scored]),
         ep_attribute=_share(attribute_hits),
         sparsity=float(np.mean(min_ks)) if min_ks else None,
-        eligible_count=sum(eligible),
+        eligible_count=sum(r.eligible for r in rows),
         evaluated_count=len(scored),
         per_graph=rows,
     )
+
+
+def sweep(
+    model: GnnModel, dataset, explanations: dict[str, Explanation]
+) -> list[GraphVerdict]:
+    """Rows for every node budget from 1 to the largest graph, ordered by
+    budget and then by graph id, from one scan; a graph smaller than the
+    budget gets an unscored row.  ``min_k`` is as ``evaluate`` gives it.
+
+    Raises:
+        MissingExplanation: some selected graph has no explanation.
+    """
+    graphs = _sorted_graphs(dataset, explanations)
+    max_n = max((g.node_count for g in graphs), default=0)
+    slots = [
+        (i, budget if budget <= g.node_count else None)
+        for budget in range(1, max_n + 1)
+        for i, g in enumerate(graphs)
+    ]
+    return _scan(model, graphs, explanations, slots)
 
 
 def _share(hits: list[bool]) -> float | None:

@@ -205,10 +205,8 @@ def train_model(
     learning_rate: float = 0.001,
     epochs: int = 300,
     seed: int = 0,
-    train_split: str = "train",
-    validation_split: str = "validation",
 ) -> TrainResult:
-    """Fit a fresh model on one split with full-batch Adam.
+    """Fit a fresh model on the train split with full-batch Adam.
 
     The per-epoch objective is the mean floored cross-entropy over the
     training split; accuracy traces are recorded before each update.
@@ -230,9 +228,9 @@ def train_model(
         )
     if epochs < 0:
         raise DomainError(f"epochs must be >= 0, got {epochs}")
-    train_graphs = dataset.split_graphs(train_split)
+    train_graphs = dataset.split_graphs("train")
     if not train_graphs:
-        raise EmptyDataset(f"split {train_split!r} selects no graphs")
+        raise EmptyDataset("split 'train' selects no graphs")
     for g in train_graphs:
         if g.label is None:
             raise ValidationError(f"graph {g.graph_id!r} has no label")
@@ -241,7 +239,7 @@ def train_model(
         dataset.attr_dim, dataset.num_classes, tuple(hidden_dims), seed
     )
     train_stacks = _stack_graphs(train_graphs)
-    val_stacks = _stack_graphs(dataset.split_graphs(validation_split))
+    val_stacks = _stack_graphs(dataset.split_graphs("validation"))
     _calibrate_parameters(params, tuple(hidden_dims), train_stacks)
     optimizer = Adam(params, learning_rate)
 

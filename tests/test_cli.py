@@ -229,6 +229,21 @@ def test_explain_deterministic_output_bytes(pipeline):
     assert a == b
 
 
+def test_explain_jobs_2_writes_the_bytes_of_jobs_1(pipeline):
+    root, ds, model, out = pipeline
+    pooled = root / "pooled"
+    assert main(
+        ["explain", "--model", str(model), "--dataset", str(ds),
+         "--out-dir", str(pooled), "--split", "test", "--epochs", "30",
+         "--jobs", "2"]
+    ) == 0
+    names = sorted(os.listdir(out))
+    assert len(names) == 4
+    assert sorted(os.listdir(pooled)) == names
+    for name in names:
+        assert (pooled / name).read_bytes() == (out / name).read_bytes()
+
+
 def _assert_one_line_usage_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2
@@ -236,6 +251,49 @@ def _assert_one_line_usage_error(code, capsys):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "gen-dataset onto a file",
+        "export-dot from a file",
+        "export-dot from an empty directory",
+        "eval from no directory",
+    ],
+)
+def test_refused_paths_are_one_line_usage_errors(
+    pipeline, capsys, tmp_path, case
+):
+    _, ds, model, _ = pipeline
+    taken, empty = tmp_path / "taken", tmp_path / "empty"
+    taken.write_bytes(b"")
+    empty.mkdir()
+    argv, message = {
+        "gen-dataset onto a file": (
+            ["gen-dataset", "--n", "4", "--out", str(taken)],
+            "refusing to overwrite",
+        ),
+        "export-dot from a file": (
+            ["export-dot", "--explanations", str(taken),
+             "--out-dir", str(tmp_path / "dots")],
+            "not a directory",
+        ),
+        "export-dot from an empty directory": (
+            ["export-dot", "--explanations", str(empty),
+             "--out-dir", str(tmp_path / "dots")],
+            "no explanation files",
+        ),
+        "eval from no directory": (
+            ["eval", "--model", str(tmp_path / "no-model.json"),
+             "--dataset", str(ds), "--explanations", str(tmp_path / "nope"),
+             "--top-k", "3"],
+            "not a directory",
+        ),
+    }[case]
+    err = _assert_one_line_usage_error(main(argv), capsys)
+    assert message in err
+    assert taken.read_bytes() == b""
 
 
 @pytest.mark.parametrize(

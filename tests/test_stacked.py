@@ -1,6 +1,7 @@
 """Stacked scoring of candidate subgraphs: every slice of a stack must be
 bit-identical to extracting that subgraph and running the forward pass."""
 
+import ast
 import itertools
 import math
 from pathlib import Path
@@ -19,7 +20,12 @@ from gxplain.graphs import (
     complement_set,
     node_induced_subgraph,
 )
-from gxplain.metrics import default_prediction, evaluate, resolve_budget
+from gxplain.metrics import (
+    default_prediction,
+    evaluate,
+    resolve_budget,
+    sweep,
+)
 from gxplain.model import (
     GnnModel,
     Layer,
@@ -150,11 +156,12 @@ def _verdict_by_definition(model, g, expl, budget, default):
     return kept, rest, min_k
 
 
-@pytest.mark.parametrize("budget", [{"k": 3}, {"k": 6}, {"rate": 0.4}])
-def test_evaluate_matches_a_per_subgraph_loop_on_mixed_sizes(budget, blocks):
+def _mixed_case():
+    """40 graphs of 1 to 12 nodes, some directed, plus one of 0 nodes;
+    every fifth explanation, and the empty graph's, names a class its
+    graph is not predicted as, so its prefixes may never retain it."""
     rng = np.random.default_rng(13)
     model = random_model(rng, hidden=(6, 6), num_classes=3)
-    default = default_prediction(model)
     graphs, expls = [], {}
     for i in range(40):
         directed = bool(i % 3)
@@ -175,6 +182,26 @@ def test_evaluate_matches_a_per_subgraph_loop_on_mixed_sizes(budget, blocks):
             node_score=np.zeros(g.node_count),
             node_ranking=tuple(int(v) for v in rng.permutation(g.node_count)),
         )
+    empty = build_graph(0, [], np.zeros((0, 3)), False, graph_id="g40")
+    graphs.append(empty)
+    expls["g40"] = Explanation(
+        graph_id="g40",
+        arcs=(),
+        original_prediction=(default_prediction(model) + 1) % 3,
+        original_probability=0.5,
+        edge_score=np.zeros(0),
+        attr_score=np.zeros((0, 3)),
+        node_attr_score=np.zeros(0),
+        node_score=np.zeros(0),
+        node_ranking=(),
+    )
+    return model, graphs, expls
+
+
+@pytest.mark.parametrize("budget", [{"k": 3}, {"k": 6}, {"rate": 0.4}])
+def test_evaluate_matches_a_per_subgraph_loop_on_mixed_sizes(budget, blocks):
+    model, graphs, expls = _mixed_case()
+    default = default_prediction(model)
     report = evaluate(model, graphs, expls, **budget)
     assert sum(r.eligible for r in report.per_graph) >= 5
     assert [r.graph_id for r in report.per_graph] == sorted(expls)
@@ -189,6 +216,30 @@ def test_evaluate_matches_a_per_subgraph_loop_on_mixed_sizes(budget, blocks):
         assert row.eligible == (expl.original_prediction != default)
 
 
+def test_sweep_matches_a_per_subgraph_loop_on_mixed_sizes(blocks):
+    model, graphs, expls = _mixed_case()
+    default = default_prediction(model)
+    rows = sweep(model, graphs, expls)
+    ids = sorted(expls)
+    max_n = max(g.node_count for g in graphs)
+    assert [r.graph_id for r in rows] == ids * max_n
+    by_id = {g.graph_id: g for g in graphs}
+    for j, row in enumerate(rows):
+        g, expl = by_id[row.graph_id], expls[row.graph_id]
+        b = j // len(ids) + 1
+        b = b if b <= g.node_count else None
+        want = _verdict_by_definition(model, g, expl, b, default)
+        assert row.budget == b
+        got = (row.retained_explained, row.retained_remaining, row.min_k)
+        assert got == want
+        assert row.eligible == (expl.original_prediction != default)
+    report = evaluate(model, graphs, expls, k=3)
+    min_k = {r.graph_id: r.min_k for r in report.per_graph}
+    assert min_k["g40"] == 0
+    assert all(r.min_k == min_k[r.graph_id] for r in rows)
+    assert sweep(model, [], {}) == []
+
+
 def test_hot_paths_do_not_extract_one_subgraph_per_candidate():
     src = Path(gxplain.__file__).parent
     users = [
@@ -197,3 +248,35 @@ def test_hot_paths_do_not_extract_one_subgraph_per_candidate():
         if "node_induced_subgraph(" in (src / name).read_text("utf-8")
     ]
     assert users == []
+
+
+def _calls(tree, name):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == name
+    ]
+
+
+def test_one_scan_scores_subsets_and_eval_calls_each_entry_point_once():
+    src = Path(gxplain.__file__).parent
+    metrics = ast.parse((src / "metrics.py").read_text("utf-8"))
+    assert len(_calls(metrics, "_retained")) == 1
+    cli = ast.parse((src / "cli.py").read_text("utf-8"))
+    loops = (
+        ast.For,
+        ast.While,
+        ast.ListComp,
+        ast.SetComp,
+        ast.DictComp,
+        ast.GeneratorExp,
+    )
+    looped = {
+        id(node)
+        for loop in ast.walk(cli)
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+    }
+    for name in ("evaluate", "sweep"):
+        (call,) = _calls(cli, name)
+        assert id(call) not in looped
