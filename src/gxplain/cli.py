@@ -156,6 +156,8 @@ def cmd_explain(args) -> int:
         config = _config_from_args(args)
     except DomainError as exc:  # an argument outside its range
         return _usage_error(exc)
+    if args.jobs < 1:
+        return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, args.ids)
@@ -163,7 +165,9 @@ def cmd_explain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(model, g, config, str(out_dir), args.oracle) for g in graphs]
     if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork pool starts all its workers at the first submit
+        workers = min(args.jobs, len(jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_explain_one, jobs))
     else:
         done = [_explain_one(job) for job in jobs]

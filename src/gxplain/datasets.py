@@ -172,7 +172,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     }
     data = json_text(doc).encode("utf-8")
     if str(path).endswith(".gz"):
-        data = gzip.compress(data)
+        # no time stamp in the header: one dataset, one file
+        data = gzip.compress(data, mtime=0)
     write_atomic(path, data)
 
 

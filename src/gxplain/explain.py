@@ -40,9 +40,9 @@ from .graphs import AttributedGraph
 from .model import (
     PROBABILITY_FLOOR,
     GnnModel,
-    MaskedInput,
     _backward,
     _forward_trace,
+    _layer_stack,
     _propagation,
 )
 from .optim import Adam
@@ -64,7 +64,8 @@ PAIR_AGGS = ("mean", "max", "min")
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    one_plus_z = 1.0 + z
+    return np.where(x >= 0.0, 1.0 / one_plus_z, z / one_plus_z)
 
 
 def _binary_entropy_of_logit(m: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -146,13 +147,13 @@ def _hard_concrete_with_grad(
     logits: np.ndarray, config: HardConcreteConfig, u: np.ndarray
 ):
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not ((u > 0.0) & (u < 1.0)).all():
         raise DomainError("u must lie strictly inside (0, 1)")
     logits = np.asarray(logits, dtype=np.float64)
     span = config.stretch_high - config.stretch_low
     s = _sigmoid((np.log(u) - np.log1p(-u) + logits) / config.beta)
     raw = s * span + config.stretch_low
-    gate = np.clip(raw, 0.0, 1.0)
+    gate = np.minimum(np.maximum(raw, 0.0), 1.0)
     # clamped samples sit on a constant piece, so their gradient is zero
     interior = (raw > 0.0) & (raw < 1.0)
     grad = np.where(interior, span * s * (1.0 - s) / config.beta, 0.0)
@@ -351,6 +352,33 @@ def _epoch_uniforms(seed: int, epoch: int, count: int) -> np.ndarray:
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 
 
+# (seed, table) for the last seed asked for; see _uniform_table
+_uniforms: tuple[int | None, np.ndarray] = (None, np.empty((0, 0)))
+
+
+def _uniform_table(seed: int, epochs: int, count: int) -> np.ndarray:
+    """Rows ``_epoch_uniforms(seed, e, count)`` for ``e < epochs``, as an
+    ``(epochs, count)`` read-only view of one table kept per process.
+
+    A Philox stream's first ``c`` draws do not depend on how many follow
+    (``random(N)[:c] == random(c)``), so the table grows to the largest
+    ``epochs`` and ``count`` asked for under one seed, and every view holds
+    the bits of one fresh generator per epoch, whatever the call order.
+    """
+    global _uniforms
+    kept_seed, table = _uniforms
+    rows, cols = epochs, count
+    if kept_seed == seed:
+        rows, cols = max(rows, table.shape[0]), max(cols, table.shape[1])
+    if kept_seed != seed or table.shape != (rows, cols):
+        table = np.empty((rows, cols))
+        for epoch in range(rows):
+            table[epoch] = _epoch_uniforms(seed, epoch, cols)
+        table.flags.writeable = False
+        _uniforms = (seed, table)
+    return table[:epochs, :count]
+
+
 def _build_explanation(
     model: GnnModel,
     g: AttributedGraph,
@@ -415,6 +443,9 @@ def learn_masks(
     arrays (one entry per arc, then one per attribute cell) carry each
     gate's slot, penalty weights and mean divisor; a pinned side has
     gate 1, weight 0 and zero gradient, so its logits never move.
+    What does not depend on the logits (the uniforms, a view of
+    :func:`_uniform_table`; the arc coefficients; the per-gate arrays) is
+    set up once, before the epoch loop.
 
     ``on_epoch(epoch, masks)`` is called after each update with the live
     mask object.
@@ -446,19 +477,37 @@ def learn_masks(
         [config.lambda_edge_entropy, config.lambda_attr_entropy], counts
     )
     divisor = np.repeat(np.array(counts, dtype=np.float64), counts)
+    # with no entropy weight the entropy term and its gradient are +0.0
+    any_entropy = bool(entropy_w.any())
+    if hc.stochastic:
+        uniforms = _uniform_table(hc.seed, config.epochs, params)
+    else:
+        uniforms = np.broadcast_to(
+            np.full(params, 0.5), (config.epochs, params)
+        )
+    pinned = ~learned
+    # each arc's entry of the flattened (n, n) operator, and its
+    # coefficient before gating
+    src, dst = g.arc_index_arrays()
+    flat = dst * n + src
+    coef = unmasked.ravel()[flat]
     optimizer = Adam([masks.logits], config.learning_rate)
 
     for epoch in range(config.epochs):
-        if hc.stochastic:
-            u = _epoch_uniforms(hc.seed, epoch, params)
-        else:
-            u = np.full(params, 0.5)
-        gate, dgate = _hard_concrete_with_grad(masks.logits, hc, u)
-        gate = np.where(learned, gate, 1.0)[slot]
-        dgate *= learned
+        gate, dgate = _hard_concrete_with_grad(
+            masks.logits, hc, uniforms[epoch]
+        )
+        gate[pinned] = 1.0
+        gate = gate[slot]
+        dgate[pinned] = 0.0
 
-        masked = MaskedInput(gate[:n_arcs], gate[n_arcs:].reshape(n, d))
-        tr = _forward_trace(model, g, masked, unmasked)
+        # the gates lie in [0, 1] by construction, in the graph's shapes
+        a_eff = unmasked.copy()
+        a_eff.ravel()[flat] = coef * gate[:n_arcs]
+        tr = _layer_stack(
+            model, a_eff, g.attributes * gate[n_arcs:].reshape(n, d)
+        )
+        tr.unmasked = unmasked
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
         ce = -math.log(p_target)
         ce_edge, ce_attr = _backward(model, tr, target, g)
@@ -469,9 +518,13 @@ def learn_masks(
         m = masks.logits[slot]
         p = _sigmoid(m)
         size = float(size_w @ (p / divisor))
-        entropy = float(entropy_w @ (_binary_entropy_of_logit(m, p) / divisor))
-        reg = (size_w * p * (1.0 - p) - entropy_w * m * p * (1.0 - p)) / divisor
-        np.add.at(grad, slot, reg)
+        reg = size_w * p * (1.0 - p)
+        entropy = 0.0
+        if any_entropy:
+            h = _binary_entropy_of_logit(m, p)
+            entropy = float(entropy_w @ (h / divisor))
+            reg -= entropy_w * m * p * (1.0 - p)
+        np.add.at(grad, slot, reg / divisor)
 
         objective = ce + size + entropy
         if not math.isfinite(objective):

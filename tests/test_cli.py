@@ -244,6 +244,38 @@ def test_explain_jobs_2_writes_the_bytes_of_jobs_1(pipeline):
         assert (pooled / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_explain_pool_has_no_more_workers_than_graphs(
+    pipeline, monkeypatch, tmp_path
+):
+    sizes = []
+
+    class InlinePool:
+        # stands in for ProcessPoolExecutor: records its size, maps inline
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    _, ds, model, out = pipeline
+    monkeypatch.setattr("gxplain.cli.ProcessPoolExecutor", InlinePool)
+    pooled = tmp_path / "pooled"
+    assert main(
+        ["explain", "--model", str(model), "--dataset", str(ds),
+         "--out-dir", str(pooled), "--split", "test", "--epochs", "30",
+         "--jobs", "5000"]
+    ) == 0
+    assert sizes == [4]  # the 4 test graphs
+    for name in sorted(os.listdir(out)):
+        assert (pooled / name).read_bytes() == (out / name).read_bytes()
+
+
 def _assert_one_line_usage_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2
@@ -307,6 +339,8 @@ def test_refused_paths_are_one_line_usage_errors(
         ("--beta", "inf"),
         ("--lambda-attr-entropy", "nan"),
         ("--lr", "inf"),
+        ("--jobs", "0"),
+        ("--jobs", "-3"),
     ],
 )
 def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg):

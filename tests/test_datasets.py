@@ -1,5 +1,7 @@
 """Synthetic motif benchmark generation and dataset serialization."""
 
+import gzip
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,13 @@ def test_save_load_round_trip(tmp_path):
     assert datasets_equal(ds, loaded)
     assert loaded.splits == ds.splits
     assert loaded.generation_seed == ds.generation_seed
+
+
+def test_gzip_dataset_file_has_no_time_stamp(tmp_path):
+    ds = generate_ba2motifs(10, seed=3)
+    save_dataset(ds, tmp_path / "a.json.gz")
+    save_dataset(ds, tmp_path / "plain.json")
+    data = (tmp_path / "a.json.gz").read_bytes()
+    # MTIME, header bytes 4-8, is zero, so equal datasets give equal files
+    assert data[4:8] == bytes(4)
+    assert gzip.decompress(data) == (tmp_path / "plain.json").read_bytes()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxplain.errors import DomainError
 from gxplain.explain import (
     HardConcreteConfig,
     _hard_concrete_with_grad,
+    _sigmoid,
     importance_from_mask,
     sample_hard_concrete,
 )
@@ -84,3 +87,55 @@ def test_config_validates_stretch_interval():
         HardConcreteConfig(stretch_high=0.9)
     with pytest.raises(DomainError):
         HardConcreteConfig(beta=0.0)
+
+
+def pinned_sigmoid(x):
+    # the sampler's sigmoid as first written: every bit of mask learning
+    # goes through it, so any rewrite must give these bytes
+    x = np.asarray(x, dtype=np.float64)
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def pinned_hard_concrete_with_grad(logits, config, u):
+    # the sampler as first written, with np.clip and two range tests
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise DomainError("u must lie strictly inside (0, 1)")
+    logits = np.asarray(logits, dtype=np.float64)
+    span = config.stretch_high - config.stretch_low
+    s = pinned_sigmoid((np.log(u) - np.log1p(-u) + logits) / config.beta)
+    raw = s * span + config.stretch_low
+    gate = np.clip(raw, 0.0, 1.0)
+    interior = (raw > 0.0) & (raw < 1.0)
+    grad = np.where(interior, span * s * (1.0 - s) / config.beta, 0.0)
+    return gate, grad
+
+
+_logits = st.one_of(
+    st.sampled_from([-500.0, -36.0, -0.0, 0.0, 36.0, 500.0]),
+    st.floats(-600.0, 600.0),
+)
+_uniforms = st.one_of(
+    st.sampled_from([1e-12, 1.0 - 1e-12, 0.5]),
+    st.floats(1e-12, 1.0 - 1e-12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_logits, _uniforms), min_size=0, max_size=40),
+    beta=st.sampled_from([0.01, 0.2, 0.5, 1.0, 7.0]),
+    low=st.sampled_from([-0.1, -1e-6, -0.5, -3.0]),
+    high=st.sampled_from([1.1, 1.0 + 1e-6, 1.5, 4.0]),
+)
+def test_sampler_and_sigmoid_give_the_pinned_bytes(pairs, beta, low, high):
+    logits = np.array([m for m, _ in pairs], dtype=np.float64)
+    u = np.array([v for _, v in pairs], dtype=np.float64)
+    config = HardConcreteConfig(beta=beta, stretch_low=low, stretch_high=high)
+    gate, grad = _hard_concrete_with_grad(logits, config, u)
+    want_gate, want_grad = pinned_hard_concrete_with_grad(logits, config, u)
+    assert gate.tobytes() == want_gate.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    x = logits / beta
+    assert _sigmoid(x).tobytes() == pinned_sigmoid(x).tobytes()
