@@ -13,6 +13,7 @@ incoming arcs yields the final node score.
 """
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,9 +41,10 @@ from .graphs import AttributedGraph
 from .model import (
     PROBABILITY_FLOOR,
     GnnModel,
+    _arc_entries,
     _backward,
     _forward_trace,
-    _layer_stack,
+    _gated_stack,
     _propagation,
 )
 from .optim import Adam
@@ -352,31 +354,42 @@ def _epoch_uniforms(seed: int, epoch: int, count: int) -> np.ndarray:
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 
 
-# (seed, table) for the last seed asked for; see _uniform_table
+# entries of the largest uniform table kept, 8 MiB of float64; see
+# _uniform_rows
+_TABLE_ENTRIES = 1 << 20
+
+# (seed, table) for the last seed asked for; see _uniform_rows
 _uniforms: tuple[int | None, np.ndarray] = (None, np.empty((0, 0)))
 
 
-def _uniform_table(seed: int, epochs: int, count: int) -> np.ndarray:
-    """Rows ``_epoch_uniforms(seed, e, count)`` for ``e < epochs``, as an
-    ``(epochs, count)`` read-only view of one table kept per process.
+def _uniform_rows(seed: int, epochs: int, count: int):
+    """The rows ``_epoch_uniforms(seed, e, count)`` for ``e < epochs``, in
+    order, read from one table kept per process.
 
     A Philox stream's first ``c`` draws do not depend on how many follow
     (``random(N)[:c] == random(c)``), so the table grows to the largest
-    ``epochs`` and ``count`` asked for under one seed, and every view holds
+    ``epochs`` and ``count`` asked for under one seed, and every row holds
     the bits of one fresh generator per epoch, whatever the call order.
+    The table never exceeds ``_TABLE_ENTRIES``: a grown size above
+    it is replaced by the size asked for, and a request above it draws
+    each row when it is read, keeping none.
     """
     global _uniforms
     kept_seed, table = _uniforms
     rows, cols = epochs, count
     if kept_seed == seed:
         rows, cols = max(rows, table.shape[0]), max(cols, table.shape[1])
+    if rows * cols > _TABLE_ENTRIES:
+        rows, cols = epochs, count
+    if rows * cols > _TABLE_ENTRIES:
+        return (_epoch_uniforms(seed, e, count) for e in range(epochs))
     if kept_seed != seed or table.shape != (rows, cols):
         table = np.empty((rows, cols))
         for epoch in range(rows):
             table[epoch] = _epoch_uniforms(seed, epoch, cols)
         table.flags.writeable = False
         _uniforms = (seed, table)
-    return table[:epochs, :count]
+    return iter(table[:epochs, :count])
 
 
 def _build_explanation(
@@ -443,8 +456,8 @@ def learn_masks(
     arrays (one entry per arc, then one per attribute cell) carry each
     gate's slot, penalty weights and mean divisor; a pinned side has
     gate 1, weight 0 and zero gradient, so its logits never move.
-    What does not depend on the logits (the uniforms, a view of
-    :func:`_uniform_table`; the arc coefficients; the per-gate arrays) is
+    What does not depend on the logits (the uniforms, rows of
+    :func:`_uniform_rows`; the arc coefficients; the per-gate arrays) is
     set up once, before the epoch loop.
 
     ``on_epoch(epoch, masks)`` is called after each update with the live
@@ -477,37 +490,30 @@ def learn_masks(
         [config.lambda_edge_entropy, config.lambda_attr_entropy], counts
     )
     divisor = np.repeat(np.array(counts, dtype=np.float64), counts)
-    # with no entropy weight the entropy term and its gradient are +0.0
-    any_entropy = bool(entropy_w.any())
     if hc.stochastic:
-        uniforms = _uniform_table(hc.seed, config.epochs, params)
+        uniforms = _uniform_rows(hc.seed, config.epochs, params)
     else:
-        uniforms = np.broadcast_to(
-            np.full(params, 0.5), (config.epochs, params)
-        )
+        uniforms = itertools.repeat(np.full(params, 0.5))
     pinned = ~learned
-    # each arc's entry of the flattened (n, n) operator, and its
-    # coefficient before gating
-    src, dst = g.arc_index_arrays()
-    flat = dst * n + src
-    coef = unmasked.ravel()[flat]
+    arcs = _arc_entries(g, unmasked)
     optimizer = Adam([masks.logits], config.learning_rate)
 
     for epoch in range(config.epochs):
         gate, dgate = _hard_concrete_with_grad(
-            masks.logits, hc, uniforms[epoch]
+            masks.logits, hc, next(uniforms)
         )
         gate[pinned] = 1.0
         gate = gate[slot]
         dgate[pinned] = 0.0
 
         # the gates lie in [0, 1] by construction, in the graph's shapes
-        a_eff = unmasked.copy()
-        a_eff.ravel()[flat] = coef * gate[:n_arcs]
-        tr = _layer_stack(
-            model, a_eff, g.attributes * gate[n_arcs:].reshape(n, d)
+        tr = _gated_stack(
+            model,
+            unmasked,
+            arcs,
+            gate[:n_arcs],
+            g.attributes * gate[n_arcs:].reshape(n, d),
         )
-        tr.unmasked = unmasked
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
         ce = -math.log(p_target)
         ce_edge, ce_attr = _backward(model, tr, target, g)
@@ -518,13 +524,9 @@ def learn_masks(
         m = masks.logits[slot]
         p = _sigmoid(m)
         size = float(size_w @ (p / divisor))
-        reg = size_w * p * (1.0 - p)
-        entropy = 0.0
-        if any_entropy:
-            h = _binary_entropy_of_logit(m, p)
-            entropy = float(entropy_w @ (h / divisor))
-            reg -= entropy_w * m * p * (1.0 - p)
-        np.add.at(grad, slot, reg / divisor)
+        entropy = float(entropy_w @ (_binary_entropy_of_logit(m, p) / divisor))
+        reg = (size_w * p * (1.0 - p) - entropy_w * m * p * (1.0 - p)) / divisor
+        np.add.at(grad, slot, reg)
 
         objective = ce + size + entropy
         if not math.isfinite(objective):

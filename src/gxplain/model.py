@@ -179,7 +179,9 @@ class _Trace:
     head_z: list[np.ndarray]
     logits: np.ndarray
     probabilities: np.ndarray
-    unmasked: np.ndarray | None = None  # the operator before edge gates
+    # each arc's index into the flattened operator and its coefficient
+    # before gating; see _arc_entries
+    arcs: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def predicted_class(self) -> int:
@@ -299,6 +301,38 @@ def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
     )
 
 
+def _arc_entries(
+    g: AttributedGraph, unmasked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each arc's index ``dst * n + src`` into the flattened ``(n, n)``
+    operator, and its coefficient in ``unmasked``, the operator before
+    edge gates."""
+    src, dst = g.arc_index_arrays()
+    flat = dst * g.node_count + src
+    return flat, unmasked.ravel()[flat]
+
+
+def _gated_stack(
+    model: GnnModel,
+    unmasked: np.ndarray,
+    arcs: tuple[np.ndarray, np.ndarray],
+    edge_gate: np.ndarray | None,
+    h: np.ndarray,
+) -> _Trace:
+    """The layer stack of one graph whose arc coefficients are scaled by
+    ``edge_gate`` (none: the operator as it is); ``arcs`` is
+    :func:`_arc_entries`, kept on the trace for the gate gradients."""
+    if edge_gate is None:
+        a_eff = unmasked
+    else:
+        flat, coef = arcs
+        a_eff = unmasked.copy()
+        a_eff.ravel()[flat] = coef * edge_gate
+    tr = _layer_stack(model, a_eff, h)
+    tr.arcs = arcs
+    return tr
+
+
 def _forward_trace(
     model: GnnModel,
     g: AttributedGraph,
@@ -313,16 +347,11 @@ def _forward_trace(
     if unmasked is None:
         unmasked = _propagation(g)
     if mask is None:
-        a_eff = unmasked
-        h = np.asarray(g.attributes)
+        edge_gate, h = None, np.asarray(g.attributes)
     else:
-        src, dst = g.arc_index_arrays()
-        a_eff = unmasked.copy()
-        a_eff[dst, src] *= mask.edge_gate
-        h = g.attributes * mask.attribute_gate
-    tr = _layer_stack(model, a_eff, h)
-    tr.unmasked = unmasked
-    return tr
+        edge_gate, h = mask.edge_gate, g.attributes * mask.attribute_gate
+    arcs = _arc_entries(g, unmasked)
+    return _gated_stack(model, unmasked, arcs, edge_gate, h)
 
 
 def forward(
@@ -390,8 +419,9 @@ def _backward(
     does; ``target`` then holds one class per graph.  Without ``g`` the
     result lists the weight gradients ``dW, db`` per layer in forward
     order, each with the stack's leading axes, so slice ``i`` is the
-    gradient of graph ``i`` alone.  With ``g``, the graph of a 2-D trace,
-    the result is ``(edge_gate_grad, attribute_gate_grad)`` instead.
+    gradient of graph ``i`` alone.  With ``g``, the graph of a trace from
+    :func:`_gated_stack`, the result is ``(edge_gate_grad,
+    attribute_gate_grad)`` instead.
     Every product is a per-graph one, as in the forward pass, so each
     slice is bit-identical to the same graph run alone.
     """
@@ -454,8 +484,8 @@ def _backward(
         for dw, db in reversed(head_w):
             weight_grads.extend((dw, db))
         return weight_grads
-    src, dst = g.arc_index_arrays()
-    return da[dst, src] * tr.unmasked[dst, src], dh * g.attributes
+    flat, coef = tr.arcs
+    return da.ravel()[flat] * coef, dh * g.attributes
 
 
 def mask_gradients(

@@ -4,6 +4,7 @@ must learn exactly what one edge branch plus one attribute branch learn."""
 import ast
 import importlib
 import inspect
+import itertools
 import json
 import math
 
@@ -290,6 +291,60 @@ def test_uniform_table_gives_every_call_order_the_same_explanations(
         for i in order:
             g, config = cases[i]
             assert _explanation_json(model, g, config) == fresh[i], (order, i)
+
+
+def test_uniform_table_stays_under_its_cap(monkeypatch):
+    empty = (None, np.empty((0, 0)))
+    monkeypatch.setattr(explain_module, "_uniforms", empty)
+    # a million epochs draw each row when read and keep no table
+    rows = explain_module._uniform_rows(3, 10**6, 302)
+    assert explain_module._uniforms is empty
+    for epoch, row in enumerate(itertools.islice(rows, 3)):
+        assert row.tobytes() == _epoch_uniforms(3, epoch, 302).tobytes()
+    # a grown size above the cap is replaced by the size asked for
+    monkeypatch.setattr(explain_module, "_TABLE_ENTRIES", 100)
+    list(explain_module._uniform_rows(1, 10, 9))
+    assert explain_module._uniforms[1].shape == (10, 9)
+    rows = list(explain_module._uniform_rows(1, 2, 40))
+    assert explain_module._uniforms[1].shape == (2, 40)
+    for epoch, row in enumerate(rows):
+        assert row.tobytes() == _epoch_uniforms(1, epoch, 40).tobytes()
+
+
+def test_capped_uniform_table_gives_the_same_explanations(monkeypatch):
+    model, cases = _table_cases()
+    empty = (None, np.empty((0, 0)))
+    fresh = []
+    for g, config in cases:
+        monkeypatch.setattr(explain_module, "_uniforms", empty)
+        fresh.append(_explanation_json(model, g, config))
+    counts = sorted(
+        {len(init_masks(g, config, 0).logits) for g, config in cases}
+    )
+    # no table at all; or one that keeps the smallest graph's 300 rows
+    # but draws the larger graphs' 300 rows and regrows in between
+    for cap in (0, 300 * counts[1] - 1):
+        monkeypatch.setattr(explain_module, "_TABLE_ENTRIES", cap)
+        monkeypatch.setattr(explain_module, "_uniforms", empty)
+        for i in np.random.default_rng(cap).permutation(len(cases)):
+            g, config = cases[i]
+            assert _explanation_json(model, g, config) == fresh[i], (cap, i)
+
+
+def test_infinite_logit_under_zero_entropy_weights_is_a_non_finite_loss():
+    # the entropy term is computed whatever its weights: 0 * H(inf) is NaN
+    g = build_graph(3, [(0, 1), (1, 2)], np.ones((3, 2)), False)
+    model = random_model(np.random.default_rng(0), attr_dim=2, hidden=(3,))
+    config = ExplainConfig(
+        epochs=1, lambda_edge_entropy=0.0, lambda_attr_entropy=0.0
+    )
+    masks = init_masks(g, config, 0)
+    masks.logits[0] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteLoss):
+            learn_masks(model, g, config, initial_masks=masks)
+        with pytest.raises(NonFiniteLoss):
+            reference_learn_masks(model, g, config, initial_masks=masks)
 
 
 @pytest.mark.parametrize("sharing", SHARING_MODES)
