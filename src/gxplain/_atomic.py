@@ -13,8 +13,14 @@ import os
 
 
 def json_text(doc) -> str:
-    """The JSON layout of every gxplain document: indented, no NaN/inf."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """The JSON layout of every gxplain document: compact one-line JSON
+    ending in a newline, no NaN/inf.
+
+    Without ``indent`` the stdlib writes with its C encoder.
+    ``python -m json.tool FILE`` pretty-prints a document; a ``.gz``
+    dataset is this text at gzip level 6 with no time stamp.
+    """
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -113,7 +113,7 @@ def as_float_array(value, where: str) -> np.ndarray:
     flat = value
     for _ in range(arr.ndim - 1):
         flat = itertools.chain.from_iterable(flat)
-    if any(v is True or v is False for v in flat):
+    if bool in set(map(type, flat)):
         raise ParseError(f"{where}: expected numbers, got a boolean")
     if not np.isfinite(arr).all():
         raise ParseError(f"{where}: expected finite numbers")

@@ -73,7 +73,10 @@ def cmd_gen_dataset(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         return _usage_error(f"refusing to overwrite {out} (use --force)")
-    dataset = generate_ba2motifs(args.n, args.seed)
+    try:
+        dataset = generate_ba2motifs(args.n, args.seed)
+    except DomainError as exc:  # an argument outside its range
+        return _usage_error(exc)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out)
     avg_nodes = sum(g.node_count for g in dataset.graphs) / len(dataset.graphs)

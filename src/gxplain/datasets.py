@@ -20,7 +20,7 @@ from ._schema import (
     read_field,
     require,
 )
-from .errors import InvalidCount, ParseError, ValidationError
+from .errors import DomainError, InvalidCount, ParseError, ValidationError
 from .graphs import AttributedGraph, build_graph, graphs_equal
 
 DATASET_FORMAT_VERSION = 1
@@ -99,6 +99,7 @@ def generate_motif_graphs(
 
     Raises:
         InvalidCount: ``n_graphs`` is smaller than 2 or odd.
+        DomainError: ``seed`` is negative.
     """
     if n_graphs < 2 or n_graphs % 2:
         raise InvalidCount(
@@ -106,6 +107,8 @@ def generate_motif_graphs(
         )
     if base_size < 2:
         raise InvalidCount(f"base_size must be at least 2, got {base_size}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     node_count = base_size + 5
     attributes = np.full((node_count, attr_dim), attr_value)
@@ -172,8 +175,9 @@ def save_dataset(dataset: Dataset, path) -> None:
     }
     data = json_text(doc).encode("utf-8")
     if str(path).endswith(".gz"):
-        # no time stamp in the header: one dataset, one file
-        data = gzip.compress(data, mtime=0)
+        # gzip's default level, and no time stamp in the header: one
+        # dataset, one file
+        data = gzip.compress(data, compresslevel=6, mtime=0)
     write_atomic(path, data)
 
 

@@ -96,6 +96,8 @@ class HardConcreteConfig:
                 f"stretch interval ({low}, {high}) must be finite and"
                 " strictly contain [0, 1]"
             )
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,8 @@ def train_model(
 
     Raises:
         DomainError: no hidden layer, a width below 1, a learning rate
-            that is not positive and finite, or negative epochs.
+            that is not positive and finite, or a negative epoch count or
+            seed.
         EmptyDataset: the training split selects no graphs.
         ValidationError: a training graph has no label.
         NonFiniteLoss: the objective became NaN or infinite.
@@ -228,6 +229,8 @@ def train_model(
         )
     if epochs < 0:
         raise DomainError(f"epochs must be >= 0, got {epochs}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     train_graphs = dataset.split_graphs("train")
     if not train_graphs:
         raise EmptyDataset("split 'train' selects no graphs")

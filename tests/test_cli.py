@@ -341,6 +341,7 @@ def test_refused_paths_are_one_line_usage_errors(
         ("--lr", "inf"),
         ("--jobs", "0"),
         ("--jobs", "-3"),
+        ("--seed", "-1"),
     ],
 )
 def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg):
@@ -361,6 +362,8 @@ def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg)
         ("train", ("--layers", "-1")),
         ("train", ("--lr", "nan")),
         ("export-dot", ("--attr-top", "-1")),
+        ("train", ("--seed", "-1")),
+        ("gen-dataset", ("--seed", "-1")),
     ],
 )
 def test_train_and_export_dot_reject_out_of_range_arguments(
@@ -371,6 +374,8 @@ def test_train_and_export_dot_reject_out_of_range_arguments(
     if command == "train":
         argv = ["train", "--dataset", str(ds), "--out", str(out / "m.json"),
                 "--epochs", "2"]
+    elif command == "gen-dataset":
+        argv = ["gen-dataset", "--n", "4", "--out", str(out / "d.json")]
     else:
         argv = ["export-dot", "--explanations", str(expl), "--out-dir", str(out)]
     code = main([*argv, *arg])
@@ -576,6 +581,31 @@ def test_mutation_fixture_documents_are_accepted(documents):
     paths, sites = documents.paths, documents.sites
     assert _eval_exit(paths) == (0, "")
     assert all(len(s) > 10 for by_op in sites.values() for s in by_op.values())
+
+
+# the last cell of the last row of a number array, where a scan that
+# stops early would miss it
+BOOLEAN_CELLS = {
+    "dataset": (("graphs", -1, "x", -1, -1), "x"),
+    "model": (("gcn_layers", -1, "weight", -1, -1), "weight"),
+    "explanation": (("attr_scores", -1, -1), "attr_scores"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOOLEAN_CELLS))
+def test_boolean_in_a_number_array_exits_2_naming_the_field(
+    documents, tmp_path, kind
+):
+    path, field = BOOLEAN_CELLS[kind]
+    doc = copy.deepcopy(documents.docs[kind])
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = True
+    mutated = dict(documents.paths)
+    mutated[kind] = tmp_path / documents.paths[kind].name
+    mutated[kind].write_text(json.dumps(doc))
+    code, err = _eval_exit(mutated)
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith("error: ")
+    assert f"{field}: expected numbers, got a boolean" in err
 
 
 @settings(max_examples=150, deadline=None)

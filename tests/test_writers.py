@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import gzip
+import json
 import stat
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from conftest import random_model, random_small_graph
 
 import gxplain
+from gxplain._atomic import json_text
 from gxplain.cli import cmd_export_dot
 from gxplain.datasets import generate_ba2motifs, save_dataset
 from gxplain.explain import ExplainConfig, explain, save_explanation
@@ -66,6 +68,22 @@ WRITERS = {
 def _content(path: Path) -> bytes:
     data = path.read_bytes()
     return gzip.decompress(data) if path.name.endswith(".gz") else data
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, (_, suffix) in WRITERS.items() if ".json" in suffix)
+)
+def test_every_json_writer_writes_one_compact_line(tmp_path, name):
+    write, suffix = WRITERS[name]
+    path = tmp_path / f"doc{suffix}"
+    write(path)
+    text = _content(path).decode("utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json_text(json.loads(text)) == text
+    if path.name.endswith(".gz"):
+        # gzip's default level, no time stamp
+        data = text.encode("utf-8")
+        assert path.read_bytes() == gzip.compress(data, 6, mtime=0)
 
 
 @pytest.mark.parametrize("name", sorted(WRITERS))
