@@ -16,7 +16,6 @@ from .errors import (
     InvalidBudget,
     InvalidCount,
     InvalidGraph,
-    MissingAttributeScores,
     MissingExplanation,
     NonFiniteLoss,
     NotUndirected,

@@ -5,13 +5,18 @@ failures (diverging training, missing explanations, incompatible inputs).
 """
 
 import argparse
-import os
+import dataclasses
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ._atomic import write_atomic
-from .datasets import generate_ba2motifs, load_dataset, save_dataset
+from .datasets import (
+    SPLIT_NAMES,
+    generate_ba2motifs,
+    load_dataset,
+    save_dataset,
+)
 from .errors import (
     DomainError,
     GxplainError,
@@ -21,6 +26,7 @@ from .errors import (
     VersionMismatch,
 )
 from .explain import (
+    FIELD_CHOICES,
     ExplainConfig,
     HardConcreteConfig,
     explain,
@@ -36,24 +42,18 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
-JOBS_ENV_VAR = "GXPLAIN_JOBS"
+SPLITS = (*SPLIT_NAMES, "all")
 
-# bad input, arguments or files; OSError covers unreadable paths
+# bad input, arguments or files; DomainError is an argument outside its
+# range, OSError an unreadable path
 _USAGE_ERRORS = (
     ParseError,
     VersionMismatch,
     InvalidCount,
     InvalidBudget,
+    DomainError,
     OSError,
 )
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _select_graphs(dataset, split: str, ids: str | None):
@@ -73,10 +73,7 @@ def cmd_gen_dataset(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         return _usage_error(f"refusing to overwrite {out} (use --force)")
-    try:
-        dataset = generate_ba2motifs(args.n, args.seed)
-    except DomainError as exc:  # an argument outside its range
-        return _usage_error(exc)
+    dataset = generate_ba2motifs(args.n, args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out)
     avg_nodes = sum(g.node_count for g in dataset.graphs) / len(dataset.graphs)
@@ -90,16 +87,13 @@ def cmd_gen_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset)
-    try:
-        result = train_model(
-            dataset,
-            hidden_dims=tuple([args.hidden] * args.layers),
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            seed=args.seed,
-        )
-    except DomainError as exc:  # an argument outside its range
-        return _usage_error(exc)
+    result = train_model(
+        dataset,
+        hidden_dims=tuple([args.hidden] * args.layers),
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        seed=args.seed,
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(result.model, out)
@@ -119,19 +113,42 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+# every ExplainConfig field but hard_concrete is one explain flag, named
+# after the field except for --lr
+_CONFIG_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(ExplainConfig)
+    if f.name != "hard_concrete"
+)
+
+
+def _add_config_flags(parser) -> None:
+    """Explain flags whose defaults and choices are the library's."""
+    defaults = ExplainConfig()
+    for name in _CONFIG_FIELDS:
+        value = getattr(defaults, name)
+        flag = "lr" if name == "learning_rate" else name.replace("_", "-")
+        parser.add_argument(
+            "--" + flag,
+            dest=name,
+            type=type(value),
+            default=value,
+            choices=FIELD_CHOICES.get(name),
+        )
+    gates = defaults.hard_concrete
+    parser.add_argument("--beta", type=float, default=gates.beta)
+    parser.add_argument(
+        "--deterministic",
+        action="store_true",
+        default=not gates.stochastic,
+        help="use u = 0.5 instead of sampled gates",
+    )
+    parser.add_argument("--seed", type=int, default=gates.seed)
+
+
 def _config_from_args(args) -> ExplainConfig:
     return ExplainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        lambda_edge_size=args.lambda_edge_size,
-        lambda_attr_size=args.lambda_attr_size,
-        lambda_edge_entropy=args.lambda_edge_entropy,
-        lambda_attr_entropy=args.lambda_attr_entropy,
-        agg1=args.agg1,
-        agg2=args.agg2,
-        pair_agg=args.pair_agg,
-        mode=args.mode,
-        sharing=args.sharing,
+        **{name: getattr(args, name) for name in _CONFIG_FIELDS},
         hard_concrete=HardConcreteConfig(
             beta=args.beta,
             stochastic=not args.deterministic,
@@ -155,10 +172,7 @@ def _explain_one(job) -> str:
 
 
 def cmd_explain(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except DomainError as exc:  # an argument outside its range
-        return _usage_error(exc)
+    config = _config_from_args(args)
     if args.jobs < 1:
         return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
     model = load_model(args.model)
@@ -193,11 +207,17 @@ def cmd_eval(args) -> int:
         if not path.exists():
             continue  # evaluate names every missing explanation
         expl, _ = load_explanation(path)
-        if expl.node_count != g.node_count or expl.arcs != g.arcs:
+        # a file cannot say how wide the attribute rows of no nodes are
+        if (
+            expl.node_count != g.node_count
+            or expl.arcs != g.arcs
+            or (g.node_count and expl.attr_score.shape != g.attributes.shape)
+        ):
             raise ParseError(
-                f"{path}: scores {expl.node_count} nodes and"
-                f" {len(expl.arcs)} arcs, graph {g.graph_id!r} has"
-                f" {g.node_count} nodes and {g.arc_count} arcs"
+                f"{path}: scores {expl.node_count} nodes,"
+                f" {len(expl.arcs)} arcs and {expl.attr_score.shape[1]}"
+                f" attributes, graph {g.graph_id!r} has {g.node_count}"
+                f" nodes, {g.arc_count} arcs and {g.attr_dim} attributes"
             )
         explanations[g.graph_id] = expl
     report = evaluate(
@@ -329,46 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--model", required=True)
     exp.add_argument("--dataset", required=True)
     exp.add_argument("--out-dir", required=True)
-    exp.add_argument(
-        "--split",
-        choices=["train", "validation", "test", "all"],
-        default="test",
-    )
+    exp.add_argument("--split", choices=SPLITS, default="test")
     exp.add_argument("--ids", help="comma-separated graph ids")
-    exp.add_argument("--epochs", type=int, default=300)
-    exp.add_argument("--lr", type=float, default=0.01)
-    exp.add_argument("--lambda-edge-size", type=float, default=0.005)
-    exp.add_argument("--lambda-attr-size", type=float, default=0.05)
-    exp.add_argument("--lambda-edge-entropy", type=float, default=1.0)
-    exp.add_argument("--lambda-attr-entropy", type=float, default=0.1)
-    exp.add_argument("--agg1", choices=["max", "mean"], default="max")
-    exp.add_argument("--agg2", choices=["max", "mean"], default="max")
-    exp.add_argument(
-        "--pair-agg", choices=["mean", "max", "min"], default="mean"
-    )
-    exp.add_argument(
-        "--mode",
-        choices=["full", "edge_only", "attribute_only"],
-        default="full",
-    )
-    exp.add_argument(
-        "--sharing",
-        choices=[
-            "independent",
-            "undirected_pair_shared",
-            "per_node_attr_shared",
-            "global_attr_shared",
-        ],
-        default="independent",
-    )
-    exp.add_argument("--beta", type=float, default=0.5)
-    exp.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="use u = 0.5 instead of sampled gates",
-    )
-    exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--jobs", type=int, default=_default_jobs())
+    _add_config_flags(exp)
+    exp.add_argument("--jobs", type=int, default=1)
     exp.add_argument(
         "--oracle",
         action="store_true",
@@ -380,11 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True)
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--explanations", required=True)
-    ev.add_argument(
-        "--split",
-        choices=["train", "validation", "test", "all"],
-        default="test",
-    )
+    ev.add_argument("--split", choices=SPLITS, default="test")
     budget = ev.add_mutually_exclusive_group(required=True)
     budget.add_argument("--top-k", type=int)
     budget.add_argument("--top-r", type=float)

@@ -43,7 +43,14 @@ class Dataset:
     generation_seed: int | None = None
 
     def __post_init__(self):
-        for g in self.graphs:
+        first_index: dict[str, int] = {}
+        for i, g in enumerate(self.graphs):
+            j = first_index.setdefault(g.graph_id, i)
+            if j != i:
+                raise ValidationError(
+                    f"graphs[{i}] repeats the id {g.graph_id!r} of"
+                    f" graphs[{j}]"
+                )
             if g.attr_dim != self.attr_dim:
                 raise ValidationError(
                     f"graph {g.graph_id!r} has {g.attr_dim} attributes,"

@@ -57,10 +57,6 @@ class MissingExplanation(GxplainError):
     """Evaluation was asked to score graphs that have no explanation."""
 
 
-class MissingAttributeScores(GxplainError):
-    """An explanation lacks the attribute scores an operation needs."""
-
-
 class TooLarge(GxplainError):
     """An instance exceeds the size limit of an exhaustive oracle."""
 

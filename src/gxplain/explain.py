@@ -3,8 +3,8 @@
 Edge and attribute masks are real-valued logits pushed through stochastic
 hard-concrete gates during learning and through ``sigmoid(m / beta)`` when
 read out as importance scores.  The objective keeps the model's own
-unmasked prediction while size and binary-entropy penalties drive the
-masks toward a small, near-binary selection.
+unmasked prediction while size penalties, and optional binary-entropy
+penalties, drive the masks toward a small, near-binary selection.
 
 Node importance is assembled bottom-up: attribute scores combine into a
 per-node geometric mean, each arc carries its edge score times the source
@@ -61,6 +61,14 @@ SHARING_MODES = (
 )
 NODE_AGGS = ("max", "mean")
 PAIR_AGGS = ("mean", "max", "min")
+# the values each string field of ExplainConfig may take
+FIELD_CHOICES = {
+    "agg1": NODE_AGGS,
+    "agg2": NODE_AGGS,
+    "pair_agg": PAIR_AGGS,
+    "mode": MODES,
+    "sharing": SHARING_MODES,
+}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -102,14 +110,18 @@ class HardConcreteConfig:
 
 @dataclass(frozen=True)
 class ExplainConfig:
-    """Hyperparameters of mask learning and score aggregation."""
+    """Hyperparameters of mask learning and score aggregation.
+
+    The entropy penalties are off by default: at this graph scale their
+    bistable pull buries the learned signal under decoy noise.
+    """
 
     epochs: int = 300
     learning_rate: float = 0.01
     lambda_edge_size: float = 0.005
     lambda_attr_size: float = 0.05
-    lambda_edge_entropy: float = 1.0
-    lambda_attr_entropy: float = 0.1
+    lambda_edge_entropy: float = 0.0
+    lambda_attr_entropy: float = 0.0
     agg1: str = "max"
     agg2: str = "max"
     pair_agg: str = "mean"
@@ -135,16 +147,9 @@ class ExplainConfig:
         ):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be finite and >= 0")
-        if self.agg1 not in NODE_AGGS or self.agg2 not in NODE_AGGS:
-            raise DomainError(
-                f"node aggregators must be one of {NODE_AGGS}"
-            )
-        if self.pair_agg not in PAIR_AGGS:
-            raise DomainError(f"pair_agg must be one of {PAIR_AGGS}")
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}")
-        if self.sharing not in SHARING_MODES:
-            raise DomainError(f"sharing must be one of {SHARING_MODES}")
+        for name, choices in FIELD_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise DomainError(f"{name} must be one of {choices}")
 
 
 def _hard_concrete_with_grad(

@@ -16,8 +16,8 @@ import numpy as np
 from ._atomic import write_atomic, write_json
 from .errors import (
     InvalidBudget,
-    MissingAttributeScores,
     MissingExplanation,
+    ShapeMismatch,
 )
 from .explain import Explanation
 from .graphs import AttributedGraph, NodeSet, complement_set
@@ -90,9 +90,18 @@ def default_prediction(model: GnnModel) -> int:
 def keep_top_attributes(
     g: AttributedGraph, attr_score: np.ndarray, top_t: int
 ) -> AttributedGraph:
-    """Zero all but each node's ``top_t`` highest-scored attributes."""
+    """Zero all but each node's ``top_t`` highest-scored attributes.
+
+    Raises ShapeMismatch unless ``attr_score`` has the shape of
+    ``g.attributes``; a graph without nodes takes any empty matrix.
+    """
     if top_t < 1:
         raise InvalidBudget(f"top_t must be at least 1, got {top_t}")
+    if g.node_count and attr_score.shape != g.attributes.shape:
+        raise ShapeMismatch(
+            f"attribute scores of shape {attr_score.shape} for graph"
+            f" {g.graph_id!r} with attributes of shape {g.attributes.shape}"
+        )
     keep = np.zeros_like(g.attributes)
     order = np.argsort(-attr_score, axis=1, kind="stable")
     cols = order[:, : min(top_t, g.attr_dim)]
@@ -106,16 +115,6 @@ def keep_top_attributes(
         g.label,
         g.graph_id,
     )
-
-
-def _require_attr_scores(g: AttributedGraph, expl: Explanation) -> None:
-    empty = expl.attr_score is None or (
-        g.node_count > 0 and expl.attr_score.size == 0
-    )
-    if empty:
-        raise MissingAttributeScores(
-            f"explanation for {g.graph_id!r} has no attribute scores"
-        )
 
 
 def _retained(model: GnnModel, requests) -> list[bool]:
@@ -231,6 +230,8 @@ def evaluate(
     Raises:
         MissingExplanation: some selected graph has no explanation.
         InvalidBudget: malformed node or attribute budget.
+        ShapeMismatch: with ``attr_top``, attribute scores that do not
+            fit their graph.
     """
     graphs = _sorted_graphs(dataset, explanations)
     resolve_budget(1, k, rate)  # validate the budget form once up front
@@ -238,7 +239,6 @@ def evaluate(
     if attr_top is not None:
         for g in graphs:
             expl = explanations[g.graph_id]
-            _require_attr_scores(g, expl)
             masked = keep_top_attributes(g, expl.attr_score, attr_top)
             attribute_hits.append(
                 forward(model, masked).predicted_class

@@ -39,13 +39,6 @@ from gxplain.oracle import (
 )
 from gxplain.training import evaluate_accuracy, train_model
 
-# Entropy regularization off: its bistable drift buries the learned signal
-# under decoy noise at this graph scale (see the benchmark eval notes).
-BENCH_EXPLAIN_CONFIG = ExplainConfig(
-    lambda_edge_entropy=0.0, lambda_attr_entropy=0.0
-)
-
-
 def signal_graph(rng, gid):
     """Sparse random digraph; class 1 plants strong attributes on 2 nodes."""
     n = int(rng.integers(8, 13))
@@ -88,7 +81,7 @@ def signal_model():
 
 @pytest.fixture(scope="session")
 def bench_explanations(ba_dataset, ba_model):
-    cfg = BENCH_EXPLAIN_CONFIG
+    cfg = ExplainConfig()
     return {
         g.graph_id: explain(ba_model, g, cfg)
         for g in ba_dataset.split_graphs("test")

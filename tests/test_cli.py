@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gxplain.cli import main, render_dot
-from gxplain.explain import load_explanation
+from gxplain.cli import _build_parser, _config_from_args, main, render_dot
+from gxplain.explain import ExplainConfig, load_explanation
 
 
 @pytest.fixture(scope="module")
@@ -292,15 +292,25 @@ def _assert_one_line_usage_error(code, capsys):
         "export-dot from a file",
         "export-dot from an empty directory",
         "eval from no directory",
+        "eval of too-wide attribute scores",
     ],
 )
 def test_refused_paths_are_one_line_usage_errors(
     pipeline, capsys, tmp_path, case
 ):
-    _, ds, model, _ = pipeline
+    _, ds, model, out = pipeline
     taken, empty = tmp_path / "taken", tmp_path / "empty"
     taken.write_bytes(b"")
     empty.mkdir()
+    # the first explanation's attribute rows are two columns too wide
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    for path in out.glob("*.json"):
+        (wide / path.name).write_bytes(path.read_bytes())
+    victim = sorted(wide.glob("*.json"))[0]
+    doc = json.loads(victim.read_text())
+    doc["attr_scores"] = [row + [0.0, 0.0] for row in doc["attr_scores"]]
+    victim.write_text(json.dumps(doc))
     argv, message = {
         "gen-dataset onto a file": (
             ["gen-dataset", "--n", "4", "--out", str(taken)],
@@ -322,10 +332,23 @@ def test_refused_paths_are_one_line_usage_errors(
              "--top-k", "3"],
             "not a directory",
         ),
+        "eval of too-wide attribute scores": (
+            ["eval", "--model", str(model), "--dataset", str(ds),
+             "--explanations", str(wide), "--top-k", "5", "--attr-top", "3"],
+            "12 attributes",
+        ),
     }[case]
     err = _assert_one_line_usage_error(main(argv), capsys)
     assert message in err
     assert taken.read_bytes() == b""
+
+
+def test_explain_flags_default_to_the_library_config():
+    args = _build_parser().parse_args(
+        ["explain", "--model", "m.json", "--dataset", "d.json",
+         "--out-dir", "expl"]
+    )
+    assert _config_from_args(args) == ExplainConfig()
 
 
 @pytest.mark.parametrize(
@@ -452,12 +475,14 @@ DATASET_FAULTS = {
     "narrow x": lambda d: [row.pop() for row in d["graphs"][2]["x"]],
     "edge end outside graph": lambda d: d["graphs"][3]["edges"][0].__setitem__(1, 99),
     "nan x": lambda d: d["graphs"][2]["x"][0].__setitem__(0, float("nan")),
+    "repeated id": lambda d: d["graphs"][3].update(id=d["graphs"][2]["id"]),
 }
 # where the message must point, for faults that name one exact location
 DATASET_FAULT_WHERE = {
     "narrow x": "graphs[2]: x",
     "edge end outside graph": "graphs[3]: edges[0]",
     "nan x": "graphs[2]: x",
+    "repeated id": "graphs[3] repeats",
 }
 
 
