@@ -6,6 +6,7 @@ failures (diverging training, missing explanations, incompatible inputs).
 
 import argparse
 import dataclasses
+import inspect
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -23,6 +24,7 @@ from .errors import (
     InvalidBudget,
     InvalidCount,
     ParseError,
+    ShapeMismatch,
     VersionMismatch,
 )
 from .explain import (
@@ -85,15 +87,23 @@ def cmd_gen_dataset(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    dataset = load_dataset(args.dataset)
-    result = train_model(
-        dataset,
+def _defaults(fn) -> dict:
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def _train_options(args) -> dict:
+    return dict(
         hidden_dims=tuple([args.hidden] * args.layers),
         learning_rate=args.lr,
         epochs=args.epochs,
         seed=args.seed,
     )
+
+
+def cmd_train(args) -> int:
+    dataset = load_dataset(args.dataset)
+    result = train_model(dataset, **_train_options(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(result.model, out)
@@ -207,18 +217,10 @@ def cmd_eval(args) -> int:
         if not path.exists():
             continue  # evaluate names every missing explanation
         expl, _ = load_explanation(path)
-        # a file cannot say how wide the attribute rows of no nodes are
-        if (
-            expl.node_count != g.node_count
-            or expl.arcs != g.arcs
-            or (g.node_count and expl.attr_score.shape != g.attributes.shape)
-        ):
-            raise ParseError(
-                f"{path}: scores {expl.node_count} nodes,"
-                f" {len(expl.arcs)} arcs and {expl.attr_score.shape[1]}"
-                f" attributes, graph {g.graph_id!r} has {g.node_count}"
-                f" nodes, {g.arc_count} arcs and {g.attr_dim} attributes"
-            )
+        try:
+            expl.check_graph(g)
+        except ShapeMismatch as exc:
+            raise ParseError(f"{path}: {exc}") from exc
         explanations[g.graph_id] = expl
     report = evaluate(
         model,
@@ -335,14 +337,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--force", action="store_true")
     gen.set_defaults(func=cmd_gen_dataset)
 
+    fit = _defaults(train_model)
     train = sub.add_parser("train", help="train a classifier")
     train.add_argument("--dataset", required=True)
     train.add_argument("--out", required=True)
-    train.add_argument("--hidden", type=int, default=20)
-    train.add_argument("--layers", type=int, default=3)
-    train.add_argument("--lr", type=float, default=0.001)
-    train.add_argument("--epochs", type=int, default=300)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--hidden", type=int, default=fit["hidden_dims"][0])
+    train.add_argument("--layers", type=int, default=len(fit["hidden_dims"]))
+    train.add_argument("--lr", type=float, default=fit["learning_rate"])
+    train.add_argument("--epochs", type=int, default=fit["epochs"])
+    train.add_argument("--seed", type=int, default=fit["seed"])
     train.set_defaults(func=cmd_train)
 
     exp = sub.add_parser("explain", help="explain predictions")
@@ -381,7 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     dot = sub.add_parser("export-dot", help="render explanations as DOT")
     dot.add_argument("--explanations", required=True)
     dot.add_argument("--out-dir", required=True)
-    dot.add_argument("--attr-top", type=int, default=3)
+    dot.add_argument(
+        "--attr-top", type=int, default=_defaults(render_dot)["attr_top"]
+    )
     dot.set_defaults(func=cmd_export_dot)
     return parser
 

@@ -233,6 +233,8 @@ def load_dataset(path) -> Dataset:
     with (gzip.open if where.endswith(".gz") else open)(path, "rb") as fh:
         doc = read_document(fh, where, DATASET_FORMAT_VERSION)
     attr_dim = read_field(doc, "attr_dim", as_int, where)
+    if attr_dim < 0:
+        raise ParseError(f"{where}: attr_dim is negative ({attr_dim})")
     graphs = [
         _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
         for i, entry in enumerate(read_field(doc, "graphs", as_list, where))

@@ -282,6 +282,21 @@ class Explanation:
     def node_count(self) -> int:
         return len(self.node_score)
 
+    def check_graph(self, g: AttributedGraph) -> None:
+        """Raise ShapeMismatch unless this scores ``g``'s nodes, arcs and
+        attribute columns; a graph without nodes takes any width."""
+        if (
+            self.node_count != g.node_count
+            or self.arcs != g.arcs
+            or (g.node_count and self.attr_score.shape != g.attributes.shape)
+        ):
+            raise ShapeMismatch(
+                f"scores {self.node_count} nodes, {len(self.arcs)} arcs and"
+                f" {self.attr_score.shape[1]} attributes, graph"
+                f" {g.graph_id!r} has {g.node_count} nodes, {g.arc_count}"
+                f" arcs and {g.attr_dim} attributes"
+            )
+
 
 def _geometric_mean_rows(scores: np.ndarray) -> np.ndarray:
     if scores.shape[1] == 0:
@@ -561,11 +576,14 @@ def node_importance(
     agg1: str = "max",
     agg2: str = "max",
 ) -> np.ndarray:
-    """Recompute per-node scores from stored edge and attribute scores."""
+    """Recompute per-node scores from stored edge and attribute scores.
+
+    Raises DomainError on an unknown aggregator and ShapeMismatch on an
+    explanation that does not fit ``g`` (:meth:`Explanation.check_graph`).
+    """
     if agg1 not in NODE_AGGS or agg2 not in NODE_AGGS:
         raise DomainError(f"node aggregators must be one of {NODE_AGGS}")
-    if g.arcs != explanation.arcs:
-        raise ShapeMismatch("graph arcs do not match the explanation")
+    explanation.check_graph(g)
     return _node_scores(
         g, explanation.edge_score, explanation.node_attr_score, agg1, agg2
     )

@@ -107,36 +107,32 @@ def build_graph(
     label: int | None = None,
     graph_id: str = "",
 ) -> AttributedGraph:
-    """Validate and canonicalize raw edge data into an AttributedGraph.
+    """Canonicalize raw edge data into an AttributedGraph, which checks it.
 
     Self-loops are dropped (the propagation rule injects its own), duplicate
     edges collapse, and arcs come out in sorted order.  For an undirected
     graph each edge is emitted as the pair ``(u, v), (v, u)`` with ``u < v``.
 
     Raises:
-        IndexOutOfRange: an endpoint is outside ``[0, node_count)``.
-        ShapeMismatch: the attribute matrix does not have ``node_count`` rows.
+        IndexOutOfRange: a negative node count, or an endpoint of a kept
+            arc outside ``[0, node_count)``.
+        ShapeMismatch: the attribute matrix is not ``node_count`` rows.
     """
-    if node_count < 0:
-        raise IndexOutOfRange(f"negative node_count {node_count}")
     cleaned = set()
     for s, d in edge_list:
         s, d = int(s), int(d)
-        if not (0 <= s < node_count and 0 <= d < node_count):
-            raise IndexOutOfRange(f"edge ({s}, {d}) outside [0, {node_count})")
-        if s == d:
-            continue
-        cleaned.add((s, d) if directed else (min(s, d), max(s, d)))
+        # a loop on a node outside the graph is kept for the graph to refuse
+        if s != d or not 0 <= s < node_count:
+            cleaned.add((s, d) if directed else (min(s, d), max(s, d)))
     if directed:
         arcs = tuple(sorted(cleaned))
     else:
         arcs = tuple(
             arc for u, v in sorted(cleaned) for arc in ((u, v), (v, u))
         )
-    attrs = np.asarray(attributes, dtype=np.float64)
-    if attrs.ndim != 2:
-        raise ShapeMismatch(f"attribute matrix must be 2-d, got {attrs.ndim}-d")
-    return AttributedGraph(node_count, arcs, attrs, directed, label, graph_id)
+    return AttributedGraph(
+        node_count, arcs, attributes, directed, label, graph_id
+    )
 
 
 def node_induced_subgraph(g: AttributedGraph, keep: NodeSet) -> AttributedGraph:

@@ -9,7 +9,7 @@ one node; a fixed budget larger than a graph skips that graph entirely.
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -148,6 +148,8 @@ def _sorted_graphs(dataset, explanations) -> list[AttributedGraph]:
         raise MissingExplanation(
             f"missing explanations for: {', '.join(missing)}"
         )
+    for g in graphs:
+        explanations[g.graph_id].check_graph(g)
     return graphs
 
 
@@ -230,8 +232,8 @@ def evaluate(
     Raises:
         MissingExplanation: some selected graph has no explanation.
         InvalidBudget: malformed node or attribute budget.
-        ShapeMismatch: with ``attr_top``, attribute scores that do not
-            fit their graph.
+        ShapeMismatch: an explanation that does not fit its graph
+            (:meth:`Explanation.check_graph`).
     """
     graphs = _sorted_graphs(dataset, explanations)
     resolve_budget(1, k, rate)  # validate the budget form once up front
@@ -271,6 +273,7 @@ def sweep(
 
     Raises:
         MissingExplanation: some selected graph has no explanation.
+        ShapeMismatch: an explanation that does not fit its graph.
     """
     graphs = _sorted_graphs(dataset, explanations)
     max_n = max((g.node_count for g in graphs), default=0)
@@ -286,8 +289,14 @@ def _share(hits: list[bool]) -> float | None:
     return sum(hits) / len(hits) if hits else None
 
 
+# the GraphVerdict fields of an evaluation CSV row, in column order
+CSV_FIELDS = (
+    "graph_id", "budget", "retained_explained", "retained_remaining", "min_k"
+)
+
+
 def write_eval_csv(path, rows: list[GraphVerdict]) -> None:
-    """One CSV row per verdict: graph_id, budget, retentions, min_k."""
+    """One CSV row per verdict, with the columns ``CSV_FIELDS``."""
 
     def cell(value):
         if value is None:
@@ -298,48 +307,14 @@ def write_eval_csv(path, rows: list[GraphVerdict]) -> None:
 
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "graph_id",
-            "budget",
-            "retained_explained",
-            "retained_remaining",
-            "min_k",
-        ]
-    )
+    writer.writerow(CSV_FIELDS)
     for r in rows:
-        writer.writerow(
-            [
-                r.graph_id,
-                cell(r.budget),
-                cell(r.retained_explained),
-                cell(r.retained_remaining),
-                cell(r.min_k),
-            ]
-        )
+        writer.writerow([cell(getattr(r, name)) for name in CSV_FIELDS])
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "ep_explained": report.ep_explained,
-        "ep_remaining": report.ep_remaining,
-        "ep_attribute": report.ep_attribute,
-        "sparsity": report.sparsity,
-        "eligible_count": report.eligible_count,
-        "evaluated_count": report.evaluated_count,
-        "per_graph": [
-            {
-                "graph_id": r.graph_id,
-                "budget": r.budget,
-                "retained_explained": r.retained_explained,
-                "retained_remaining": r.retained_remaining,
-                "eligible": r.eligible,
-                "min_k": r.min_k,
-            }
-            for r in report.per_graph
-        ],
-    }
+    return asdict(report)
 
 
 def save_report(report: EvalReport, path) -> None:

@@ -5,6 +5,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import operator
@@ -16,8 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gxplain.cli import _build_parser, _config_from_args, main, render_dot
+from gxplain.cli import (
+    _build_parser,
+    _config_from_args,
+    _train_options,
+    main,
+    render_dot,
+)
+from gxplain.datasets import generate_motif_graphs, save_dataset
 from gxplain.explain import ExplainConfig, load_explanation
+from gxplain.training import train_model
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +285,31 @@ def test_explain_pool_has_no_more_workers_than_graphs(
         assert (pooled / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_explain_oracle_writes_a_best_subset_per_graph(tmp_path):
+    dataset = generate_motif_graphs(20, 0, base_size=8)
+    tested = dataset.split_graphs("test")
+    # small enough for the exhaustive oracle
+    assert [g.node_count for g in tested] == [13, 13]
+    ids = [g.graph_id for g in tested]
+    ds, model = tmp_path / "ds13.json", tmp_path / "model.json"
+    save_dataset(dataset, ds)
+    assert main(["train", "--dataset", str(ds), "--out", str(model),
+                 "--epochs", "5"]) == 0
+    out = tmp_path / "expl"
+    assert main(["explain", "--model", str(model), "--dataset", str(ds),
+                 "--out-dir", str(out), "--epochs", "5", "--oracle"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        name for i in ids for name in (f"{i}.json", f"{i}.oracle.json")
+    )
+    for i in ids:
+        doc = json.loads((out / f"{i}.oracle.json").read_text())
+        assert len(doc["best_subset"]) == 5
+    dots = tmp_path / "dots"
+    assert main(["export-dot", "--explanations", str(out),
+                 "--out-dir", str(dots)]) == 0
+    assert sorted(p.name for p in dots.iterdir()) == [f"{i}.dot" for i in ids]
+
+
 def _assert_one_line_usage_error(code, capsys):
     err = capsys.readouterr().err
     assert code == 2
@@ -349,6 +383,20 @@ def test_explain_flags_default_to_the_library_config():
          "--out-dir", "expl"]
     )
     assert _config_from_args(args) == ExplainConfig()
+
+
+def test_train_and_export_dot_flags_default_to_the_library():
+    parser = _build_parser()
+    options = _train_options(
+        parser.parse_args(["train", "--dataset", "d.json", "--out", "m"])
+    )
+    fit = inspect.signature(train_model).parameters
+    assert options == {name: fit[name].default for name in options}
+    dot = parser.parse_args(
+        ["export-dot", "--explanations", "expl", "--out-dir", "dot"]
+    )
+    render = inspect.signature(render_dot).parameters
+    assert dot.attr_top == render["attr_top"].default
 
 
 @pytest.mark.parametrize(
@@ -476,6 +524,9 @@ DATASET_FAULTS = {
     "edge end outside graph": lambda d: d["graphs"][3]["edges"][0].__setitem__(1, 99),
     "nan x": lambda d: d["graphs"][2]["x"][0].__setitem__(0, float("nan")),
     "repeated id": lambda d: d["graphs"][3].update(id=d["graphs"][2]["id"]),
+    "negative attr_dim": lambda d: (
+        d.update(attr_dim=-1), d["graphs"][0].update(n=0, edges=[], x=[])
+    ),
 }
 # where the message must point, for faults that name one exact location
 DATASET_FAULT_WHERE = {
@@ -483,6 +534,7 @@ DATASET_FAULT_WHERE = {
     "edge end outside graph": "graphs[3]: edges[0]",
     "nan x": "graphs[2]: x",
     "repeated id": "graphs[3] repeats",
+    "negative attr_dim": "attr_dim is negative",
 }
 
 
@@ -497,7 +549,12 @@ def test_train_rejects_malformed_dataset(tmp_path, capsys, fault):
     code = main(["train", "--dataset", str(path), "--out",
                  str(tmp_path / "m.json"), "--epochs", "1"])
     err = _assert_one_line_usage_error(code, capsys)
-    if fault not in ("float attr_dim", "text num_classes", "text split index"):
+    if fault not in (
+        "float attr_dim",
+        "text num_classes",
+        "text split index",
+        "negative attr_dim",
+    ):
         assert "graphs[" in err
     assert DATASET_FAULT_WHERE.get(fault, "") in err
 

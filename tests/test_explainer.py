@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph, ring_graph
 
-from gxplain.errors import DomainError, NotUndirected
+from gxplain.errors import DomainError, NotUndirected, ShapeMismatch
 from gxplain.explain import (
     ExplainConfig,
     HardConcreteConfig,
@@ -125,6 +125,16 @@ def test_node_importance_max_max_equals_direct_recomputation():
         ]
         expected = max(incident) if incident else 0.0
         assert omega[v] == pytest.approx(expected, abs=1e-12)
+
+
+def test_node_importance_refuses_a_graph_of_another_node_count():
+    _, g, expl, _ = scored_explanation(seed=2)
+    # the same arcs plus an isolated node
+    n = g.node_count + 1
+    wider = build_graph(n, g.arcs, np.zeros((n, g.attr_dim)), g.directed)
+    assert wider.arcs == expl.arcs
+    with pytest.raises(ShapeMismatch, match=f"has {n} nodes"):
+        node_importance(expl, wider)
 
 
 def _loop_node_scores(node_count, src, dst, message, node_attr, agg1, agg2):

@@ -57,6 +57,28 @@ def test_repeated_arc_is_rejected(arcs, directed):
         AttributedGraph(3, arcs, np.zeros((3, 1)), directed)
 
 
+@pytest.mark.parametrize(
+    "node_count, arcs, directed, error, message",
+    [
+        (3, ((0, 3),), True, IndexOutOfRange, r"arc \(0, 3\) outside"),
+        (3, ((1, 1),), True, InvalidGraph, "self-loop"),
+        (3, ((0, 1), (1, 0), (1, 2)), False, InvalidGraph, "odd arc count"),
+        (3, ((0, 1), (1, 2)), False, InvalidGraph, "not a direction pair"),
+        (-1, (), True, IndexOutOfRange, "negative node_count"),
+    ],
+    ids=["arc out of range", "self-loop", "odd arc count", "mates apart",
+         "negative node count"],
+)
+def test_graph_rejects_what_build_graph_never_makes(
+    node_count, arcs, directed, error, message
+):
+    # build_graph only canonicalizes; these checks are the graph's own
+    with pytest.raises(error, match=message):
+        AttributedGraph(
+            node_count, arcs, np.zeros((max(node_count, 0), 1)), directed
+        )
+
+
 def test_build_drops_self_loops():
     g = build_graph(2, [(0, 0), (0, 1)], np.zeros((2, 1)), True)
     assert g.arcs == ((0, 1),)
@@ -65,6 +87,11 @@ def test_build_drops_self_loops():
 def test_build_rejects_out_of_range_endpoint():
     with pytest.raises(IndexOutOfRange):
         build_graph(2, [(0, 2)], np.zeros((2, 1)), True)
+
+
+def test_build_rejects_a_self_loop_outside_the_graph():
+    with pytest.raises(IndexOutOfRange, match=r"arc \(5, 5\) outside"):
+        build_graph(2, [(5, 5), (0, 1)], np.zeros((2, 1)), False)
 
 
 def test_build_rejects_attribute_shape_mismatch():

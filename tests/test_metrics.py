@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph
 
-from gxplain.errors import InvalidBudget, MissingExplanation
+from gxplain.errors import InvalidBudget, MissingExplanation, ShapeMismatch
 from gxplain.explain import ExplainConfig, Explanation, explain
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
 from gxplain.metrics import (
@@ -15,6 +15,7 @@ from gxplain.metrics import (
     extract_topk_nodes,
     keep_top_attributes,
     resolve_budget,
+    sweep,
     write_eval_csv,
 )
 from gxplain.model import forward
@@ -177,6 +178,36 @@ def test_evaluate_requires_every_explanation():
     g = hot_path_graph("missing")
     with pytest.raises(MissingExplanation):
         evaluate(model, [g], {}, k=2)
+
+
+def path_graph(n):
+    return build_graph(
+        n, [(i, i + 1) for i in range(n - 1)], np.zeros((n, 1)), False
+    )
+
+
+# graphs whose explanation must not be scored as one of hot_path_graph's
+FOREIGN_GRAPHS = {
+    "another graph": lambda: build_graph(
+        5, [(0, v) for v in range(1, 5)], np.zeros((5, 1)), False
+    ),
+    "a node missing": lambda: path_graph(4),
+    "an extra node": lambda: path_graph(6),
+}
+
+
+@pytest.mark.parametrize("scorer", ["evaluate", "sweep"])
+@pytest.mark.parametrize("foreign", sorted(FOREIGN_GRAPHS))
+def test_explanation_of_a_foreign_graph_is_refused(scorer, foreign):
+    model = detector_model()
+    g = hot_path_graph("g")
+    other = FOREIGN_GRAPHS[foreign]()
+    expls = {"g": manual_explanation(other, range(other.node_count))}
+    with pytest.raises(ShapeMismatch, match="graph 'g' has 5 nodes, 8 arcs"):
+        if scorer == "evaluate":
+            evaluate(model, [g], expls, k=2)
+        else:
+            sweep(model, [g], expls)
 
 
 def test_report_fractions_and_counts_in_range():
