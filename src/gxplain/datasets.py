@@ -5,6 +5,8 @@ preferential-attachment base graph; the motif kind is the class label.
 """
 
 import gzip
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +23,7 @@ from ._schema import (
     require,
 )
 from .errors import DomainError, InvalidCount, ParseError, ValidationError
-from .graphs import AttributedGraph, build_graph, graphs_equal
+from .graphs import AttributedGraph, build_graph, build_graphs, graphs_equal
 
 DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "validation", "test")
@@ -118,26 +120,26 @@ def generate_motif_graphs(
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     node_count = base_size + 5
-    attributes = np.full((node_count, attr_dim), attr_value)
-    graphs = []
+    ends: list[int] = []  # every graph's edges, flattened
+    edge_counts = []
     for i in range(n_graphs):
-        label = i % 2
-        motif = HOUSE_EDGES if label == 0 else CYCLE_EDGES
+        motif = HOUSE_EDGES if i % 2 == 0 else CYCLE_EDGES
         edges = _preferential_attachment_edges(base_size, rng)
         edges.extend((base_size + u, base_size + v) for u, v in motif)
         motif_node = base_size + int(rng.integers(5))
         base_node = int(rng.integers(base_size))
         edges.append((motif_node, base_node))
-        graphs.append(
-            build_graph(
-                node_count,
-                edges,
-                attributes,
-                directed=False,
-                label=label,
-                graph_id=f"{name}-{i:04d}",
-            )
-        )
+        ends.extend(itertools.chain.from_iterable(edges))
+        edge_counts.append(len(edges))
+    graphs = build_graphs(
+        [node_count] * n_graphs,
+        np.array(ends, dtype=np.int64).reshape(-1, 2),
+        edge_counts,
+        [np.full((node_count, attr_dim), attr_value)] * n_graphs,
+        [False] * n_graphs,
+        [i % 2 for i in range(n_graphs)],
+        [f"{name}-{i:04d}" for i in range(n_graphs)],
+    )
     train_end = int(n_graphs * 0.8)
     val_end = int(n_graphs * 0.9)
     splits = {
@@ -219,6 +221,78 @@ def _load_graph(entry, attr_dim: int, where: str) -> AttributedGraph:
     )
 
 
+_GRAPH_FIELDS = operator.itemgetter("n", "edges", "x", "directed", "id")
+
+
+def _scan_graphs(entries, attr_dim: int) -> list[AttributedGraph] | None:
+    """Every graph entry, read field by field across all entries and
+    built in one batch, or ``None`` when some entry fails a scan.
+
+    The type checks are C-speed scans (``set(map(type, ...))``) and the
+    attributes are one ``np.asarray`` per node count.  The scans pass
+    only entries :func:`_load_graph` accepts, and the batch holds the
+    graphs it would build; a fault is left to it to word.
+    """
+    if not entries or not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        ns, edge_lists, xs, directed, ids = zip(*map(_GRAPH_FIELDS, entries))
+    except KeyError:
+        return None
+    labels = [entry.get("y") for entry in entries]
+    if not (
+        set(map(type, ns)) <= {int}
+        and min(ns) >= 0
+        and set(map(type, edge_lists)) <= {list}
+        and set(map(type, directed)) <= {bool}
+        and set(map(type, ids)) <= {str}
+        and set(map(type, labels)) <= {int, type(None)}
+    ):
+        return None
+    pairs = list(itertools.chain.from_iterable(edge_lists))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return None
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:
+        return None
+    edge_counts = list(map(len, edge_lists))
+    try:
+        edges = np.fromiter(
+            itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs)
+        ).reshape(-1, 2)
+        arc_n = np.repeat(np.array(ns, dtype=np.int64), edge_counts)
+    except OverflowError:
+        return None
+    if not ((edges >= 0) & (edges < arc_n[:, None])).all():
+        return None
+    by_size: dict[int, list[int]] = {}
+    for i, n in enumerate(ns):
+        by_size.setdefault(n, []).append(i)
+    attrs = [None] * len(entries)
+    for n, members in by_size.items():
+        group = [xs[i] for i in members]
+        try:
+            block = np.asarray(group)
+        except ValueError:  # ragged nesting
+            return None
+        if n == 0 and block.size == 0:
+            block = block.reshape(len(members), 0, attr_dim)
+        if block.dtype.kind not in "iuf" or block.shape != (
+            len(members), n, attr_dim
+        ):
+            return None
+        # numpy reads a boolean among numbers as 0 or 1
+        cells = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(group) if n else ()
+        )
+        if not set(map(type, cells)) <= {int, float}:
+            return None
+        if not np.isfinite(block).all():
+            return None
+        for i, a in zip(members, block):
+            attrs[i] = a
+    return build_graphs(ns, edges, edge_counts, attrs, directed, labels, ids)
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
@@ -235,10 +309,14 @@ def load_dataset(path) -> Dataset:
     attr_dim = read_field(doc, "attr_dim", as_int, where)
     if attr_dim < 0:
         raise ParseError(f"{where}: attr_dim is negative ({attr_dim})")
-    graphs = [
-        _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
-        for i, entry in enumerate(read_field(doc, "graphs", as_list, where))
-    ]
+    entries = read_field(doc, "graphs", as_list, where)
+    graphs = _scan_graphs(entries, attr_dim)
+    if graphs is None:
+        # read entry by entry, so the first fault is the one named
+        graphs = [
+            _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
+            for i, entry in enumerate(entries)
+        ]
     splits = require(doc, "splits", where)
     if not isinstance(splits, dict):
         raise ParseError(f"{where}: splits must be an object")

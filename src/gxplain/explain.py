@@ -511,6 +511,7 @@ def learn_masks(
     entropy_w = gate_learned * np.repeat(
         [config.lambda_edge_entropy, config.lambda_attr_entropy], counts
     )
+    entropic = bool(config.lambda_edge_entropy or config.lambda_attr_entropy)
     divisor = np.repeat(np.array(counts, dtype=np.float64), counts)
     if hc.stochastic:
         uniforms = _uniform_rows(hc.seed, config.epochs, params)
@@ -545,12 +546,17 @@ def learn_masks(
 
         m = masks.logits[slot]
         p = _sigmoid(m)
-        size = float(size_w @ (p / divisor))
-        entropy = float(entropy_w @ (_binary_entropy_of_logit(m, p) / divisor))
-        reg = (size_w * p * (1.0 - p) - entropy_w * m * p * (1.0 - p)) / divisor
-        np.add.at(grad, slot, reg)
+        objective = ce + float(size_w @ (p / divisor))
+        reg = size_w * p * (1.0 - p)
+        # zero-weight entropy terms add exactly +0 and take away +-0,
+        # unless an infinite logit makes them NaN
+        if entropic or not np.isfinite(m).all():
+            objective += float(
+                entropy_w @ (_binary_entropy_of_logit(m, p) / divisor)
+            )
+            reg -= entropy_w * m * p * (1.0 - p)
+        np.add.at(grad, slot, reg / divisor)
 
-        objective = ce + size + entropy
         if not math.isfinite(objective):
             raise NonFiniteLoss(f"epoch {epoch}: objective {objective}")
         optimizer.step([grad])

@@ -34,6 +34,108 @@ class NodeSet:
         return node in self.members
 
 
+def _attribute_matrix(node_count: int, attributes) -> np.ndarray:
+    """A read-only float copy of ``attributes``, a ``(node_count,
+    attr_dim)`` matrix.
+
+    Raises:
+        IndexOutOfRange: a negative node count.
+        ShapeMismatch: the matrix is not ``node_count`` rows.
+    """
+    if node_count < 0:
+        raise IndexOutOfRange(f"negative node_count {node_count}")
+    attrs = np.array(attributes, dtype=np.float64)
+    if attrs.ndim != 2 or attrs.shape[0] != node_count:
+        raise ShapeMismatch(
+            f"attribute matrix {attrs.shape} does not match "
+            f"node_count {node_count}"
+        )
+    attrs.flags.writeable = False
+    return attrs
+
+
+def _arc_sort(owner, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of arcs by ``(owner, src, dst)``, and whether
+    each arc, in that order, equals the one before it.
+
+    One sort of a combined key when it fits in 62 bits, else a three-key
+    sort.
+    """
+    repeat = np.zeros(len(owner), dtype=bool)
+    if len(owner):
+        low = min(int(src.min()), int(dst.min()), 0)
+        span = max(int(src.max()), int(dst.max())) - low + 1
+        if (int(owner.max()) + 1) * span * span < 2**62:
+            key = (owner * span + (src - low)) * span + (dst - low)
+            order = np.argsort(key, kind="stable")
+            repeat[1:] = np.diff(key[order]) == 0
+            return order, repeat
+    order = np.lexsort((dst, src, owner))
+    repeat[1:] = (
+        (np.diff(owner[order]) == 0)
+        & (np.diff(src[order]) == 0)
+        & (np.diff(dst[order]) == 0)
+    )
+    return order, repeat
+
+
+def _check_arcs(src, dst, offsets, node_counts, directed) -> None:
+    """The arc rules, checked for a batch of graphs at once.
+
+    Graph ``i`` has ``node_counts[i]`` nodes and owns the arcs
+    ``offsets[i]:offsets[i + 1]`` of ``src``/``dst``.  Every arc joins two
+    distinct nodes of its graph, no arc repeats within a graph, and an
+    undirected graph stores an even number of arcs, arc ``2k + 1`` being
+    the reverse of arc ``2k``.  The error names the first graph that
+    breaks a rule, and in it the first broken rule in that order.
+
+    Raises:
+        IndexOutOfRange: an endpoint outside ``[0, node_count)``.
+        InvalidGraph: a self-loop, a repeated arc, or undirected arcs
+            that do not pair up.
+    """
+    node_counts = np.asarray(node_counts, dtype=np.int64)
+    undirected = ~np.asarray(directed, dtype=bool)
+    starts = np.asarray(offsets[:-1], dtype=np.int64)
+    counts = np.diff(offsets)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    n = node_counts[owner]
+    stray = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
+    del n
+    # a stable sort puts every later copy of an arc after the first
+    order, later = _arc_sort(owner, src, dst)
+    repeat = np.zeros(len(src), dtype=bool)
+    repeat[order] = later
+    del order, later
+    odd = undirected & (counts % 2 == 1)
+    local = np.arange(len(src)) - starts[owner]
+    lead = np.flatnonzero((undirected & ~odd)[owner] & (local % 2 == 0))
+    unpaired = np.zeros(len(src), dtype=bool)
+    unpaired[lead] = (src[lead + 1] != dst[lead]) | (
+        dst[lead + 1] != src[lead]
+    )
+    faulty = odd.copy()
+    faulty[owner[stray | repeat | unpaired]] = True
+    if not faulty.any():
+        return
+    i = int(faulty.argmax())
+    n = int(node_counts[i])
+    arcs = range(starts[i], starts[i] + counts[i])
+    j = next((j for j in arcs if stray[j]), None)
+    if j is not None:
+        s, d = int(src[j]), int(dst[j])
+        if not (0 <= s < n and 0 <= d < n):
+            raise IndexOutOfRange(f"arc ({s}, {d}) outside [0, {n})")
+        raise InvalidGraph(f"self-loop stored on node {s}")
+    j = next((j for j in arcs if repeat[j]), None)
+    if j is not None:
+        raise InvalidGraph(f"arc {(int(src[j]), int(dst[j]))} stored twice")
+    if odd[i]:
+        raise InvalidGraph("undirected graph with an odd arc count")
+    k = int(local[next(j for j in arcs if unpaired[j])])
+    raise InvalidGraph(f"arcs {k} and {k + 1} are not a direction pair")
+
+
 @dataclass(frozen=True, eq=False)
 class AttributedGraph:
     """Immutable attributed graph.
@@ -51,38 +153,15 @@ class AttributedGraph:
     graph_id: str = ""
 
     def __post_init__(self):
-        if self.node_count < 0:
-            raise IndexOutOfRange(f"negative node_count {self.node_count}")
-        attrs = np.array(self.attributes, dtype=np.float64)
-        if attrs.ndim != 2 or attrs.shape[0] != self.node_count:
-            raise ShapeMismatch(
-                f"attribute matrix {attrs.shape} does not match "
-                f"node_count {self.node_count}"
-            )
-        attrs.flags.writeable = False
+        attrs = _attribute_matrix(self.node_count, self.attributes)
         object.__setattr__(self, "attributes", attrs)
         arcs = tuple((int(s), int(d)) for s, d in self.arcs)
         object.__setattr__(self, "arcs", arcs)
-        for s, d in arcs:
-            if not (0 <= s < self.node_count and 0 <= d < self.node_count):
-                raise IndexOutOfRange(
-                    f"arc ({s}, {d}) outside [0, {self.node_count})"
-                )
-            if s == d:
-                raise InvalidGraph(f"self-loop stored on node {s}")
-        if len(set(arcs)) != len(arcs):
-            repeat = next(a for i, a in enumerate(arcs) if a in arcs[:i])
-            raise InvalidGraph(f"arc {repeat} stored twice")
-        if not self.directed:
-            if len(arcs) % 2:
-                raise InvalidGraph("undirected graph with an odd arc count")
-            for k in range(0, len(arcs), 2):
-                if arcs[k + 1] != (arcs[k][1], arcs[k][0]):
-                    raise InvalidGraph(
-                        f"arcs {k} and {k + 1} are not a direction pair"
-                    )
         src = np.fromiter((a[0] for a in arcs), dtype=np.int64, count=len(arcs))
         dst = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=len(arcs))
+        _check_arcs(
+            src, dst, [0, len(arcs)], [self.node_count], [self.directed]
+        )
         object.__setattr__(self, "_src", src)
         object.__setattr__(self, "_dst", dst)
 
@@ -99,6 +178,92 @@ class AttributedGraph:
         return self._src, self._dst
 
 
+def build_graphs(
+    node_counts,
+    edges: np.ndarray,
+    edge_counts,
+    attributes,
+    directed,
+    labels,
+    graph_ids,
+) -> list[AttributedGraph]:
+    """Canonicalize a batch of graphs' raw edges at once.
+
+    Graph ``i`` has ``node_counts[i]`` nodes, the next ``edge_counts[i]``
+    rows of the ``(E, 2)`` int array ``edges``, the attribute matrix
+    ``attributes[i]``, and ``directed[i]``, ``labels[i]`` and
+    ``graph_ids[i]``.  Self-loops are dropped (the propagation rule
+    injects its own), duplicate edges collapse, and arcs come out in
+    sorted order.  For an undirected graph each edge is emitted as the
+    pair ``(u, v), (v, u)`` with ``u < v``.  The arcs are checked once,
+    by :func:`_check_arcs`, for the whole batch.  Each graph owns copies
+    of its arcs and attributes, so a graph that outlives the batch does
+    not keep the batch's arrays alive.  A faulty batch fails as building
+    its graphs one by one would: on the first faulty graph, with that
+    graph's error.
+
+    Raises:
+        IndexOutOfRange: a negative node count, or an endpoint of a kept
+            arc outside ``[0, node_count)``.
+        ShapeMismatch: an attribute matrix is not ``node_count`` rows.
+    """
+    attrs, fault = [], None
+    for n_i, a in zip(node_counts, attributes):
+        try:
+            attrs.append(_attribute_matrix(n_i, a))
+        except (IndexOutOfRange, ShapeMismatch) as exc:
+            fault = exc
+            break
+    counts = np.asarray(node_counts, dtype=np.int64)
+    flags = np.asarray(directed, dtype=bool)
+    owner = np.repeat(np.arange(len(counts)), edge_counts)
+    s, d = edges[:, 0], edges[:, 1]
+    n = counts[owner]
+    # a loop on a node outside the graph is kept for the check to refuse
+    keep = (s != d) | (s < 0) | (s >= n)
+    owner, s, d = owner[keep], s[keep], d[keep]
+    swap = ~flags[owner] & (d < s)
+    u, v = np.where(swap, d, s), np.where(swap, s, d)
+    order, repeat = _arc_sort(owner, u, v)
+    order = order[~repeat]
+    owner, u, v = owner[order], u[order], v[order]
+    # each undirected edge becomes two adjacent arcs, its mate second
+    width = np.where(flags[owner], 1, 2)
+    src, dst = np.repeat(u, width), np.repeat(v, width)
+    mate = (np.cumsum(width) - 1)[width == 2]
+    src[mate], dst[mate] = v[width == 2], u[width == 2]
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    arcs = np.bincount(owner, minlength=len(counts)) * np.where(flags, 1, 2)
+    np.cumsum(arcs, out=offsets[1:])
+    # the canonical arcs are all that is kept
+    del n, keep, swap, u, v, order, repeat, owner, width, mate, arcs
+
+    # the graphs before one with faulty attributes must pass the arc rules
+    k = len(attrs)
+    head = offsets[k]
+    _check_arcs(src[:head], dst[:head], offsets[: k + 1], counts[:k], flags[:k])
+    if fault is not None:
+        raise fault
+    bounds = offsets.tolist()
+    out = []
+    for i, a in enumerate(attrs):
+        lo, hi = bounds[i], bounds[i + 1]
+        # made without __init__: the batch is checked already
+        g = object.__new__(AttributedGraph)
+        vars(g).update(
+            node_count=int(counts[i]),
+            arcs=tuple(zip(src[lo:hi].tolist(), dst[lo:hi].tolist())),
+            attributes=a,
+            directed=bool(flags[i]),
+            label=labels[i],
+            graph_id=graph_ids[i],
+            _src=src[lo:hi].copy(),
+            _dst=dst[lo:hi].copy(),
+        )
+        out.append(g)
+    return out
+
+
 def build_graph(
     node_count: int,
     edge_list,
@@ -107,32 +272,22 @@ def build_graph(
     label: int | None = None,
     graph_id: str = "",
 ) -> AttributedGraph:
-    """Canonicalize raw edge data into an AttributedGraph, which checks it.
-
-    Self-loops are dropped (the propagation rule injects its own), duplicate
-    edges collapse, and arcs come out in sorted order.  For an undirected
-    graph each edge is emitted as the pair ``(u, v), (v, u)`` with ``u < v``.
-
-    Raises:
-        IndexOutOfRange: a negative node count, or an endpoint of a kept
-            arc outside ``[0, node_count)``.
-        ShapeMismatch: the attribute matrix is not ``node_count`` rows.
-    """
-    cleaned = set()
-    for s, d in edge_list:
-        s, d = int(s), int(d)
-        # a loop on a node outside the graph is kept for the graph to refuse
-        if s != d or not 0 <= s < node_count:
-            cleaned.add((s, d) if directed else (min(s, d), max(s, d)))
-    if directed:
-        arcs = tuple(sorted(cleaned))
-    else:
-        arcs = tuple(
-            arc for u, v in sorted(cleaned) for arc in ((u, v), (v, u))
-        )
-    return AttributedGraph(
-        node_count, arcs, attributes, directed, label, graph_id
-    )
+    """Canonicalize raw edge data into an AttributedGraph: the one-graph
+    call of :func:`build_graphs`, with the same rules and errors."""
+    edges = np.array(list(edge_list), dtype=np.int64)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.shape[1:] != (2,):
+        raise ShapeMismatch(f"edges of shape {edges.shape}, expected pairs")
+    return build_graphs(
+        [node_count],
+        edges,
+        [len(edges)],
+        [attributes],
+        [directed],
+        [label],
+        [graph_id],
+    )[0]
 
 
 def node_induced_subgraph(g: AttributedGraph, keep: NodeSet) -> AttributedGraph:

@@ -226,9 +226,7 @@ def _check_mask(g: AttributedGraph, mask: MaskedInput) -> None:
         )
 
 
-def _propagation(
-    g: AttributedGraph, rows: np.ndarray | None = None
-) -> np.ndarray:
+def _propagation(g, rows: np.ndarray | None = None) -> np.ndarray:
     """The unmasked GCN operator of ``g``, dense ``(n, n)``: row ``t``
     holds ``1 / sqrt(deg(s) * deg(t))`` for each arc ``(s, t)`` and
     ``1 / deg(t)`` on the diagonal, ``deg`` being in-degree + 1.
@@ -236,21 +234,40 @@ def _propagation(
     With ``rows``, a ``(b, k)`` array of ascending node indices, the
     ``(b, k, k)`` operators of the subgraphs induced by each row instead,
     degrees counted inside the subset.
+
+    ``g`` may also be a list of graphs with one node count (and no
+    ``rows``): their ``(b, n, n)`` operators then, built in one scatter
+    and equal bit for bit to stacking each graph's own.
     """
-    n = g.node_count
-    src, dst = g.arc_index_arrays()
-    arcs = np.zeros((n, n))
-    arcs[dst, src] = 1.0
-    if rows is not None:
+    stacked = isinstance(g, list)
+    graphs = g if stacked else [g]
+    b, n = len(graphs), graphs[0].node_count
+    if stacked:
+        src = np.concatenate([x.arc_index_arrays()[0] for x in graphs])
+        dst = np.concatenate([x.arc_index_arrays()[1] for x in graphs])
+    else:
+        src, dst = g.arc_index_arrays()
+    if rows is None:
+        owner = np.repeat(np.arange(b), [x.arc_count for x in graphs])
+        deg = np.bincount(owner * n + dst, minlength=b * n)
+        deg = deg.reshape(b, n) + 1.0
+    else:
+        arcs = np.zeros((n, n))
+        arcs[dst, src] = 1.0
         if rows.size and rows.max() >= n:
             raise IndexOutOfRange(f"node {rows.max()} outside [0, {n})")
         arcs = arcs[rows[:, :, None], rows[:, None, :]]
-    deg = arcs.sum(axis=-1) + 1.0
+        deg = arcs.sum(axis=-1) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg)
-    a = arcs * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
+    if rows is None:
+        # only the arc cells are written: no (b, n, n) temporary
+        a = np.zeros((b, n, n))
+        a[owner, dst, src] = inv_sqrt[owner, dst] * inv_sqrt[owner, src]
+    else:
+        a = arcs * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
     idx = np.arange(a.shape[-1])
     a[..., idx, idx] = 1.0 / deg
-    return a
+    return a if stacked or rows is not None else a[0]
 
 
 def _readout(h: np.ndarray) -> np.ndarray:

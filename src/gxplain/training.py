@@ -56,7 +56,7 @@ def _stack_graphs(graphs) -> list[_Stack]:
         by_size.setdefault(g.node_count, []).append(g)
     return [
         _Stack(
-            np.stack([_propagation(g) for g in group]),
+            _propagation(group),
             np.stack([g.attributes for g in group]),
             np.array([-1 if g.label is None else g.label for g in group]),
         )

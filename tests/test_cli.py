@@ -10,6 +10,8 @@ import io
 import json
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gxplain
 from gxplain.cli import (
     _build_parser,
     _config_from_args,
@@ -66,6 +69,19 @@ def pipeline(tmp_path_factory):
         == 0
     )
     return root, ds, model, out
+
+
+def test_python_m_gxplain_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(gxplain.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "gxplain", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: gxplain ")
 
 
 def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
@@ -527,6 +543,19 @@ DATASET_FAULTS = {
     "negative attr_dim": lambda d: (
         d.update(attr_dim=-1), d["graphs"][0].update(n=0, edges=[], x=[])
     ),
+    # faults a scan across all graphs could read past
+    "boolean edge end": lambda d: d["graphs"][1]["edges"].__setitem__(0, [True, 2]),
+    "float edge end": lambda d: d["graphs"][1]["edges"].__setitem__(0, [1.0, 2]),
+    "three-end edge": lambda d: d["graphs"][1]["edges"].__setitem__(0, [0, 1, 2]),
+    "edges not a list": lambda d: d["graphs"][1].update(edges={}),
+    "edge end outside the last graph": (
+        lambda d: d["graphs"][-1]["edges"][-1].__setitem__(0, -1)
+    ),
+    "boolean x in a smaller graph": lambda d: d["graphs"][1].update(
+        n=3,
+        edges=[[0, 1], [1, 2]],
+        x=[[0.1] * d["attr_dim"]] * 2 + [[0.1] * (d["attr_dim"] - 1) + [True]],
+    ),
 }
 # where the message must point, for faults that name one exact location
 DATASET_FAULT_WHERE = {
@@ -535,6 +564,12 @@ DATASET_FAULT_WHERE = {
     "nan x": "graphs[2]: x",
     "repeated id": "graphs[3] repeats",
     "negative attr_dim": "attr_dim is negative",
+    "boolean edge end": "graphs[1]: edges[0]: expected an integer, got True",
+    "float edge end": "graphs[1]: edges[0]: expected an integer, got 1.0",
+    "three-end edge": "graphs[1]: edges[0]: expected a [src, dst] pair",
+    "edges not a list": "graphs[1]: edges: expected a list",
+    "edge end outside the last graph": "graphs[3]: edges[24]: (-1,",
+    "boolean x in a smaller graph": "graphs[1]: x: expected numbers, got a boolean",
 }
 
 

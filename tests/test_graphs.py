@@ -1,5 +1,7 @@
 """Graph construction, validation, and subgraph extraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from gxplain.graphs import (
     AttributedGraph,
     NodeSet,
     build_graph,
+    build_graphs,
     complement_set,
     graphs_equal,
     node_induced_subgraph,
@@ -188,3 +191,136 @@ def test_subgraph_keeps_undirected_mates_together(case):
     arcset = set(sub.arcs)
     for s, d in sub.arcs:
         assert (d, s) in arcset
+
+
+def reference_graph(node_count, arcs, attributes, directed, label=None, graph_id=""):
+    """The graph checks as ``AttributedGraph`` made them one arc at a
+    time, before they were batched; fields as a plain namespace."""
+    if node_count < 0:
+        raise IndexOutOfRange(f"negative node_count {node_count}")
+    attrs = np.array(attributes, dtype=np.float64)
+    if attrs.ndim != 2 or attrs.shape[0] != node_count:
+        raise ShapeMismatch(
+            f"attribute matrix {attrs.shape} does not match "
+            f"node_count {node_count}"
+        )
+    arcs = tuple((int(s), int(d)) for s, d in arcs)
+    for s, d in arcs:
+        if not (0 <= s < node_count and 0 <= d < node_count):
+            raise IndexOutOfRange(f"arc ({s}, {d}) outside [0, {node_count})")
+        if s == d:
+            raise InvalidGraph(f"self-loop stored on node {s}")
+    if len(set(arcs)) != len(arcs):
+        repeat = next(a for i, a in enumerate(arcs) if a in arcs[:i])
+        raise InvalidGraph(f"arc {repeat} stored twice")
+    if not directed:
+        if len(arcs) % 2:
+            raise InvalidGraph("undirected graph with an odd arc count")
+        for k in range(0, len(arcs), 2):
+            if arcs[k + 1] != (arcs[k][1], arcs[k][0]):
+                raise InvalidGraph(
+                    f"arcs {k} and {k + 1} are not a direction pair"
+                )
+    return SimpleNamespace(
+        node_count=node_count, arcs=arcs, attributes=attrs,
+        directed=directed, label=label, graph_id=graph_id,
+    )
+
+
+def reference_build_graph(node_count, edge_list, attributes, directed, label, graph_id):
+    """``build_graph`` as one set of Python tuples per graph."""
+    cleaned = set()
+    for s, d in edge_list:
+        if s != d or not 0 <= s < node_count:
+            cleaned.add((s, d) if directed else (min(s, d), max(s, d)))
+    if directed:
+        arcs = tuple(sorted(cleaned))
+    else:
+        arcs = tuple(arc for u, v in sorted(cleaned) for arc in ((u, v), (v, u)))
+    return reference_graph(node_count, arcs, attributes, directed, label, graph_id)
+
+
+@st.composite
+def raw_graphs(draw):
+    """Graph specs with loops, repeats, both directions, ends outside
+    the graph and, now and then, an attribute matrix of the wrong height
+    or a negative node count."""
+    specs = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 12))
+        inside = st.integers(0, n - 1) if n else st.integers(-2, 14)
+        end = st.one_of(inside, inside, inside, inside, st.integers(-2, 14))
+        edges = draw(st.lists(st.tuples(end, end), max_size=16))
+        if edges:
+            again = draw(st.lists(st.sampled_from(edges), max_size=4))
+            edges += again + [(d, s) for s, d in again]
+        rows = n + draw(st.sampled_from([0] * 9 + [1]))
+        attrs = np.arange(2.0 * rows).reshape(rows, 2) + i
+        if not draw(st.integers(0, 30)):
+            n = -1
+        label = draw(st.one_of(st.none(), st.integers(0, 3)))
+        specs.append((n, edges, attrs, draw(st.booleans()), label, f"g{i}"))
+    return specs
+
+
+def _columns(specs):
+    edges = np.array(
+        [e for spec in specs for e in spec[1]], dtype=np.int64
+    ).reshape(-1, 2)
+    return (
+        [s[0] for s in specs], edges, [len(s[1]) for s in specs],
+        [s[2] for s in specs], [s[3] for s in specs],
+        [s[4] for s in specs], [s[5] for s in specs],
+    )
+
+
+def _same_outcome(build, reference):
+    """``build()`` returns what ``reference()`` returns, or raises the
+    same error with the same message."""
+    try:
+        want = reference()
+    except (IndexOutOfRange, InvalidGraph, ShapeMismatch) as exc:
+        with pytest.raises(type(exc)) as raised:
+            build()
+        assert str(raised.value) == str(exc)
+        return None
+    return build(), want
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_graphs())
+def test_build_graphs_matches_the_per_graph_reference(specs):
+    outcome = _same_outcome(
+        lambda: build_graphs(*_columns(specs)),
+        lambda: [reference_build_graph(*spec) for spec in specs],
+    )
+    if outcome is None:
+        return
+    for got, want in zip(*outcome):
+        assert graphs_equal(got, want)
+        src, dst = got.arc_index_arrays()
+        assert src.tolist() == [s for s, _ in want.arcs]
+        assert dst.tolist() == [d for _, d in want.arcs]
+        with pytest.raises(ValueError):
+            got.attributes[...] = 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_graphs())
+def test_one_graph_calls_and_stored_arcs_follow_the_reference(specs):
+    # build_graph canonicalizes one graph; AttributedGraph takes the
+    # drawn edges as arcs, so every arc rule gets broken
+    for n, edges, attrs, directed, label, gid in specs:
+        outcome = _same_outcome(
+            lambda: build_graph(n, edges, attrs, directed, label, gid),
+            lambda: reference_build_graph(n, edges, attrs, directed, label, gid),
+        )
+        if outcome is not None:
+            assert graphs_equal(*outcome)
+        outcome = _same_outcome(
+            lambda: AttributedGraph(n, edges, attrs, directed, label, gid),
+            lambda: reference_graph(n, edges, attrs, directed, label, gid),
+        )
+        if outcome is not None:
+            assert graphs_equal(*outcome)
+            assert not outcome[0].attributes.flags.writeable

@@ -273,3 +273,65 @@ def test_train_model_saves_the_bytes_of_the_per_graph_loop(tmp_path, seed):
     save_model(train_model(ds, epochs=4, seed=seed).model, tmp_path / "a.json")
     save_model(reference_train(ds, epochs=4, seed=seed), tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def reference_propagation(g):
+    """The dense operator as it was built before the block form: an arc
+    indicator matrix scaled by the outer product of ``1 / sqrt(deg)``."""
+    n = g.node_count
+    src, dst = g.arc_index_arrays()
+    arcs = np.zeros((n, n))
+    arcs[dst, src] = 1.0
+    deg = arcs.sum(axis=-1) + 1.0
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    a = arcs * (inv_sqrt[:, None] * inv_sqrt[None, :])
+    a[np.arange(n), np.arange(n)] = 1.0 / deg
+    return a
+
+
+def _assert_stacks_are_the_per_graph_operators(graphs):
+    by_size: dict[int, list] = {}
+    for g in graphs:
+        by_size.setdefault(g.node_count, []).append(g)
+    stacks = _stack_graphs(graphs)
+    assert len(stacks) == len(by_size)
+    for stack, n in zip(stacks, sorted(by_size)):
+        group = by_size[n]
+        for want in (
+            np.stack([_propagation(g) for g in group]),
+            np.stack([reference_propagation(g) for g in group]),
+        ):
+            assert stack.propagation.shape == want.shape
+            assert stack.propagation.tobytes() == want.tobytes()
+        assert stack.attributes.tobytes() == np.stack(
+            [g.attributes for g in group]
+        ).tobytes()
+
+
+def test_stacks_cover_empty_isolated_and_directed_graphs():
+    graphs = [
+        build_graph(4, [(0, 1), (2, 1)], np.ones((4, 2)), True, label=0),
+        build_graph(0, [], np.zeros((0, 2)), False, label=1),
+        build_graph(4, [(0, 3), (3, 1)], np.ones((4, 2)), False, label=1),
+        build_graph(2, [], np.ones((2, 2)), True, label=0),
+        build_graph(0, [], np.zeros((0, 2)), True, label=0),
+        build_graph(4, [(1, 0), (2, 0), (3, 0)], np.ones((4, 2)), True, label=1),
+    ]
+    _assert_stacks_are_the_per_graph_operators(graphs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_graphs_and_model())
+def test_block_built_stacks_are_bitwise_the_per_graph_operators(case):
+    graphs, _ = case
+    _assert_stacks_are_the_per_graph_operators(graphs)
+
+
+def test_training_builds_one_operator_stack_per_node_count():
+    graphs = generate_ba2motifs(40, seed=0).graphs
+    graphs += [build_graph(3, [(0, 1)], np.ones((3, 10)), False, label=0)] * 5
+    with mock.patch(
+        "gxplain.training._propagation", wraps=_propagation
+    ) as built:
+        _stack_graphs(graphs)
+    assert built.call_count == 2
