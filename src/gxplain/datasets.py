@@ -6,7 +6,6 @@ preferential-attachment base graph; the motif kind is the class label.
 
 import gzip
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from ._schema import (
     require,
 )
 from .errors import DomainError, InvalidCount, ParseError, ValidationError
-from .graphs import AttributedGraph, build_graph, build_graphs, graphs_equal
+from .graphs import AttributedGraph, build_graphs, graphs_equal
 
 DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "validation", "test")
@@ -190,19 +189,26 @@ def save_dataset(dataset: Dataset, path) -> None:
     write_atomic(path, data)
 
 
-def _load_graph(entry, attr_dim: int, where: str) -> AttributedGraph:
+# entries read and built per batch: only one batch's checked fields and
+# build arrays are held beside the decoded document
+_LOAD_BATCH = 100
+
+
+def _load_graph(entry, attr_dim: int, where: str) -> tuple:
+    """The checked fields of one graph entry, in the order
+    :func:`build_graphs` takes them: node count, the entry's own list of
+    ``[src, dst]`` pairs, attributes, directed, label and id."""
     n = read_field(entry, "n", as_int, where)
     if n < 0:
         raise ParseError(f"{where}: n is negative ({n})")
-    edges = []
-    for j, pair in enumerate(read_field(entry, "edges", as_list, where)):
+    edges = read_field(entry, "edges", as_list, where)
+    for j, pair in enumerate(edges):
         at = f"{where}: edges[{j}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{at}: expected a [src, dst] pair")
         src, dst = as_int(pair[0], at), as_int(pair[1], at)
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"{at}: ({src}, {dst}) outside [0, {n})")
-        edges.append((src, dst))
     attrs = read_field(entry, "x", as_float_array, where)
     if n == 0 and attrs.size == 0:
         attrs = attrs.reshape(0, attr_dim)
@@ -211,86 +217,14 @@ def _load_graph(entry, attr_dim: int, where: str) -> AttributedGraph:
             f"{where}: x has shape {attrs.shape}, expected ({n}, {attr_dim})"
         )
     label = entry.get("y")
-    return build_graph(
+    return (
         n,
         edges,
         attrs,
-        directed=read_field(entry, "directed", as_bool, where),
-        label=None if label is None else as_int(label, f"{where}: y"),
-        graph_id=read_field(entry, "id", as_str, where),
+        read_field(entry, "directed", as_bool, where),
+        None if label is None else as_int(label, f"{where}: y"),
+        read_field(entry, "id", as_str, where),
     )
-
-
-_GRAPH_FIELDS = operator.itemgetter("n", "edges", "x", "directed", "id")
-
-
-def _scan_graphs(entries, attr_dim: int) -> list[AttributedGraph] | None:
-    """Every graph entry, read field by field across all entries and
-    built in one batch, or ``None`` when some entry fails a scan.
-
-    The type checks are C-speed scans (``set(map(type, ...))``) and the
-    attributes are one ``np.asarray`` per node count.  The scans pass
-    only entries :func:`_load_graph` accepts, and the batch holds the
-    graphs it would build; a fault is left to it to word.
-    """
-    if not entries or not set(map(type, entries)) <= {dict}:
-        return None
-    try:
-        ns, edge_lists, xs, directed, ids = zip(*map(_GRAPH_FIELDS, entries))
-    except KeyError:
-        return None
-    labels = [entry.get("y") for entry in entries]
-    if not (
-        set(map(type, ns)) <= {int}
-        and min(ns) >= 0
-        and set(map(type, edge_lists)) <= {list}
-        and set(map(type, directed)) <= {bool}
-        and set(map(type, ids)) <= {str}
-        and set(map(type, labels)) <= {int, type(None)}
-    ):
-        return None
-    pairs = list(itertools.chain.from_iterable(edge_lists))
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-        return None
-    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int}:
-        return None
-    edge_counts = list(map(len, edge_lists))
-    try:
-        edges = np.fromiter(
-            itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs)
-        ).reshape(-1, 2)
-        arc_n = np.repeat(np.array(ns, dtype=np.int64), edge_counts)
-    except OverflowError:
-        return None
-    if not ((edges >= 0) & (edges < arc_n[:, None])).all():
-        return None
-    by_size: dict[int, list[int]] = {}
-    for i, n in enumerate(ns):
-        by_size.setdefault(n, []).append(i)
-    attrs = [None] * len(entries)
-    for n, members in by_size.items():
-        group = [xs[i] for i in members]
-        try:
-            block = np.asarray(group)
-        except ValueError:  # ragged nesting
-            return None
-        if n == 0 and block.size == 0:
-            block = block.reshape(len(members), 0, attr_dim)
-        if block.dtype.kind not in "iuf" or block.shape != (
-            len(members), n, attr_dim
-        ):
-            return None
-        # numpy reads a boolean among numbers as 0 or 1
-        cells = itertools.chain.from_iterable(
-            itertools.chain.from_iterable(group) if n else ()
-        )
-        if not set(map(type, cells)) <= {int, float}:
-            return None
-        if not np.isfinite(block).all():
-            return None
-        for i, a in zip(members, block):
-            attrs[i] = a
-    return build_graphs(ns, edges, edge_counts, attrs, directed, labels, ids)
 
 
 def load_dataset(path) -> Dataset:
@@ -310,13 +244,25 @@ def load_dataset(path) -> Dataset:
     if attr_dim < 0:
         raise ParseError(f"{where}: attr_dim is negative ({attr_dim})")
     entries = read_field(doc, "graphs", as_list, where)
-    graphs = _scan_graphs(entries, attr_dim)
-    if graphs is None:
-        # read entry by entry, so the first fault is the one named
-        graphs = [
+    graphs = []
+    for lo in range(0, len(entries), _LOAD_BATCH):
+        fields = [
             _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
-            for i, entry in enumerate(entries)
+            for i, entry in enumerate(entries[lo : lo + _LOAD_BATCH], lo)
         ]
+        ns, edge_lists, xs, directed, labels, ids = zip(*fields)
+        ends = itertools.chain.from_iterable(
+            itertools.chain.from_iterable(edge_lists)
+        )
+        graphs += build_graphs(
+            ns,
+            np.fromiter(ends, np.int64).reshape(-1, 2),
+            list(map(len, edge_lists)),
+            xs,
+            directed,
+            labels,
+            ids,
+        )
     splits = require(doc, "splits", where)
     if not isinstance(splits, dict):
         raise ParseError(f"{where}: splits must be an object")

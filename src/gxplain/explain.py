@@ -486,7 +486,7 @@ def learn_masks(
     mask object.
     """
     hc = config.hard_concrete
-    unmasked = _propagation(g)
+    unmasked = _propagation([g])[0]
     base = _forward_trace(model, g, None, unmasked)
     target = base.predicted_class
     if initial_masks is None:

@@ -5,7 +5,7 @@ Undirected graphs materialize every edge as two arcs and keep the two
 directions adjacent: arc 2k pairs with arc 2k + 1.
 """
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
@@ -59,7 +59,8 @@ def _arc_sort(owner, src, dst) -> tuple[np.ndarray, np.ndarray]:
     each arc, in that order, equals the one before it.
 
     One sort of a combined key when it fits in 62 bits, else a three-key
-    sort.
+    sort: ends far outside the graphs, or past int64 and held as Python
+    ints, take that path.
     """
     repeat = np.zeros(len(owner), dtype=bool)
     if len(owner):
@@ -94,6 +95,8 @@ def _check_arcs(src, dst, offsets, node_counts, directed) -> None:
         InvalidGraph: a self-loop, a repeated arc, or undirected arcs
             that do not pair up.
     """
+    if not len(src):  # every rule is about an arc
+        return
     node_counts = np.asarray(node_counts, dtype=np.int64)
     undirected = ~np.asarray(directed, dtype=bool)
     starts = np.asarray(offsets[:-1], dtype=np.int64)
@@ -143,6 +146,11 @@ class AttributedGraph:
     ``arcs`` always stores directed arcs ``(src, dst)``; an undirected graph
     stores both directions of every edge at adjacent positions.  Attributes
     are a read-only ``(node_count, attr_dim)`` float matrix.
+
+    ``_checked``, private to this module, is the ``(src, dst)`` int arrays
+    of ``arcs`` when those have passed :func:`_check_arcs` and
+    ``attributes`` is already the read-only matrix; nothing is then
+    checked or copied again.
     """
 
     node_count: int
@@ -151,19 +159,22 @@ class AttributedGraph:
     directed: bool
     label: int | None = None
     graph_id: str = ""
+    _: KW_ONLY
+    _checked: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 
-    def __post_init__(self):
-        attrs = _attribute_matrix(self.node_count, self.attributes)
-        object.__setattr__(self, "attributes", attrs)
-        arcs = tuple((int(s), int(d)) for s, d in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        src = np.fromiter((a[0] for a in arcs), dtype=np.int64, count=len(arcs))
-        dst = np.fromiter((a[1] for a in arcs), dtype=np.int64, count=len(arcs))
-        _check_arcs(
-            src, dst, [0, len(arcs)], [self.node_count], [self.directed]
-        )
-        object.__setattr__(self, "_src", src)
-        object.__setattr__(self, "_dst", dst)
+    def __post_init__(self, _checked):
+        if _checked is None:
+            attrs = _attribute_matrix(self.node_count, self.attributes)
+            object.__setattr__(self, "attributes", attrs)
+            arcs = tuple((int(s), int(d)) for s, d in self.arcs)
+            object.__setattr__(self, "arcs", arcs)
+            src, dst = _int_array(arcs).reshape(-1, 2).T.copy()
+            _check_arcs(
+                src, dst, [0, len(arcs)], [self.node_count], [self.directed]
+            )
+            _checked = src, dst
+        object.__setattr__(self, "_src", _checked[0])
+        object.__setattr__(self, "_dst", _checked[1])
 
     @property
     def attr_dim(self) -> int:
@@ -176,6 +187,29 @@ class AttributedGraph:
     def arc_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and destination indices of every arc, as int arrays."""
         return self._src, self._dst
+
+    def with_attributes(self, attributes) -> "AttributedGraph":
+        """This graph with another attribute matrix, ``node_count`` rows;
+        the arcs, checked already, are not checked again."""
+        return AttributedGraph(
+            self.node_count,
+            self.arcs,
+            _attribute_matrix(self.node_count, attributes),
+            self.directed,
+            self.label,
+            self.graph_id,
+            _checked=(self._src, self._dst),
+        )
+
+
+def _int_array(values) -> np.ndarray:
+    """``values`` as an int64 array, or as an array of Python ints when
+    one of them is past int64: such an endpoint lies outside every graph,
+    and the checks read it as it is."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def build_graphs(
@@ -211,7 +245,7 @@ def build_graphs(
     for n_i, a in zip(node_counts, attributes):
         try:
             attrs.append(_attribute_matrix(n_i, a))
-        except (IndexOutOfRange, ShapeMismatch) as exc:
+        except (IndexOutOfRange, ShapeMismatch, TypeError, ValueError) as exc:
             fault = exc
             break
     counts = np.asarray(node_counts, dtype=np.int64)
@@ -245,23 +279,19 @@ def build_graphs(
     if fault is not None:
         raise fault
     bounds = offsets.tolist()
-    out = []
-    for i, a in enumerate(attrs):
-        lo, hi = bounds[i], bounds[i + 1]
-        # made without __init__: the batch is checked already
-        g = object.__new__(AttributedGraph)
-        vars(g).update(
-            node_count=int(counts[i]),
-            arcs=tuple(zip(src[lo:hi].tolist(), dst[lo:hi].tolist())),
-            attributes=a,
-            directed=bool(flags[i]),
-            label=labels[i],
-            graph_id=graph_ids[i],
-            _src=src[lo:hi].copy(),
-            _dst=dst[lo:hi].copy(),
+    pairs = list(zip(src.tolist(), dst.tolist()))
+    return [
+        AttributedGraph(
+            int(counts[i]),
+            tuple(pairs[lo:hi]),
+            a,
+            bool(flags[i]),
+            labels[i],
+            graph_ids[i],
+            _checked=(src[lo:hi].copy(), dst[lo:hi].copy()),
         )
-        out.append(g)
-    return out
+        for i, (a, lo, hi) in enumerate(zip(attrs, bounds, bounds[1:]))
+    ]
 
 
 def build_graph(
@@ -274,7 +304,7 @@ def build_graph(
 ) -> AttributedGraph:
     """Canonicalize raw edge data into an AttributedGraph: the one-graph
     call of :func:`build_graphs`, with the same rules and errors."""
-    edges = np.array(list(edge_list), dtype=np.int64)
+    edges = _int_array(list(edge_list))
     if edges.size == 0:
         edges = edges.reshape(0, 2)
     if edges.shape[1:] != (2,):

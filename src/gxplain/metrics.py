@@ -107,14 +107,7 @@ def keep_top_attributes(
     cols = order[:, : min(top_t, g.attr_dim)]
     rows = np.arange(g.node_count)[:, None]
     keep[rows, cols] = 1.0
-    return AttributedGraph(
-        g.node_count,
-        g.arcs,
-        g.attributes * keep,
-        g.directed,
-        g.label,
-        g.graph_id,
-    )
+    return g.with_attributes(g.attributes * keep)
 
 
 def _retained(model: GnnModel, requests) -> list[bool]:

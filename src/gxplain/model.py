@@ -226,48 +226,36 @@ def _check_mask(g: AttributedGraph, mask: MaskedInput) -> None:
         )
 
 
-def _propagation(g, rows: np.ndarray | None = None) -> np.ndarray:
-    """The unmasked GCN operator of ``g``, dense ``(n, n)``: row ``t``
-    holds ``1 / sqrt(deg(s) * deg(t))`` for each arc ``(s, t)`` and
-    ``1 / deg(t)`` on the diagonal, ``deg`` being in-degree + 1.
+def _propagation(graphs, rows: np.ndarray | None = None) -> np.ndarray:
+    """The unmasked GCN operators of ``graphs``, equal-size graphs, as a
+    dense ``(b, n, n)`` stack: row ``t`` holds ``1 / sqrt(deg(s) *
+    deg(t))`` for each arc ``(s, t)`` and ``1 / deg(t)`` on the diagonal,
+    ``deg`` being in-degree + 1.  The stack is scaled in place, so it
+    is the only ``(b, n, n)`` array made.
 
-    With ``rows``, a ``(b, k)`` array of ascending node indices, the
-    ``(b, k, k)`` operators of the subgraphs induced by each row instead,
-    degrees counted inside the subset.
-
-    ``g`` may also be a list of graphs with one node count (and no
-    ``rows``): their ``(b, n, n)`` operators then, built in one scatter
-    and equal bit for bit to stacking each graph's own.
+    With ``rows``, a ``(b, k)`` array of ascending node indices, and one
+    graph in ``graphs``, the ``(b, k, k)`` operators of the subgraphs of
+    that graph induced by each row instead, degrees counted inside the
+    subset.
     """
-    stacked = isinstance(g, list)
-    graphs = g if stacked else [g]
     b, n = len(graphs), graphs[0].node_count
-    if stacked:
-        src = np.concatenate([x.arc_index_arrays()[0] for x in graphs])
-        dst = np.concatenate([x.arc_index_arrays()[1] for x in graphs])
-    else:
+    a = np.zeros((b, n, n))
+    for i, g in enumerate(graphs):
         src, dst = g.arc_index_arrays()
-    if rows is None:
-        owner = np.repeat(np.arange(b), [x.arc_count for x in graphs])
-        deg = np.bincount(owner * n + dst, minlength=b * n)
-        deg = deg.reshape(b, n) + 1.0
-    else:
-        arcs = np.zeros((n, n))
-        arcs[dst, src] = 1.0
+        a[i, dst, src] = 1.0
+    if rows is not None:
+        if b != 1:
+            raise ValueError(f"induced operators of {b} graphs at once")
         if rows.size and rows.max() >= n:
             raise IndexOutOfRange(f"node {rows.max()} outside [0, {n})")
-        arcs = arcs[rows[:, :, None], rows[:, None, :]]
-        deg = arcs.sum(axis=-1) + 1.0
+        a = a[0][rows[:, :, None], rows[:, None, :]]
+    deg = a.sum(axis=-1) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg)
-    if rows is None:
-        # only the arc cells are written: no (b, n, n) temporary
-        a = np.zeros((b, n, n))
-        a[owner, dst, src] = inv_sqrt[owner, dst] * inv_sqrt[owner, src]
-    else:
-        a = arcs * (inv_sqrt[..., :, None] * inv_sqrt[..., None, :])
+    a *= inv_sqrt[..., :, None]
+    a *= inv_sqrt[..., None, :]
     idx = np.arange(a.shape[-1])
     a[..., idx, idx] = 1.0 / deg
-    return a if stacked or rows is not None else a[0]
+    return a
 
 
 def _readout(h: np.ndarray) -> np.ndarray:
@@ -356,13 +344,13 @@ def _forward_trace(
     mask: MaskedInput | None,
     unmasked: np.ndarray | None = None,
 ) -> _Trace:
-    """Forward pass of one graph; ``unmasked`` is ``_propagation(g)``
+    """Forward pass of one graph; ``unmasked`` is ``_propagation([g])[0]``
     when the caller already holds it."""
     _check_attr_dim(model, g)
     if mask is not None:
         _check_mask(g, mask)
     if unmasked is None:
-        unmasked = _propagation(g)
+        unmasked = _propagation([g])[0]
     if mask is None:
         edge_gate, h = None, np.asarray(g.attributes)
     else:
@@ -396,7 +384,7 @@ def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:
     a, x = [], []
     for g, rows in pairs:
         _check_attr_dim(model, g)
-        a.append(_propagation(g, rows))
+        a.append(_propagation([g], rows))
         x.append(g.attributes[rows])
     # one pair is stacked as it is, without a copy
     a = a[0] if len(a) == 1 else np.concatenate(a)

@@ -92,7 +92,7 @@ def occlusion_scores(model: GnnModel, g: AttributedGraph) -> np.ndarray:
     and their entries share the drop value.  The gated copies of ``g`` run
     as stacks, one row per occluded edge.
     """
-    full = _propagation(g)
+    full = _propagation([g])[0]
     original = _forward_trace(model, g, None, full)
     target = original.predicted_class
     p0 = float(original.probabilities[target])

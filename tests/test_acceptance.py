@@ -187,7 +187,7 @@ def test_criterion_4_gradients_match_finite_differences():
         )
         from gxplain.model import _forward_trace
 
-        trace = _forward_trace(model, g, mask, _propagation(g))
+        trace = _forward_trace(model, g, mask, _propagation([g])[0])
         pres = list(trace.node_z) + list(trace.head_z)
         layers = list(model.gcn_layers) + list(model.head_layers)
         if any(

@@ -1,10 +1,12 @@
 """Synthetic motif benchmark generation and dataset serialization."""
 
 import gzip
+import json
 
 import numpy as np
 import pytest
 
+from gxplain import datasets as datasets_module
 from gxplain.datasets import (
     Dataset,
     datasets_equal,
@@ -13,7 +15,7 @@ from gxplain.datasets import (
     load_dataset,
     save_dataset,
 )
-from gxplain.errors import ValidationError
+from gxplain.errors import ParseError, ValidationError
 from gxplain.graphs import build_graph
 
 HOUSE_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)}
@@ -133,6 +135,24 @@ def test_save_load_round_trip(tmp_path):
     assert datasets_equal(ds, loaded)
     assert loaded.splits == ds.splits
     assert loaded.generation_seed == ds.generation_seed
+
+
+def test_load_spans_several_batches_and_names_the_faulty_graph(tmp_path):
+    n = 2 * datasets_module._LOAD_BATCH + 50
+    ds = generate_ba2motifs(n, seed=4)
+    path = tmp_path / "ds.json"
+    save_dataset(ds, path)
+    loaded = load_dataset(path)
+    assert datasets_equal(ds, loaded)
+    for a, b in zip(ds.graphs, loaded.graphs):
+        assert a.arc_index_arrays()[0].tolist() == b.arc_index_arrays()[0].tolist()
+        assert a.arc_index_arrays()[1].tolist() == b.arc_index_arrays()[1].tolist()
+    doc = json.loads(path.read_text())
+    bad = n - 33
+    doc["graphs"][bad]["edges"][1] = [0, 99]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=rf"graphs\[{bad}\]: edges\[1\]: \(0, 99\)"):
+        load_dataset(path)
 
 
 def test_gzip_dataset_file_has_no_time_stamp(tmp_path):

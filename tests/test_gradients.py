@@ -36,7 +36,7 @@ def relu_kink_free(model, g, mask):
     """
     from gxplain.model import _forward_trace, _propagation
 
-    trace = _forward_trace(model, g, mask, _propagation(g))
+    trace = _forward_trace(model, g, mask, _propagation([g])[0])
     pres = list(trace.node_z) + list(trace.head_z)
     layers = list(model.gcn_layers) + list(model.head_layers)
     for layer, pre in zip(layers, pres):
@@ -175,7 +175,7 @@ def test_weight_gradients_match_finite_differences_alone_and_stacked():
         ):
             continue
         targets = rng.integers(0, 2, len(graphs))
-        a = np.stack([_propagation(g) for g in graphs])
+        a = np.stack([_propagation([g])[0] for g in graphs])
         x = np.stack([g.attributes for g in graphs])
         stacked = _backward(model, _layer_stack(model, a, x), targets)
         for i, (g, target) in enumerate(zip(graphs, targets)):
@@ -222,7 +222,7 @@ def test_floored_target_has_zero_gradients_alone_and_stacked():
     assert not grads.edge_gate.any() and not grads.attribute_gate.any()
     assert mask_gradients(model, graphs[0], mask, 1).edge_gate.any()
 
-    a = np.stack([_propagation(g) for g in graphs])
+    a = np.stack([_propagation([g])[0] for g in graphs])
     x = np.stack([g.attributes for g in graphs])
     stacked = _backward(model, _layer_stack(model, a, x), np.array([0, 1]))
     for target, (i, g) in zip((0, 1), enumerate(graphs)):

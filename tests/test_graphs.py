@@ -1,5 +1,6 @@
 """Graph construction, validation, and subgraph extraction."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gxplain import graphs as graphs_module
 from gxplain.errors import IndexOutOfRange, InvalidGraph, ShapeMismatch
 from gxplain.graphs import (
     AttributedGraph,
@@ -243,13 +245,16 @@ def reference_build_graph(node_count, edge_list, attributes, directed, label, gr
 @st.composite
 def raw_graphs(draw):
     """Graph specs with loops, repeats, both directions, ends outside
-    the graph and, now and then, an attribute matrix of the wrong height
-    or a negative node count."""
+    the graph (a few past int64, or too large for one combined sort key)
+    and, now and then, an attribute matrix of the wrong height or a
+    negative node count."""
     specs = []
+    huge = st.sampled_from([2**40, -(2**40), 2**70, -(2**70)])
     for i in range(draw(st.integers(1, 4))):
         n = draw(st.integers(0, 12))
         inside = st.integers(0, n - 1) if n else st.integers(-2, 14)
-        end = st.one_of(inside, inside, inside, inside, st.integers(-2, 14))
+        outside = st.one_of(*[st.integers(-2, 14)] * 9, huge)
+        end = st.one_of(inside, inside, inside, inside, outside)
         edges = draw(st.lists(st.tuples(end, end), max_size=16))
         if edges:
             again = draw(st.lists(st.sampled_from(edges), max_size=4))
@@ -264,9 +269,11 @@ def raw_graphs(draw):
 
 
 def _columns(specs):
-    edges = np.array(
-        [e for spec in specs for e in spec[1]], dtype=np.int64
-    ).reshape(-1, 2)
+    ends = [e for spec in specs for e in spec[1]]
+    try:
+        edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an end past int64, held as a Python int
+        edges = np.array(ends, dtype=object).reshape(-1, 2)
     return (
         [s[0] for s in specs], edges, [len(s[1]) for s in specs],
         [s[2] for s in specs], [s[3] for s in specs],
@@ -324,3 +331,73 @@ def test_one_graph_calls_and_stored_arcs_follow_the_reference(specs):
         if outcome is not None:
             assert graphs_equal(*outcome)
             assert not outcome[0].attributes.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # one end past int64
+        (
+            lambda: AttributedGraph(3, [(0, 1), (0, 2**70)], np.zeros((3, 1)), True),
+            "arc (0, 1180591620717411303424) outside [0, 3)",
+        ),
+        # an earlier arc outside the graph is named first
+        (
+            lambda: AttributedGraph(3, [(0, 5), (-(2**70), 0)], np.zeros((3, 1)), True),
+            "arc (0, 5) outside [0, 3)",
+        ),
+        # sorted, the smaller of two ends past int64 comes first
+        (
+            lambda: build_graph(3, [(0, 2**70), (2**65, 0)], np.zeros((3, 1)), False),
+            "arc (0, 36893488147419103232) outside [0, 3)",
+        ),
+        # ends within int64 too far apart for one combined sort key
+        (
+            lambda: build_graph(3, [(0, 2**40), (-(2**40), 1)], np.zeros((3, 1)), True),
+            "arc (-1099511627776, 1) outside [0, 3)",
+        ),
+    ],
+)
+def test_huge_endpoints_are_out_of_range(make, message):
+    with pytest.raises(IndexOutOfRange) as raised:
+        make()
+    assert str(raised.value) == message
+
+
+def test_with_attributes_keeps_the_checked_arcs(monkeypatch):
+    g = build_graph(4, [(0, 1), (1, 2), (3, 0)], np.ones((4, 2)), False, 1, "g")
+    calls = []
+    monkeypatch.setattr(
+        graphs_module, "_check_arcs", lambda *a: calls.append(a)
+    )
+    h = g.with_attributes(np.zeros((4, 3)))
+    assert calls == []
+    want = AttributedGraph(4, g.arcs, np.zeros((4, 3)), False, 1, "g")
+    assert graphs_equal(h, want)
+    assert h.arc_index_arrays()[0].tolist() == want.arc_index_arrays()[0].tolist()
+    assert h.arc_index_arrays()[1].tolist() == want.arc_index_arrays()[1].tolist()
+    assert not h.attributes.flags.writeable
+    with pytest.raises(ShapeMismatch):
+        g.with_attributes(np.zeros((3, 3)))
+
+
+def test_replace_checks_the_arcs_again():
+    g = build_graph(3, [(0, 1)], np.ones((3, 1)), True)
+    with pytest.raises(IndexOutOfRange):
+        dataclasses.replace(g, arcs=((0, 7),))
+    moved = dataclasses.replace(g, arcs=((2, 1),))
+    assert moved.arc_index_arrays()[0].tolist() == [2]
+
+
+def test_an_earlier_graphs_arc_fault_comes_before_unreadable_attributes():
+    edges = np.array([[0, 5], [0, 1]])
+    with pytest.raises(IndexOutOfRange, match=r"arc \(0, 5\) outside \[0, 2\)"):
+        build_graphs(
+            [2, 2], edges, [1, 1], [np.ones((2, 1)), [[1.0], [1.0, 2.0]]],
+            [True, True], [None, None], ["a", "b"],
+        )
+    with pytest.raises(ValueError):
+        build_graphs(
+            [2, 2], edges[1:], [0, 1], [np.ones((2, 1)), [[1.0], [1.0, 2.0]]],
+            [True, True], [None, None], ["a", "b"],
+        )

@@ -48,7 +48,7 @@ def reference_learn_masks(model, g, config, initial_masks=None):
     a penalty and an Adam parameter list for edges, then the same again
     for attributes; a pinned side is skipped and keeps gates of 1."""
     hc = config.hard_concrete
-    unmasked = _propagation(g)
+    unmasked = _propagation([g])[0]
     base = _forward_trace(model, g, None, unmasked)
     target = base.predicted_class
     if initial_masks is None:

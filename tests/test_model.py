@@ -33,10 +33,18 @@ def identity_model():
 
 def test_normalization_uses_in_degree_plus_one():
     g = two_node_chain()
-    a = _propagation(g)
+    a = _propagation([g])[0]
     # d~ = (1, 2): node 1 has one incoming arc
     assert np.diag(a).tolist() == [1.0, 0.5]
     assert a[1, 0] == pytest.approx(1.0 / SQRT2)
+
+
+def test_induced_operators_take_one_graph():
+    g = two_node_chain()
+    rows = np.array([[0, 1]])
+    assert _propagation([g], rows)[0].tobytes() == _propagation([g])[0].tobytes()
+    with pytest.raises(ValueError):
+        _propagation([g, g], rows)
 
 
 def test_gcn_normalization_is_written_once():

@@ -250,7 +250,7 @@ def reference_train(dataset, epochs, seed, hidden_dims=(20, 20, 20)):
     backward one graph at a time, in split order."""
     graphs = dataset.split_graphs("train")
     params = init_parameters(dataset.attr_dim, dataset.num_classes, hidden_dims, seed)
-    props = [_propagation(g) for g in graphs]
+    props = [_propagation([g])[0] for g in graphs]
     hs = [g.attributes for g in graphs]
     for i in range(len(hidden_dims)):
         w, b = params[2 * i], params[2 * i + 1]
@@ -298,7 +298,7 @@ def _assert_stacks_are_the_per_graph_operators(graphs):
     for stack, n in zip(stacks, sorted(by_size)):
         group = by_size[n]
         for want in (
-            np.stack([_propagation(g) for g in group]),
+            np.stack([_propagation([g])[0] for g in group]),
             np.stack([reference_propagation(g) for g in group]),
         ):
             assert stack.propagation.shape == want.shape
