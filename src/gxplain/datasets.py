@@ -155,16 +155,13 @@ def generate_ba2motifs(n_graphs: int, seed: int) -> Dataset:
 
 
 def _graph_to_dict(g: AttributedGraph) -> dict:
-    if g.directed:
-        edges = [list(a) for a in g.arcs]
-    else:
-        # mates are adjacent, so the even positions are the representatives
-        edges = [list(a) for a in g.arcs[0::2]]
+    # mates are adjacent, so the even rows are the undirected edges
+    edges = g.arcs if g.directed else g.arcs[::2]
     return {
         "id": g.graph_id,
         "n": g.node_count,
         "directed": g.directed,
-        "edges": edges,
+        "edges": edges.tolist(),
         "x": g.attributes.tolist(),
         "y": g.label,
     }

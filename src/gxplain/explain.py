@@ -287,7 +287,7 @@ class Explanation:
         attribute columns; a graph without nodes takes any width."""
         if (
             self.node_count != g.node_count
-            or self.arcs != g.arcs
+            or self.arcs != tuple(zip(*g.arcs.T.tolist()))
             or (g.node_count and self.attr_score.shape != g.attributes.shape)
         ):
             raise ShapeMismatch(
@@ -444,7 +444,7 @@ def _build_explanation(
         )
     return Explanation(
         graph_id=g.graph_id,
-        arcs=g.arcs,
+        arcs=tuple(zip(*g.arcs.T.tolist())),
         original_prediction=base.predicted_class,
         original_probability=float(
             base.probabilities[base.predicted_class]

@@ -35,8 +35,7 @@ class NodeSet:
 
 
 def _attribute_matrix(node_count: int, attributes) -> np.ndarray:
-    """A read-only float copy of ``attributes``, a ``(node_count,
-    attr_dim)`` matrix.
+    """A float copy of ``attributes``, a ``(node_count, attr_dim)`` matrix.
 
     Raises:
         IndexOutOfRange: a negative node count.
@@ -50,7 +49,6 @@ def _attribute_matrix(node_count: int, attributes) -> np.ndarray:
             f"attribute matrix {attrs.shape} does not match "
             f"node_count {node_count}"
         )
-    attrs.flags.writeable = False
     return attrs
 
 
@@ -143,38 +141,35 @@ def _check_arcs(src, dst, offsets, node_counts, directed) -> None:
 class AttributedGraph:
     """Immutable attributed graph.
 
-    ``arcs`` always stores directed arcs ``(src, dst)``; an undirected graph
-    stores both directions of every edge at adjacent positions.  Attributes
-    are a read-only ``(node_count, attr_dim)`` float matrix.
+    ``arcs`` is a read-only ``(arc_count, 2)`` int64 array of directed
+    arcs ``(src, dst)``; an undirected graph stores both directions of
+    every edge at adjacent rows.  Attributes are a read-only
+    ``(node_count, attr_dim)`` float matrix.
 
-    ``_checked``, private to this module, is the ``(src, dst)`` int arrays
-    of ``arcs`` when those have passed :func:`_check_arcs` and
-    ``attributes`` is already the read-only matrix; nothing is then
-    checked or copied again.
+    ``_checked``, private to this module, says that ``arcs`` is already
+    an int64 array that has passed :func:`_check_arcs` and ``attributes``
+    a float matrix of ``node_count`` rows, both owned by this graph;
+    nothing is then checked or copied again.
     """
 
     node_count: int
-    arcs: tuple[tuple[int, int], ...]
+    arcs: np.ndarray
     attributes: np.ndarray
     directed: bool
     label: int | None = None
     graph_id: str = ""
     _: KW_ONLY
-    _checked: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
+    _checked: InitVar[bool] = False
 
     def __post_init__(self, _checked):
-        if _checked is None:
+        if not _checked:
             attrs = _attribute_matrix(self.node_count, self.attributes)
+            arcs = _arc_array(self.arcs)
+            _check_arcs(*arcs.T, [0, len(arcs)], [self.node_count], [self.directed])
             object.__setattr__(self, "attributes", attrs)
-            arcs = tuple((int(s), int(d)) for s, d in self.arcs)
             object.__setattr__(self, "arcs", arcs)
-            src, dst = _int_array(arcs).reshape(-1, 2).T.copy()
-            _check_arcs(
-                src, dst, [0, len(arcs)], [self.node_count], [self.directed]
-            )
-            _checked = src, dst
-        object.__setattr__(self, "_src", _checked[0])
-        object.__setattr__(self, "_dst", _checked[1])
+        self.arcs.flags.writeable = False
+        self.attributes.flags.writeable = False
 
     @property
     def attr_dim(self) -> int:
@@ -185,8 +180,8 @@ class AttributedGraph:
         return len(self.arcs)
 
     def arc_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source and destination indices of every arc, as int arrays."""
-        return self._src, self._dst
+        """The source and destination of every arc: ``arcs``' columns."""
+        return self.arcs[:, 0], self.arcs[:, 1]
 
     def with_attributes(self, attributes) -> "AttributedGraph":
         """This graph with another attribute matrix, ``node_count`` rows;
@@ -198,18 +193,31 @@ class AttributedGraph:
             self.directed,
             self.label,
             self.graph_id,
-            _checked=(self._src, self._dst),
+            _checked=True,
         )
 
 
-def _int_array(values) -> np.ndarray:
-    """``values`` as an int64 array, or as an array of Python ints when
-    one of them is past int64: such an endpoint lies outside every graph,
-    and the checks read it as it is."""
+def _arc_array(arcs) -> np.ndarray:
+    """``arcs``, ``(src, dst)`` pairs, as a new ``(E, 2)`` int64 array, or
+    of Python ints when an end is past int64: such an end lies outside
+    every graph, and the checks read it as it is.  Raises ShapeMismatch
+    unless ``arcs`` are pairs, and InvalidGraph unless every end is an
+    integer (``True``, ``1.0`` and ``1.5`` are not, as in a dataset file).
+    """
+    if not isinstance(arcs, np.ndarray):
+        arcs = np.array(list(arcs), dtype=object)
+    if arcs.shape == (0,):
+        arcs = arcs.reshape(0, 2)
+    if arcs.ndim != 2 or arcs.shape[1] != 2:
+        raise ShapeMismatch(f"arcs of shape {arcs.shape}, expected pairs")
+    types = set(map(type, arcs.flat)) if arcs.dtype == object else {arcs.dtype.type}
+    wrong = [t for t in types if t is bool or not issubclass(t, (int, np.integer))]
+    if wrong:
+        raise InvalidGraph(f"arc ends of type {wrong[0].__name__} are not integers")
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+        return arcs.astype(np.int64)
+    except OverflowError:  # an end past int64, kept as a Python int
+        return arcs
 
 
 def build_graphs(
@@ -263,32 +271,31 @@ def build_graphs(
     owner, u, v = owner[order], u[order], v[order]
     # each undirected edge becomes two adjacent arcs, its mate second
     width = np.where(flags[owner], 1, 2)
-    src, dst = np.repeat(u, width), np.repeat(v, width)
+    arcs = np.repeat(np.stack([u, v], axis=1), width, axis=0)
     mate = (np.cumsum(width) - 1)[width == 2]
-    src[mate], dst[mate] = v[width == 2], u[width == 2]
+    arcs[mate] = arcs[mate, ::-1]
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    arcs = np.bincount(owner, minlength=len(counts)) * np.where(flags, 1, 2)
-    np.cumsum(arcs, out=offsets[1:])
+    per_graph = np.bincount(owner, minlength=len(counts)) * np.where(flags, 1, 2)
+    np.cumsum(per_graph, out=offsets[1:])
     # the canonical arcs are all that is kept
-    del n, keep, swap, u, v, order, repeat, owner, width, mate, arcs
+    del n, keep, swap, u, v, order, repeat, owner, width, mate, per_graph
 
     # the graphs before one with faulty attributes must pass the arc rules
     k = len(attrs)
     head = offsets[k]
-    _check_arcs(src[:head], dst[:head], offsets[: k + 1], counts[:k], flags[:k])
+    _check_arcs(*arcs[:head].T, offsets[: k + 1], counts[:k], flags[:k])
     if fault is not None:
         raise fault
     bounds = offsets.tolist()
-    pairs = list(zip(src.tolist(), dst.tolist()))
     return [
         AttributedGraph(
             int(counts[i]),
-            tuple(pairs[lo:hi]),
+            arcs[lo:hi].copy(),
             a,
             bool(flags[i]),
             labels[i],
             graph_ids[i],
-            _checked=(src[lo:hi].copy(), dst[lo:hi].copy()),
+            _checked=True,
         )
         for i, (a, lo, hi) in enumerate(zip(attrs, bounds, bounds[1:]))
     ]
@@ -303,12 +310,9 @@ def build_graph(
     graph_id: str = "",
 ) -> AttributedGraph:
     """Canonicalize raw edge data into an AttributedGraph: the one-graph
-    call of :func:`build_graphs`, with the same rules and errors."""
-    edges = _int_array(list(edge_list))
-    if edges.size == 0:
-        edges = edges.reshape(0, 2)
-    if edges.shape[1:] != (2,):
-        raise ShapeMismatch(f"edges of shape {edges.shape}, expected pairs")
+    call of :func:`build_graphs`, with the same rules and errors, and
+    those of :func:`_arc_array` for ``edge_list``."""
+    edges = _arc_array(edge_list)
     return build_graphs(
         [node_count],
         edges,
@@ -325,25 +329,24 @@ def node_induced_subgraph(g: AttributedGraph, keep: NodeSet) -> AttributedGraph:
 
     Kept nodes are re-indexed densely in ascending original order, so the
     mapping new -> old is ``keep.members``.  The original indices are
-    recorded in the subgraph id.
+    recorded in the subgraph id.  The remap is monotone and keeps or drops
+    both arcs of an undirected edge together, so the kept arcs, in ``g``'s
+    order, obey the arc rules and are not checked again.
     """
-    members = keep.members
-    if members and members[-1] >= g.node_count:
+    members = np.array(keep.members, dtype=np.int64)
+    if len(members) and members[-1] >= g.node_count:
         raise IndexOutOfRange(
             f"node {members[-1]} outside [0, {g.node_count})"
         )
-    remap = {old: new for new, old in enumerate(members)}
-    kept = [
-        (remap[s], remap[d])
-        for s, d in g.arcs
-        if s in remap and d in remap
-    ]
-    if members:
-        attrs = g.attributes[list(members)]
-    else:
-        attrs = np.zeros((0, g.attr_dim))
-    gid = f"{g.graph_id}[{','.join(str(m) for m in members)}]"
-    return build_graph(len(members), kept, attrs, g.directed, g.label, gid)
+    new_index = np.full(g.node_count, -1)
+    new_index[members] = np.arange(len(members))
+    arcs = new_index[g.arcs]
+    arcs = arcs[(arcs >= 0).all(axis=1)]
+    gid = f"{g.graph_id}[{','.join(str(m) for m in keep.members)}]"
+    attrs = g.attributes[members]
+    return AttributedGraph(
+        len(members), arcs, attrs, g.directed, g.label, gid, _checked=True
+    )
 
 
 def complement_set(g: AttributedGraph, keep: NodeSet) -> NodeSet:
@@ -360,7 +363,7 @@ def graphs_equal(a: AttributedGraph, b: AttributedGraph) -> bool:
     """Field-by-field equality, including ids and attribute values."""
     return (
         a.node_count == b.node_count
-        and a.arcs == b.arcs
+        and bool(np.array_equal(a.arcs, b.arcs))
         and a.directed == b.directed
         and a.label == b.label
         and a.graph_id == b.graph_id

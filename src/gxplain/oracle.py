@@ -130,8 +130,8 @@ def save_oracle_result(result: OracleResult, g: AttributedGraph, path) -> None:
         "best_probability": result.best_probability,
         "exhaustive_min_k": result.exhaustive_min_k,
         "occlusion_drop": [
-            {"src": int(s), "dst": int(d), "drop": float(v)}
-            for (s, d), v in zip(g.arcs, result.occlusion_drop)
+            {"src": s, "dst": d, "drop": float(v)}
+            for (s, d), v in zip(g.arcs.tolist(), result.occlusion_drop)
         ],
     }
     write_json(path, doc)

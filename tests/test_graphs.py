@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gxplain import graphs as graphs_module
+from gxplain.datasets import generate_ba2motifs, load_dataset, save_dataset
 from gxplain.errors import IndexOutOfRange, InvalidGraph, ShapeMismatch
 from gxplain.graphs import (
     AttributedGraph,
@@ -35,13 +36,13 @@ def test_nodeset_rejects_negative():
 
 def test_build_directed_keeps_arcs_as_given():
     g = build_graph(3, [(0, 1), (2, 0)], np.zeros((3, 2)), True)
-    assert g.arcs == ((0, 1), (2, 0))
+    assert g.arcs.tolist() == [[0, 1], [2, 0]]
     assert g.directed
 
 
 def test_build_undirected_stores_mates_adjacent():
     g = build_graph(3, [(0, 1), (1, 2)], np.zeros((3, 1)), False)
-    assert g.arcs == ((0, 1), (1, 0), (1, 2), (2, 1))
+    assert g.arcs.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
 
 
 def test_build_drops_duplicate_edges():
@@ -86,7 +87,7 @@ def test_graph_rejects_what_build_graph_never_makes(
 
 def test_build_drops_self_loops():
     g = build_graph(2, [(0, 0), (0, 1)], np.zeros((2, 1)), True)
-    assert g.arcs == ((0, 1),)
+    assert g.arcs.tolist() == [[0, 1]]
 
 
 def test_build_rejects_out_of_range_endpoint():
@@ -113,7 +114,7 @@ def test_attributes_are_read_only():
 def test_arc_index_arrays_match_arcs():
     g = build_graph(4, [(0, 1), (2, 3)], np.zeros((4, 1)), False)
     src, dst = g.arc_index_arrays()
-    assert list(zip(src.tolist(), dst.tolist())) == list(g.arcs)
+    assert [list(a) for a in zip(src.tolist(), dst.tolist())] == g.arcs.tolist()
 
 
 def test_induced_subgraph_reindexes_dense_ascending():
@@ -123,7 +124,7 @@ def test_induced_subgraph_reindexes_dense_ascending():
     sub = node_induced_subgraph(g, NodeSet([1, 3, 4]))
     assert sub.node_count == 3
     # old 3 -> new 1, old 4 -> new 2; arc (1, 2) lost its endpoint 2
-    assert sub.arcs == ((1, 2),)
+    assert sub.arcs.tolist() == [[1, 2]]
     assert sub.attributes.tolist() == [[2.0, 3.0], [6.0, 7.0], [8.0, 9.0]]
     assert sub.label == 1
 
@@ -131,10 +132,10 @@ def test_induced_subgraph_reindexes_dense_ascending():
 def test_induced_subgraph_full_keep_is_identity():
     g = build_graph(4, [(0, 1), (2, 3), (1, 3)], np.ones((4, 2)), False)
     sub = node_induced_subgraph(g, NodeSet(range(4)))
-    assert sub.arcs == g.arcs
+    assert sub.arcs.tolist() == g.arcs.tolist()
     assert np.array_equal(sub.attributes, g.attributes)
     again = node_induced_subgraph(sub, NodeSet(range(4)))
-    assert again.arcs == g.arcs
+    assert again.arcs.tolist() == g.arcs.tolist()
 
 
 def test_graphs_equal_distinguishes_ids():
@@ -148,7 +149,7 @@ def test_induced_subgraph_of_empty_keep():
     g = build_graph(3, [(0, 1)], np.ones((3, 1)), True)
     sub = node_induced_subgraph(g, NodeSet())
     assert sub.node_count == 0
-    assert sub.arcs == ()
+    assert sub.arcs.tolist() == []
     assert sub.attributes.shape == (0, 1)
 
 
@@ -168,7 +169,7 @@ def graph_and_keep(draw):
     edges = [(s, d) for s, d in edges if s != d]
     directed = draw(st.booleans())
     keep = draw(st.sets(st.integers(0, n - 1)))
-    g = build_graph(n, edges, np.zeros((n, 2)), directed)
+    g = build_graph(n, edges, np.arange(2.0 * n).reshape(n, 2), directed)
     return g, NodeSet(keep)
 
 
@@ -190,9 +191,39 @@ def test_subgraph_keeps_undirected_mates_together(case):
     if g.directed:
         return
     sub = node_induced_subgraph(g, keep)
-    arcset = set(sub.arcs)
-    for s, d in sub.arcs:
+    arcset = set(map(tuple, sub.arcs.tolist()))
+    for s, d in arcset:
         assert (d, s) in arcset
+
+
+def reference_subgraph(g, keep):
+    """The induced subgraph as ``build_graph`` of the kept arcs, each
+    end re-indexed through a dict."""
+    remap = {old: new for new, old in enumerate(keep.members)}
+    kept = [
+        (remap[s], remap[d])
+        for s, d in g.arcs.tolist()
+        if s in remap and d in remap
+    ]
+    attrs = g.attributes[list(keep.members)]
+    gid = f"{g.graph_id}[{','.join(str(m) for m in keep.members)}]"
+    return build_graph(len(keep), kept, attrs, g.directed, g.label, gid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_and_keep(), st.sampled_from(["drawn", "none", "all"]))
+def test_induced_subgraph_matches_build_graph_of_the_kept_arcs(case, which):
+    g, keep = case
+    keep = {
+        "drawn": keep,
+        "none": NodeSet(),
+        "all": NodeSet(range(g.node_count)),
+    }[which]
+    got = node_induced_subgraph(g, keep)
+    assert graphs_equal(got, reference_subgraph(g, keep))
+    assert got.arcs.dtype == np.int64
+    assert not got.arcs.flags.writeable
+    assert not got.attributes.flags.writeable
 
 
 def reference_graph(node_count, arcs, attributes, directed, label=None, graph_id=""):
@@ -224,7 +255,9 @@ def reference_graph(node_count, arcs, attributes, directed, label=None, graph_id
                     f"arcs {k} and {k + 1} are not a direction pair"
                 )
     return SimpleNamespace(
-        node_count=node_count, arcs=arcs, attributes=attrs,
+        node_count=node_count,
+        arcs=np.array(arcs, dtype=np.int64).reshape(-1, 2),
+        attributes=attrs,
         directed=directed, label=label, graph_id=graph_id,
     )
 
@@ -306,8 +339,8 @@ def test_build_graphs_matches_the_per_graph_reference(specs):
     for got, want in zip(*outcome):
         assert graphs_equal(got, want)
         src, dst = got.arc_index_arrays()
-        assert src.tolist() == [s for s, _ in want.arcs]
-        assert dst.tolist() == [d for _, d in want.arcs]
+        assert src.tolist() == want.arcs[:, 0].tolist()
+        assert dst.tolist() == want.arcs[:, 1].tolist()
         with pytest.raises(ValueError):
             got.attributes[...] = 0.0
 
@@ -401,3 +434,64 @@ def test_an_earlier_graphs_arc_fault_comes_before_unreadable_attributes():
             [2, 2], edges[1:], [0, 1], [np.ones((2, 1)), [[1.0], [1.0, 2.0]]],
             [True, True], [None, None], ["a", "b"],
         )
+
+
+@pytest.mark.parametrize("make", [build_graph, AttributedGraph])
+@pytest.mark.parametrize(
+    "arcs, error",
+    [
+        ([(0, 1.5)], InvalidGraph),
+        ([(0, 1.0)], InvalidGraph),
+        ([(True, 2)], InvalidGraph),
+        (np.array([[0.0, 1.0]]), InvalidGraph),
+        (np.array([[False, True]]), InvalidGraph),
+        ([(0, 1), (2,)], ShapeMismatch),
+        ([(0, 1, 2)], ShapeMismatch),
+        ([[], []], ShapeMismatch),
+        ([0, 1], ShapeMismatch),
+    ],
+    ids=["fraction", "integral float", "bool", "float array", "bool array",
+         "ragged", "triple", "empty pairs", "flat"],
+)
+def test_arcs_that_are_not_integer_pairs_are_refused(make, arcs, error):
+    with pytest.raises(error):
+        make(3, arcs, np.zeros((3, 1)), True)
+
+
+@pytest.mark.parametrize("make", [build_graph, AttributedGraph])
+@pytest.mark.parametrize("arcs", [[], (), np.zeros((0, 2), dtype=np.int32)])
+def test_an_empty_arc_list_is_valid(make, arcs):
+    g = make(3, arcs, np.zeros((3, 1)), False)
+    assert g.arcs.shape == (0, 2)
+    assert g.arcs.dtype == np.int64
+
+
+def _saved_and_loaded(tmp_path):
+    save_dataset(generate_ba2motifs(4, seed=1), tmp_path / "ds.json")
+    return load_dataset(tmp_path / "ds.json").graphs[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda _: build_graph(3, [(0, 1), (1, 2)], np.ones((3, 1)), False),
+        lambda _: AttributedGraph(3, [(0, 1), (2, 1)], np.ones((3, 1)), True),
+        lambda _: generate_ba2motifs(2, seed=0).graphs[1],
+        _saved_and_loaded,
+        lambda _: build_graph(3, [(0, 1)], np.ones((3, 1)), True)
+        .with_attributes(np.zeros((3, 2))),
+        lambda _: node_induced_subgraph(
+            build_graph(4, [(0, 1), (1, 3)], np.ones((4, 1)), False),
+            NodeSet([0, 1, 3]),
+        ),
+    ],
+    ids=["build_graph", "AttributedGraph", "generate_ba2motifs",
+         "load_dataset", "with_attributes", "node_induced_subgraph"],
+)
+def test_stored_arcs_are_read_only(make, tmp_path):
+    g = make(tmp_path)
+    assert g.arcs.dtype == np.int64 and g.arcs.shape == (g.arc_count, 2)
+    src, dst = g.arc_index_arrays()
+    for stored in (g.arcs, src, dst):
+        with pytest.raises(ValueError):
+            stored[0] = 2

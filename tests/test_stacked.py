@@ -173,7 +173,7 @@ def _mixed_case():
             original = (original + 1) % 3
         expls[g.graph_id] = Explanation(
             graph_id=g.graph_id,
-            arcs=g.arcs,
+            arcs=tuple(map(tuple, g.arcs.tolist())),
             original_prediction=original,
             original_probability=0.5,
             edge_score=np.zeros(g.arc_count),
