@@ -44,7 +44,7 @@ from .model import (
     _arc_entries,
     _backward,
     _forward_trace,
-    _gated_stack,
+    _layer_stack,
     _propagation,
 )
 from .optim import Adam
@@ -152,15 +152,20 @@ class ExplainConfig:
                 raise DomainError(f"{name} must be one of {choices}")
 
 
-def _hard_concrete_with_grad(
-    logits: np.ndarray, config: HardConcreteConfig, u: np.ndarray
-):
+def _logistic_noise(u) -> np.ndarray:
+    """``log(u) - log1p(-u)``, the logistic noise of uniforms ``u``."""
     u = np.asarray(u, dtype=np.float64)
     if not ((u > 0.0) & (u < 1.0)).all():
         raise DomainError("u must lie strictly inside (0, 1)")
-    logits = np.asarray(logits, dtype=np.float64)
+    return np.log(u) - np.log1p(-u)
+
+
+def _hard_concrete_with_grad(
+    logits: np.ndarray, config: HardConcreteConfig, noise: np.ndarray
+):
+    """Gates and d gate / d logit for ``logits`` and their noise."""
     span = config.stretch_high - config.stretch_low
-    s = _sigmoid((np.log(u) - np.log1p(-u) + logits) / config.beta)
+    s = _sigmoid((noise + logits) / config.beta)
     raw = s * span + config.stretch_low
     gate = np.minimum(np.maximum(raw, 0.0), 1.0)
     # clamped samples sit on a constant piece, so their gradient is zero
@@ -173,7 +178,7 @@ def sample_hard_concrete(
     logits, config: HardConcreteConfig, u
 ) -> np.ndarray:
     """Stretched-and-clamped concrete gate for logits ``logits`` and draws ``u``."""
-    gate, _ = _hard_concrete_with_grad(logits, config, u)
+    gate, _ = _hard_concrete_with_grad(logits, config, _logistic_noise(u))
     return gate
 
 
@@ -376,41 +381,43 @@ def _epoch_uniforms(seed: int, epoch: int, count: int) -> np.ndarray:
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 
 
-# entries of the largest uniform table kept, 8 MiB of float64; see
-# _uniform_rows
+# entries of the largest noise table kept, 8 MiB of float64; see
+# _noise_rows
 _TABLE_ENTRIES = 1 << 20
 
-# (seed, table) for the last seed asked for; see _uniform_rows
-_uniforms: tuple[int | None, np.ndarray] = (None, np.empty((0, 0)))
+# (seed, table) for the last seed asked for; see _noise_rows
+_noise_table: tuple[int | None, np.ndarray] = (None, np.empty((0, 0)))
 
 
-def _uniform_rows(seed: int, epochs: int, count: int):
-    """The rows ``_epoch_uniforms(seed, e, count)`` for ``e < epochs``, in
-    order, read from one table kept per process.
+def _noise_rows(seed: int, epochs: int, count: int):
+    """The rows ``_logistic_noise(_epoch_uniforms(seed, e, count))`` for
+    ``e < epochs``, in order, read from one table kept per process.
 
     A Philox stream's first ``c`` draws do not depend on how many follow
-    (``random(N)[:c] == random(c)``), so the table grows to the largest
-    ``epochs`` and ``count`` asked for under one seed, and every row holds
-    the bits of one fresh generator per epoch, whatever the call order.
-    The table never exceeds ``_TABLE_ENTRIES``: a grown size above
-    it is replaced by the size asked for, and a request above it draws
-    each row when it is read, keeping none.
+    (``random(N)[:c] == random(c)``), and the noise is elementwise, so the
+    table grows to the largest ``epochs`` and ``count`` asked for under
+    one seed, and every row holds the bits of one fresh generator per
+    epoch, whatever the call order.  The table never exceeds
+    ``_TABLE_ENTRIES``: a grown size above it is replaced by the size
+    asked for, and a request above it draws each row when it is read,
+    keeping none.
     """
-    global _uniforms
-    kept_seed, table = _uniforms
+    global _noise_table
+    kept_seed, table = _noise_table
     rows, cols = epochs, count
     if kept_seed == seed:
         rows, cols = max(rows, table.shape[0]), max(cols, table.shape[1])
     if rows * cols > _TABLE_ENTRIES:
         rows, cols = epochs, count
     if rows * cols > _TABLE_ENTRIES:
-        return (_epoch_uniforms(seed, e, count) for e in range(epochs))
+        draws = (_epoch_uniforms(seed, e, count) for e in range(epochs))
+        return map(_logistic_noise, draws)
     if kept_seed != seed or table.shape != (rows, cols):
         table = np.empty((rows, cols))
         for epoch in range(rows):
-            table[epoch] = _epoch_uniforms(seed, epoch, cols)
+            table[epoch] = _logistic_noise(_epoch_uniforms(seed, epoch, cols))
         table.flags.writeable = False
-        _uniforms = (seed, table)
+        _noise_table = (seed, table)
     return iter(table[:epochs, :count])
 
 
@@ -478,8 +485,9 @@ def learn_masks(
     arrays (one entry per arc, then one per attribute cell) carry each
     gate's slot, penalty weights and mean divisor; a pinned side has
     gate 1, weight 0 and zero gradient, so its logits never move.
-    What does not depend on the logits (the uniforms, rows of
-    :func:`_uniform_rows`; the arc coefficients; the per-gate arrays) is
+    What does not depend on the logits (the noise, rows of
+    :func:`_noise_rows`; the operator buffer and its arc coefficients;
+    the per-gate arrays; whether a side is pinned or a slot shared) is
     set up once, before the epoch loop.
 
     ``on_epoch(epoch, masks)`` is called after each update with the live
@@ -499,8 +507,10 @@ def learn_masks(
     slot = np.concatenate(
         [masks.edge_slot, masks.edge_params + masks.attr_slot.ravel()]
     )
+    learn_edges = config.mode != "attribute_only"
+    learn_attrs = config.mode != "edge_only"
     learned = np.repeat(
-        [config.mode != "attribute_only", config.mode != "edge_only"],
+        [learn_edges, learn_attrs],
         [masks.edge_params, params - masks.edge_params],
     )
     counts = [n_arcs, n * d]
@@ -514,37 +524,44 @@ def learn_masks(
     entropic = bool(config.lambda_edge_entropy or config.lambda_attr_entropy)
     divisor = np.repeat(np.array(counts, dtype=np.float64), counts)
     if hc.stochastic:
-        uniforms = _uniform_rows(hc.seed, config.epochs, params)
+        noise = _noise_rows(hc.seed, config.epochs, params)
     else:
-        uniforms = itertools.repeat(np.full(params, 0.5))
+        noise = itertools.repeat(_logistic_noise(np.full(params, 0.5)))
     pinned = ~learned
-    arcs = _arc_entries(g, unmasked)
+    any_pinned = bool(pinned.any())
+    # unshared, slot is the identity and so are its gathers and scatters
+    shared = not np.array_equal(slot, np.arange(params))
+    # a pinned side reads the graph as it is: coef * 1 and x * 1 are exact
+    flat, coef = arcs = _arc_entries(g, unmasked)
+    a_eff = unmasked.copy() if learn_edges else unmasked
+    a_flat = a_eff.reshape(-1)
+    h = g.attributes
     optimizer = Adam([masks.logits], config.learning_rate)
 
     for epoch in range(config.epochs):
-        gate, dgate = _hard_concrete_with_grad(
-            masks.logits, hc, next(uniforms)
-        )
-        gate[pinned] = 1.0
-        gate = gate[slot]
-        dgate[pinned] = 0.0
+        gate, dgate = _hard_concrete_with_grad(masks.logits, hc, next(noise))
+        if any_pinned:
+            dgate[pinned] = 0.0
+        if shared:
+            gate = gate[slot]
 
         # the gates lie in [0, 1] by construction, in the graph's shapes
-        tr = _gated_stack(
-            model,
-            unmasked,
-            arcs,
-            gate[:n_arcs],
-            g.attributes * gate[n_arcs:].reshape(n, d),
-        )
+        if learn_edges:
+            a_flat[flat] = coef * gate[:n_arcs]
+        if learn_attrs:
+            h = g.attributes * gate[n_arcs:].reshape(n, d)
+        tr = _layer_stack(model, a_eff, h)
+        tr.arcs = arcs
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
         ce = -math.log(p_target)
         ce_edge, ce_attr = _backward(model, tr, target, g)
-        grad = np.zeros(params)
-        np.add.at(grad, slot, np.concatenate([ce_edge, ce_attr.ravel()]))
-        grad *= dgate
+        # bincount adds in index order into zeros, as np.add.at does; a
+        # product, not *=, keeps its int result of no gates a float
+        grad = np.bincount(
+            slot, np.concatenate([ce_edge, ce_attr.ravel()]), params
+        ) * dgate
 
-        m = masks.logits[slot]
+        m = masks.logits[slot] if shared else masks.logits
         p = _sigmoid(m)
         objective = ce + float(size_w @ (p / divisor))
         reg = size_w * p * (1.0 - p)
@@ -555,7 +572,11 @@ def learn_masks(
                 entropy_w @ (_binary_entropy_of_logit(m, p) / divisor)
             )
             reg -= entropy_w * m * p * (1.0 - p)
-        np.add.at(grad, slot, reg / divisor)
+        reg /= divisor
+        if shared:
+            np.add.at(grad, slot, reg)
+        else:
+            grad += reg
 
         if not math.isfinite(objective):
             raise NonFiniteLoss(f"epoch {epoch}: objective {objective}")

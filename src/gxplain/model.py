@@ -194,17 +194,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _activate(layer: Layer, z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) if layer.activation == "relu" else z
-
-
-def _activation_grad(layer: Layer, z: np.ndarray) -> np.ndarray:
-    # relu subgradient at 0 is taken as 0
-    if layer.activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
-
-
 def _check_attr_dim(model: GnnModel, g: AttributedGraph) -> None:
     if g.attr_dim != model.attr_dim:
         raise ShapeMismatch(
@@ -261,9 +250,11 @@ def _propagation(graphs, rows: np.ndarray | None = None) -> np.ndarray:
 def _readout(h: np.ndarray) -> np.ndarray:
     """Max+mean pooling of node fields ``(..., n, w)`` over the node axis,
     or zero vectors when n = 0."""
-    if h.shape[-2] == 0:
+    n = h.shape[-2]
+    if n == 0:
         return np.zeros(h.shape[:-2] + (2 * h.shape[-1],))
-    return np.concatenate([h.max(axis=-2), h.mean(axis=-2)], axis=-1)
+    # the sum over n is the bytes of h.mean, without its wrapper
+    return np.concatenate([h.max(axis=-2), h.sum(axis=-2) / n], axis=-1)
 
 
 def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
@@ -279,8 +270,9 @@ def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
     node_z = []
     for layer in model.gcn_layers:
         m = a_eff @ h
-        z = m @ layer.weight + layer.bias
-        h = _activate(layer, z)
+        z = m @ layer.weight
+        z += layer.bias
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         node_m.append(m)
         node_z.append(z)
         node_h.append(h)
@@ -289,8 +281,9 @@ def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
     head_u = [u]
     head_z = []
     for layer in model.head_layers:
-        z = (u[..., None, :] @ layer.weight)[..., 0, :] + layer.bias
-        u = _activate(layer, z)
+        z = (u[..., None, :] @ layer.weight)[..., 0, :]
+        z += layer.bias
+        u = np.maximum(z, 0.0) if layer.activation == "relu" else z
         head_z.append(z)
         head_u.append(u)
 
@@ -317,46 +310,30 @@ def _arc_entries(
     return flat, unmasked.ravel()[flat]
 
 
-def _gated_stack(
-    model: GnnModel,
-    unmasked: np.ndarray,
-    arcs: tuple[np.ndarray, np.ndarray],
-    edge_gate: np.ndarray | None,
-    h: np.ndarray,
-) -> _Trace:
-    """The layer stack of one graph whose arc coefficients are scaled by
-    ``edge_gate`` (none: the operator as it is); ``arcs`` is
-    :func:`_arc_entries`, kept on the trace for the gate gradients."""
-    if edge_gate is None:
-        a_eff = unmasked
-    else:
-        flat, coef = arcs
-        a_eff = unmasked.copy()
-        a_eff.ravel()[flat] = coef * edge_gate
-    tr = _layer_stack(model, a_eff, h)
-    tr.arcs = arcs
-    return tr
-
-
 def _forward_trace(
     model: GnnModel,
     g: AttributedGraph,
     mask: MaskedInput | None,
     unmasked: np.ndarray | None = None,
 ) -> _Trace:
-    """Forward pass of one graph; ``unmasked`` is ``_propagation([g])[0]``
-    when the caller already holds it."""
+    """Forward pass of one graph, with its :func:`_arc_entries`;
+    ``unmasked`` is ``_propagation([g])[0]`` when the caller holds it."""
     _check_attr_dim(model, g)
     if mask is not None:
         _check_mask(g, mask)
     if unmasked is None:
         unmasked = _propagation([g])[0]
-    if mask is None:
-        edge_gate, h = None, np.asarray(g.attributes)
-    else:
-        edge_gate, h = mask.edge_gate, g.attributes * mask.attribute_gate
     arcs = _arc_entries(g, unmasked)
-    return _gated_stack(model, unmasked, arcs, edge_gate, h)
+    if mask is None:
+        a_eff, h = unmasked, np.asarray(g.attributes)
+    else:
+        flat, coef = arcs
+        a_eff = unmasked.copy()
+        a_eff.ravel()[flat] = coef * mask.edge_gate
+        h = g.attributes * mask.attribute_gate
+    tr = _layer_stack(model, a_eff, h)
+    tr.arcs = arcs
+    return tr
 
 
 def forward(
@@ -424,9 +401,9 @@ def _backward(
     does; ``target`` then holds one class per graph.  Without ``g`` the
     result lists the weight gradients ``dW, db`` per layer in forward
     order, each with the stack's leading axes, so slice ``i`` is the
-    gradient of graph ``i`` alone.  With ``g``, the graph of a trace from
-    :func:`_gated_stack`, the result is ``(edge_gate_grad,
-    attribute_gate_grad)`` instead.
+    gradient of graph ``i`` alone.  With ``g``, the graph of a one-graph
+    trace that holds its ``arcs`` (:func:`_forward_trace` sets them), the
+    result is ``(edge_gate_grad, attribute_gate_grad)`` instead.
     Every product is a per-graph one, as in the forward pass, so each
     slice is bit-identical to the same graph run alone.
     """
@@ -451,7 +428,8 @@ def _backward(
     du = d_logits
     for j in reversed(range(len(model.head_layers))):
         layer = model.head_layers[j]
-        dz = du * _activation_grad(layer, tr.head_z[j])
+        # relu subgradient at 0 is taken as 0
+        dz = du * (tr.head_z[j] > 0.0) if layer.activation == "relu" else du
         if want_weights:
             head_w.append((tr.head_u[j][..., :, None] * dz[..., None, :], dz))
         du = (dz[..., None, :] @ layer.weight.T)[..., 0, :]
@@ -468,12 +446,12 @@ def _backward(
 
     gcn_w: list[tuple[np.ndarray, np.ndarray]] = []
     da = None if want_weights else np.zeros((n, n))
-    a_t = np.swapaxes(tr.a_eff, -1, -2)
+    a_t = tr.a_eff.swapaxes(-1, -2)
     for l in reversed(range(len(model.gcn_layers))):
         layer = model.gcn_layers[l]
-        dz = dh * _activation_grad(layer, tr.node_z[l])
+        dz = dh * (tr.node_z[l] > 0.0) if layer.activation == "relu" else dh
         if want_weights:
-            m_t = np.swapaxes(tr.node_m[l], -1, -2)
+            m_t = tr.node_m[l].swapaxes(-1, -2)
             gcn_w.append((m_t @ dz, dz.sum(axis=-2)))
             if l == 0:
                 break  # the input layer's dm and dh feed gate gradients only

@@ -28,12 +28,18 @@ class Adam:
         for p, g, m, v in zip(
             self.params, grads, self.first_moment, self.second_moment
         ):
+            # in place, in the operation order of m += (1 - b1) * g,
+            # v += (1 - b2) * g * g, p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            t = (1.0 - BETA1) * g
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += t
+            np.multiply(1.0 - BETA2, g, out=t)
+            t *= g
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p -= (
-                self.learning_rate
-                * (m / correction1)
-                / (np.sqrt(v / correction2) + EPSILON)
-            )
+            v += t
+            s = np.sqrt(v / correction2)
+            s += EPSILON
+            np.divide(m, correction1, out=t)
+            t *= self.learning_rate
+            t /= s
+            p -= t

@@ -4,7 +4,9 @@ Everything here enumerates, so inputs are capped at 14 nodes; the results
 are used to audit the learned explainer, never to produce explanations.
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +43,23 @@ def _guard_size(g: AttributedGraph) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of ``range(n)`` in lexicographic order, one per row
+    of a read-only ``(C(n, k), k)`` array.  Kept per (n, k): for every
+    n <= ``MAX_ORACLE_NODES`` the arrays take about 1.7 MB."""
+    rows = np.array(
+        list(itertools.combinations(range(n), k)), dtype=np.int64
+    ).reshape(math.comb(n, k), k)
+    rows.flags.writeable = False
+    return rows
+
+
 def _subset_blocks(n: int, k: int):
-    """Every k-subset of ``range(n)`` in lexicographic order, as ``(b, k)``
-    row blocks of one stacked pass each."""
-    combos = itertools.combinations(range(n), k)
-    while block := list(itertools.islice(combos, _block_rows(k))):
-        yield np.array(block, dtype=np.int64).reshape(len(block), k)
+    """:func:`_subsets` as ``(b, k)`` row blocks of one stacked pass each."""
+    rows, step = _subsets(n, k), _block_rows(k)
+    for first in range(0, len(rows), step):
+        yield rows[first : first + step]
 
 
 def brute_force_best_subset(

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pinned_kernels import pinned_hard_concrete_with_grad, pinned_sigmoid
 
 from gxplain.errors import DomainError
 from gxplain.explain import (
     HardConcreteConfig,
     _hard_concrete_with_grad,
+    _logistic_noise,
     _sigmoid,
     importance_from_mask,
     sample_hard_concrete,
@@ -59,7 +61,9 @@ def test_gradient_zero_on_clamped_gates_and_positive_inside():
     m = np.zeros(3)
     # u values putting s deep low, interior, deep high for beta = 0.5
     u = np.array([0.001, 0.5, 0.999])
-    gate, grad = _hard_concrete_with_grad(m, HardConcreteConfig(), u)
+    gate, grad = _hard_concrete_with_grad(
+        m, HardConcreteConfig(), _logistic_noise(u)
+    )
     assert gate[0] == 0.0 and gate[2] == 1.0
     assert grad[0] == 0.0 and grad[2] == 0.0
     # interior: d gate / d m = span * s (1 - s) / beta
@@ -89,29 +93,6 @@ def test_config_validates_stretch_interval():
         HardConcreteConfig(beta=0.0)
 
 
-def pinned_sigmoid(x):
-    # the sampler's sigmoid as first written: every bit of mask learning
-    # goes through it, so any rewrite must give these bytes
-    x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def pinned_hard_concrete_with_grad(logits, config, u):
-    # the sampler as first written, with np.clip and two range tests
-    u = np.asarray(u, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise DomainError("u must lie strictly inside (0, 1)")
-    logits = np.asarray(logits, dtype=np.float64)
-    span = config.stretch_high - config.stretch_low
-    s = pinned_sigmoid((np.log(u) - np.log1p(-u) + logits) / config.beta)
-    raw = s * span + config.stretch_low
-    gate = np.clip(raw, 0.0, 1.0)
-    interior = (raw > 0.0) & (raw < 1.0)
-    grad = np.where(interior, span * s * (1.0 - s) / config.beta, 0.0)
-    return gate, grad
-
-
 _logits = st.one_of(
     st.sampled_from([-500.0, -36.0, -0.0, 0.0, 36.0, 500.0]),
     st.floats(-600.0, 600.0),
@@ -133,7 +114,7 @@ def test_sampler_and_sigmoid_give_the_pinned_bytes(pairs, beta, low, high):
     logits = np.array([m for m, _ in pairs], dtype=np.float64)
     u = np.array([v for _, v in pairs], dtype=np.float64)
     config = HardConcreteConfig(beta=beta, stretch_low=low, stretch_high=high)
-    gate, grad = _hard_concrete_with_grad(logits, config, u)
+    gate, grad = _hard_concrete_with_grad(logits, config, _logistic_noise(u))
     want_gate, want_grad = pinned_hard_concrete_with_grad(logits, config, u)
     assert gate.tobytes() == want_gate.tobytes()
     assert grad.tobytes() == want_grad.tobytes()

@@ -13,6 +13,12 @@ import pytest
 from conftest import random_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pinned_kernels import (
+    PinnedAdam,
+    pinned_backward,
+    pinned_forward_trace,
+    pinned_hard_concrete_with_grad,
+)
 
 from gxplain.errors import NonFiniteLoss
 from gxplain.explain import (
@@ -23,21 +29,14 @@ from gxplain.explain import (
     _binary_entropy_of_logit,
     _build_explanation,
     _epoch_uniforms,
-    _hard_concrete_with_grad,
+    _logistic_noise,
     _sigmoid,
     explanation_to_dict,
     init_masks,
     learn_masks,
 )
 from gxplain.graphs import build_graph
-from gxplain.model import (
-    PROBABILITY_FLOOR,
-    MaskedInput,
-    _backward,
-    _forward_trace,
-    _propagation,
-)
-from gxplain.optim import Adam
+from gxplain.model import PROBABILITY_FLOOR, MaskedInput, _propagation
 
 # the package exports the function ``explain`` under the module's name
 explain_module = importlib.import_module("gxplain.explain")
@@ -46,10 +45,11 @@ explain_module = importlib.import_module("gxplain.explain")
 def reference_learn_masks(model, g, config, initial_masks=None):
     """``learn_masks`` with one branch per side: a sample, a slot scatter,
     a penalty and an Adam parameter list for edges, then the same again
-    for attributes; a pinned side is skipped and keeps gates of 1."""
+    for attributes; a pinned side is skipped and keeps gates of 1.  It
+    samples, runs the model and steps through the pinned kernels."""
     hc = config.hard_concrete
     unmasked = _propagation([g])[0]
-    base = _forward_trace(model, g, None, unmasked)
+    base = pinned_forward_trace(model, g, None, unmasked)
     target = base.predicted_class
     if initial_masks is None:
         masks = init_masks(g, config, hc.seed)
@@ -70,7 +70,7 @@ def reference_learn_masks(model, g, config, initial_masks=None):
         optimized.append(masks.edge_logits)
     if learn_attrs:
         optimized.append(masks.attr_logits)
-    optimizer = Adam(optimized, config.learning_rate)
+    optimizer = PinnedAdam(optimized, config.learning_rate)
 
     for epoch in range(config.epochs):
         if hc.stochastic:
@@ -79,14 +79,14 @@ def reference_learn_masks(model, g, config, initial_masks=None):
             u = np.full(edge_params + attr_params, 0.5)
 
         if learn_edges:
-            gate_e_slots, dgate_e_slots = _hard_concrete_with_grad(
+            gate_e_slots, dgate_e_slots = pinned_hard_concrete_with_grad(
                 masks.edge_logits, hc, u[:edge_params]
             )
             gate_e = gate_e_slots[masks.edge_slot]
         else:
             gate_e = ones_edge
         if learn_attrs:
-            gate_x_slots, dgate_x_slots = _hard_concrete_with_grad(
+            gate_x_slots, dgate_x_slots = pinned_hard_concrete_with_grad(
                 masks.attr_logits, hc, u[edge_params:]
             )
             gate_x = gate_x_slots[attr_slot_flat].reshape(n, d)
@@ -94,10 +94,10 @@ def reference_learn_masks(model, g, config, initial_masks=None):
             gate_x = ones_attr
 
         masked = MaskedInput(gate_e, gate_x)
-        tr = _forward_trace(model, g, masked, unmasked)
+        tr = pinned_forward_trace(model, g, masked, unmasked)
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
         objective = -math.log(p_target)
-        ce_edge, ce_attr = _backward(model, tr, target, g)
+        ce_edge, ce_attr = pinned_backward(model, tr, target, g)
 
         grads = []
         if learn_edges:
@@ -232,7 +232,7 @@ def test_learn_masks_samples_gates_once_per_epoch():
     extra=st.integers(0, 700),
 )
 def test_philox_uniforms_are_prefix_stable(seed, epoch, count, extra):
-    # the uniform table relies on it: a longer draw starts with a shorter one
+    # the noise table relies on it: a longer draw starts with a shorter one
     long = _epoch_uniforms(seed, epoch, count + extra)
     short = _epoch_uniforms(seed, epoch, count)
     assert long[:count].tobytes() == short.tobytes()
@@ -277,7 +277,7 @@ def test_uniform_table_gives_every_call_order_the_same_explanations(
     empty = (None, np.empty((0, 0)))
     fresh = []
     for g, config in cases:
-        monkeypatch.setattr(explain_module, "_uniforms", empty)
+        monkeypatch.setattr(explain_module, "_noise_table", empty)
         fresh.append(_explanation_json(model, g, config))
     orders = [
         list(range(len(cases))),
@@ -287,7 +287,7 @@ def test_uniform_table_gives_every_call_order_the_same_explanations(
         list(np.random.default_rng(2).permutation(len(cases))),
     ]
     for order in orders:
-        monkeypatch.setattr(explain_module, "_uniforms", empty)
+        monkeypatch.setattr(explain_module, "_noise_table", empty)
         for i in order:
             g, config = cases[i]
             assert _explanation_json(model, g, config) == fresh[i], (order, i)
@@ -295,20 +295,22 @@ def test_uniform_table_gives_every_call_order_the_same_explanations(
 
 def test_uniform_table_stays_under_its_cap(monkeypatch):
     empty = (None, np.empty((0, 0)))
-    monkeypatch.setattr(explain_module, "_uniforms", empty)
+    monkeypatch.setattr(explain_module, "_noise_table", empty)
     # a million epochs draw each row when read and keep no table
-    rows = explain_module._uniform_rows(3, 10**6, 302)
-    assert explain_module._uniforms is empty
+    rows = explain_module._noise_rows(3, 10**6, 302)
+    assert explain_module._noise_table is empty
     for epoch, row in enumerate(itertools.islice(rows, 3)):
-        assert row.tobytes() == _epoch_uniforms(3, epoch, 302).tobytes()
+        want = _logistic_noise(_epoch_uniforms(3, epoch, 302))
+        assert row.tobytes() == want.tobytes()
     # a grown size above the cap is replaced by the size asked for
     monkeypatch.setattr(explain_module, "_TABLE_ENTRIES", 100)
-    list(explain_module._uniform_rows(1, 10, 9))
-    assert explain_module._uniforms[1].shape == (10, 9)
-    rows = list(explain_module._uniform_rows(1, 2, 40))
-    assert explain_module._uniforms[1].shape == (2, 40)
+    list(explain_module._noise_rows(1, 10, 9))
+    assert explain_module._noise_table[1].shape == (10, 9)
+    rows = list(explain_module._noise_rows(1, 2, 40))
+    assert explain_module._noise_table[1].shape == (2, 40)
     for epoch, row in enumerate(rows):
-        assert row.tobytes() == _epoch_uniforms(1, epoch, 40).tobytes()
+        want = _logistic_noise(_epoch_uniforms(1, epoch, 40))
+        assert row.tobytes() == want.tobytes()
 
 
 def test_capped_uniform_table_gives_the_same_explanations(monkeypatch):
@@ -316,7 +318,7 @@ def test_capped_uniform_table_gives_the_same_explanations(monkeypatch):
     empty = (None, np.empty((0, 0)))
     fresh = []
     for g, config in cases:
-        monkeypatch.setattr(explain_module, "_uniforms", empty)
+        monkeypatch.setattr(explain_module, "_noise_table", empty)
         fresh.append(_explanation_json(model, g, config))
     counts = sorted(
         {len(init_masks(g, config, 0).logits) for g, config in cases}
@@ -325,7 +327,7 @@ def test_capped_uniform_table_gives_the_same_explanations(monkeypatch):
     # but draws the larger graphs' 300 rows and regrows in between
     for cap in (0, 300 * counts[1] - 1):
         monkeypatch.setattr(explain_module, "_TABLE_ENTRIES", cap)
-        monkeypatch.setattr(explain_module, "_uniforms", empty)
+        monkeypatch.setattr(explain_module, "_noise_table", empty)
         for i in np.random.default_rng(cap).permutation(len(cases)):
             g, config = cases[i]
             assert _explanation_json(model, g, config) == fresh[i], (cap, i)
@@ -389,5 +391,12 @@ def test_epoch_loop_builds_no_per_graph_invariants():
         for node in ast.walk(loops[0])
         if isinstance(node, ast.Call)
     }
-    banned = {"_epoch_uniforms", "_propagation", "MaskedInput", "_forward_trace"}
+    banned = {
+        "_epoch_uniforms",
+        "_logistic_noise",
+        "_propagation",
+        "MaskedInput",
+        "_forward_trace",
+        "copy",
+    }
     assert not called & banned

@@ -8,9 +8,11 @@ from conftest import detector_model, random_model, random_small_graph
 
 from gxplain.errors import TooLarge
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
-from gxplain.model import forward
+from gxplain.model import _block_rows, forward
 from gxplain.oracle import (
     MAX_ORACLE_NODES,
+    _subset_blocks,
+    _subsets,
     brute_force_best_subset,
     exhaustive_sparsity,
     occlusion_scores,
@@ -121,3 +123,23 @@ def test_oracle_report_bundles_all_three():
     assert 1 <= result.exhaustive_min_k <= g.node_count
     assert result.occlusion_drop.shape == (g.arc_count,)
     assert 2 in result.best_subset
+
+
+def test_subset_rows_are_the_combinations_in_order_and_read_only():
+    total = 0
+    for n in range(MAX_ORACLE_NODES + 1):
+        for k in range(n + 1):
+            rows = _subsets(n, k)
+            want = list(itertools.combinations(range(n), k))
+            assert rows.shape == (len(want), k) and rows.dtype == np.int64
+            assert [tuple(r) for r in rows.tolist()] == want
+            assert not rows.flags.writeable
+            assert _subsets(n, k) is rows
+            total += rows.nbytes
+            blocks = list(_subset_blocks(n, k))
+            assert all(len(b) <= _block_rows(k) for b in blocks)
+            assert np.concatenate(blocks).tolist() == rows.tolist()
+            with pytest.raises(ValueError):
+                blocks[0][:1] = 0
+    # every (n, k) the oracle can ask for takes about 1.7 MB
+    assert total < 1.8e6
