@@ -41,6 +41,7 @@ from .graphs import AttributedGraph
 from .model import (
     PROBABILITY_FLOOR,
     GnnModel,
+    _adjacency,
     _arc_entries,
     _backward,
     _forward_trace,
@@ -289,7 +290,8 @@ class Explanation:
 
     def check_graph(self, g: AttributedGraph) -> None:
         """Raise ShapeMismatch unless this scores ``g``'s nodes, arcs and
-        attribute columns; a graph without nodes takes any width."""
+        attribute columns, and ranks each of its nodes once; a graph
+        without nodes takes any width."""
         if (
             self.node_count != g.node_count
             or self.arcs != tuple(zip(*g.arcs.T.tolist()))
@@ -300,6 +302,11 @@ class Explanation:
                 f" {self.attr_score.shape[1]} attributes, graph"
                 f" {g.graph_id!r} has {g.node_count} nodes, {g.arc_count}"
                 f" arcs and {g.attr_dim} attributes"
+            )
+        if sorted(self.node_ranking) != list(range(g.node_count)):
+            raise ShapeMismatch(
+                f"node ranking of graph {g.graph_id!r} is not a permutation"
+                f" of its {g.node_count} nodes"
             )
 
 
@@ -494,7 +501,7 @@ def learn_masks(
     mask object.
     """
     hc = config.hard_concrete
-    unmasked = _propagation([g])[0]
+    unmasked = _propagation(_adjacency([g]))[0]
     base = _forward_trace(model, g, None, unmasked)
     target = base.predicted_class
     if initial_masks is None:

@@ -10,6 +10,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,15 @@ from .errors import (
     ShapeMismatch,
 )
 from .explain import Explanation
-from .graphs import AttributedGraph, NodeSet, complement_set
-from .model import GnnModel, _block_rows, forward, subset_probabilities
+from .graphs import AttributedGraph, NodeSet
+from .model import (
+    GnnModel,
+    _adjacency,
+    _block_rows,
+    _check_attr_dim,
+    _induced_trace,
+    forward,
+)
 
 
 @dataclass
@@ -110,27 +118,63 @@ def keep_top_attributes(
     return g.with_attributes(g.attributes * keep)
 
 
-def _retained(model: GnnModel, requests) -> list[bool]:
-    """For each ``(graph, keep, original)`` request: does the subgraph
-    induced by ``keep`` still predict ``original``?  Requests of one size
-    are scored together in stacked blocks, whatever graph they come
-    from."""
+class _SizeStack(NamedTuple):
+    """The scanned graphs with one node count, in scan order."""
+
+    members: np.ndarray  # (b,) each graph's index in the scan
+    adjacency: np.ndarray  # (b, n, n) 0/1 arc matrices
+    attributes: np.ndarray  # (b, n, d)
+    ranking: np.ndarray  # (b, n) node rankings, best first
+    target: np.ndarray  # (b,) original predictions
+
+
+def _stack_by_size(model: GnnModel, graphs, explanations) -> list[_SizeStack]:
+    """One :class:`_SizeStack` per node count of ``graphs``."""
     by_size: dict[int, list[int]] = {}
-    for i, (_, keep, _) in enumerate(requests):
-        by_size.setdefault(len(keep), []).append(i)
-    out = [False] * len(requests)
-    for size, same_size in by_size.items():
-        rows = _block_rows(size)
-        for start in range(0, len(same_size), rows):
-            block = same_size[start : start + rows]
-            pairs = []
-            for i in block:
-                g, keep, _ = requests[i]
-                pairs.append((g, np.array([keep.members], dtype=np.int64)))
-            predicted = subset_probabilities(model, pairs).argmax(axis=-1)
-            for i, p in zip(block, predicted):
-                out[i] = bool(p == requests[i][2])
-    return out
+    for i, g in enumerate(graphs):
+        by_size.setdefault(g.node_count, []).append(i)
+    stacks = []
+    for n, members in by_size.items():
+        group = [graphs[i] for i in members]
+        expls = [explanations[g.graph_id] for g in group]
+        if n:
+            for g in group:
+                _check_attr_dim(model, g)
+            attributes = np.stack([g.attributes for g in group])
+        else:
+            # a graph without nodes takes any width
+            attributes = np.zeros((len(group), 0, model.attr_dim))
+        stacks.append(
+            _SizeStack(
+                np.array(members),
+                _adjacency(group),
+                attributes,
+                np.array(
+                    [e.node_ranking for e in expls], dtype=np.int64
+                ).reshape(len(group), n),
+                np.array([e.original_prediction for e in expls]),
+            )
+        )
+    return stacks
+
+
+def _retains(
+    model: GnnModel, stack: _SizeStack, which: np.ndarray, nodes: np.ndarray
+) -> np.ndarray:
+    """Whether the subgraph that row ``i`` of ``nodes`` induces on graph
+    ``which[i]`` of ``stack`` still predicts that graph's original
+    class; one stacked pass per block of rows."""
+    rows = np.sort(nodes, axis=1)
+    step = _block_rows(rows.shape[1])
+    hits = np.empty(len(rows), dtype=bool)
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        tr = _induced_trace(
+            model, stack.adjacency, stack.attributes, which[part], rows[part]
+        )
+        predicted = tr.probabilities.argmax(axis=-1)
+        hits[part] = predicted == stack.target[which[part]]
+    return hits
 
 
 def _sorted_graphs(dataset, explanations) -> list[AttributedGraph]:
@@ -152,57 +196,66 @@ def _scan(
     """One row per ``(graph index, budget)`` slot, all read from one
     lockstep scan over ranking prefixes; a ``None`` budget is unscored.
 
-    Step s scores, in one stacked pass, the s-node prefix of every graph
-    with a slot of budget s or whose ``min_k`` is still pending (eligible
-    graphs only), plus the complement of each budgeted prefix.  Steps no
-    graph needs are skipped.
+    The graphs are stacked by node count once.  Step s scores, in
+    stacked passes, the s-node prefix of every graph with a slot of
+    budget s or whose ``min_k`` is still pending (eligible graphs only),
+    plus the complement of each budgeted prefix.  Steps no graph needs
+    are skipped.
     """
     default = default_prediction(model)
-    eligible = [
-        explanations[g.graph_id].original_prediction != default
-        for g in graphs
-    ]
-    budgets = [set() for _ in graphs]
+    node_count = np.array([g.node_count for g in graphs], dtype=np.int64)
+    eligible = np.array(
+        [
+            explanations[g.graph_id].original_prediction != default
+            for g in graphs
+        ],
+        dtype=bool,
+    )
+    last = max((b for _, b in slots if b is not None), default=0)
+    budgeted = np.zeros(
+        (len(graphs), max(last, node_count.max(initial=0)) + 1), dtype=bool
+    )
     for i, budget in slots:
         if budget is not None:
-            budgets[i].add(budget)
-    pending = {i for i, e in enumerate(eligible) if e and find_min_k}
+            budgeted[i, budget] = True
+    kept = np.zeros_like(budgeted)
+    rest = np.zeros_like(budgeted)
+    pending = eligible & find_min_k
     # the full ranking reproduces the graph, so every min_k is found
-    min_k = {i: 0 for i in pending if graphs[i].node_count == 0}
-    pending -= min_k.keys()
-    last = max((b for bs in budgets for b in bs), default=0)
-    verdicts = {}
+    min_k = np.where(pending & (node_count == 0), 0, -1)
+    pending &= node_count > 0
+    stacks = _stack_by_size(model, graphs, explanations)
     size = 0
-    while pending or size < last:
+    while pending.any() or size < last:
         size += 1
-        needed = [
-            i for i in range(len(graphs)) if size in budgets[i] or i in pending
-        ]
-        if not needed:
-            continue
-        requests = []
-        for i in needed:
-            g, expl = graphs[i], explanations[graphs[i].graph_id]
-            keep = NodeSet(expl.node_ranking[:size])
-            requests.append((g, keep, expl.original_prediction))
-            if size in budgets[i]:
-                rest = complement_set(g, keep)
-                requests.append((g, rest, expl.original_prediction))
-        hits = iter(_retained(model, requests))
-        for i in needed:
-            hit = next(hits)
-            if size in budgets[i]:
-                verdicts[i, size] = (hit, next(hits))
-            if i in pending and (hit or size >= graphs[i].node_count):
-                min_k[i] = size
-        pending -= min_k.keys()
+        for stack in stacks:
+            members = stack.members
+            which = np.flatnonzero(
+                budgeted[members, size] | pending[members]
+            )
+            if not which.size:
+                continue
+            i = members[which]
+            hit = _retains(model, stack, which, stack.ranking[which, :size])
+            kept[i, size] = hit
+            done = pending[i] & (hit | (size >= stack.ranking.shape[1]))
+            min_k[i[done]] = size
+            pending[i[done]] = False
+            which = which[budgeted[i, size]]
+            rest[members[which], size] = _retains(
+                model, stack, which, stack.ranking[which, size:]
+            )
     return [
         GraphVerdict(
             graphs[i].graph_id,
             budget,
-            *verdicts.get((i, budget), (None, None)),
-            eligible[i],
-            min_k.get(i),
+            *(
+                (None, None)
+                if budget is None
+                else (bool(kept[i, budget]), bool(rest[i, budget]))
+            ),
+            bool(eligible[i]),
+            None if min_k[i] < 0 else int(min_k[i]),
         )
         for i, budget in slots
     ]

@@ -27,6 +27,7 @@ from ._schema import (
 )
 from .errors import (
     IndexOutOfRange,
+    InvalidGraph,
     ParseError,
     ShapeMismatch,
     UnsupportedActivation,
@@ -215,29 +216,24 @@ def _check_mask(g: AttributedGraph, mask: MaskedInput) -> None:
         )
 
 
-def _propagation(graphs, rows: np.ndarray | None = None) -> np.ndarray:
-    """The unmasked GCN operators of ``graphs``, equal-size graphs, as a
-    dense ``(b, n, n)`` stack: row ``t`` holds ``1 / sqrt(deg(s) *
-    deg(t))`` for each arc ``(s, t)`` and ``1 / deg(t)`` on the diagonal,
-    ``deg`` being in-degree + 1.  The stack is scaled in place, so it
-    is the only ``(b, n, n)`` array made.
-
-    With ``rows``, a ``(b, k)`` array of ascending node indices, and one
-    graph in ``graphs``, the ``(b, k, k)`` operators of the subgraphs of
-    that graph induced by each row instead, degrees counted inside the
-    subset.
-    """
+def _adjacency(graphs) -> np.ndarray:
+    """The 0/1 arc matrices of ``graphs``, equal-size graphs, as a dense
+    ``(b, n, n)`` stack: entry ``[t, s]`` is 1 for each arc ``(s, t)``."""
     b, n = len(graphs), graphs[0].node_count
     a = np.zeros((b, n, n))
     for i, g in enumerate(graphs):
         src, dst = g.arc_index_arrays()
         a[i, dst, src] = 1.0
-    if rows is not None:
-        if b != 1:
-            raise ValueError(f"induced operators of {b} graphs at once")
-        if rows.size and rows.max() >= n:
-            raise IndexOutOfRange(f"node {rows.max()} outside [0, {n})")
-        a = a[0][rows[:, :, None], rows[:, None, :]]
+    return a
+
+
+def _propagation(a: np.ndarray) -> np.ndarray:
+    """The unmasked GCN operators of the 0/1 arc stack ``a``, ``(..., n,
+    n)`` as :func:`_adjacency` lays it out: row ``t`` holds ``1 /
+    sqrt(deg(s) * deg(t))`` for each arc ``(s, t)`` and ``1 / deg(t)`` on
+    the diagonal, ``deg`` being in-degree + 1.  ``a`` is scaled in place
+    and returned, so no other ``(..., n, n)`` array is made.
+    """
     deg = a.sum(axis=-1) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg)
     a *= inv_sqrt[..., :, None]
@@ -317,12 +313,13 @@ def _forward_trace(
     unmasked: np.ndarray | None = None,
 ) -> _Trace:
     """Forward pass of one graph, with its :func:`_arc_entries`;
-    ``unmasked`` is ``_propagation([g])[0]`` when the caller holds it."""
+    ``unmasked`` is ``_propagation(_adjacency([g]))[0]`` when the caller
+    holds it."""
     _check_attr_dim(model, g)
     if mask is not None:
         _check_mask(g, mask)
     if unmasked is None:
-        unmasked = _propagation([g])[0]
+        unmasked = _propagation(_adjacency([g]))[0]
     arcs = _arc_entries(g, unmasked)
     if mask is None:
         a_eff, h = unmasked, np.asarray(g.attributes)
@@ -349,24 +346,58 @@ def _block_rows(k: int) -> int:
     return max(1, min(SUBSET_BLOCK_ROWS, _BLOCK_ENTRIES // max(k * k, 1)))
 
 
+def _induced_trace(
+    model: GnnModel,
+    adjacency: np.ndarray,
+    attributes: np.ndarray,
+    graph: int | np.ndarray,
+    rows: np.ndarray,
+) -> _Trace:
+    """Forward pass of node-induced subgraphs, stacked: row ``i`` of
+    ``rows``, a ``(b, k)`` int array of ascending node indices, picks
+    nodes of graph ``graph[i]`` of the 0/1 ``adjacency`` stack (``(G, n,
+    n)``, see :func:`_adjacency`) whose node fields are ``attributes``
+    (``(G, n, d)``); ``graph`` may also be one index for every row.
+    Degrees are counted inside each subset, so slice ``i`` is, bit for
+    bit, :func:`forward` on that extracted subgraph.  Callers check the
+    rows and pass at most :func:`_block_rows` of them.
+    """
+    graph = np.reshape(graph, (-1, 1))
+    a = adjacency[graph[..., None], rows[:, :, None], rows[:, None, :]]
+    return _layer_stack(model, _propagation(a), attributes[graph, rows])
+
+
 def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:
-    """Class probabilities of many node-induced subgraphs in one pass.
+    """Class probabilities of many node-induced subgraphs, one stacked
+    pass per graph.
 
     ``pairs`` holds ``(graph, rows)`` items, ``rows`` a ``(b, k)`` int
-    array of ascending node subsets of that graph, with one ``k`` for all
-    items.  Row ``i`` of the result equals, bit for bit, the probabilities
-    of :func:`forward` on the subgraph extracted for the ``i``-th subset.
-    Callers pass at most :func:`_block_rows` rows at a time.
+    array of strictly ascending node subsets of that graph, with one
+    ``k`` for all items.  Row ``i`` of the result equals, bit for bit,
+    the probabilities of :func:`forward` on the subgraph extracted for
+    the ``i``-th subset.  Callers pass at most :func:`_block_rows` rows
+    at a time.
+
+    Raises:
+        ShapeMismatch: a graph's attributes do not fit the model.
+        IndexOutOfRange: a row names a node outside its graph.
+        InvalidGraph: a row is not strictly ascending.
     """
-    a, x = [], []
+    probs = []
     for g, rows in pairs:
         _check_attr_dim(model, g)
-        a.append(_propagation([g], rows))
-        x.append(g.attributes[rows])
-    # one pair is stacked as it is, without a copy
-    a = a[0] if len(a) == 1 else np.concatenate(a)
-    x = x[0] if len(x) == 1 else np.concatenate(x)
-    return _layer_stack(model, a, x).probabilities
+        outside = rows[(rows < 0) | (rows >= g.node_count)]
+        if outside.size:
+            raise IndexOutOfRange(
+                f"node {outside[0]} outside [0, {g.node_count})"
+            )
+        if (np.diff(rows, axis=-1) <= 0).any():
+            raise InvalidGraph("subset rows must be strictly ascending")
+        tr = _induced_trace(
+            model, _adjacency([g]), g.attributes[None], 0, rows
+        )
+        probs.append(tr.probabilities)
+    return probs[0] if len(probs) == 1 else np.concatenate(probs)
 
 
 def _check_target(model: GnnModel, target_class: int) -> None:

@@ -16,12 +16,13 @@ from .errors import InvalidBudget, TooLarge
 from .graphs import AttributedGraph, NodeSet
 from .model import (
     GnnModel,
+    _adjacency,
     _block_rows,
     _forward_trace,
+    _induced_trace,
     _layer_stack,
     _propagation,
     forward,
-    subset_probabilities,
 )
 
 MAX_ORACLE_NODES = 14
@@ -73,10 +74,12 @@ def brute_force_best_subset(
             f"k must lie in [0, {g.node_count}], got {k}"
         )
     target = forward(model, g).predicted_class
+    adjacency, x = _adjacency([g]), g.attributes[None]
     best_subset: np.ndarray | None = None
     best_probability = -1.0
     for rows in _subset_blocks(g.node_count, k):
-        p = subset_probabilities(model, [(g, rows)])[:, target]
+        tr = _induced_trace(model, adjacency, x, 0, rows)
+        p = tr.probabilities[:, target]
         i = int(np.argmax(p))
         # strict: an equal value in a later block loses the tie
         if p[i] > best_probability:
@@ -90,10 +93,11 @@ def exhaustive_sparsity(model: GnnModel, g: AttributedGraph) -> int:
     original prediction; the full set always does, so this terminates."""
     _guard_size(g)
     original = forward(model, g).predicted_class
+    adjacency, x = _adjacency([g]), g.attributes[None]
     for k in range(1, g.node_count + 1):
         for rows in _subset_blocks(g.node_count, k):
-            probs = subset_probabilities(model, [(g, rows)])
-            if (probs.argmax(axis=-1) == original).any():
+            p = _induced_trace(model, adjacency, x, 0, rows).probabilities
+            if (p.argmax(axis=-1) == original).any():
                 return k
     return g.node_count
 
@@ -105,7 +109,7 @@ def occlusion_scores(model: GnnModel, g: AttributedGraph) -> np.ndarray:
     and their entries share the drop value.  The gated copies of ``g`` run
     as stacks, one row per occluded edge.
     """
-    full = _propagation([g])[0]
+    full = _propagation(_adjacency([g]))[0]
     original = _forward_trace(model, g, None, full)
     target = original.predicted_class
     p0 = float(original.probabilities[target])

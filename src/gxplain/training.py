@@ -18,6 +18,7 @@ from .model import (
     PROBABILITY_FLOOR,
     GnnModel,
     Layer,
+    _adjacency,
     _backward,
     _block_rows,
     _check_attr_dim,
@@ -56,7 +57,7 @@ def _stack_graphs(graphs) -> list[_Stack]:
         by_size.setdefault(g.node_count, []).append(g)
     return [
         _Stack(
-            _propagation(group),
+            _propagation(_adjacency(group)),
             np.stack([g.attributes for g in group]),
             np.array([-1 if g.label is None else g.label for g in group]),
         )

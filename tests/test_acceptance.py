@@ -28,6 +28,7 @@ from gxplain.model import (
     MaskedInput,
     forward,
     mask_gradients,
+    _adjacency,
     _propagation,
     loss,
     save_model,
@@ -187,7 +188,8 @@ def test_criterion_4_gradients_match_finite_differences():
         )
         from gxplain.model import _forward_trace
 
-        trace = _forward_trace(model, g, mask, _propagation([g])[0])
+        unmasked = _propagation(_adjacency([g]))[0]
+        trace = _forward_trace(model, g, mask, unmasked)
         pres = list(trace.node_z) + list(trace.head_z)
         layers = list(model.gcn_layers) + list(model.head_layers)
         if any(

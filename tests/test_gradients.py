@@ -34,9 +34,9 @@ def relu_kink_free(model, g, mask):
     Finite differences straddle the kink and disagree with the exact
     one-sided derivative there, so those draws are skipped.
     """
-    from gxplain.model import _forward_trace, _propagation
+    from gxplain.model import _adjacency, _forward_trace, _propagation
 
-    trace = _forward_trace(model, g, mask, _propagation([g])[0])
+    trace = _forward_trace(model, g, mask, _propagation(_adjacency([g]))[0])
     pres = list(trace.node_z) + list(trace.head_z)
     layers = list(model.gcn_layers) + list(model.head_layers)
     for layer, pre in zip(layers, pres):
@@ -151,6 +151,7 @@ def readout_tie_free(model, g):
 
 def test_weight_gradients_match_finite_differences_alone_and_stacked():
     from gxplain.model import (
+        _adjacency,
         _backward,
         _forward_trace,
         _layer_stack,
@@ -175,7 +176,7 @@ def test_weight_gradients_match_finite_differences_alone_and_stacked():
         ):
             continue
         targets = rng.integers(0, 2, len(graphs))
-        a = np.stack([_propagation([g])[0] for g in graphs])
+        a = np.stack([_propagation(_adjacency([g]))[0] for g in graphs])
         x = np.stack([g.attributes for g in graphs])
         stacked = _backward(model, _layer_stack(model, a, x), targets)
         for i, (g, target) in enumerate(zip(graphs, targets)):
@@ -194,6 +195,7 @@ def test_weight_gradients_match_finite_differences_alone_and_stacked():
 def test_floored_target_has_zero_gradients_alone_and_stacked():
     from gxplain.model import (
         PROBABILITY_FLOOR,
+        _adjacency,
         _backward,
         _forward_trace,
         _layer_stack,
@@ -222,7 +224,7 @@ def test_floored_target_has_zero_gradients_alone_and_stacked():
     assert not grads.edge_gate.any() and not grads.attribute_gate.any()
     assert mask_gradients(model, graphs[0], mask, 1).edge_gate.any()
 
-    a = np.stack([_propagation([g])[0] for g in graphs])
+    a = np.stack([_propagation(_adjacency([g]))[0] for g in graphs])
     x = np.stack([g.attributes for g in graphs])
     stacked = _backward(model, _layer_stack(model, a, x), np.array([0, 1]))
     for target, (i, g) in zip((0, 1), enumerate(graphs)):

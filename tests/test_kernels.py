@@ -20,6 +20,7 @@ from gxplain.model import (
     _backward,
     _forward_trace,
     _layer_stack,
+    _adjacency,
     _propagation,
 )
 from gxplain.optim import Adam
@@ -99,7 +100,7 @@ def assert_same_arrays(got, want):
 @given(stacks())
 def test_traces_and_weight_gradients_give_the_pinned_bytes(case):
     model, graphs, targets, _ = case
-    a = _propagation(graphs)
+    a = _propagation(_adjacency(graphs))
     x = np.stack([g.attributes for g in graphs])
     stacked = _layer_stack(model, a, x)
     assert_same_trace(stacked, pinned_layer_stack(model, a, x))
@@ -122,7 +123,7 @@ def test_traces_and_weight_gradients_give_the_pinned_bytes(case):
 def test_masked_traces_and_gate_gradients_give_the_pinned_bytes(case):
     model, graphs, targets, gates = case
     for g, target, mask in zip(graphs, targets, gates):
-        unmasked = _propagation([g])[0]
+        unmasked = _propagation(_adjacency([g]))[0]
         got = _forward_trace(model, g, mask, unmasked)
         want = pinned_forward_trace(model, g, mask, unmasked)
         assert_same_trace(got, want)

@@ -36,7 +36,12 @@ from gxplain.explain import (
     learn_masks,
 )
 from gxplain.graphs import build_graph
-from gxplain.model import PROBABILITY_FLOOR, MaskedInput, _propagation
+from gxplain.model import (
+    PROBABILITY_FLOOR,
+    MaskedInput,
+    _adjacency,
+    _propagation,
+)
 
 # the package exports the function ``explain`` under the module's name
 explain_module = importlib.import_module("gxplain.explain")
@@ -48,7 +53,7 @@ def reference_learn_masks(model, g, config, initial_masks=None):
     for attributes; a pinned side is skipped and keeps gates of 1.  It
     samples, runs the model and steps through the pinned kernels."""
     hc = config.hard_concrete
-    unmasked = _propagation([g])[0]
+    unmasked = _propagation(_adjacency([g]))[0]
     base = pinned_forward_trace(model, g, None, unmasked)
     target = base.predicted_class
     if initial_masks is None:

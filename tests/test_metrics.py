@@ -1,13 +1,19 @@
 """Budget resolution, EP metrics, sparsity, and the evaluation report."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph
 
 from gxplain.errors import InvalidBudget, MissingExplanation, ShapeMismatch
-from gxplain.explain import ExplainConfig, Explanation, explain
+from gxplain.explain import (
+    ExplainConfig,
+    Explanation,
+    explain,
+    node_importance,
+)
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
 from gxplain.metrics import (
     default_prediction,
@@ -208,6 +214,31 @@ def test_explanation_of_a_foreign_graph_is_refused(scorer, foreign):
             evaluate(model, [g], expls, k=2)
         else:
             sweep(model, [g], expls)
+
+
+# rankings of hot_path_graph's 5 nodes that are not permutations of them
+BAD_RANKINGS = {
+    "an entry of -1": (2, 0, 1, 3, -1),
+    "an entry of n": (2, 0, 1, 3, 5),
+    "a repeated node": (2, 0, 1, 3, 3),
+}
+
+
+@pytest.mark.parametrize("scorer", ["evaluate", "sweep", "node_importance"])
+@pytest.mark.parametrize("bad", sorted(BAD_RANKINGS))
+def test_a_ranking_that_is_not_a_permutation_is_refused(scorer, bad):
+    model = detector_model()
+    g = hot_path_graph("g")
+    expl = dataclasses.replace(
+        manual_explanation(g, range(5)), node_ranking=BAD_RANKINGS[bad]
+    )
+    with pytest.raises(ShapeMismatch, match="not a permutation of its 5"):
+        if scorer == "evaluate":
+            evaluate(model, [g], {"g": expl}, k=2)
+        elif scorer == "sweep":
+            sweep(model, [g], {"g": expl})
+        else:
+            node_importance(expl, g)
 
 
 def test_report_fractions_and_counts_in_range():

@@ -16,6 +16,8 @@ from gxplain.model import (
     MaskedInput,
     forward,
     load_model,
+    _adjacency,
+    _induced_trace,
     _propagation,
     loss,
     save_model,
@@ -33,18 +35,22 @@ def identity_model():
 
 def test_normalization_uses_in_degree_plus_one():
     g = two_node_chain()
-    a = _propagation([g])[0]
+    a = _propagation(_adjacency([g]))[0]
     # d~ = (1, 2): node 1 has one incoming arc
     assert np.diag(a).tolist() == [1.0, 0.5]
     assert a[1, 0] == pytest.approx(1.0 / SQRT2)
 
 
-def test_induced_operators_take_one_graph():
-    g = two_node_chain()
-    rows = np.array([[0, 1]])
-    assert _propagation([g], rows)[0].tobytes() == _propagation([g])[0].tobytes()
-    with pytest.raises(ValueError):
-        _propagation([g, g], rows)
+def test_induced_operator_of_every_node_is_the_graph_operator():
+    graphs = [two_node_chain(), build_graph(2, [(1, 0)], [[1.0], [2.0]], True)]
+    adjacency = _adjacency(graphs)
+    x = np.stack([g.attributes for g in graphs])
+    every = np.array([[0, 1], [0, 1]])
+    tr = _induced_trace(identity_model(), adjacency, x, [1, 0], every)
+    for a, g in zip(tr.a_eff, graphs[::-1]):
+        assert a.tobytes() == _propagation(_adjacency([g]))[0].tobytes()
+    # the gather copies, so the 0/1 stack is not normalized in place
+    assert adjacency.tobytes() == _adjacency(graphs).tobytes()
 
 
 def test_gcn_normalization_is_written_once():

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gxplain
+from gxplain.errors import IndexOutOfRange, InvalidGraph
 from gxplain.explain import Explanation
 from gxplain.graphs import (
     NodeSet,
@@ -81,6 +82,24 @@ def test_stacked_subsets_are_bitwise_the_extracted_forward(case):
         for row, p in zip(combos, probs):
             sub = node_induced_subgraph(g, NodeSet(row))
             assert np.array_equal(forward(model, sub).probabilities, p)
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([[-1]], IndexOutOfRange),
+        ([[-13]], IndexOutOfRange),
+        ([[13]], IndexOutOfRange),
+        ([[0, 0]], InvalidGraph),
+        ([[3, 1]], InvalidGraph),
+    ],
+)
+def test_rows_that_name_no_induced_subgraph_are_refused(rows, error):
+    g = build_graph(
+        13, [(i, i + 1) for i in range(12)], np.ones((13, 1)), False
+    )
+    with pytest.raises(error):
+        subset_probabilities(detector_model(), [(g, np.array(rows))])
 
 
 def test_stacks_of_several_graphs_match_each_graph_alone():
@@ -156,6 +175,49 @@ def _verdict_by_definition(model, g, expl, budget, default):
     return kept, rest, min_k
 
 
+def _assert_rows_by_definition(model, graphs, expls, rows, budgets, min_k):
+    """Each row against :func:`_verdict_by_definition`, with its budget
+    from ``budgets``; its ``min_k`` must be ``None`` unless ``min_k``."""
+    default = default_prediction(model)
+    by_id = {g.graph_id: g for g in graphs}
+    for row, budget in zip(rows, budgets, strict=True):
+        g, expl = by_id[row.graph_id], expls[row.graph_id]
+        kept, rest, want_k = _verdict_by_definition(
+            model, g, expl, budget, default
+        )
+        assert row.budget == budget
+        assert (row.retained_explained, row.retained_remaining) == (kept, rest)
+        assert row.min_k == (want_k if min_k else None)
+        assert row.eligible == (expl.original_prediction != default)
+
+
+def _evaluate_by_definition(model, graphs, expls, sparsity=True, **budget):
+    report = evaluate(
+        model, graphs, expls, compute_sparsity=sparsity, **budget
+    )
+    ids = sorted(expls)
+    assert [r.graph_id for r in report.per_graph] == ids
+    nodes = {g.graph_id: g.node_count for g in graphs}
+    want = [resolve_budget(nodes[i], **budget) for i in ids]
+    _assert_rows_by_definition(
+        model, graphs, expls, report.per_graph, want, sparsity
+    )
+    return report
+
+
+def _sweep_by_definition(model, graphs, expls):
+    rows = sweep(model, graphs, expls)
+    ids = sorted(expls)
+    max_n = max((g.node_count for g in graphs), default=0)
+    assert [r.graph_id for r in rows] == ids * max_n
+    nodes = {g.graph_id: g.node_count for g in graphs}
+    want = [
+        b if b <= nodes[i] else None for b in range(1, max_n + 1) for i in ids
+    ]
+    _assert_rows_by_definition(model, graphs, expls, rows, want, True)
+    return rows
+
+
 def _mixed_case():
     """40 graphs of 1 to 12 nodes, some directed, plus one of 0 nodes;
     every fifth explanation, and the empty graph's, names a class its
@@ -200,44 +262,68 @@ def _mixed_case():
 
 @pytest.mark.parametrize("budget", [{"k": 3}, {"k": 6}, {"rate": 0.4}])
 def test_evaluate_matches_a_per_subgraph_loop_on_mixed_sizes(budget, blocks):
-    model, graphs, expls = _mixed_case()
-    default = default_prediction(model)
-    report = evaluate(model, graphs, expls, **budget)
+    report = _evaluate_by_definition(*_mixed_case(), **budget)
     assert sum(r.eligible for r in report.per_graph) >= 5
-    assert [r.graph_id for r in report.per_graph] == sorted(expls)
-    for row in report.per_graph:
-        g = next(x for x in graphs if x.graph_id == row.graph_id)
-        expl = expls[g.graph_id]
-        b = resolve_budget(g.node_count, **budget)
-        want = _verdict_by_definition(model, g, expl, b, default)
-        assert row.budget == b
-        got = (row.retained_explained, row.retained_remaining, row.min_k)
-        assert got == want
-        assert row.eligible == (expl.original_prediction != default)
 
 
 def test_sweep_matches_a_per_subgraph_loop_on_mixed_sizes(blocks):
     model, graphs, expls = _mixed_case()
-    default = default_prediction(model)
-    rows = sweep(model, graphs, expls)
-    ids = sorted(expls)
-    max_n = max(g.node_count for g in graphs)
-    assert [r.graph_id for r in rows] == ids * max_n
-    by_id = {g.graph_id: g for g in graphs}
-    for j, row in enumerate(rows):
-        g, expl = by_id[row.graph_id], expls[row.graph_id]
-        b = j // len(ids) + 1
-        b = b if b <= g.node_count else None
-        want = _verdict_by_definition(model, g, expl, b, default)
-        assert row.budget == b
-        got = (row.retained_explained, row.retained_remaining, row.min_k)
-        assert got == want
-        assert row.eligible == (expl.original_prediction != default)
+    rows = _sweep_by_definition(model, graphs, expls)
     report = evaluate(model, graphs, expls, k=3)
     min_k = {r.graph_id: r.min_k for r in report.per_graph}
     assert min_k["g40"] == 0
     assert all(r.min_k == min_k[r.graph_id] for r in rows)
     assert sweep(model, [], {}) == []
+
+
+@st.composite
+def scan_case(draw):
+    """A model of 3 classes and up to 8 graphs of 0 to 12 nodes, directed
+    or not, each explained by a drawn ranking; an explanation names its
+    graph's prediction or another class, which no prefix may retain."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_model(rng, hidden=(4, 4), num_classes=3)
+    graphs, expls = [], {}
+    for i in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 12))
+        nodes = st.integers(0, max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(nodes, nodes), max_size=2 * n))
+        g = build_graph(
+            n,
+            edges,
+            rng.normal(size=(n, 3)),
+            draw(st.booleans()),
+            graph_id=f"g{i}",
+        )
+        graphs.append(g)
+        predicted = forward(model, g).predicted_class
+        expls[g.graph_id] = Explanation(
+            graph_id=g.graph_id,
+            arcs=tuple(map(tuple, g.arcs.tolist())),
+            original_prediction=draw(
+                st.sampled_from([predicted, (predicted + 1) % 3])
+            ),
+            original_probability=0.5,
+            edge_score=np.zeros(g.arc_count),
+            attr_score=np.zeros((n, 3)),
+            node_attr_score=np.zeros(n),
+            node_score=np.zeros(n),
+            node_ranking=tuple(draw(st.permutations(range(n)))),
+        )
+    return model, graphs, expls
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(scan_case())
+def test_scan_matches_a_per_subgraph_loop_on_random_graphs(blocks, case):
+    for budget in ({"k": 1}, {"k": 4}, {"rate": 0.3}, {"rate": 1.0}):
+        for sparsity in (True, False):
+            _evaluate_by_definition(*case, sparsity, **budget)
+    _sweep_by_definition(*case)
 
 
 def test_hot_paths_do_not_extract_one_subgraph_per_candidate():
@@ -261,7 +347,9 @@ def _calls(tree, name):
 def test_one_scan_scores_subsets_and_eval_calls_each_entry_point_once():
     src = Path(gxplain.__file__).parent
     metrics = ast.parse((src / "metrics.py").read_text("utf-8"))
-    assert len(_calls(metrics, "_retained")) == 1
+    assert len(_calls(metrics, "_induced_trace")) == 1
+    (scan,) = [f for f in metrics.body if getattr(f, "name", "") == "_scan"]
+    assert not _calls(scan, "NodeSet") + _calls(scan, "complement_set")
     cli = ast.parse((src / "cli.py").read_text("utf-8"))
     loops = (
         ast.For,
