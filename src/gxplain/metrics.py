@@ -27,8 +27,9 @@ from .model import (
     _adjacency,
     _block_rows,
     _check_attr_dim,
-    _induced_trace,
-    forward,
+    _induced_probabilities,
+    _layer_stack,
+    _propagation,
 )
 
 
@@ -92,7 +93,14 @@ def default_prediction(model: GnnModel) -> int:
     empty = AttributedGraph(
         0, (), np.zeros((0, model.attr_dim)), directed=True
     )
-    return forward(model, empty).predicted_class
+    return _prediction(model, empty)
+
+
+def _prediction(model: GnnModel, g: AttributedGraph) -> int:
+    """The class ``g`` predicts unmasked, from a probability-only pass."""
+    _check_attr_dim(model, g)
+    a = _propagation(_adjacency([g]))[0]
+    return int(np.argmax(_layer_stack(model, a, g.attributes, keep=False)))
 
 
 def keep_top_attributes(
@@ -169,11 +177,10 @@ def _retains(
     hits = np.empty(len(rows), dtype=bool)
     for lo in range(0, len(rows), step):
         part = slice(lo, lo + step)
-        tr = _induced_trace(
+        p = _induced_probabilities(
             model, stack.adjacency, stack.attributes, which[part], rows[part]
         )
-        predicted = tr.probabilities.argmax(axis=-1)
-        hits[part] = predicted == stack.target[which[part]]
+        hits[part] = p.argmax(axis=-1) == stack.target[which[part]]
     return hits
 
 
@@ -289,8 +296,7 @@ def evaluate(
             expl = explanations[g.graph_id]
             masked = keep_top_attributes(g, expl.attr_score, attr_top)
             attribute_hits.append(
-                forward(model, masked).predicted_class
-                == expl.original_prediction
+                _prediction(model, masked) == expl.original_prediction
             )
     slots = [
         (i, resolve_budget(g.node_count, k, rate))

@@ -37,8 +37,10 @@ from .graphs import AttributedGraph
 MODEL_FORMAT_VERSION = 1
 READOUT_MAX_MEAN = "max_mean_concat"
 PROBABILITY_FLOOR = 1e-12
-# graphs per stacked pass; on 13-node graphs larger blocks ran slower
-# (their node fields outgrow the cache) and use more memory
+# graphs per stacked pass.  Scoring 13-node subsets with probability-only
+# passes (2-vCPU host, one BLAS thread), 256-row blocks were no faster
+# than 128 (within noise) and raised peak memory by about 10%, and
+# 512-row blocks ran 15-35% slower: their node fields outgrow the cache
 SUBSET_BLOCK_ROWS = 128
 # propagation entries per pass (128 graphs of 16 nodes): stacks of larger
 # graphs get fewer rows, so a block never needs much more memory than
@@ -253,13 +255,20 @@ def _readout(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h.max(axis=-2), h.sum(axis=-2) / n], axis=-1)
 
 
-def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
+def _layer_stack(
+    model: GnnModel, a_eff: np.ndarray, h: np.ndarray, *, keep: bool = True
+) -> _Trace | np.ndarray:
     """GCN layers, readout, head and softmax on ``(..., n, n)`` propagation
     and ``(..., n, d)`` node fields; leading axes stack independent graphs.
 
     Each product is a per-graph one (stacked ``a @ h``, broadcast
     ``h @ W``, a head row as ``(1, w) @ W``), so every slice of a stack is
     bit-identical to the same graph run alone.
+
+    With ``keep`` the result is a :class:`_Trace` for :func:`_backward`.
+    Without it no layer's arrays outlive the next layer, and the result
+    is only the ``(..., classes)`` probabilities, which :func:`_backward`
+    cannot take.
     """
     node_h = [h]
     node_m = []
@@ -269,9 +278,10 @@ def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
         z = m @ layer.weight
         z += layer.bias
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        node_m.append(m)
-        node_z.append(z)
-        node_h.append(h)
+        if keep:
+            node_m.append(m)
+            node_z.append(z)
+            node_h.append(h)
 
     u = _readout(h)
     head_u = [u]
@@ -280,9 +290,13 @@ def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
         z = (u[..., None, :] @ layer.weight)[..., 0, :]
         z += layer.bias
         u = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        head_z.append(z)
-        head_u.append(u)
+        if keep:
+            head_z.append(z)
+            head_u.append(u)
 
+    probabilities = _softmax(u)
+    if not keep:
+        return probabilities
     return _Trace(
         a_eff=a_eff,
         node_h=node_h,
@@ -291,7 +305,7 @@ def _layer_stack(model: GnnModel, a_eff: np.ndarray, h: np.ndarray) -> _Trace:
         head_u=head_u,
         head_z=head_z,
         logits=u,
-        probabilities=_softmax(u),
+        probabilities=probabilities,
     )
 
 
@@ -346,25 +360,40 @@ def _block_rows(k: int) -> int:
     return max(1, min(SUBSET_BLOCK_ROWS, _BLOCK_ENTRIES // max(k * k, 1)))
 
 
-def _induced_trace(
+def _induced_operands(
+    adjacency: np.ndarray,
+    attributes: np.ndarray,
+    graph: int | np.ndarray,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """GCN operators and node fields of node-induced subgraphs, stacked:
+    row ``i`` of ``rows``, a ``(b, k)`` int array of ascending node
+    indices, picks nodes of graph ``graph[i]`` of the 0/1 ``adjacency``
+    stack (``(G, n, n)``, see :func:`_adjacency`) whose node fields are
+    ``attributes`` (``(G, n, d)``); ``graph`` may also be one index for
+    every row.  Degrees are counted inside each subset; the gather
+    copies, so ``adjacency`` is left as it is.
+    """
+    graph = np.reshape(graph, (-1, 1))
+    a = adjacency[graph[..., None], rows[:, :, None], rows[:, None, :]]
+    return _propagation(a), attributes[graph, rows]
+
+
+def _induced_probabilities(
     model: GnnModel,
     adjacency: np.ndarray,
     attributes: np.ndarray,
     graph: int | np.ndarray,
     rows: np.ndarray,
-) -> _Trace:
-    """Forward pass of node-induced subgraphs, stacked: row ``i`` of
-    ``rows``, a ``(b, k)`` int array of ascending node indices, picks
-    nodes of graph ``graph[i]`` of the 0/1 ``adjacency`` stack (``(G, n,
-    n)``, see :func:`_adjacency`) whose node fields are ``attributes``
-    (``(G, n, d)``); ``graph`` may also be one index for every row.
-    Degrees are counted inside each subset, so slice ``i`` is, bit for
-    bit, :func:`forward` on that extracted subgraph.  Callers check the
-    rows and pass at most :func:`_block_rows` of them.
+) -> np.ndarray:
+    """Class probabilities, ``(b, classes)``, of the node-induced
+    subgraphs of :func:`_induced_operands`, in one probability-only
+    stacked pass; row ``i`` is, bit for bit, :func:`forward` on that
+    extracted subgraph.  Callers check the rows and pass at most
+    :func:`_block_rows` of them.
     """
-    graph = np.reshape(graph, (-1, 1))
-    a = adjacency[graph[..., None], rows[:, :, None], rows[:, None, :]]
-    return _layer_stack(model, _propagation(a), attributes[graph, rows])
+    a, x = _induced_operands(adjacency, attributes, graph, rows)
+    return _layer_stack(model, a, x, keep=False)
 
 
 def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:
@@ -376,7 +405,7 @@ def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:
     ``k`` for all items.  Row ``i`` of the result equals, bit for bit,
     the probabilities of :func:`forward` on the subgraph extracted for
     the ``i``-th subset.  Callers pass at most :func:`_block_rows` rows
-    at a time.
+    at a time.  No pairs give a ``(0, classes)`` array.
 
     Raises:
         ShapeMismatch: a graph's attributes do not fit the model.
@@ -393,11 +422,12 @@ def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:
             )
         if (np.diff(rows, axis=-1) <= 0).any():
             raise InvalidGraph("subset rows must be strictly ascending")
-        tr = _induced_trace(
-            model, _adjacency([g]), g.attributes[None], 0, rows
+        probs.append(
+            _induced_probabilities(
+                model, _adjacency([g]), g.attributes[None], 0, rows
+            )
         )
-        probs.append(tr.probabilities)
-    return probs[0] if len(probs) == 1 else np.concatenate(probs)
+    return np.concatenate(probs) if probs else np.zeros((0, model.num_classes))
 
 
 def _check_target(model: GnnModel, target_class: int) -> None:

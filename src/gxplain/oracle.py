@@ -18,11 +18,10 @@ from .model import (
     GnnModel,
     _adjacency,
     _block_rows,
-    _forward_trace,
-    _induced_trace,
+    _check_attr_dim,
+    _induced_probabilities,
     _layer_stack,
     _propagation,
-    forward,
 )
 
 MAX_ORACLE_NODES = 14
@@ -63,23 +62,48 @@ def _subset_blocks(n: int, k: int):
         yield rows[first : first + step]
 
 
-def brute_force_best_subset(
-    model: GnnModel, g: AttributedGraph, k: int
-) -> tuple[NodeSet, float]:
-    """The k-subset whose induced subgraph maximizes the original class
-    probability; ties keep the lexicographically first subset."""
+def _check_budget(g: AttributedGraph, k: int) -> None:
     _guard_size(g)
     if not 0 <= k <= g.node_count:
         raise InvalidBudget(
             f"k must lie in [0, {g.node_count}], got {k}"
         )
-    target = forward(model, g).predicted_class
-    adjacency, x = _adjacency([g]), g.attributes[None]
+
+
+def _original(
+    model: GnnModel, g: AttributedGraph
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every search of ``g`` starts from: its 0/1 adjacency ``(1, n,
+    n)``, its unmasked operator ``(n, n)`` and its unmasked class
+    probabilities, from one probability-only pass."""
+    _check_attr_dim(model, g)
+    adjacency = _adjacency([g])
+    full = _propagation(adjacency.copy())[0]
+    return adjacency, full, _layer_stack(model, full, g.attributes, keep=False)
+
+
+def brute_force_best_subset(
+    model: GnnModel, g: AttributedGraph, k: int
+) -> tuple[NodeSet, float]:
+    """The k-subset whose induced subgraph maximizes the original class
+    probability; ties keep the lexicographically first subset."""
+    _check_budget(g, k)
+    adjacency, _, original = _original(model, g)
+    return _best_subset(model, g, k, adjacency, int(np.argmax(original)))
+
+
+def _best_subset(
+    model: GnnModel,
+    g: AttributedGraph,
+    k: int,
+    adjacency: np.ndarray,
+    target: int,
+) -> tuple[NodeSet, float]:
+    x = g.attributes[None]
     best_subset: np.ndarray | None = None
     best_probability = -1.0
     for rows in _subset_blocks(g.node_count, k):
-        tr = _induced_trace(model, adjacency, x, 0, rows)
-        p = tr.probabilities[:, target]
+        p = _induced_probabilities(model, adjacency, x, 0, rows)[:, target]
         i = int(np.argmax(p))
         # strict: an equal value in a later block loses the tie
         if p[i] > best_probability:
@@ -92,12 +116,18 @@ def exhaustive_sparsity(model: GnnModel, g: AttributedGraph) -> int:
     """Smallest subset size whose best induced subgraph keeps the
     original prediction; the full set always does, so this terminates."""
     _guard_size(g)
-    original = forward(model, g).predicted_class
-    adjacency, x = _adjacency([g]), g.attributes[None]
+    adjacency, _, original = _original(model, g)
+    return _min_k(model, g, adjacency, int(np.argmax(original)))
+
+
+def _min_k(
+    model: GnnModel, g: AttributedGraph, adjacency: np.ndarray, target: int
+) -> int:
+    x = g.attributes[None]
     for k in range(1, g.node_count + 1):
         for rows in _subset_blocks(g.node_count, k):
-            p = _induced_trace(model, adjacency, x, 0, rows).probabilities
-            if (p.argmax(axis=-1) == original).any():
+            p = _induced_probabilities(model, adjacency, x, 0, rows)
+            if (p.argmax(axis=-1) == target).any():
                 return k
     return g.node_count
 
@@ -109,10 +139,15 @@ def occlusion_scores(model: GnnModel, g: AttributedGraph) -> np.ndarray:
     and their entries share the drop value.  The gated copies of ``g`` run
     as stacks, one row per occluded edge.
     """
-    full = _propagation(_adjacency([g]))[0]
-    original = _forward_trace(model, g, None, full)
-    target = original.predicted_class
-    p0 = float(original.probabilities[target])
+    _, full, original = _original(model, g)
+    return _occlusion(model, g, full, original)
+
+
+def _occlusion(
+    model: GnnModel, g: AttributedGraph, full: np.ndarray, original: np.ndarray
+) -> np.ndarray:
+    target = int(np.argmax(original))
+    p0 = float(original[target])
     step = 1 if g.directed else 2
     src, dst = g.arc_index_arrays()
     # one row per occluded edge: its arc and, when undirected, the mate
@@ -124,19 +159,25 @@ def occlusion_scores(model: GnnModel, g: AttributedGraph) -> np.ndarray:
         a = np.repeat(full[None], len(arcs), axis=0)
         a[np.arange(len(arcs))[:, None], dst[arcs], src[arcs]] = 0.0
         x = np.broadcast_to(g.attributes, (len(arcs),) + g.attributes.shape)
-        probs = _layer_stack(model, a, x).probabilities[:, target]
+        probs = _layer_stack(model, a, x, keep=False)[:, target]
         drops[first : first + rows] = p0 - probs
     return np.repeat(drops, step)
 
 
 def oracle_report(model: GnnModel, g: AttributedGraph, k: int) -> OracleResult:
-    """Bundle of every oracle output for one small graph."""
-    best_subset, best_probability = brute_force_best_subset(model, g, k)
+    """Bundle of every oracle output for one small graph; its three
+    searches share one adjacency and one unmasked pass."""
+    _check_budget(g, k)
+    adjacency, full, original = _original(model, g)
+    target = int(np.argmax(original))
+    best_subset, best_probability = _best_subset(
+        model, g, k, adjacency, target
+    )
     return OracleResult(
         best_subset=best_subset,
         best_probability=best_probability,
-        exhaustive_min_k=exhaustive_sparsity(model, g),
-        occlusion_drop=occlusion_scores(model, g),
+        exhaustive_min_k=_min_k(model, g, adjacency, target),
+        occlusion_drop=_occlusion(model, g, full, original),
     )
 
 

@@ -80,7 +80,7 @@ def _accuracy(model: GnnModel, stacks: list[_Stack]) -> float:
     if not count:
         return float("nan")
     hits = sum(
-        int((_layer_stack(model, a, x).probabilities.argmax(-1) == y).sum())
+        int((_layer_stack(model, a, x, keep=False).argmax(-1) == y).sum())
         for a, x, y in _blocks(stacks)
     )
     return hits / count

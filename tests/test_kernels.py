@@ -19,6 +19,8 @@ from gxplain.model import (
     MaskedInput,
     _backward,
     _forward_trace,
+    _induced_operands,
+    _induced_probabilities,
     _layer_stack,
     _adjacency,
     _propagation,
@@ -29,11 +31,11 @@ TRACE_FIELDS = ("node_h", "node_m", "node_z", "head_u", "head_z")
 
 
 @st.composite
-def stacks(draw):
+def stacks(draw, max_nodes=20):
     """A model and 1-3 graphs of one node count; large scales push the
     target probability onto its floor, zero attributes and biases put
     fields on relu kinks."""
-    n = draw(st.integers(0, 20))
+    n = draw(st.integers(0, max_nodes))
     b = draw(st.integers(1, 3))
     attr_dim = draw(st.integers(1, 4))
     widths = draw(st.lists(st.integers(1, 6), max_size=3))
@@ -80,6 +82,21 @@ def stacks(draw):
     return model, graphs, targets, gates
 
 
+@st.composite
+def induced_rows(draw):
+    """A stack of graphs with up to the oracle's 14 nodes and 1-5 rows of
+    k = 0, 1 or n of their nodes; k = 1 rows take numpy's matrix-vector
+    products."""
+    model, graphs, _, _ = draw(stacks(max_nodes=14))
+    n = graphs[0].node_count
+    k = draw(st.sampled_from(sorted({0, min(n, 1), n})))
+    b = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.sort([rng.permutation(n)[:k] for _ in range(b)], axis=1)
+    which = rng.integers(0, len(graphs), b)
+    return model, graphs, which, rows.astype(np.int64).reshape(b, k)
+
+
 def assert_same_trace(got, want):
     for name in TRACE_FIELDS:
         assert len(getattr(got, name)) == len(getattr(want, name))
@@ -94,6 +111,24 @@ def assert_same_arrays(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(induced_rows())
+def test_probability_only_pass_gives_the_trace_and_pinned_bytes(case):
+    model, graphs, which, rows = case
+    adjacency = _adjacency(graphs)
+    x = np.stack([g.attributes for g in graphs])
+    got = _induced_probabilities(model, adjacency, x, which, rows)
+    assert type(got) is np.ndarray
+    assert got.shape == (len(rows), model.num_classes)
+    a, h = _induced_operands(adjacency, x, which, rows)
+    for trace in (_layer_stack(model, a, h), pinned_layer_stack(model, a, h)):
+        assert got.tobytes() == trace.probabilities.tobytes()
+    # one graph alone, as the oracle's and the attribute pass's call
+    alone = _layer_stack(model, a[0], h[0], keep=False)
+    want = pinned_layer_stack(model, a[0], h[0]).probabilities
+    assert alone.shape == want.shape and alone.tobytes() == want.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -17,7 +17,8 @@ from gxplain.model import (
     forward,
     load_model,
     _adjacency,
-    _induced_trace,
+    _induced_operands,
+    _layer_stack,
     _propagation,
     loss,
     save_model,
@@ -46,8 +47,8 @@ def test_induced_operator_of_every_node_is_the_graph_operator():
     adjacency = _adjacency(graphs)
     x = np.stack([g.attributes for g in graphs])
     every = np.array([[0, 1], [0, 1]])
-    tr = _induced_trace(identity_model(), adjacency, x, [1, 0], every)
-    for a, g in zip(tr.a_eff, graphs[::-1]):
+    a_eff, _ = _induced_operands(adjacency, x, [1, 0], every)
+    for a, g in zip(a_eff, graphs[::-1]):
         assert a.tobytes() == _propagation(_adjacency([g]))[0].tobytes()
     # the gather copies, so the 0/1 stack is not normalized in place
     assert adjacency.tobytes() == _adjacency(graphs).tobytes()
@@ -63,6 +64,94 @@ def test_gcn_normalization_is_written_once():
     ]
     assert text.count("np.sqrt(") == 1
     assert users == ["_propagation"]
+
+
+def _name(call: ast.Call) -> str:
+    return getattr(call.func, "id", getattr(call.func, "attr", ""))
+
+
+def _calls(tree) -> list[ast.Call]:
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+
+def _probability_only(call: ast.Call) -> bool:
+    return any(
+        k.arg == "keep" and getattr(k.value, "value", True) is False
+        for k in call.keywords
+    )
+
+
+def _source(name: str) -> ast.Module:
+    # read by path: the package re-exports functions named like modules
+    path = Path(model_module.__file__).with_name(f"{name}.py")
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _functions(name: str) -> dict[str, ast.FunctionDef]:
+    return {
+        node.name: node
+        for node in _source(name).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_layer_arithmetic_is_written_once():
+    # the layer products, readout and softmax all live in _layer_stack
+    users = {
+        name
+        for name, fn in _functions("model").items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.MatMult)
+        and getattr(node.right, "attr", "") == "weight"
+    }
+    callers = {
+        name
+        for name, fn in _functions("model").items()
+        if {"_readout", "_softmax"} & {_name(c) for c in _calls(fn)}
+    }
+    assert users == callers == {"_layer_stack"}
+
+
+def test_probability_readers_keep_no_trace():
+    keeps_trace = {"forward", "_forward_trace", "loss", "mask_gradients"}
+    readers = [
+        _source("oracle"),
+        _source("metrics"),
+        _functions("model")["subset_probabilities"],
+        _functions("training")["_accuracy"],
+    ]
+    for tree in readers:
+        names = [_name(c) for c in _calls(tree)]
+        assert not keeps_trace & set(names) and "_backward" not in names
+        assert {"_induced_probabilities", "_layer_stack"} & set(names)
+        stacks = [c for c in _calls(tree) if _name(c) == "_layer_stack"]
+        assert all(_probability_only(c) for c in stacks)
+    (inner,) = [
+        c
+        for c in _calls(_functions("model")["_induced_probabilities"])
+        if _name(c) == "_layer_stack"
+    ]
+    assert _probability_only(inner)
+
+
+def test_no_probability_only_result_reaches_backward():
+    for name in ("model", "training", "explain", "metrics", "oracle"):
+        for fn in _functions(name).values():
+            calls = _calls(fn)
+            if "_backward" in {_name(c) for c in calls}:
+                probability_only = [
+                    c
+                    for c in calls
+                    if _name(c) == "_induced_probabilities"
+                    or _probability_only(c)
+                ]
+                assert not probability_only, fn.name
+    # and the bare array has none of the fields _backward reads
+    g = two_node_chain()
+    a = _propagation(_adjacency([g]))[0]
+    p = _layer_stack(identity_model(), a, g.attributes, keep=False)
+    assert type(p) is np.ndarray and p.shape == (2,)
 
 
 def test_forward_hand_computed_two_node_chain():

@@ -102,6 +102,12 @@ def test_rows_that_name_no_induced_subgraph_are_refused(rows, error):
         subset_probabilities(detector_model(), [(g, np.array(rows))])
 
 
+def test_no_pairs_give_an_empty_probability_array():
+    model = random_model(np.random.default_rng(4), num_classes=3)
+    probs = subset_probabilities(model, [])
+    assert probs.shape == (0, 3) and probs.dtype == np.float64
+
+
 def test_stacks_of_several_graphs_match_each_graph_alone():
     rng = np.random.default_rng(5)
     model = random_model(rng, hidden=(4, 3))
@@ -347,7 +353,7 @@ def _calls(tree, name):
 def test_one_scan_scores_subsets_and_eval_calls_each_entry_point_once():
     src = Path(gxplain.__file__).parent
     metrics = ast.parse((src / "metrics.py").read_text("utf-8"))
-    assert len(_calls(metrics, "_induced_trace")) == 1
+    assert len(_calls(metrics, "_induced_probabilities")) == 1
     (scan,) = [f for f in metrics.body if getattr(f, "name", "") == "_scan"]
     assert not _calls(scan, "NodeSet") + _calls(scan, "complement_set")
     cli = ast.parse((src / "cli.py").read_text("utf-8"))
