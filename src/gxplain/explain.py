@@ -270,7 +270,7 @@ def init_masks(
     return MaskSet(logits, edge_params, edge_slot, attr_slot, sharing)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Explanation:
     """Importance scores of one graph under one trained model."""
 

@@ -33,7 +33,7 @@ from .model import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphVerdict:
     """Per-graph evaluation row."""
 

@@ -8,6 +8,7 @@ session-scoped and only paid for by the files that ask for them.
 import numpy as np
 import pytest
 
+from gxplain import oracle
 from gxplain.datasets import generate_ba2motifs
 from gxplain.graphs import build_graph
 from gxplain.model import GnnModel, Layer
@@ -80,3 +81,18 @@ def ba_dataset():
 @pytest.fixture(scope="session")
 def ba_model(ba_dataset):
     return train_model(ba_dataset, seed=BA_TRAIN_SEED).model
+
+
+@pytest.fixture
+def oracle_passes(monkeypatch):
+    """The row count of each stacked pass the oracle runs from here on."""
+    passes = []
+    run = oracle._layer_stack
+
+    def counted(model, a, h, **kw):
+        if a.ndim == 3:
+            passes.append(len(a))
+        return run(model, a, h, **kw)
+
+    monkeypatch.setattr(oracle, "_layer_stack", counted)
+    return passes

@@ -1,6 +1,7 @@
 """Mask learning, score aggregation, and explanation serialization."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -329,6 +330,17 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.attr_score, expl.attr_score)
     assert loaded.node_ranking == expl.node_ranking
     assert meta["epochs"] == 10
+
+
+def test_slotted_explanation_pickles_with_every_field():
+    model, g, expl, cfg = scored_explanation(seed=16, epochs=10)
+    assert not hasattr(expl, "__dict__")
+    back = pickle.loads(pickle.dumps(expl))
+    assert json.dumps(explanation_to_dict(back, cfg)) == json.dumps(
+        explanation_to_dict(expl, cfg)
+    )
+    with pytest.raises(AttributeError):
+        expl.graph_id = "other"
 
 
 def test_explanation_dict_is_json_stable():

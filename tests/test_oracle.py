@@ -1,17 +1,24 @@
 """Exhaustive oracles: best subset, minimal retaining size, occlusion."""
 
+import ast
 import itertools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gxplain import oracle
 from gxplain.errors import TooLarge
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
-from gxplain.model import _block_rows, forward
+from gxplain.model import GnnModel, Layer, _block_rows, forward
 from gxplain.oracle import (
     MAX_ORACLE_NODES,
-    _subset_blocks,
+    _attribute_ids,
+    _subset_cells,
     _subsets,
     brute_force_best_subset,
     exhaustive_sparsity,
@@ -136,10 +143,158 @@ def test_subset_rows_are_the_combinations_in_order_and_read_only():
             assert not rows.flags.writeable
             assert _subsets(n, k) is rows
             total += rows.nbytes
-            blocks = list(_subset_blocks(n, k))
-            assert all(len(b) <= _block_rows(k) for b in blocks)
-            assert np.concatenate(blocks).tolist() == rows.tolist()
+            cells = _subset_cells(n, k)
+            assert _subset_cells(n, k) is cells
+            assert np.array_equal(
+                cells, rows[:, :, None] * n + rows[:, None, :]
+            )
             with pytest.raises(ValueError):
-                blocks[0][:1] = 0
+                cells[:1] = 0
     # every (n, k) the oracle can ask for takes about 1.7 MB
     assert total < 1.8e6
+    _subset_cells.cache_clear()
+
+
+def test_edge_budgets_give_the_one_subset_of_that_size():
+    model = random_model(np.random.default_rng(3))
+    empty = build_graph(0, [], np.zeros((0, 3)), False, graph_id="e")
+    g = random_small_graph(np.random.default_rng(4), 6, 6, gid="edge")
+    for graph in (empty, g):
+        p = forward(model, graph).probabilities
+        target = int(np.argmax(p))
+        for k in {0, graph.node_count}:
+            sub = node_induced_subgraph(graph, NodeSet(range(k)))
+            want = forward(model, sub).probabilities[target]
+            best, best_p = brute_force_best_subset(model, graph, k)
+            assert best.members == tuple(range(k)) and best_p == want
+            report = oracle_report(model, graph, k)
+            assert report.best_subset == best
+            assert report.best_probability == best_p
+    assert exhaustive_sparsity(model, empty) == 0
+
+
+def test_attribute_ids_compare_rows_as_bytes():
+    x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.5, 1.0]])
+    ids = _attribute_ids(x)
+    assert ids[0] == ids[2]
+    assert len({ids[0], ids[1], ids[3]}) == 3
+    assert _attribute_ids(np.zeros((3, 0))).tolist() == [0, 0, 0]
+    assert _attribute_ids(np.zeros((0, 2))).shape == (0,)
+
+
+@st.composite
+def oracle_case(draw):
+    n = draw(st.integers(0, 9))
+    directed = draw(st.booleans())
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    edges = [(s, d) for s, d in pairs if s != d]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    attr_dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # a two-row pool: many nodes alike, so many subsets alike
+        pool = rng.normal(size=(2, attr_dim))
+        attrs = pool[rng.integers(0, 2, size=n)]
+    else:
+        attrs = rng.normal(size=(n, attr_dim))
+    g = build_graph(n, edges, attrs, directed, graph_id="h")
+    widths = draw(st.lists(st.integers(1, 4), max_size=2))
+    layers, dim = [], attr_dim
+    for width in widths:
+        layers.append(
+            Layer(rng.normal(size=(dim, width)), rng.normal(size=width), "relu")
+        )
+        dim = width
+    classes = int(rng.integers(2, 4))
+    head = Layer(
+        rng.normal(size=(2 * dim, classes)), rng.normal(size=classes), "identity"
+    )
+    return g, GnnModel(attr_dim, classes, tuple(layers), (head,))
+
+
+def _by_definition(model, g):
+    """Per k, the first subset of maximum target probability and that
+    probability, from one extracted forward per subset; and the smallest
+    k whose subsets include one that keeps the prediction."""
+    target = int(np.argmax(forward(model, g).probabilities))
+    best, min_k = {}, None
+    for k in range(g.node_count + 1):
+        top = None
+        for combo in itertools.combinations(range(g.node_count), k):
+            sub = node_induced_subgraph(g, NodeSet(combo))
+            p = forward(model, sub).probabilities
+            if top is None or p[target] > top[1]:
+                top = (combo, p[target])
+            if min_k is None and k and int(np.argmax(p)) == target:
+                min_k = k
+        best[k] = top
+    return best, g.node_count if min_k is None else min_k
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracle_case())
+def test_searches_match_one_forward_per_subset(case):
+    g, model = case
+    best, min_k = _by_definition(model, g)
+    assert exhaustive_sparsity(model, g) == min_k
+    for k, (combo, p) in best.items():
+        got, got_p = brute_force_best_subset(model, g, k)
+        assert got.members == combo and got_p == p
+        report = oracle_report(model, g, k)
+        assert report.best_subset.members == combo
+        assert report.best_probability == p
+        assert report.exhaustive_min_k == min_k
+
+
+def _distinct_inputs(g, k):
+    links = np.zeros((g.node_count, g.node_count), dtype=bool)
+    for s, d in g.arcs.tolist():
+        links[d, s] = True
+    return len(
+        {
+            (links[np.ix_(c, c)].tobytes(), g.attributes[list(c)].tobytes())
+            for c in itertools.combinations(range(g.node_count), k)
+        }
+    )
+
+
+@pytest.mark.parametrize("alike", [True, False])
+def test_stacked_rows_are_the_distinct_subset_inputs(alike, oracle_passes):
+    rng = np.random.default_rng(6)
+    g = random_small_graph(rng, 10, 10, gid="count")
+    if alike:
+        g = build_graph(
+            10, g.arcs.tolist(), np.full((10, 3), 0.1), False, graph_id="c"
+        )
+    model = random_model(rng)
+    for k in (3, 5):
+        oracle_passes.clear()
+        brute_force_best_subset(model, g, k)
+        want = _distinct_inputs(g, k)
+        assert sum(oracle_passes) == want
+        assert (want < math.comb(10, k)) == alike
+
+
+def test_searches_score_subsets_only_through_one_helper():
+    path = Path(oracle.__file__)
+    functions = {
+        f.name: f
+        for f in ast.parse(path.read_text("utf-8")).body
+        if isinstance(f, ast.FunctionDef)
+    }
+    scorers = {
+        "_subset_probabilities",
+        "_layer_stack",
+        "_induced_probabilities",
+        "subset_probabilities",
+        "forward",
+        "_propagation",
+    }
+    for name in ("_best_subset", "_min_k"):
+        called = {
+            getattr(c.func, "id", "")
+            for c in ast.walk(functions[name])
+            if isinstance(c, ast.Call)
+        }
+        assert called & scorers == {"_subset_probabilities"}, name
+    assert "_subset_blocks" not in functions

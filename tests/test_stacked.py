@@ -121,19 +121,27 @@ def test_stacks_of_several_graphs_match_each_graph_alone():
         assert np.array_equal(alone, p)
 
 
-def test_ties_across_blocks_keep_the_lexicographically_first_subset(blocks):
+def test_ties_across_blocks_keep_the_lexicographically_first_subset(
+    blocks, oracle_passes
+):
+    # every subset ties; the 32 distinct inputs (which of the 5 pairs of
+    # neighbouring positions are linked) span many 3-row blocks
     g = build_graph(
         12, [(i, i + 1) for i in range(11)], np.zeros((12, 1)), False
     )
-    assert math.comb(12, 6) > 2 * _block_rows(6)
     best, _ = brute_force_best_subset(detector_model(), g, k=6)
     assert best.members == (0, 1, 2, 3, 4, 5)
+    assert sum(oracle_passes) == 32 < math.comb(12, 6)
+    assert len(oracle_passes) == math.ceil(32 / _block_rows(6))
+    if blocks == "3-row blocks":
+        assert len(oracle_passes) > 2
 
 
 @pytest.fixture(params=["default blocks", "3-row blocks"])
 def blocks(request, monkeypatch):
     if request.param != "default blocks":
         monkeypatch.setattr("gxplain.model.SUBSET_BLOCK_ROWS", 3)
+    return request.param
 
 
 def test_large_graphs_get_fewer_rows_per_block():
