@@ -361,22 +361,39 @@ def _block_rows(k: int) -> int:
 
 
 def _induced_operands(
-    adjacency: np.ndarray,
+    blocks: np.ndarray,
     attributes: np.ndarray,
     graph: int | np.ndarray,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """GCN operators and node fields of node-induced subgraphs, stacked:
-    row ``i`` of ``rows``, a ``(b, k)`` int array of ascending node
-    indices, picks nodes of graph ``graph[i]`` of the 0/1 ``adjacency``
-    stack (``(G, n, n)``, see :func:`_adjacency`) whose node fields are
-    ``attributes`` (``(G, n, d)``); ``graph`` may also be one index for
-    every row.  Degrees are counted inside each subset; the gather
-    copies, so ``adjacency`` is left as it is.
+    ``blocks`` holds each subgraph's ``(k, k)`` 0/1 block, laid out as
+    :func:`_adjacency` lays it out, and row ``i`` of ``rows``, a ``(b,
+    k)`` int array of its node indices, picks its node fields from graph
+    ``graph[i]`` of ``attributes`` (``(G, n, d)``); ``graph`` may also be
+    one index for every row.  Degrees are counted inside each block.  A
+    float64 ``blocks`` is normalized in place; any other dtype is
+    converted first.
     """
     graph = np.reshape(graph, (-1, 1))
-    a = adjacency[graph[..., None], rows[:, :, None], rows[:, None, :]]
-    return _propagation(a), attributes[graph, rows]
+    a = _propagation(blocks.astype(np.float64, copy=False))
+    return a, attributes[graph, rows]
+
+
+def _block_probabilities(
+    model: GnnModel,
+    blocks: np.ndarray,
+    attributes: np.ndarray,
+    graph: int | np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Class probabilities, ``(b, classes)``, of the node-induced
+    subgraphs of :func:`_induced_operands`, in one probability-only
+    stacked pass; row ``i`` is, bit for bit, :func:`forward` on that
+    extracted subgraph.  Callers pass at most :func:`_block_rows` rows.
+    """
+    a, x = _induced_operands(blocks, attributes, graph, rows)
+    return _layer_stack(model, a, x, keep=False)
 
 
 def _induced_probabilities(
@@ -386,14 +403,16 @@ def _induced_probabilities(
     graph: int | np.ndarray,
     rows: np.ndarray,
 ) -> np.ndarray:
-    """Class probabilities, ``(b, classes)``, of the node-induced
-    subgraphs of :func:`_induced_operands`, in one probability-only
-    stacked pass; row ``i`` is, bit for bit, :func:`forward` on that
-    extracted subgraph.  Callers check the rows and pass at most
-    :func:`_block_rows` of them.
+    """:func:`_block_probabilities` of the subgraphs that row ``i`` of
+    ``rows``, ascending node indices, induces in graph ``graph[i]`` of
+    the 0/1 ``adjacency`` stack (``(G, n, n)``, see :func:`_adjacency`).
+    The gather copies, so ``adjacency`` is left as it is.  Callers check
+    the rows.
     """
-    a, x = _induced_operands(adjacency, attributes, graph, rows)
-    return _layer_stack(model, a, x, keep=False)
+    blocks = adjacency[
+        np.reshape(graph, (-1, 1, 1)), rows[:, :, None], rows[:, None, :]
+    ]
+    return _block_probabilities(model, blocks, attributes, graph, rows)
 
 
 def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:

@@ -20,6 +20,7 @@ from .graphs import AttributedGraph, NodeSet
 from .model import (
     GnnModel,
     _adjacency,
+    _block_probabilities,
     _block_rows,
     _check_attr_dim,
     _layer_stack,
@@ -50,8 +51,7 @@ def _subsets(n: int, k: int) -> np.ndarray:
     """Every k-subset of ``range(n)`` in lexicographic order, one per row
     of a read-only ``(C(n, k), k)`` array.  Kept per (n, k), as are
     their :func:`_subset_cells`: for every n <= ``MAX_ORACLE_NODES`` the
-    rows take about 1.7 MB and the cells about 12 MB, of which the 13-node
-    5-subsets take 0.26 MB."""
+    rows take about 1.7 MB and the cells 1.5 MB."""
     rows = np.array(
         list(itertools.combinations(range(n), k)), dtype=np.int64
     ).reshape(math.comb(n, k), k)
@@ -62,11 +62,12 @@ def _subsets(n: int, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _subset_cells(n: int, k: int) -> np.ndarray:
     """Where each k-subset's ``(k, k)`` block lies in a flattened ``(n,
-    n)`` matrix: a read-only ``(C(n, k), k, k)`` int array, row ``i``
-    for ``_subsets(n, k)[i]``.  One ``take`` of it gathers every block at
-    a tenth of the cost of broadcast fancy indexing."""
+    n)`` matrix: a read-only ``(C(n, k), k, k)`` uint8 array (n * n <=
+    196 under the oracle's node cap), row ``i`` for ``_subsets(n, k)[i]``.
+    One ``take`` of it gathers every block at a fifth of the cost of
+    broadcast fancy indexing with the rows."""
     rows = _subsets(n, k)
-    cells = rows[:, :, None] * n + rows[:, None, :]
+    cells = (rows[:, :, None] * n + rows[:, None, :]).astype(np.uint8)
     cells.flags.writeable = False
     return cells
 
@@ -118,22 +119,21 @@ def _subset_probabilities(
     A subset's probabilities depend only on its induced 0/1 block and its
     nodes' attribute rows, and every slice of a stacked pass is bit for
     bit that graph run alone.  So each subset is keyed by its nodes' ids
-    and its bit-packed block, the first subset of each distinct key runs
-    in :func:`_block_rows` blocks of probability-only passes, and its row
-    is scattered back to every subset with that key.
+    and its block's bytes, the first subset of each distinct key runs in
+    :func:`_block_rows` blocks of :func:`_block_probabilities`, and its
+    row is scattered back to every subset with that key.
     """
     n = g.node_count
     rows = _subsets(n, k)
     blocks = links.take(_subset_cells(n, k))
-    if len(rows) == 1 or ids.max() == n - 1:
-        # one subset (k = 0 or k = n), or no two nodes alike and so no
-        # two subsets alike: every subset is its own key
-        first = inverse = np.arange(len(rows))
+    if len(rows) == 1:
+        # k = 0 or k = n: one subset, and no zero-width key to build
+        first = inverse = np.zeros(1, dtype=np.intp)
     else:
         key = np.concatenate(
             [
                 ids[rows].astype(np.uint8),  # below the oracle's node cap
-                np.packbits(blocks.reshape(len(rows), -1), axis=1),
+                blocks.reshape(len(rows), -1).view(np.uint8),
             ],
             axis=1,
         )
@@ -146,11 +146,8 @@ def _subset_probabilities(
     step = _block_rows(k)
     for start in range(0, len(first), step):
         pick = first[start : start + step]
-        probs[start : start + step] = _layer_stack(
-            model,
-            _propagation(blocks[pick].astype(np.float64)),
-            g.attributes[rows[pick]],
-            keep=False,
+        probs[start : start + step] = _block_probabilities(
+            model, blocks[pick], g.attributes[None], 0, rows[pick]
         )
     return probs.take(inverse, axis=0)
 

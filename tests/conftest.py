@@ -85,14 +85,14 @@ def ba_model(ba_dataset):
 
 @pytest.fixture
 def oracle_passes(monkeypatch):
-    """The row count of each stacked pass the oracle runs from here on."""
+    """The row count of each stacked subset pass the oracle runs from
+    here on."""
     passes = []
-    run = oracle._layer_stack
+    run = oracle._block_probabilities
 
-    def counted(model, a, h, **kw):
-        if a.ndim == 3:
-            passes.append(len(a))
-        return run(model, a, h, **kw)
+    def counted(model, blocks, *args):
+        passes.append(len(blocks))
+        return run(model, blocks, *args)
 
-    monkeypatch.setattr(oracle, "_layer_stack", counted)
+    monkeypatch.setattr(oracle, "_block_probabilities", counted)
     return passes

@@ -18,6 +18,7 @@ from gxplain.model import (
     Layer,
     MaskedInput,
     _backward,
+    _block_probabilities,
     _forward_trace,
     _induced_operands,
     _induced_probabilities,
@@ -122,7 +123,11 @@ def test_probability_only_pass_gives_the_trace_and_pinned_bytes(case):
     got = _induced_probabilities(model, adjacency, x, which, rows)
     assert type(got) is np.ndarray
     assert got.shape == (len(rows), model.num_classes)
-    a, h = _induced_operands(adjacency, x, which, rows)
+    blocks = adjacency[which[:, None, None], rows[:, :, None], rows[:, None, :]]
+    # the oracle hands over its blocks as bool
+    bits = _block_probabilities(model, blocks != 0, x, which, rows)
+    assert bits.tobytes() == got.tobytes()
+    a, h = _induced_operands(blocks, x, which, rows)
     for trace in (_layer_stack(model, a, h), pinned_layer_stack(model, a, h)):
         assert got.tobytes() == trace.probabilities.tobytes()
     # one graph alone, as the oracle's and the attribute pass's call

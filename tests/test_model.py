@@ -18,6 +18,7 @@ from gxplain.model import (
     load_model,
     _adjacency,
     _induced_operands,
+    _induced_probabilities,
     _layer_stack,
     _propagation,
     loss,
@@ -47,10 +48,12 @@ def test_induced_operator_of_every_node_is_the_graph_operator():
     adjacency = _adjacency(graphs)
     x = np.stack([g.attributes for g in graphs])
     every = np.array([[0, 1], [0, 1]])
-    a_eff, _ = _induced_operands(adjacency, x, [1, 0], every)
-    for a, g in zip(a_eff, graphs[::-1]):
-        assert a.tobytes() == _propagation(_adjacency([g]))[0].tobytes()
+    for blocks in (adjacency[[1, 0]], adjacency[[1, 0]] != 0):
+        a_eff, _ = _induced_operands(blocks, x, [1, 0], every)
+        for a, g in zip(a_eff, graphs[::-1]):
+            assert a.tobytes() == _propagation(_adjacency([g]))[0].tobytes()
     # the gather copies, so the 0/1 stack is not normalized in place
+    _induced_probabilities(identity_model(), adjacency, x, [1, 0], every)
     assert adjacency.tobytes() == _adjacency(graphs).tobytes()
 
 
@@ -129,10 +132,13 @@ def test_probability_readers_keep_no_trace():
         assert all(_probability_only(c) for c in stacks)
     (inner,) = [
         c
-        for c in _calls(_functions("model")["_induced_probabilities"])
+        for c in _calls(_functions("model")["_block_probabilities"])
         if _name(c) == "_layer_stack"
     ]
     assert _probability_only(inner)
+    assert "_block_probabilities" in {
+        _name(c) for c in _calls(_functions("model")["_induced_probabilities"])
+    }
 
 
 def test_no_probability_only_result_reaches_backward():
@@ -143,7 +149,8 @@ def test_no_probability_only_result_reaches_backward():
                 probability_only = [
                     c
                     for c in calls
-                    if _name(c) == "_induced_probabilities"
+                    if _name(c)
+                    in {"_induced_probabilities", "_block_probabilities"}
                     or _probability_only(c)
                 ]
                 assert not probability_only, fn.name

@@ -133,7 +133,7 @@ def test_oracle_report_bundles_all_three():
 
 
 def test_subset_rows_are_the_combinations_in_order_and_read_only():
-    total = 0
+    total = total_cells = 0
     for n in range(MAX_ORACLE_NODES + 1):
         for k in range(n + 1):
             rows = _subsets(n, k)
@@ -144,14 +144,16 @@ def test_subset_rows_are_the_combinations_in_order_and_read_only():
             assert _subsets(n, k) is rows
             total += rows.nbytes
             cells = _subset_cells(n, k)
-            assert _subset_cells(n, k) is cells
+            assert _subset_cells(n, k) is cells and cells.dtype == np.uint8
             assert np.array_equal(
                 cells, rows[:, :, None] * n + rows[:, None, :]
             )
             with pytest.raises(ValueError):
                 cells[:1] = 0
-    # every (n, k) the oracle can ask for takes about 1.7 MB
-    assert total < 1.8e6
+            total_cells += cells.nbytes
+    # every (n, k) the oracle can ask for takes about 1.7 MB of rows and
+    # 1.5 MB of cells
+    assert total < 1.8e6 and total_cells < 1.6e6
     _subset_cells.cache_clear()
 
 
@@ -284,17 +286,26 @@ def test_searches_score_subsets_only_through_one_helper():
     }
     scorers = {
         "_subset_probabilities",
+        "_block_probabilities",
         "_layer_stack",
         "_induced_probabilities",
+        "_induced_operands",
         "subset_probabilities",
         "forward",
         "_propagation",
     }
-    for name in ("_best_subset", "_min_k"):
-        called = {
+
+    def called(name):
+        return {
             getattr(c.func, "id", "")
             for c in ast.walk(functions[name])
             if isinstance(c, ast.Call)
         }
-        assert called & scorers == {"_subset_probabilities"}, name
+
+    for name in ("_best_subset", "_min_k"):
+        assert called(name) & scorers == {"_subset_probabilities"}, name
+    # and the subsets' operators are normalized in the model module
+    assert called("_subset_probabilities") & scorers == {
+        "_block_probabilities"
+    }
     assert "_subset_blocks" not in functions
