@@ -2,8 +2,10 @@
 
 Everything here enumerates, so inputs are capped at 14 nodes; the results
 are used to audit the learned explainer, never to produce explanations.
-The subset searches score each distinct induced input once: subsets with
-the same 0/1 block and the same attribute rows share one stacked row
+A graph and its occluded copies run as one stacked pass
+(:func:`_original`).  The subset searches score each distinct induced
+input once: subsets with the same 0/1 block and the same attribute rows
+share one stacked row, and the searches read the distinct rows only
 (:func:`_subset_probabilities`).
 """
 
@@ -28,6 +30,8 @@ from .model import (
 )
 
 MAX_ORACLE_NODES = 14
+# a subset key holds one attribute id per position as a hex digit
+assert MAX_ORACLE_NODES < 16
 
 
 @dataclass(slots=True)
@@ -95,14 +99,31 @@ def _original(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What every search of ``g`` starts from: its arcs as an ``(n, n)``
     bool matrix laid out as :func:`_adjacency` lays them out, its
-    :func:`_attribute_ids`, its unmasked operator ``(n, n)`` and its
-    unmasked class probabilities, from one probability-only pass."""
+    :func:`_attribute_ids`, its unmasked class probabilities and each
+    arc's occlusion drop (see :func:`occlusion_scores`).
+
+    ``g`` and its occluded copies run as one probability-only stack in
+    :func:`_block_rows` blocks: row 0 is the unmasked operator and row
+    ``1 + i`` gates edge ``i`` out, both arcs of an undirected edge.
+    """
     _check_attr_dim(model, g)
     adjacency = _adjacency([g])
     links = adjacency[0] != 0
     full = _propagation(adjacency)[0]
-    probabilities = _layer_stack(model, full, g.attributes, keep=False)
-    return links, _attribute_ids(g.attributes), full, probabilities
+    step = 1 if g.directed else 2
+    src, dst = g.arc_index_arrays()
+    a = np.repeat(full[None], 1 + g.arc_count // step, axis=0)
+    a[1 + np.arange(g.arc_count) // step, dst, src] = 0.0
+    probs = np.empty((len(a), model.num_classes))
+    rows = _block_rows(g.node_count)
+    for start in range(0, len(a), rows):
+        block = a[start : start + rows]
+        x = np.broadcast_to(g.attributes, (len(block),) + g.attributes.shape)
+        probs[start : start + rows] = _layer_stack(model, block, x, keep=False)
+    original = probs[0]
+    target = int(np.argmax(original))
+    drops = np.repeat(original[target] - probs[1:, target], step)
+    return links, _attribute_ids(g.attributes), original, drops
 
 
 def _subset_probabilities(
@@ -111,37 +132,49 @@ def _subset_probabilities(
     k: int,
     links: np.ndarray,
     ids: np.ndarray,
-) -> np.ndarray:
-    """Class probabilities, ``(C(n, k), classes)``, of the subgraphs that
-    the k-subsets of ``g`` induce, in :func:`_subsets` order; ``links``
-    and ``ids`` are ``g``'s from :func:`_original`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct inputs among the subgraphs that the k-subsets of
+    ``g`` induce: ``first``, ascending, the index in :func:`_subsets`
+    order of the first subset of each distinct input, and ``probs``,
+    ``(len(first), classes)``, their class probabilities.  ``links`` and
+    ``ids`` are ``g``'s from :func:`_original`.
 
     A subset's probabilities depend only on its induced 0/1 block and its
     nodes' attribute rows, and every slice of a stacked pass is bit for
-    bit that graph run alone.  So each subset is keyed by its nodes' ids
-    and its block's bytes, the first subset of each distinct key runs in
-    :func:`_block_rows` blocks of :func:`_block_probabilities`, and its
-    row is scattered back to every subset with that key.
+    bit that graph run alone.  So each subset is keyed by its block's
+    cells and its nodes' ids, and the first subset of each distinct key
+    runs in :func:`_block_rows` blocks of :func:`_block_probabilities`.
+
+    The key is a few float64 words, each an exact integer below 2**52
+    whatever the order of the sums: block cell ``j`` adds ``2**(j % 52)``
+    to word ``j // 52``, and position ``i`` adds ``id * 16**i`` to the
+    last word (ids are below 16, and k < n <= 14 where a key is built).
     """
     n = g.node_count
     rows = _subsets(n, k)
     blocks = links.take(_subset_cells(n, k))
     if len(rows) == 1:
         # k = 0 or k = n: one subset, and no zero-width key to build
-        first = inverse = np.zeros(1, dtype=np.intp)
+        first = np.zeros(1, dtype=np.intp)
     else:
+        cells = k * k
+        words = -(-cells // 52)
+        weights = np.zeros((cells + k, words + 1))
+        j = np.arange(cells)
+        weights[j, j // 52] = 2.0 ** (j % 52)
+        weights[cells:, words] = 16.0 ** np.arange(k)
         key = np.concatenate(
-            [
-                ids[rows].astype(np.uint8),  # below the oracle's node cap
-                blocks.reshape(len(rows), -1).view(np.uint8),
-            ],
+            [blocks.reshape(len(rows), cells), ids[rows]],
             axis=1,
-        )
-        _, first, inverse = np.unique(
-            key.view((np.void, key.shape[1]))[:, 0],
-            return_index=True,
-            return_inverse=True,
-        )
+            dtype=np.float64,
+        ) @ weights
+        # stable, so each run of equal keys starts at its first subset
+        order = np.lexsort(key.T)
+        starts = np.zeros(len(rows), dtype=bool)
+        starts[0] = True
+        for word in key.take(order, axis=0).T:
+            starts[1:] |= word[1:] != word[:-1]
+        first = np.sort(order[starts])
     probs = np.empty((len(first), model.num_classes))
     step = _block_rows(k)
     for start in range(0, len(first), step):
@@ -149,7 +182,7 @@ def _subset_probabilities(
         probs[start : start + step] = _block_probabilities(
             model, blocks[pick], g.attributes[None], 0, rows[pick]
         )
-    return probs.take(inverse, axis=0)
+    return first, probs
 
 
 def brute_force_best_subset(
@@ -158,7 +191,7 @@ def brute_force_best_subset(
     """The k-subset whose induced subgraph maximizes the original class
     probability; ties keep the lexicographically first subset."""
     _check_budget(g, k)
-    links, ids, _, original = _original(model, g)
+    links, ids, original, _ = _original(model, g)
     return _best_subset(model, g, k, links, ids, int(np.argmax(original)))
 
 
@@ -170,17 +203,19 @@ def _best_subset(
     ids: np.ndarray,
     target: int,
 ) -> tuple[NodeSet, float]:
-    p = _subset_probabilities(model, g, k, links, ids)[:, target]
-    # the first maximum: ties keep the lexicographically first subset
+    first, probs = _subset_probabilities(model, g, k, links, ids)
+    p = probs[:, target]
+    # rows follow their first subsets, so the first maximum (or NaN) is
+    # the lexicographically first subset that reaches it
     i = int(np.argmax(p))
-    return NodeSet(tuple(_subsets(g.node_count, k)[i])), float(p[i])
+    return NodeSet(tuple(_subsets(g.node_count, k)[first[i]])), float(p[i])
 
 
 def exhaustive_sparsity(model: GnnModel, g: AttributedGraph) -> int:
     """Smallest subset size whose best induced subgraph keeps the
     original prediction; the full set always does, so this terminates."""
     _guard_size(g)
-    links, ids, _, original = _original(model, g)
+    links, ids, original, _ = _original(model, g)
     return _min_k(model, g, links, ids, int(np.argmax(original)))
 
 
@@ -192,8 +227,8 @@ def _min_k(
     target: int,
 ) -> int:
     for k in range(1, g.node_count + 1):
-        p = _subset_probabilities(model, g, k, links, ids)
-        if (p.argmax(axis=-1) == target).any():
+        _, probs = _subset_probabilities(model, g, k, links, ids)
+        if (probs.argmax(axis=-1) == target).any():
             return k
     return g.node_count
 
@@ -202,39 +237,17 @@ def occlusion_scores(model: GnnModel, g: AttributedGraph) -> np.ndarray:
     """Drop in original-class probability when each arc is gated to zero.
 
     On an undirected graph both directions of an edge are gated together
-    and their entries share the drop value.  The gated copies of ``g`` run
-    as stacks, one row per occluded edge.
+    and their entries share the drop value.  The gated copies run in the
+    stack of :func:`_original`, after the graph itself.
     """
-    _, _, full, original = _original(model, g)
-    return _occlusion(model, g, full, original)
-
-
-def _occlusion(
-    model: GnnModel, g: AttributedGraph, full: np.ndarray, original: np.ndarray
-) -> np.ndarray:
-    target = int(np.argmax(original))
-    p0 = float(original[target])
-    step = 1 if g.directed else 2
-    src, dst = g.arc_index_arrays()
-    # one row per occluded edge: its arc and, when undirected, the mate
-    occluded = np.arange(0, g.arc_count, step)[:, None] + np.arange(step)
-    drops = np.empty(len(occluded))
-    rows = _block_rows(g.node_count)
-    for first in range(0, len(occluded), rows):
-        arcs = occluded[first : first + rows]
-        a = np.repeat(full[None], len(arcs), axis=0)
-        a[np.arange(len(arcs))[:, None], dst[arcs], src[arcs]] = 0.0
-        x = np.broadcast_to(g.attributes, (len(arcs),) + g.attributes.shape)
-        probs = _layer_stack(model, a, x, keep=False)[:, target]
-        drops[first : first + rows] = p0 - probs
-    return np.repeat(drops, step)
+    return _original(model, g)[3]
 
 
 def oracle_report(model: GnnModel, g: AttributedGraph, k: int) -> OracleResult:
     """Bundle of every oracle output for one small graph; its three
     searches share one :func:`_original`."""
     _check_budget(g, k)
-    links, ids, full, original = _original(model, g)
+    links, ids, original, drops = _original(model, g)
     target = int(np.argmax(original))
     best_subset, best_probability = _best_subset(
         model, g, k, links, ids, target
@@ -243,7 +256,7 @@ def oracle_report(model: GnnModel, g: AttributedGraph, k: int) -> OracleResult:
         best_subset=best_subset,
         best_probability=best_probability,
         exhaustive_min_k=_min_k(model, g, links, ids, target),
-        occlusion_drop=_occlusion(model, g, full, original),
+        occlusion_drop=drops,
     )
 
 

@@ -83,6 +83,13 @@ def ba_model(ba_dataset):
     return train_model(ba_dataset, seed=BA_TRAIN_SEED).model
 
 
+@pytest.fixture(params=["default blocks", "3-row blocks"])
+def blocks(request, monkeypatch):
+    if request.param != "default blocks":
+        monkeypatch.setattr("gxplain.model.SUBSET_BLOCK_ROWS", 3)
+    return request.param
+
+
 @pytest.fixture
 def oracle_passes(monkeypatch):
     """The row count of each stacked subset pass the oracle runs from
@@ -96,3 +103,18 @@ def oracle_passes(monkeypatch):
 
     monkeypatch.setattr(oracle, "_block_probabilities", counted)
     return passes
+
+
+@pytest.fixture
+def oracle_stacks(monkeypatch):
+    """The row count of each layer stack the oracle module runs itself
+    from here on (subset passes run theirs in the model module)."""
+    stacks = []
+    run = oracle._layer_stack
+
+    def counted(model, a, *args, **kwargs):
+        stacks.append(len(a))
+        return run(model, a, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_layer_stack", counted)
+    return stacks

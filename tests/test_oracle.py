@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gxplain import oracle
@@ -185,8 +185,8 @@ def test_attribute_ids_compare_rows_as_bytes():
 
 
 @st.composite
-def oracle_case(draw):
-    n = draw(st.integers(0, 9))
+def oracle_case(draw, max_nodes=9):
+    n = draw(st.integers(0, max_nodes))
     directed = draw(st.booleans())
     node = st.integers(0, max(n - 1, 0))
     pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
@@ -248,16 +248,53 @@ def test_searches_match_one_forward_per_subset(case):
         assert report.exhaustive_min_k == min_k
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(oracle_case(MAX_ORACLE_NODES), st.data())
+def test_report_equals_its_parts_bit_for_bit(blocks, oracle_stacks, case, data):
+    g, model = case
+    k = data.draw(st.integers(0, g.node_count), label="k")
+    without_arcs = build_graph(
+        g.node_count, [], g.attributes, g.directed, graph_id="bare"
+    )
+    for graph in (g, without_arcs):
+        oracle_stacks.clear()
+        report = oracle_report(model, graph, k)
+        # one stack: the graph, then one copy per occluded edge, in blocks
+        rows = 1 + graph.arc_count // (1 if graph.directed else 2)
+        step = _block_rows(graph.node_count)
+        assert oracle_stacks == [
+            min(step, rows - start) for start in range(0, rows, step)
+        ]
+        best, best_p = brute_force_best_subset(model, graph, k)
+        assert report.best_subset == best
+        assert _same_bits(report.best_probability, best_p)
+        assert report.exhaustive_min_k == exhaustive_sparsity(model, graph)
+        drops = occlusion_scores(model, graph)
+        assert _same_bits(report.occlusion_drop, drops)
+        _, _, original, _ = oracle._original(model, graph)
+        assert _same_bits(original, forward(model, graph).probabilities)
+
+
 def _distinct_inputs(g, k):
+    """The index of the first k-subset of each distinct induced input,
+    its 0/1 block and attribute rows compared as bytes, ascending."""
     links = np.zeros((g.node_count, g.node_count), dtype=bool)
     for s, d in g.arcs.tolist():
         links[d, s] = True
-    return len(
-        {
-            (links[np.ix_(c, c)].tobytes(), g.attributes[list(c)].tobytes())
-            for c in itertools.combinations(range(g.node_count), k)
-        }
-    )
+    first = {}
+    for i, c in enumerate(itertools.combinations(range(g.node_count), k)):
+        key = (links[np.ix_(c, c)].tobytes(), g.attributes[list(c)].tobytes())
+        first.setdefault(key, i)
+    return sorted(first.values())
 
 
 @pytest.mark.parametrize("alike", [True, False])
@@ -272,18 +309,26 @@ def test_stacked_rows_are_the_distinct_subset_inputs(alike, oracle_passes):
     for k in (3, 5):
         oracle_passes.clear()
         brute_force_best_subset(model, g, k)
-        want = _distinct_inputs(g, k)
+        want = len(_distinct_inputs(g, k))
         assert sum(oracle_passes) == want
         assert (want < math.comb(10, k)) == alike
 
 
-def test_searches_score_subsets_only_through_one_helper():
-    path = Path(oracle.__file__)
-    functions = {
-        f.name: f
-        for f in ast.parse(path.read_text("utf-8")).body
-        if isinstance(f, ast.FunctionDef)
+def _oracle_functions():
+    tree = ast.parse(Path(oracle.__file__).read_text("utf-8"))
+    return {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+
+def _called(function):
+    return {
+        getattr(c.func, "id", getattr(c.func, "attr", ""))
+        for c in ast.walk(function)
+        if isinstance(c, ast.Call)
     }
+
+
+def test_searches_score_subsets_only_through_one_helper():
+    functions = _oracle_functions()
     scorers = {
         "_subset_probabilities",
         "_block_probabilities",
@@ -294,18 +339,54 @@ def test_searches_score_subsets_only_through_one_helper():
         "forward",
         "_propagation",
     }
-
-    def called(name):
-        return {
-            getattr(c.func, "id", "")
-            for c in ast.walk(functions[name])
-            if isinstance(c, ast.Call)
-        }
-
     for name in ("_best_subset", "_min_k"):
-        assert called(name) & scorers == {"_subset_probabilities"}, name
+        assert _called(functions[name]) & scorers == {
+            "_subset_probabilities"
+        }, name
     # and the subsets' operators are normalized in the model module
-    assert called("_subset_probabilities") & scorers == {
+    assert _called(functions["_subset_probabilities"]) & scorers == {
         "_block_probabilities"
     }
     assert "_subset_blocks" not in functions
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_keys_of_several_words_find_the_first_subset_of_each_input(
+    directed, oracle_passes
+):
+    rng = np.random.default_rng(11)
+    n = MAX_ORACLE_NODES
+    model = random_model(rng)
+    pool = rng.normal(size=(2, 3))
+    path = [(i, i + 1) for i in range(n - 1)]
+    chords = [tuple(rng.choice(n, 2, replace=False).tolist()) for _ in range(n)]
+    for edges in (path, path + chords):
+        g = build_graph(
+            n, edges, pool[rng.integers(0, 2, n)], directed, graph_id="w"
+        )
+        links, ids, _, _ = oracle._original(model, g)
+        for k in range(8, n):
+            # 64 to 169 block cells: two to four words of 52
+            assert 2 <= math.ceil(k * k / 52) <= 4
+            oracle_passes.clear()
+            first, probs = oracle._subset_probabilities(model, g, k, links, ids)
+            assert first.tolist() == _distinct_inputs(g, k)
+            assert sum(oracle_passes) == len(first) == len(probs)
+            for i in (0, len(first) - 1):
+                keep = NodeSet(_subsets(n, k)[first[i]].tolist())
+                sub = node_induced_subgraph(g, keep)
+                assert _same_bits(probs[i], forward(model, sub).probabilities)
+
+
+def test_one_stack_runs_the_graph_and_searches_read_distinct_rows():
+    functions = _oracle_functions()
+    # the graph and its occluded copies run in one place
+    assert "_occlusion" not in functions
+    assert {
+        name for name, f in functions.items() if "_layer_stack" in _called(f)
+    } == {"_original"}
+    # the searches read the distinct rows; nothing is scattered back
+    for name in ("_best_subset", "_min_k"):
+        assert "take" not in _called(functions[name]), name
+    # a subset key holds one attribute id per position as a hex digit
+    assert MAX_ORACLE_NODES < 16

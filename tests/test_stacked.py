@@ -137,13 +137,6 @@ def test_ties_across_blocks_keep_the_lexicographically_first_subset(
         assert len(oracle_passes) > 2
 
 
-@pytest.fixture(params=["default blocks", "3-row blocks"])
-def blocks(request, monkeypatch):
-    if request.param != "default blocks":
-        monkeypatch.setattr("gxplain.model.SUBSET_BLOCK_ROWS", 3)
-    return request.param
-
-
 def test_large_graphs_get_fewer_rows_per_block():
     assert _block_rows(0) == _block_rows(13) == 128
     assert _block_rows(64) == 8
