@@ -2,7 +2,6 @@
 
 from .datasets import (
     Dataset,
-    datasets_equal,
     generate_ba2motifs,
     generate_motif_graphs,
     load_dataset,
@@ -45,8 +44,6 @@ from .graphs import (
     AttributedGraph,
     NodeSet,
     build_graph,
-    complement_set,
-    graphs_equal,
     node_induced_subgraph,
 )
 from .metrics import (
@@ -54,7 +51,6 @@ from .metrics import (
     GraphVerdict,
     default_prediction,
     evaluate,
-    extract_topk_nodes,
     keep_top_attributes,
     resolve_budget,
     sweep,
@@ -68,16 +64,12 @@ from .model import (
     MaskedInput,
     forward,
     load_model,
-    loss,
     mask_gradients,
     save_model,
-    subset_probabilities,
 )
 from .oracle import (
     MAX_ORACLE_NODES,
     OracleResult,
-    brute_force_best_subset,
-    exhaustive_sparsity,
     occlusion_scores,
     oracle_report,
 )

@@ -219,6 +219,7 @@ def cmd_eval(args) -> int:
         expl, _ = load_explanation(path)
         try:
             expl.check_graph(g)
+            expl.check_model(model)
         except ShapeMismatch as exc:
             raise ParseError(f"{path}: {exc}") from exc
         explanations[g.graph_id] = expl

@@ -22,7 +22,7 @@ from ._schema import (
     require,
 )
 from .errors import DomainError, InvalidCount, ParseError, ValidationError
-from .graphs import AttributedGraph, build_graphs, graphs_equal
+from .graphs import AttributedGraph, build_graphs
 
 DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "validation", "test")
@@ -283,16 +283,3 @@ def load_dataset(path) -> Dataset:
         )
     except ValidationError as exc:  # split indices or labels out of range
         raise ParseError(f"{where}: {exc}") from exc
-
-
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    """Deep equality over every field and every graph."""
-    return (
-        a.name == b.name
-        and a.attr_dim == b.attr_dim
-        and a.num_classes == b.num_classes
-        and a.splits == b.splits
-        and a.generation_seed == b.generation_seed
-        and len(a.graphs) == len(b.graphs)
-        and all(graphs_equal(x, y) for x, y in zip(a.graphs, b.graphs))
-    )

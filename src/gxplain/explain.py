@@ -309,6 +309,16 @@ class Explanation:
                 f" of its {g.node_count} nodes"
             )
 
+    def check_model(self, model: GnnModel) -> None:
+        """Raise ShapeMismatch unless the explained prediction is one of
+        ``model``'s classes."""
+        if not 0 <= self.original_prediction < model.num_classes:
+            raise ShapeMismatch(
+                f"explanation of graph {self.graph_id!r} names class"
+                f" {self.original_prediction}, outside the model's"
+                f" [0, {model.num_classes})"
+            )
+
 
 def _geometric_mean_rows(scores: np.ndarray) -> np.ndarray:
     if scores.shape[1] == 0:

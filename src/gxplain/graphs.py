@@ -347,26 +347,3 @@ def node_induced_subgraph(g: AttributedGraph, keep: NodeSet) -> AttributedGraph:
     return AttributedGraph(
         len(members), arcs, attrs, g.directed, g.label, gid, _checked=True
     )
-
-
-def complement_set(g: AttributedGraph, keep: NodeSet) -> NodeSet:
-    """Nodes of ``g`` not in ``keep``."""
-    members = keep.members
-    if members and members[-1] >= g.node_count:
-        raise IndexOutOfRange(
-            f"node {members[-1]} outside [0, {g.node_count})"
-        )
-    return NodeSet(tuple(set(range(g.node_count)) - set(members)))
-
-
-def graphs_equal(a: AttributedGraph, b: AttributedGraph) -> bool:
-    """Field-by-field equality, including ids and attribute values."""
-    return (
-        a.node_count == b.node_count
-        and bool(np.array_equal(a.arcs, b.arcs))
-        and a.directed == b.directed
-        and a.label == b.label
-        and a.graph_id == b.graph_id
-        and a.attributes.shape == b.attributes.shape
-        and bool(np.array_equal(a.attributes, b.attributes))
-    )

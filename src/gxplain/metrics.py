@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .explain import Explanation
-from .graphs import AttributedGraph, NodeSet
+from .graphs import AttributedGraph
 from .model import (
     GnnModel,
     _adjacency,
@@ -74,18 +74,6 @@ def resolve_budget(
     if k < 1:
         raise InvalidBudget(f"k must be at least 1, got {k}")
     return None if k > node_count else int(k)
-
-
-def extract_topk_nodes(
-    explanation: Explanation,
-    k: int | None = None,
-    rate: float | None = None,
-) -> NodeSet | None:
-    """The budget-many highest-ranked nodes, or ``None`` when skipped."""
-    budget = resolve_budget(explanation.node_count, k, rate)
-    if budget is None:
-        return None
-    return NodeSet(explanation.node_ranking[:budget])
 
 
 def default_prediction(model: GnnModel) -> int:
@@ -184,7 +172,9 @@ def _retains(
     return hits
 
 
-def _sorted_graphs(dataset, explanations) -> list[AttributedGraph]:
+def _sorted_graphs(
+    model: GnnModel, dataset, explanations
+) -> list[AttributedGraph]:
     graphs = getattr(dataset, "graphs", dataset)
     graphs = sorted(graphs, key=lambda g: g.graph_id)
     missing = [g.graph_id for g in graphs if g.graph_id not in explanations]
@@ -194,6 +184,7 @@ def _sorted_graphs(dataset, explanations) -> list[AttributedGraph]:
         )
     for g in graphs:
         explanations[g.graph_id].check_graph(g)
+        explanations[g.graph_id].check_model(model)
     return graphs
 
 
@@ -286,9 +277,10 @@ def evaluate(
         MissingExplanation: some selected graph has no explanation.
         InvalidBudget: malformed node or attribute budget.
         ShapeMismatch: an explanation that does not fit its graph
-            (:meth:`Explanation.check_graph`).
+            (:meth:`Explanation.check_graph`) or names a class the model
+            does not have (:meth:`Explanation.check_model`).
     """
-    graphs = _sorted_graphs(dataset, explanations)
+    graphs = _sorted_graphs(model, dataset, explanations)
     resolve_budget(1, k, rate)  # validate the budget form once up front
     attribute_hits = []
     if attr_top is not None:
@@ -325,9 +317,10 @@ def sweep(
 
     Raises:
         MissingExplanation: some selected graph has no explanation.
-        ShapeMismatch: an explanation that does not fit its graph.
+        ShapeMismatch: an explanation that does not fit its graph or
+            names a class the model does not have.
     """
-    graphs = _sorted_graphs(dataset, explanations)
+    graphs = _sorted_graphs(model, dataset, explanations)
     max_n = max((g.node_count for g in graphs), default=0)
     slots = [
         (i, budget if budget <= g.node_count else None)

@@ -27,7 +27,6 @@ from ._schema import (
 )
 from .errors import (
     IndexOutOfRange,
-    InvalidGraph,
     ParseError,
     ShapeMismatch,
     UnsupportedActivation,
@@ -415,60 +414,6 @@ def _induced_probabilities(
     return _block_probabilities(model, blocks, attributes, graph, rows)
 
 
-def subset_probabilities(model: GnnModel, pairs) -> np.ndarray:
-    """Class probabilities of many node-induced subgraphs, one stacked
-    pass per graph.
-
-    ``pairs`` holds ``(graph, rows)`` items, ``rows`` a ``(b, k)`` int
-    array of strictly ascending node subsets of that graph, with one
-    ``k`` for all items.  Row ``i`` of the result equals, bit for bit,
-    the probabilities of :func:`forward` on the subgraph extracted for
-    the ``i``-th subset.  Callers pass at most :func:`_block_rows` rows
-    at a time.  No pairs give a ``(0, classes)`` array.
-
-    Raises:
-        ShapeMismatch: a graph's attributes do not fit the model.
-        IndexOutOfRange: a row names a node outside its graph.
-        InvalidGraph: a row is not strictly ascending.
-    """
-    probs = []
-    for g, rows in pairs:
-        _check_attr_dim(model, g)
-        outside = rows[(rows < 0) | (rows >= g.node_count)]
-        if outside.size:
-            raise IndexOutOfRange(
-                f"node {outside[0]} outside [0, {g.node_count})"
-            )
-        if (np.diff(rows, axis=-1) <= 0).any():
-            raise InvalidGraph("subset rows must be strictly ascending")
-        probs.append(
-            _induced_probabilities(
-                model, _adjacency([g]), g.attributes[None], 0, rows
-            )
-        )
-    return np.concatenate(probs) if probs else np.zeros((0, model.num_classes))
-
-
-def _check_target(model: GnnModel, target_class: int) -> None:
-    if not 0 <= target_class < model.num_classes:
-        raise IndexOutOfRange(
-            f"target class {target_class} outside [0, {model.num_classes})"
-        )
-
-
-def loss(
-    model: GnnModel,
-    g: AttributedGraph,
-    mask: MaskedInput | None,
-    target_class: int,
-) -> float:
-    """Cross-entropy toward ``target_class`` with the probability floored."""
-    _check_target(model, target_class)
-    tr = _forward_trace(model, g, mask)
-    p = max(float(tr.probabilities[target_class]), PROBABILITY_FLOOR)
-    return -float(np.log(p))
-
-
 def _backward(
     model: GnnModel,
     tr: _Trace,
@@ -558,7 +503,10 @@ def mask_gradients(
     target_class: int,
 ) -> MaskGradients:
     """Exact d loss / d gate for every edge and attribute gate."""
-    _check_target(model, target_class)
+    if not 0 <= target_class < model.num_classes:
+        raise IndexOutOfRange(
+            f"target class {target_class} outside [0, {model.num_classes})"
+        )
     tr = _forward_trace(model, g, mask)
     edge_grad, attr_grad = _backward(model, tr, target_class, g)
     return MaskGradients(edge_grad, attr_grad)

@@ -90,6 +90,14 @@ def blocks(request, monkeypatch):
     return request.param
 
 
+def best_subset_alone(model, g, k):
+    """The best-subset search that ``oracle_report`` runs, without its
+    minimal-size search, so a test can count that search's passes."""
+    links, ids, original, _ = oracle._original(model, g)
+    target = int(np.argmax(original))
+    return oracle._best_subset(model, g, k, links, ids, target)
+
+
 @pytest.fixture
 def oracle_passes(monkeypatch):
     """The row count of each stacked subset pass the oracle runs from

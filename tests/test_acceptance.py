@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import BA_TRAIN_SEED
+from references import loss
 
 from gxplain.cli import main
 from gxplain.datasets import Dataset, save_dataset
@@ -21,7 +22,7 @@ from gxplain.explain import (
     sample_hard_concrete,
 )
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
-from gxplain.metrics import evaluate, extract_topk_nodes
+from gxplain.metrics import evaluate
 from gxplain.model import (
     GnnModel,
     Layer,
@@ -30,14 +31,9 @@ from gxplain.model import (
     mask_gradients,
     _adjacency,
     _propagation,
-    loss,
     save_model,
 )
-from gxplain.oracle import (
-    brute_force_best_subset,
-    exhaustive_sparsity,
-    occlusion_scores,
-)
+from gxplain.oracle import occlusion_scores, oracle_report
 from gxplain.training import evaluate_accuracy, train_model
 
 def signal_graph(rng, gid):
@@ -108,7 +104,7 @@ def test_criterion_2_ep_beats_random_within_band(
     test = ba_dataset.split_graphs("test")
     ours = np.mean(
         [
-            retained(ba_model, g, extract_topk_nodes(bench_explanations[g.graph_id], k=5))
+            retained(ba_model, g, NodeSet(bench_explanations[g.graph_id].node_ranking[:5]))
             for g in test
         ]
     )
@@ -145,11 +141,11 @@ def test_criterion_3_oracle_dominance_and_median(signal_model):
     for g in graphs:
         pred = forward(signal_model, g).predicted_class
         expl = explain(signal_model, g)
-        topk = extract_topk_nodes(expl, k=3)
+        topk = NodeSet(expl.node_ranking[:3])
         p_ours = forward(
             signal_model, node_induced_subgraph(g, topk)
         ).probabilities[pred]
-        _, p_best = brute_force_best_subset(signal_model, g, k=3)
+        p_best = oracle_report(signal_model, g, k=3).best_probability
         dominance_ok += p_best >= p_ours
         all_p = [
             forward(
@@ -329,7 +325,8 @@ def test_criterion_7_ranking_sparsity_dominates_exhaustive(signal_model):
     report = evaluate(signal_model, suite, expls, k=3)
     for g, row in zip(suite, report.per_graph):
         assert row.min_k is not None, g.graph_id
-        assert row.min_k >= exhaustive_sparsity(signal_model, g), g.graph_id
+        exhaustive = oracle_report(signal_model, g, k=3).exhaustive_min_k
+        assert row.min_k >= exhaustive, g.graph_id
     print("criterion 7: ranking min_k >= exhaustive minimum on all 30 graphs")
 
 

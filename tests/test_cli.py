@@ -527,6 +527,24 @@ def test_eval_rejects_malformed_edge_scores(pipeline, capsys, tmp_path, fault):
     assert "edge_scores[0]" in err
 
 
+def test_eval_refuses_a_class_the_model_does_not_have(
+    pipeline, capsys, tmp_path
+):
+    _, ds, model, out = pipeline
+    bad = tmp_path / "expl"
+    bad.mkdir()
+    for path in out.glob("*.json"):
+        (bad / path.name).write_bytes(path.read_bytes())
+    victim = sorted(bad.glob("*.json"))[0]
+    doc = json.loads(victim.read_text())
+    doc["predicted_class"] = 7
+    victim.write_text(json.dumps(doc))
+    code = main(["eval", "--model", str(model), "--dataset", str(ds),
+                 "--explanations", str(bad), "--top-k", "3"])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert str(victim) in err and "names class 7, outside" in err
+
+
 DATASET_FAULTS = {
     "text n": lambda d: d["graphs"][0].update(n="abc"),
     "text y": lambda d: d["graphs"][1].update(y="house"),

@@ -5,11 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from references import datasets_equal
 
 from gxplain import datasets as datasets_module
 from gxplain.datasets import (
     Dataset,
-    datasets_equal,
     generate_ba2motifs,
     generate_motif_graphs,
     load_dataset,

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from conftest import random_model, random_small_graph, two_node_chain
+from references import loss
 
-from gxplain.model import Layer, GnnModel, MaskedInput, loss, mask_gradients
+from gxplain.model import Layer, GnnModel, MaskedInput, mask_gradients
 
 FD_STEP = 1e-4
 KINK_TOL = 1e-6

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import graphs_equal
 
 from gxplain import graphs as graphs_module
 from gxplain.datasets import generate_ba2motifs, load_dataset, save_dataset
@@ -16,8 +17,6 @@ from gxplain.graphs import (
     NodeSet,
     build_graph,
     build_graphs,
-    complement_set,
-    graphs_equal,
     node_induced_subgraph,
 )
 
@@ -151,11 +150,6 @@ def test_induced_subgraph_of_empty_keep():
     assert sub.node_count == 0
     assert sub.arcs.tolist() == []
     assert sub.attributes.shape == (0, 1)
-
-
-def test_complement_set():
-    g = build_graph(5, [], np.zeros((5, 1)), True)
-    assert complement_set(g, NodeSet([1, 3])).members == (0, 2, 4)
 
 
 @st.composite

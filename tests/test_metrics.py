@@ -14,11 +14,10 @@ from gxplain.explain import (
     explain,
     node_importance,
 )
-from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
+from gxplain.graphs import build_graph
 from gxplain.metrics import (
     default_prediction,
     evaluate,
-    extract_topk_nodes,
     keep_top_attributes,
     resolve_budget,
     sweep,
@@ -73,13 +72,6 @@ def test_resolve_budget_skips_oversized_k_and_rounds_half_up():
     # floor(0.3 * 5 + 0.5) = 2
     assert resolve_budget(5, rate=0.3) == 2
     assert resolve_budget(4, rate=0.01) == 1
-
-
-def test_extract_topk_follows_ranking():
-    g = hot_path_graph()
-    expl = manual_explanation(g, [2, 0, 4, 1, 3])
-    assert extract_topk_nodes(expl, k=2).members == (0, 2)
-    assert extract_topk_nodes(expl, rate=0.61).members == (0, 2, 4)
 
 
 def test_default_prediction_is_head_of_zero_readout():
@@ -239,6 +231,19 @@ def test_a_ranking_that_is_not_a_permutation_is_refused(scorer, bad):
             sweep(model, [g], {"g": expl})
         else:
             node_importance(expl, g)
+
+
+@pytest.mark.parametrize("scorer", ["evaluate", "sweep"])
+@pytest.mark.parametrize("pred", [-1, 2, 7])
+def test_a_prediction_outside_the_model_classes_is_refused(scorer, pred):
+    model = detector_model()
+    g = hot_path_graph("g")
+    expls = {"g": manual_explanation(g, range(5), pred=pred)}
+    with pytest.raises(ShapeMismatch, match=rf"names class {pred}, outside"):
+        if scorer == "evaluate":
+            evaluate(model, [g], expls, k=2)
+        else:
+            sweep(model, [g], expls)
 
 
 def test_report_fractions_and_counts_in_range():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph, two_node_chain
+from references import loss
 
 from gxplain import model as model_module
 from gxplain.errors import ShapeMismatch, UnsupportedActivation
@@ -21,7 +22,6 @@ from gxplain.model import (
     _induced_probabilities,
     _layer_stack,
     _propagation,
-    loss,
     save_model,
 )
 
@@ -117,11 +117,10 @@ def test_layer_arithmetic_is_written_once():
 
 
 def test_probability_readers_keep_no_trace():
-    keeps_trace = {"forward", "_forward_trace", "loss", "mask_gradients"}
+    keeps_trace = {"forward", "_forward_trace", "mask_gradients"}
     readers = [
         _source("oracle"),
         _source("metrics"),
-        _functions("model")["subset_probabilities"],
         _functions("training")["_accuracy"],
     ]
     for tree in readers:

@@ -7,7 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import detector_model, random_model, random_small_graph
+from conftest import (
+    best_subset_alone,
+    detector_model,
+    random_model,
+    random_small_graph,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +25,6 @@ from gxplain.oracle import (
     _attribute_ids,
     _subset_cells,
     _subsets,
-    brute_force_best_subset,
-    exhaustive_sparsity,
     occlusion_scores,
     oracle_report,
 )
@@ -39,7 +42,8 @@ def test_brute_force_matches_manual_enumeration():
     model = random_model(rng)
     g = random_small_graph(rng, n_lo=5, n_hi=7, gid="bf")
     pred = forward(model, g).predicted_class
-    best, best_p = brute_force_best_subset(model, g, k=3)
+    report = oracle_report(model, g, k=3)
+    best, best_p = report.best_subset, report.best_probability
     probs = {}
     for combo in itertools.combinations(range(g.node_count), 3):
         sub = node_induced_subgraph(g, NodeSet(combo))
@@ -52,7 +56,7 @@ def test_brute_force_prefers_lexicographically_first_tie():
     # all-zero attributes make every subset identical
     model = detector_model()
     g = build_graph(4, [(0, 1), (2, 3)], np.zeros((4, 1)), False, graph_id="t")
-    best, _ = brute_force_best_subset(model, g, k=2)
+    best = oracle_report(model, g, k=2).best_subset
     assert best.members == (0, 1)
 
 
@@ -62,7 +66,7 @@ def test_brute_force_dominates_any_explainer_subset():
     for i in range(5):
         g = random_small_graph(rng, n_lo=4, n_hi=8, gid=f"d{i}")
         pred = forward(model, g).predicted_class
-        _, best_p = brute_force_best_subset(model, g, k=3)
+        best_p = oracle_report(model, g, k=3).best_probability
         keep = NodeSet(rng.choice(g.node_count, min(3, g.node_count), replace=False).tolist())
         p = forward(model, node_induced_subgraph(g, keep)).probabilities[pred]
         assert best_p >= p
@@ -72,7 +76,7 @@ def test_exhaustive_sparsity_on_detector():
     model = detector_model()
     g = hot_graph()
     # one node (the hot one) already retains class 1
-    assert exhaustive_sparsity(model, g) == 1
+    assert oracle_report(model, g, k=1).exhaustive_min_k == 1
 
 
 def test_exhaustive_sparsity_is_minimal():
@@ -80,7 +84,7 @@ def test_exhaustive_sparsity_is_minimal():
     model = random_model(rng)
     g = random_small_graph(rng, n_lo=4, n_hi=7, gid="mink")
     pred = forward(model, g).predicted_class
-    min_k = exhaustive_sparsity(model, g)
+    min_k = oracle_report(model, g, k=1).exhaustive_min_k
     for size in range(1, min_k):
         for combo in itertools.combinations(range(g.node_count), size):
             sub = node_induced_subgraph(g, NodeSet(combo))
@@ -117,9 +121,7 @@ def test_size_guard():
     n = MAX_ORACLE_NODES + 1
     g = build_graph(n, [], np.zeros((n, 1)), True, graph_id="big")
     with pytest.raises(TooLarge):
-        brute_force_best_subset(model, g, k=2)
-    with pytest.raises(TooLarge):
-        exhaustive_sparsity(model, g)
+        oracle_report(model, g, k=2)
 
 
 def test_oracle_report_bundles_all_three():
@@ -167,12 +169,10 @@ def test_edge_budgets_give_the_one_subset_of_that_size():
         for k in {0, graph.node_count}:
             sub = node_induced_subgraph(graph, NodeSet(range(k)))
             want = forward(model, sub).probabilities[target]
-            best, best_p = brute_force_best_subset(model, graph, k)
-            assert best.members == tuple(range(k)) and best_p == want
             report = oracle_report(model, graph, k)
-            assert report.best_subset == best
-            assert report.best_probability == best_p
-    assert exhaustive_sparsity(model, empty) == 0
+            assert report.best_subset.members == tuple(range(k))
+            assert report.best_probability == want
+    assert oracle_report(model, empty, 0).exhaustive_min_k == 0
 
 
 def test_attribute_ids_compare_rows_as_bytes():
@@ -238,10 +238,7 @@ def _by_definition(model, g):
 def test_searches_match_one_forward_per_subset(case):
     g, model = case
     best, min_k = _by_definition(model, g)
-    assert exhaustive_sparsity(model, g) == min_k
     for k, (combo, p) in best.items():
-        got, got_p = brute_force_best_subset(model, g, k)
-        assert got.members == combo and got_p == p
         report = oracle_report(model, g, k)
         assert report.best_subset.members == combo
         assert report.best_probability == p
@@ -274,10 +271,6 @@ def test_report_equals_its_parts_bit_for_bit(blocks, oracle_stacks, case, data):
         assert oracle_stacks == [
             min(step, rows - start) for start in range(0, rows, step)
         ]
-        best, best_p = brute_force_best_subset(model, graph, k)
-        assert report.best_subset == best
-        assert _same_bits(report.best_probability, best_p)
-        assert report.exhaustive_min_k == exhaustive_sparsity(model, graph)
         drops = occlusion_scores(model, graph)
         assert _same_bits(report.occlusion_drop, drops)
         _, _, original, _ = oracle._original(model, graph)
@@ -308,7 +301,7 @@ def test_stacked_rows_are_the_distinct_subset_inputs(alike, oracle_passes):
     model = random_model(rng)
     for k in (3, 5):
         oracle_passes.clear()
-        brute_force_best_subset(model, g, k)
+        best_subset_alone(model, g, k)
         want = len(_distinct_inputs(g, k))
         assert sum(oracle_passes) == want
         assert (want < math.comb(10, k)) == alike
@@ -335,7 +328,6 @@ def test_searches_score_subsets_only_through_one_helper():
         "_layer_stack",
         "_induced_probabilities",
         "_induced_operands",
-        "subset_probabilities",
         "forward",
         "_propagation",
     }

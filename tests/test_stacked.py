@@ -8,19 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import detector_model, random_model, random_small_graph
+from conftest import (
+    best_subset_alone,
+    detector_model,
+    random_model,
+    random_small_graph,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gxplain
-from gxplain.errors import IndexOutOfRange, InvalidGraph
 from gxplain.explain import Explanation
-from gxplain.graphs import (
-    NodeSet,
-    build_graph,
-    complement_set,
-    node_induced_subgraph,
-)
+from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
 from gxplain.metrics import (
     default_prediction,
     evaluate,
@@ -31,11 +30,12 @@ from gxplain.model import (
     GnnModel,
     Layer,
     MaskedInput,
+    _adjacency,
     _block_rows,
+    _induced_probabilities,
     forward,
-    subset_probabilities,
 )
-from gxplain.oracle import brute_force_best_subset, occlusion_scores
+from gxplain.oracle import occlusion_scores
 
 
 @st.composite
@@ -78,46 +78,32 @@ def test_stacked_subsets_are_bitwise_the_extracted_forward(case):
     for k in range(n + 1):
         combos = list(itertools.combinations(range(n), k))
         rows = np.array(combos, dtype=np.int64).reshape(len(combos), k)
-        probs = subset_probabilities(model, [(g, rows)])
+        probs = _induced_probabilities(
+            model, _adjacency([g]), g.attributes[None], 0, rows
+        )
         for row, p in zip(combos, probs):
             sub = node_induced_subgraph(g, NodeSet(row))
             assert np.array_equal(forward(model, sub).probabilities, p)
 
 
-@pytest.mark.parametrize(
-    "rows, error",
-    [
-        ([[-1]], IndexOutOfRange),
-        ([[-13]], IndexOutOfRange),
-        ([[13]], IndexOutOfRange),
-        ([[0, 0]], InvalidGraph),
-        ([[3, 1]], InvalidGraph),
-    ],
-)
-def test_rows_that_name_no_induced_subgraph_are_refused(rows, error):
-    g = build_graph(
-        13, [(i, i + 1) for i in range(12)], np.ones((13, 1)), False
-    )
-    with pytest.raises(error):
-        subset_probabilities(detector_model(), [(g, np.array(rows))])
-
-
-def test_no_pairs_give_an_empty_probability_array():
-    model = random_model(np.random.default_rng(4), num_classes=3)
-    probs = subset_probabilities(model, [])
-    assert probs.shape == (0, 3) and probs.dtype == np.float64
-
-
 def test_stacks_of_several_graphs_match_each_graph_alone():
     rng = np.random.default_rng(5)
     model = random_model(rng, hidden=(4, 3))
-    graphs = [random_small_graph(rng, 3, 9, gid=f"s{i}") for i in range(6)]
-    pairs = [
-        (g, np.sort(rng.permutation(g.node_count)[:3])[None]) for g in graphs
-    ]
-    stacked = subset_probabilities(model, pairs)
-    for (g, rows), p in zip(pairs, stacked):
-        alone = subset_probabilities(model, [(g, rows)])[0]
+    graphs = [random_small_graph(rng, 7, 7, gid=f"s{i}") for i in range(6)]
+    rows = np.sort(
+        [rng.permutation(g.node_count)[:3] for g in graphs], axis=1
+    )
+    stacked = _induced_probabilities(
+        model,
+        _adjacency(graphs),
+        np.stack([g.attributes for g in graphs]),
+        np.arange(len(graphs)),
+        rows,
+    )
+    for g, row, p in zip(graphs, rows, stacked, strict=True):
+        alone = _induced_probabilities(
+            model, _adjacency([g]), g.attributes[None], 0, row[None]
+        )[0]
         assert np.array_equal(alone, p)
 
 
@@ -129,7 +115,7 @@ def test_ties_across_blocks_keep_the_lexicographically_first_subset(
     g = build_graph(
         12, [(i, i + 1) for i in range(11)], np.zeros((12, 1)), False
     )
-    best, _ = brute_force_best_subset(detector_model(), g, k=6)
+    best, _ = best_subset_alone(detector_model(), g, k=6)
     assert best.members == (0, 1, 2, 3, 4, 5)
     assert sum(oracle_passes) == 32 < math.comb(12, 6)
     assert len(oracle_passes) == math.ceil(32 / _block_rows(6))
@@ -168,7 +154,8 @@ def _verdict_by_definition(model, g, expl, budget, default):
     kept = rest = None
     if budget is not None:
         keep = NodeSet(expl.node_ranking[:budget])
-        kept, rest = retains(keep), retains(complement_set(g, keep))
+        rest = NodeSet(set(range(g.node_count)) - set(keep.members))
+        kept, rest = retains(keep), retains(rest)
     min_k = None
     if expl.original_prediction != default:
         min_k = next(
@@ -356,7 +343,7 @@ def test_one_scan_scores_subsets_and_eval_calls_each_entry_point_once():
     metrics = ast.parse((src / "metrics.py").read_text("utf-8"))
     assert len(_calls(metrics, "_induced_probabilities")) == 1
     (scan,) = [f for f in metrics.body if getattr(f, "name", "") == "_scan"]
-    assert not _calls(scan, "NodeSet") + _calls(scan, "complement_set")
+    assert not _calls(scan, "NodeSet")
     cli = ast.parse((src / "cli.py").read_text("utf-8"))
     loops = (
         ast.For,
