@@ -670,8 +670,8 @@ def load_explanation(path) -> tuple[Explanation, dict]:
 
     Raises:
         ParseError: invalid JSON, a missing field, a value of the wrong
-            type, per-node arrays of different lengths, or a ranking that
-            is not a permutation of the nodes.
+            type, per-node arrays of different lengths, a ranking that is
+            not a permutation of the nodes, or an arc end outside them.
         VersionMismatch: unknown format version.
     """
     with open(path, "rb") as fh:
@@ -716,6 +716,12 @@ def load_explanation(path) -> tuple[Explanation, dict]:
         raise ParseError(
             f"{path}: node_ranking is not a permutation of the {n} nodes"
         )
+    for i, (src, dst) in enumerate(arcs):
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ParseError(
+                f"{path}: edge_scores[{i}] joins {src} and {dst}, outside"
+                f" the {n} nodes"
+            )
     explanation = Explanation(
         graph_id=read_field(doc, "graph_id", as_str, path),
         arcs=tuple(arcs),

@@ -25,10 +25,9 @@ from .graphs import AttributedGraph
 from .model import (
     GnnModel,
     _adjacency,
-    _block_rows,
     _check_attr_dim,
-    _induced_probabilities,
-    _layer_stack,
+    _induced_operands,
+    _probabilities,
     _propagation,
 )
 
@@ -87,8 +86,8 @@ def default_prediction(model: GnnModel) -> int:
 def _prediction(model: GnnModel, g: AttributedGraph) -> int:
     """The class ``g`` predicts unmasked, from a probability-only pass."""
     _check_attr_dim(model, g)
-    a = _propagation(_adjacency([g]))[0]
-    return int(np.argmax(_layer_stack(model, a, g.attributes, keep=False)))
+    a = _propagation(_adjacency([g]))
+    return int(np.argmax(_probabilities(model, a, g.attributes[None])[0]))
 
 
 def keep_top_attributes(
@@ -159,17 +158,13 @@ def _retains(
 ) -> np.ndarray:
     """Whether the subgraph that row ``i`` of ``nodes`` induces on graph
     ``which[i]`` of ``stack`` still predicts that graph's original
-    class; one stacked pass per block of rows."""
+    class.  The gather copies, so ``stack.adjacency`` stays 0/1."""
     rows = np.sort(nodes, axis=1)
-    step = _block_rows(rows.shape[1])
-    hits = np.empty(len(rows), dtype=bool)
-    for lo in range(0, len(rows), step):
-        part = slice(lo, lo + step)
-        p = _induced_probabilities(
-            model, stack.adjacency, stack.attributes, which[part], rows[part]
-        )
-        hits[part] = p.argmax(axis=-1) == stack.target[which[part]]
-    return hits
+    blocks = stack.adjacency[
+        which[:, None, None], rows[:, :, None], rows[:, None, :]
+    ]
+    a, x = _induced_operands(blocks, stack.attributes, which, rows)
+    return _probabilities(model, a, x).argmax(axis=-1) == stack.target[which]
 
 
 def _sorted_graphs(
@@ -280,8 +275,11 @@ def evaluate(
             (:meth:`Explanation.check_graph`) or names a class the model
             does not have (:meth:`Explanation.check_model`).
     """
+    # validate the budgets once, before any graph is read
+    resolve_budget(1, k, rate)
+    if attr_top is not None and attr_top < 1:
+        raise InvalidBudget(f"attr_top must be at least 1, got {attr_top}")
     graphs = _sorted_graphs(model, dataset, explanations)
-    resolve_budget(1, k, rate)  # validate the budget form once up front
     attribute_hits = []
     if attr_top is not None:
         for g in graphs:

@@ -42,8 +42,11 @@ PROBABILITY_FLOOR = 1e-12
 # 512-row blocks ran 15-35% slower: their node fields outgrow the cache
 SUBSET_BLOCK_ROWS = 128
 # propagation entries per pass (128 graphs of 16 nodes): stacks of larger
-# graphs get fewer rows, so a block never needs much more memory than
-# one forward of its largest graph
+# graphs get fewer rows, so a pass's layer fields never need much more
+# memory than one forward of its largest graph.  Blocking bounds only
+# those fields: the operands of every row exist before it.  In the eval
+# scan they are no larger than the size stack's 0/1 adjacency, which is
+# held anyway; in the oracle they are 8x its distinct bool subset blocks
 _BLOCK_ENTRIES = SUBSET_BLOCK_ROWS * 16 * 16
 
 _ACTIVATIONS = ("relu", "identity")
@@ -359,6 +362,26 @@ def _block_rows(k: int) -> int:
     return max(1, min(SUBSET_BLOCK_ROWS, _BLOCK_ENTRIES // max(k * k, 1)))
 
 
+def _blocks(a: np.ndarray):
+    """Row slices that cut the ``(b, n, n)`` operator stack ``a`` into
+    stacked passes of at most :func:`_block_rows` ``(n)`` graphs."""
+    step = _block_rows(a.shape[-1])
+    return (slice(lo, lo + step) for lo in range(0, len(a), step))
+
+
+def _probabilities(
+    model: GnnModel, a: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Class probabilities, ``(b, classes)``, of the ``(b, n, n)``
+    operator stack ``a`` on the ``(b, n, d)`` node fields ``x``, one
+    probability-only pass per :func:`_blocks` slice; row ``i`` is, bit
+    for bit, graph ``i`` run alone."""
+    probs = np.empty((len(a), model.num_classes))
+    for rows in _blocks(a):
+        probs[rows] = _layer_stack(model, a[rows], x[rows], keep=False)
+    return probs
+
+
 def _induced_operands(
     blocks: np.ndarray,
     attributes: np.ndarray,
@@ -372,46 +395,13 @@ def _induced_operands(
     ``graph[i]`` of ``attributes`` (``(G, n, d)``); ``graph`` may also be
     one index for every row.  Degrees are counted inside each block.  A
     float64 ``blocks`` is normalized in place; any other dtype is
-    converted first.
+    converted first.  With ascending ``rows``, :func:`_probabilities` of
+    the result gives, row for row and bit for bit, :func:`forward` on
+    each extracted subgraph.
     """
     graph = np.reshape(graph, (-1, 1))
     a = _propagation(blocks.astype(np.float64, copy=False))
     return a, attributes[graph, rows]
-
-
-def _block_probabilities(
-    model: GnnModel,
-    blocks: np.ndarray,
-    attributes: np.ndarray,
-    graph: int | np.ndarray,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """Class probabilities, ``(b, classes)``, of the node-induced
-    subgraphs of :func:`_induced_operands`, in one probability-only
-    stacked pass; row ``i`` is, bit for bit, :func:`forward` on that
-    extracted subgraph.  Callers pass at most :func:`_block_rows` rows.
-    """
-    a, x = _induced_operands(blocks, attributes, graph, rows)
-    return _layer_stack(model, a, x, keep=False)
-
-
-def _induced_probabilities(
-    model: GnnModel,
-    adjacency: np.ndarray,
-    attributes: np.ndarray,
-    graph: int | np.ndarray,
-    rows: np.ndarray,
-) -> np.ndarray:
-    """:func:`_block_probabilities` of the subgraphs that row ``i`` of
-    ``rows``, ascending node indices, induces in graph ``graph[i]`` of
-    the 0/1 ``adjacency`` stack (``(G, n, n)``, see :func:`_adjacency`).
-    The gather copies, so ``adjacency`` is left as it is.  Callers check
-    the rows.
-    """
-    blocks = adjacency[
-        np.reshape(graph, (-1, 1, 1)), rows[:, :, None], rows[:, None, :]
-    ]
-    return _block_probabilities(model, blocks, attributes, graph, rows)
 
 
 def _backward(

@@ -2,11 +2,12 @@
 
 Everything here enumerates, so inputs are capped at 14 nodes; the results
 are used to audit the learned explainer, never to produce explanations.
-A graph and its occluded copies run as one stacked pass
-(:func:`_original`).  The subset searches score each distinct induced
-input once: subsets with the same 0/1 block and the same attribute rows
-share one stacked row, and the searches read the distinct rows only
-(:func:`_subset_probabilities`).
+Every probability comes from one :func:`model._probabilities` call per
+stack, which cuts the stack into passes itself.  A graph and its
+occluded copies form one stack (:func:`_original`).  The subset searches
+score each distinct induced input once: subsets with the same 0/1 block
+and the same attribute rows share one stacked row, and the searches read
+the distinct rows only (:func:`_subset_probabilities`).
 """
 
 import functools
@@ -22,10 +23,9 @@ from .graphs import AttributedGraph, NodeSet
 from .model import (
     GnnModel,
     _adjacency,
-    _block_probabilities,
-    _block_rows,
     _check_attr_dim,
-    _layer_stack,
+    _induced_operands,
+    _probabilities,
     _propagation,
 )
 
@@ -110,9 +110,9 @@ def _original(
     :func:`_attribute_ids`, its unmasked class probabilities and each
     arc's occlusion drop (see :func:`occlusion_scores`).
 
-    ``g`` and its occluded copies run as one probability-only stack in
-    :func:`_block_rows` blocks: row 0 is the unmasked operator and row
-    ``1 + i`` gates edge ``i`` out, both arcs of an undirected edge.
+    ``g`` and its occluded copies run as one :func:`_probabilities`
+    stack: row 0 is the unmasked operator and row ``1 + i`` gates edge
+    ``i`` out, both arcs of an undirected edge.
     """
     _check_attr_dim(model, g)
     adjacency = _adjacency([g])
@@ -122,12 +122,8 @@ def _original(
     src, dst = g.arc_index_arrays()
     a = np.repeat(full[None], 1 + g.arc_count // step, axis=0)
     a[1 + np.arange(g.arc_count) // step, dst, src] = 0.0
-    probs = np.empty((len(a), model.num_classes))
-    rows = _block_rows(g.node_count)
-    for start in range(0, len(a), rows):
-        block = a[start : start + rows]
-        x = np.broadcast_to(g.attributes, (len(block),) + g.attributes.shape)
-        probs[start : start + rows] = _layer_stack(model, block, x, keep=False)
+    x = np.broadcast_to(g.attributes, (len(a),) + g.attributes.shape)
+    probs = _probabilities(model, a, x)
     original = probs[0]
     target = int(np.argmax(original))
     drops = np.repeat(original[target] - probs[1:, target], step)
@@ -150,8 +146,9 @@ def _subset_probabilities(
     A subset's probabilities depend only on its induced 0/1 block and its
     nodes' attribute rows, and every slice of a stacked pass is bit for
     bit that graph run alone.  So each subset is keyed by its block's
-    cells and its nodes' ids, and the first subset of each distinct key
-    runs in :func:`_block_rows` blocks of :func:`_block_probabilities`.
+    cells and its nodes' ids, and the first subsets of the distinct keys
+    run as one :func:`_induced_operands` stack through
+    :func:`_probabilities`.
 
     The key is a few float64 words, each an exact integer below 2**52
     whatever the order of the sums: block cell ``j`` adds ``2**(j % 52)``
@@ -183,14 +180,10 @@ def _subset_probabilities(
         for word in key.take(order, axis=0).T:
             starts[1:] |= word[1:] != word[:-1]
         first = np.sort(order[starts])
-    probs = np.empty((len(first), model.num_classes))
-    step = _block_rows(k)
-    for start in range(0, len(first), step):
-        pick = first[start : start + step]
-        probs[start : start + step] = _block_probabilities(
-            model, blocks[pick], g.attributes[None], 0, rows[pick]
-        )
-    return first, probs
+    a, x = _induced_operands(
+        blocks[first], g.attributes[None], 0, rows[first]
+    )
+    return first, _probabilities(model, a, x)
 
 
 def _best_subset(

@@ -20,9 +20,10 @@ from .model import (
     Layer,
     _adjacency,
     _backward,
-    _block_rows,
+    _blocks,
     _check_attr_dim,
     _layer_stack,
+    _probabilities,
     _propagation,
     _readout,
 )
@@ -65,14 +66,6 @@ def _stack_graphs(graphs) -> list[_Stack]:
     ]
 
 
-def _blocks(stacks: list[_Stack]):
-    """Slices of each stack, at most :func:`_block_rows` graphs each."""
-    for a, x, y in stacks:
-        rows = _block_rows(x.shape[1])
-        for lo in range(0, len(y), rows):
-            yield a[lo : lo + rows], x[lo : lo + rows], y[lo : lo + rows]
-
-
 def _accuracy(model: GnnModel, stacks: list[_Stack]) -> float:
     """Fraction of the stacked graphs whose prediction matches the label,
     or NaN when there are none."""
@@ -80,8 +73,8 @@ def _accuracy(model: GnnModel, stacks: list[_Stack]) -> float:
     if not count:
         return float("nan")
     hits = sum(
-        int((_layer_stack(model, a, x, keep=False).argmax(-1) == y).sum())
-        for a, x, y in _blocks(stacks)
+        int((_probabilities(model, a, x).argmax(-1) == y).sum())
+        for a, x, y in stacks
     )
     return hits / count
 
@@ -99,7 +92,12 @@ def _epoch_gradients(
     grads: list[np.ndarray] | None = None
     total_loss = 0.0
     hits = 0
-    for a, x, y in _blocks(stacks):
+    blocks = (
+        (s.propagation[rows], s.attributes[rows], s.labels[rows])
+        for s in stacks
+        for rows in _blocks(s.propagation)
+    )
+    for a, x, y in blocks:
         tr = _layer_stack(model, a, x)
         p = tr.probabilities
         for p_target in p[np.arange(len(y)), y].tolist():

@@ -8,10 +8,17 @@ session-scoped and only paid for by the files that ask for them.
 import numpy as np
 import pytest
 
+from gxplain import model as model_module
 from gxplain import oracle
 from gxplain.datasets import generate_ba2motifs
 from gxplain.graphs import build_graph
-from gxplain.model import GnnModel, Layer
+from gxplain.model import (
+    GnnModel,
+    Layer,
+    _block_rows,
+    _induced_operands,
+    _probabilities,
+)
 from gxplain.training import train_model
 
 # One seed for the whole suite: reaches the accuracy bar and keeps the
@@ -98,31 +105,50 @@ def best_subset_alone(model, g, k):
     return oracle._best_subset(model, g, k, links, ids, target)
 
 
+def induced_probabilities(model, adjacency, attributes, graph, rows):
+    """Class probabilities of the subgraphs that row ``i`` of ``rows``,
+    ascending node indices, induces in graph ``graph[i]`` of the 0/1
+    ``adjacency`` stack, by the eval scan's route: gather the blocks,
+    build their operands, run one blocked probability pass."""
+    blocks = adjacency[
+        np.reshape(graph, (-1, 1, 1)), rows[:, :, None], rows[:, None, :]
+    ]
+    a, x = _induced_operands(blocks, attributes, graph, rows)
+    return _probabilities(model, a, x)
+
+
+def stack_rows(count, n):
+    """The row count of each pass that ``count`` stacked ``n``-node
+    graphs take."""
+    step = _block_rows(n)
+    return [min(step, count - lo) for lo in range(0, count, step)]
+
+
 @pytest.fixture
 def oracle_passes(monkeypatch):
-    """The row count of each stacked subset pass the oracle runs from
-    here on."""
+    """The row count of each stack of subset operands the oracle builds
+    from here on."""
     passes = []
-    run = oracle._block_probabilities
+    run = oracle._induced_operands
 
-    def counted(model, blocks, *args):
+    def counted(blocks, *args):
         passes.append(len(blocks))
-        return run(model, blocks, *args)
+        return run(blocks, *args)
 
-    monkeypatch.setattr(oracle, "_block_probabilities", counted)
+    monkeypatch.setattr(oracle, "_induced_operands", counted)
     return passes
 
 
 @pytest.fixture
 def oracle_stacks(monkeypatch):
-    """The row count of each layer stack the oracle module runs itself
-    from here on (subset passes run theirs in the model module)."""
+    """The row count of each layer stack the model module runs from here
+    on: the passes into which :func:`model._probabilities` cuts a stack."""
     stacks = []
-    run = oracle._layer_stack
+    run = model_module._layer_stack
 
     def counted(model, a, *args, **kwargs):
         stacks.append(len(a))
         return run(model, a, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_layer_stack", counted)
+    monkeypatch.setattr(model_module, "_layer_stack", counted)
     return stacks

@@ -527,6 +527,28 @@ def test_eval_rejects_malformed_edge_scores(pipeline, capsys, tmp_path, fault):
     assert "edge_scores[0]" in err
 
 
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_export_dot_refuses_an_arc_end_outside_the_graph(
+    pipeline, capsys, tmp_path, end
+):
+    _, _, _, out = pipeline
+    bad = tmp_path / "expl"
+    bad.mkdir()
+    for path in out.glob("*.json"):
+        (bad / path.name).write_bytes(path.read_bytes())
+    victim = sorted(bad.glob("*.json"))[0]
+    doc = json.loads(victim.read_text())
+    n = len(doc["node_scores"])
+    doc["edge_scores"][0][end] = -1 if end == "src" else n
+    victim.write_text(json.dumps(doc))
+    dots = tmp_path / "dots"
+    code = main(["export-dot", "--explanations", str(bad),
+                 "--out-dir", str(dots)])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert str(victim) in err and "edge_scores[0]" in err
+    assert not list(dots.glob("*.dot"))
+
+
 def test_eval_refuses_a_class_the_model_does_not_have(
     pipeline, capsys, tmp_path
 ):

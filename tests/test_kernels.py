@@ -3,6 +3,7 @@ pinned copies in ``pinned_kernels``: every trace, gradient and update
 must have their bytes, stacked and alone."""
 
 import numpy as np
+from conftest import induced_probabilities
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pinned_kernels import (
@@ -18,11 +19,10 @@ from gxplain.model import (
     Layer,
     MaskedInput,
     _backward,
-    _block_probabilities,
     _forward_trace,
     _induced_operands,
-    _induced_probabilities,
     _layer_stack,
+    _probabilities,
     _adjacency,
     _propagation,
 )
@@ -120,12 +120,14 @@ def test_probability_only_pass_gives_the_trace_and_pinned_bytes(case):
     model, graphs, which, rows = case
     adjacency = _adjacency(graphs)
     x = np.stack([g.attributes for g in graphs])
-    got = _induced_probabilities(model, adjacency, x, which, rows)
+    got = induced_probabilities(model, adjacency, x, which, rows)
     assert type(got) is np.ndarray
     assert got.shape == (len(rows), model.num_classes)
     blocks = adjacency[which[:, None, None], rows[:, :, None], rows[:, None, :]]
     # the oracle hands over its blocks as bool
-    bits = _block_probabilities(model, blocks != 0, x, which, rows)
+    bits = _probabilities(
+        model, *_induced_operands(blocks != 0, x, which, rows)
+    )
     assert bits.tobytes() == got.tobytes()
     a, h = _induced_operands(blocks, x, which, rows)
     for trace in (_layer_stack(model, a, h), pinned_layer_stack(model, a, h)):

@@ -171,6 +171,15 @@ def test_sparsity_none_when_no_graph_is_eligible():
     assert report.eligible_count == 0
 
 
+def test_evaluate_checks_attr_top_before_reading_any_graph():
+    model = detector_model()
+    with pytest.raises(InvalidBudget, match="attr_top"):
+        evaluate(model, [], {}, k=1, attr_top=0)
+    # before a missing explanation is looked for, too
+    with pytest.raises(InvalidBudget, match="attr_top"):
+        evaluate(model, [hot_path_graph("missing")], {}, k=1, attr_top=0)
+
+
 def test_evaluate_requires_every_explanation():
     model = detector_model()
     g = hot_path_graph("missing")

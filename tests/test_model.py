@@ -11,6 +11,7 @@ from references import loss
 from gxplain import model as model_module
 from gxplain.errors import ShapeMismatch, UnsupportedActivation
 from gxplain.graphs import build_graph
+from gxplain.metrics import _SizeStack, _retains
 from gxplain.model import (
     GnnModel,
     Layer,
@@ -19,7 +20,6 @@ from gxplain.model import (
     load_model,
     _adjacency,
     _induced_operands,
-    _induced_probabilities,
     _layer_stack,
     _propagation,
     save_model,
@@ -52,8 +52,10 @@ def test_induced_operator_of_every_node_is_the_graph_operator():
         a_eff, _ = _induced_operands(blocks, x, [1, 0], every)
         for a, g in zip(a_eff, graphs[::-1]):
             assert a.tobytes() == _propagation(_adjacency([g]))[0].tobytes()
-    # the gather copies, so the 0/1 stack is not normalized in place
-    _induced_probabilities(identity_model(), adjacency, x, [1, 0], every)
+    # the eval scan's gather copies, so its 0/1 stack is not normalized
+    # in place
+    stack = _SizeStack(np.arange(2), adjacency, x, every, np.zeros(2))
+    _retains(identity_model(), stack, np.array([1, 0]), every)
     assert adjacency.tobytes() == _adjacency(graphs).tobytes()
 
 
@@ -116,28 +118,32 @@ def test_layer_arithmetic_is_written_once():
     assert users == callers == {"_layer_stack"}
 
 
-def test_probability_readers_keep_no_trace():
-    keeps_trace = {"forward", "_forward_trace", "mask_gradients"}
+def test_probabilities_are_read_through_one_blocked_pass():
+    # only the model module cuts stacks into passes and drops the trace
+    src = Path(model_module.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [c for c in _calls(tree) if _probability_only(c)], path
+        # as a name, an attribute or an import
+        names = {
+            getattr(node, field, None)
+            for node in ast.walk(tree)
+            for field in ("id", "attr", "name")
+        }
+        assert "_block_rows" not in names, path
+    # the probability readers take their probabilities from that one pass
+    traced = {"_layer_stack", "forward", "_forward_trace", "mask_gradients"}
     readers = [
         _source("oracle"),
         _source("metrics"),
         _functions("training")["_accuracy"],
     ]
     for tree in readers:
-        names = [_name(c) for c in _calls(tree)]
-        assert not keeps_trace & set(names) and "_backward" not in names
-        assert {"_induced_probabilities", "_layer_stack"} & set(names)
-        stacks = [c for c in _calls(tree) if _name(c) == "_layer_stack"]
-        assert all(_probability_only(c) for c in stacks)
-    (inner,) = [
-        c
-        for c in _calls(_functions("model")["_block_probabilities"])
-        if _name(c) == "_layer_stack"
-    ]
-    assert _probability_only(inner)
-    assert "_block_probabilities" in {
-        _name(c) for c in _calls(_functions("model")["_induced_probabilities"])
-    }
+        names = {_name(c) for c in _calls(tree)}
+        assert "_probabilities" in names
+        assert not (traced | {"_backward"}) & names
 
 
 def test_no_probability_only_result_reaches_backward():
@@ -148,9 +154,7 @@ def test_no_probability_only_result_reaches_backward():
                 probability_only = [
                     c
                     for c in calls
-                    if _name(c)
-                    in {"_induced_probabilities", "_block_probabilities"}
-                    or _probability_only(c)
+                    if _name(c) == "_probabilities" or _probability_only(c)
                 ]
                 assert not probability_only, fn.name
     # and the bare array has none of the fields _backward reads

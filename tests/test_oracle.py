@@ -1,9 +1,7 @@
 """Exhaustive oracles: best subset, minimal retaining size, occlusion."""
 
-import ast
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from conftest import (
     detector_model,
     random_model,
     random_small_graph,
+    stack_rows,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from gxplain import oracle
 from gxplain.errors import TooLarge
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
-from gxplain.model import GnnModel, Layer, _block_rows, forward
+from gxplain.model import GnnModel, Layer, forward
 from gxplain.oracle import (
     MAX_ORACLE_NODES,
     _attribute_ids,
@@ -263,17 +262,14 @@ def test_report_equals_its_parts_bit_for_bit(blocks, oracle_stacks, case, data):
         g.node_count, [], g.attributes, g.directed, graph_id="bare"
     )
     for graph in (g, without_arcs):
-        oracle_stacks.clear()
         report = oracle_report(model, graph, k)
-        # one stack: the graph, then one copy per occluded edge, in blocks
-        rows = 1 + graph.arc_count // (1 if graph.directed else 2)
-        step = _block_rows(graph.node_count)
-        assert oracle_stacks == [
-            min(step, rows - start) for start in range(0, rows, step)
-        ]
         drops = occlusion_scores(model, graph)
         assert _same_bits(report.occlusion_drop, drops)
+        oracle_stacks.clear()
         _, _, original, _ = oracle._original(model, graph)
+        # one stack: the graph, then one copy per occluded edge, in blocks
+        rows = 1 + graph.arc_count // (1 if graph.directed else 2)
+        assert oracle_stacks == stack_rows(rows, graph.node_count)
         assert _same_bits(original, forward(model, graph).probabilities)
 
 
@@ -307,41 +303,6 @@ def test_stacked_rows_are_the_distinct_subset_inputs(alike, oracle_passes):
         assert (want < math.comb(10, k)) == alike
 
 
-def _oracle_functions():
-    tree = ast.parse(Path(oracle.__file__).read_text("utf-8"))
-    return {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
-
-
-def _called(function):
-    return {
-        getattr(c.func, "id", getattr(c.func, "attr", ""))
-        for c in ast.walk(function)
-        if isinstance(c, ast.Call)
-    }
-
-
-def test_searches_score_subsets_only_through_one_helper():
-    functions = _oracle_functions()
-    scorers = {
-        "_subset_probabilities",
-        "_block_probabilities",
-        "_layer_stack",
-        "_induced_probabilities",
-        "_induced_operands",
-        "forward",
-        "_propagation",
-    }
-    for name in ("_best_subset", "_min_k"):
-        assert _called(functions[name]) & scorers == {
-            "_subset_probabilities"
-        }, name
-    # and the subsets' operators are normalized in the model module
-    assert _called(functions["_subset_probabilities"]) & scorers == {
-        "_block_probabilities"
-    }
-    assert "_subset_blocks" not in functions
-
-
 @pytest.mark.parametrize("directed", [False, True])
 def test_keys_of_several_words_find_the_first_subset_of_each_input(
     directed, oracle_passes
@@ -368,17 +329,3 @@ def test_keys_of_several_words_find_the_first_subset_of_each_input(
                 keep = NodeSet(_subsets(n, k)[first[i]].tolist())
                 sub = node_induced_subgraph(g, keep)
                 assert _same_bits(probs[i], forward(model, sub).probabilities)
-
-
-def test_one_stack_runs_the_graph_and_searches_read_distinct_rows():
-    functions = _oracle_functions()
-    # the graph and its occluded copies run in one place
-    assert "_occlusion" not in functions
-    assert {
-        name for name, f in functions.items() if "_layer_stack" in _called(f)
-    } == {"_original"}
-    # the searches read the distinct rows; nothing is scattered back
-    for name in ("_best_subset", "_min_k"):
-        assert "take" not in _called(functions[name]), name
-    # a subset key holds one attribute id per position as a hex digit
-    assert MAX_ORACLE_NODES < 16

@@ -11,8 +11,10 @@ import pytest
 from conftest import (
     best_subset_alone,
     detector_model,
+    induced_probabilities,
     random_model,
     random_small_graph,
+    stack_rows,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,6 @@ from gxplain.model import (
     MaskedInput,
     _adjacency,
     _block_rows,
-    _induced_probabilities,
     forward,
 )
 from gxplain.oracle import occlusion_scores
@@ -78,7 +79,7 @@ def test_stacked_subsets_are_bitwise_the_extracted_forward(case):
     for k in range(n + 1):
         combos = list(itertools.combinations(range(n), k))
         rows = np.array(combos, dtype=np.int64).reshape(len(combos), k)
-        probs = _induced_probabilities(
+        probs = induced_probabilities(
             model, _adjacency([g]), g.attributes[None], 0, rows
         )
         for row, p in zip(combos, probs):
@@ -93,7 +94,7 @@ def test_stacks_of_several_graphs_match_each_graph_alone():
     rows = np.sort(
         [rng.permutation(g.node_count)[:3] for g in graphs], axis=1
     )
-    stacked = _induced_probabilities(
+    stacked = induced_probabilities(
         model,
         _adjacency(graphs),
         np.stack([g.attributes for g in graphs]),
@@ -101,14 +102,14 @@ def test_stacks_of_several_graphs_match_each_graph_alone():
         rows,
     )
     for g, row, p in zip(graphs, rows, stacked, strict=True):
-        alone = _induced_probabilities(
+        alone = induced_probabilities(
             model, _adjacency([g]), g.attributes[None], 0, row[None]
         )[0]
         assert np.array_equal(alone, p)
 
 
 def test_ties_across_blocks_keep_the_lexicographically_first_subset(
-    blocks, oracle_passes
+    blocks, oracle_passes, oracle_stacks
 ):
     # every subset ties; the 32 distinct inputs (which of the 5 pairs of
     # neighbouring positions are linked) span many 3-row blocks
@@ -117,10 +118,13 @@ def test_ties_across_blocks_keep_the_lexicographically_first_subset(
     )
     best, _ = best_subset_alone(detector_model(), g, k=6)
     assert best.members == (0, 1, 2, 3, 4, 5)
-    assert sum(oracle_passes) == 32 < math.comb(12, 6)
-    assert len(oracle_passes) == math.ceil(32 / _block_rows(6))
+    assert oracle_passes == [32] and 32 < math.comb(12, 6)
+    # the graph and its 11 occluded copies, then the distinct inputs
+    subset_passes = stack_rows(32, 6)
+    assert oracle_stacks == stack_rows(12, 12) + subset_passes
+    assert len(subset_passes) == math.ceil(32 / _block_rows(6))
     if blocks == "3-row blocks":
-        assert len(oracle_passes) > 2
+        assert len(subset_passes) > 2
 
 
 def test_large_graphs_get_fewer_rows_per_block():
@@ -341,7 +345,7 @@ def _calls(tree, name):
 def test_one_scan_scores_subsets_and_eval_calls_each_entry_point_once():
     src = Path(gxplain.__file__).parent
     metrics = ast.parse((src / "metrics.py").read_text("utf-8"))
-    assert len(_calls(metrics, "_induced_probabilities")) == 1
+    assert len(_calls(metrics, "_induced_operands")) == 1
     (scan,) = [f for f in metrics.body if getattr(f, "name", "") == "_scan"]
     assert not _calls(scan, "NodeSet")
     cli = ast.parse((src / "cli.py").read_text("utf-8"))
