@@ -133,7 +133,18 @@ def test_probabilities_are_read_through_one_blocked_pass():
             for field in ("id", "attr", "name")
         }
         assert "_block_rows" not in names, path
-    # the probability readers take their probabilities from that one pass
+    # and that one pass runs each block without its trace
+    (inner,) = [
+        c
+        for c in _calls(_functions("model")["_probabilities"])
+        if _name(c) == "_layer_stack"
+    ]
+    assert _probability_only(inner)
+
+
+def test_probability_readers_keep_no_trace():
+    # the probability readers take their probabilities from one blocked
+    # probability-only pass, never from a traced run
     traced = {"_layer_stack", "forward", "_forward_trace", "mask_gradients"}
     readers = [
         _source("oracle"),

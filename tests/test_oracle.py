@@ -1,7 +1,9 @@
 """Exhaustive oracles: best subset, minimal retaining size, occlusion."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +305,41 @@ def test_stacked_rows_are_the_distinct_subset_inputs(alike, oracle_passes):
         assert (want < math.comb(10, k)) == alike
 
 
+def _oracle_functions():
+    tree = ast.parse(Path(oracle.__file__).read_text("utf-8"))
+    return {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+
+def _called(function):
+    return {
+        getattr(c.func, "id", getattr(c.func, "attr", ""))
+        for c in ast.walk(function)
+        if isinstance(c, ast.Call)
+    }
+
+
+def test_searches_score_subsets_only_through_one_helper():
+    functions = _oracle_functions()
+    scorers = {
+        "_subset_probabilities",
+        "_probabilities",
+        "_layer_stack",
+        "_induced_operands",
+        "forward",
+        "_propagation",
+    }
+    for name in ("_best_subset", "_min_k"):
+        assert _called(functions[name]) & scorers == {
+            "_subset_probabilities"
+        }, name
+    # and the subsets' operators are built and run in the model module
+    assert _called(functions["_subset_probabilities"]) & scorers == {
+        "_induced_operands",
+        "_probabilities",
+    }
+    assert "_subset_blocks" not in functions
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_keys_of_several_words_find_the_first_subset_of_each_input(
     directed, oracle_passes
@@ -329,3 +366,24 @@ def test_keys_of_several_words_find_the_first_subset_of_each_input(
                 keep = NodeSet(_subsets(n, k)[first[i]].tolist())
                 sub = node_induced_subgraph(g, keep)
                 assert _same_bits(probs[i], forward(model, sub).probabilities)
+
+
+def test_one_stack_runs_the_graph_and_searches_read_distinct_rows():
+    functions = _oracle_functions()
+    # the graph and its occluded copies run in one place, as one stack
+    assert "_occlusion" not in functions
+    assert {
+        name for name, f in functions.items() if "_layer_stack" in _called(f)
+    } == set()
+    runs = [
+        c
+        for c in ast.walk(functions["_original"])
+        if isinstance(c, ast.Call)
+        and getattr(c.func, "id", "") == "_probabilities"
+    ]
+    assert len(runs) == 1
+    # the searches read the distinct rows; nothing is scattered back
+    for name in ("_best_subset", "_min_k"):
+        assert "take" not in _called(functions[name]), name
+    # a subset key holds one attribute id per position as a hex digit
+    assert MAX_ORACLE_NODES < 16
