@@ -153,16 +153,25 @@ def _stack_by_size(model: GnnModel, graphs, explanations) -> list[_SizeStack]:
     return stacks
 
 
+def _induced_blocks(
+    adjacency: np.ndarray, which: int | np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The ``(k, k)`` block that row ``i`` of ``rows`` induces in graph
+    ``which[i]`` of the 0/1 stack ``adjacency``, for every row in one
+    fancy index; ``which`` may also be one index for every row.  The
+    gather copies, so ``adjacency`` stays 0/1."""
+    which = np.reshape(which, (-1, 1, 1))
+    return adjacency[which, rows[:, :, None], rows[:, None, :]]
+
+
 def _retains(
     model: GnnModel, stack: _SizeStack, which: np.ndarray, nodes: np.ndarray
 ) -> np.ndarray:
     """Whether the subgraph that row ``i`` of ``nodes`` induces on graph
     ``which[i]`` of ``stack`` still predicts that graph's original
-    class.  The gather copies, so ``stack.adjacency`` stays 0/1."""
+    class."""
     rows = np.sort(nodes, axis=1)
-    blocks = stack.adjacency[
-        which[:, None, None], rows[:, :, None], rows[:, None, :]
-    ]
+    blocks = _induced_blocks(stack.adjacency, which, rows)
     a, x = _induced_operands(blocks, stack.attributes, which, rows)
     return _probabilities(model, a, x).argmax(axis=-1) == stack.target[which]
 

@@ -12,13 +12,7 @@ from gxplain import model as model_module
 from gxplain import oracle
 from gxplain.datasets import generate_ba2motifs
 from gxplain.graphs import build_graph
-from gxplain.model import (
-    GnnModel,
-    Layer,
-    _block_rows,
-    _induced_operands,
-    _probabilities,
-)
+from gxplain.model import GnnModel, Layer, _block_rows
 from gxplain.training import train_model
 
 # One seed for the whole suite: reaches the accuracy bar and keeps the
@@ -103,18 +97,6 @@ def best_subset_alone(model, g, k):
     links, ids, original, _ = oracle._original(model, g)
     target = int(np.argmax(original))
     return oracle._best_subset(model, g, k, links, ids, target)
-
-
-def induced_probabilities(model, adjacency, attributes, graph, rows):
-    """Class probabilities of the subgraphs that row ``i`` of ``rows``,
-    ascending node indices, induces in graph ``graph[i]`` of the 0/1
-    ``adjacency`` stack, by the eval scan's route: gather the blocks,
-    build their operands, run one blocked probability pass."""
-    blocks = adjacency[
-        np.reshape(graph, (-1, 1, 1)), rows[:, :, None], rows[:, None, :]
-    ]
-    a, x = _induced_operands(blocks, attributes, graph, rows)
-    return _probabilities(model, a, x)
 
 
 def stack_rows(count, n):

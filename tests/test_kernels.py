@@ -3,7 +3,6 @@ pinned copies in ``pinned_kernels``: every trace, gradient and update
 must have their bytes, stacked and alone."""
 
 import numpy as np
-from conftest import induced_probabilities
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pinned_kernels import (
@@ -14,6 +13,7 @@ from pinned_kernels import (
 )
 
 from gxplain.graphs import build_graph
+from gxplain.metrics import _induced_blocks
 from gxplain.model import (
     GnnModel,
     Layer,
@@ -120,16 +120,16 @@ def test_probability_only_pass_gives_the_trace_and_pinned_bytes(case):
     model, graphs, which, rows = case
     adjacency = _adjacency(graphs)
     x = np.stack([g.attributes for g in graphs])
-    got = induced_probabilities(model, adjacency, x, which, rows)
-    assert type(got) is np.ndarray
-    assert got.shape == (len(rows), model.num_classes)
-    blocks = adjacency[which[:, None, None], rows[:, :, None], rows[:, None, :]]
+    blocks = _induced_blocks(adjacency, which, rows)
     # the oracle hands over its blocks as bool
     bits = _probabilities(
         model, *_induced_operands(blocks != 0, x, which, rows)
     )
-    assert bits.tobytes() == got.tobytes()
     a, h = _induced_operands(blocks, x, which, rows)
+    got = _probabilities(model, a, h)
+    assert type(got) is np.ndarray
+    assert got.shape == (len(rows), model.num_classes)
+    assert bits.tobytes() == got.tobytes()
     for trace in (_layer_stack(model, a, h), pinned_layer_stack(model, a, h)):
         assert got.tobytes() == trace.probabilities.tobytes()
     # one graph alone, as the oracle's and the attribute pass's call

@@ -257,21 +257,29 @@ def _same_bits(a, b):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(oracle_case(MAX_ORACLE_NODES), st.data())
-def test_report_equals_its_parts_bit_for_bit(blocks, oracle_stacks, case, data):
+def test_report_equals_its_parts_bit_for_bit(
+    blocks, oracle_passes, oracle_stacks, case, data
+):
     g, model = case
     k = data.draw(st.integers(0, g.node_count), label="k")
     without_arcs = build_graph(
         g.node_count, [], g.attributes, g.directed, graph_id="bare"
     )
     for graph in (g, without_arcs):
+        # one stack: the graph, then one copy per occluded edge, in blocks
+        rows = 1 + graph.arc_count // (1 if graph.directed else 2)
+        want = stack_rows(rows, graph.node_count)
+        oracle_passes.clear()
+        oracle_stacks.clear()
         report = oracle_report(model, graph, k)
+        # that stack runs once, first; every other pass is a subset's
+        assert oracle_stacks[: len(want)] == want
+        assert sum(oracle_stacks) == rows + sum(oracle_passes)
         drops = occlusion_scores(model, graph)
         assert _same_bits(report.occlusion_drop, drops)
         oracle_stacks.clear()
         _, _, original, _ = oracle._original(model, graph)
-        # one stack: the graph, then one copy per occluded edge, in blocks
-        rows = 1 + graph.arc_count // (1 if graph.directed else 2)
-        assert oracle_stacks == stack_rows(rows, graph.node_count)
+        assert oracle_stacks == want
         assert _same_bits(original, forward(model, graph).probabilities)
 
 

@@ -11,7 +11,6 @@ import pytest
 from conftest import (
     best_subset_alone,
     detector_model,
-    induced_probabilities,
     random_model,
     random_small_graph,
     stack_rows,
@@ -23,6 +22,7 @@ import gxplain
 from gxplain.explain import Explanation
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
 from gxplain.metrics import (
+    _induced_blocks,
     default_prediction,
     evaluate,
     resolve_budget,
@@ -34,6 +34,8 @@ from gxplain.model import (
     MaskedInput,
     _adjacency,
     _block_rows,
+    _induced_operands,
+    _probabilities,
     forward,
 )
 from gxplain.oracle import occlusion_scores
@@ -79,9 +81,9 @@ def test_stacked_subsets_are_bitwise_the_extracted_forward(case):
     for k in range(n + 1):
         combos = list(itertools.combinations(range(n), k))
         rows = np.array(combos, dtype=np.int64).reshape(len(combos), k)
-        probs = induced_probabilities(
-            model, _adjacency([g]), g.attributes[None], 0, rows
-        )
+        blocks = _induced_blocks(_adjacency([g]), 0, rows)
+        a, x = _induced_operands(blocks, g.attributes[None], 0, rows)
+        probs = _probabilities(model, a, x)
         for row, p in zip(combos, probs):
             sub = node_induced_subgraph(g, NodeSet(row))
             assert np.array_equal(forward(model, sub).probabilities, p)
@@ -94,17 +96,14 @@ def test_stacks_of_several_graphs_match_each_graph_alone():
     rows = np.sort(
         [rng.permutation(g.node_count)[:3] for g in graphs], axis=1
     )
-    stacked = induced_probabilities(
-        model,
-        _adjacency(graphs),
-        np.stack([g.attributes for g in graphs]),
-        np.arange(len(graphs)),
-        rows,
-    )
+    which = np.arange(len(graphs))
+    blocks = _induced_blocks(_adjacency(graphs), which, rows)
+    x = np.stack([g.attributes for g in graphs])
+    stacked = _probabilities(model, *_induced_operands(blocks, x, which, rows))
     for g, row, p in zip(graphs, rows, stacked, strict=True):
-        alone = induced_probabilities(
-            model, _adjacency([g]), g.attributes[None], 0, row[None]
-        )[0]
+        blocks = _induced_blocks(_adjacency([g]), 0, row[None])
+        a, x = _induced_operands(blocks, g.attributes[None], 0, row[None])
+        alone = _probabilities(model, a, x)[0]
         assert np.array_equal(alone, p)
 
 
