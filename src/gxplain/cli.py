@@ -1,7 +1,8 @@
 """Command-line pipeline: generate data, train, explain, evaluate, export.
 
 Exit codes: 0 success, 2 usage or input/output problems, 3 computation
-failures (diverging training, missing explanations, incompatible inputs).
+failures (diverging training, missing explanations, incompatible inputs,
+running out of memory).
 """
 
 import argparse
@@ -59,8 +60,13 @@ _USAGE_ERRORS = (
 
 
 def _select_graphs(dataset, split: str, ids: str | None):
-    if ids:
+    if ids is not None:
         wanted = [s.strip() for s in ids.split(",") if s.strip()]
+        if not wanted:
+            raise ParseError(f"--ids {ids!r} names no graph")
+        twice = sorted({w for w in wanted if wanted.count(w) > 1})
+        if twice:
+            raise ParseError(f"--ids names graphs twice: {', '.join(twice)}")
         by_id = {g.graph_id: g for g in dataset.graphs}
         missing = [w for w in wanted if w not in by_id]
         if missing:
@@ -406,6 +412,10 @@ def main(argv=None) -> int:
         return _usage_error(exc)
     except GxplainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

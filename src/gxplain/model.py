@@ -247,14 +247,35 @@ def _propagation(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _node_major(h: np.ndarray) -> tuple[np.ndarray, int]:
+    """Node fields ``h``, ``(..., n, w)``, laid out for a reduction over
+    their nodes, and the axis that holds the nodes.
+
+    A ``(b, n, w)`` stack wider than 1 is copied node-major, ``(n, b,
+    w)``: numpy then reduces one contiguous row of ``b * w`` entries per
+    node instead of ``b`` inner loops of ``w``, in the same node-by-node
+    order, so the bytes are those of ``h.max(axis=-2)`` and
+    ``h.sum(axis=-2)``.  Anything else keeps numpy's order: a single
+    graph, so the mask step pays for no copy, and a width-1 stack,
+    stride-0 views included, whose contiguous node axis numpy sums
+    pairwise from 8 nodes on, where a node-major sum would not.
+    """
+    if h.ndim == 3 and h.shape[-1] > 1:
+        return h.swapaxes(0, 1).copy(), 0
+    return h, -2
+
+
 def _readout(h: np.ndarray) -> np.ndarray:
     """Max+mean pooling of node fields ``(..., n, w)`` over the node axis,
     or zero vectors when n = 0."""
     n = h.shape[-2]
     if n == 0:
         return np.zeros(h.shape[:-2] + (2 * h.shape[-1],))
-    # the sum over n is the bytes of h.mean, without its wrapper
-    return np.concatenate([h.max(axis=-2), h.sum(axis=-2) / n], axis=-1)
+    # the node axis node-major, except where numpy's own order must stay
+    # (see _node_major); the sum over n is the bytes of h.mean, without
+    # its wrapper
+    h, nodes = _node_major(h)
+    return np.concatenate([h.max(axis=nodes), h.sum(axis=nodes) / n], axis=-1)
 
 
 def _layer_stack(
@@ -467,7 +488,8 @@ def _backward(
         dz = dh * (tr.node_z[l] > 0.0) if layer.activation == "relu" else dh
         if want_weights:
             m_t = tr.node_m[l].swapaxes(-1, -2)
-            gcn_w.append((m_t @ dz, dz.sum(axis=-2)))
+            node_dz, nodes = _node_major(dz)
+            gcn_w.append((m_t @ dz, node_dz.sum(axis=nodes)))
             if l == 0:
                 break  # the input layer's dm and dh feed gate gradients only
         dm = dz @ layer.weight.T

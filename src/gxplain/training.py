@@ -85,11 +85,26 @@ def _epoch_gradients(
     """Summed weight gradients, summed floored cross-entropy and hit count
     over the stacked graphs, one forward and backward per block.
 
-    Sums run graph by graph in block order (``cumsum`` adds its rows
-    sequentially, where ``sum`` may add them pairwise), so they equal a
-    per-graph loop over the same order bit for bit.
+    Sums run graph by graph in block order, so they equal a per-graph
+    loop over the same order bit for bit.  Each block is folded in once:
+    row 0 of a ``(b + 1, P)`` array holds the running sum of all ``P``
+    parameters, row ``1 + i`` graph ``i``'s gradients side by side, and
+    ``np.add.reduce`` over that outer axis adds the rows one after
+    another (over a contiguous inner axis it would add pairwise; the
+    head bias alone gives ``P >= 2``).  The node axis inside each graph
+    is reduced as :func:`model._node_major` says.  The gradients are
+    returned as views of the running sum, shaped as the parameters.
     """
-    grads: list[np.ndarray] | None = None
+    params = [
+        w
+        for layer in model.gcn_layers + model.head_layers
+        for w in (layer.weight, layer.bias)
+    ]
+    total = np.zeros(sum(w.size for w in params))
+    grads, lo = [], 0
+    for w in params:
+        grads.append(total[lo : lo + w.size].reshape(w.shape))
+        lo += w.size
     total_loss = 0.0
     hits = 0
     blocks = (
@@ -104,14 +119,13 @@ def _epoch_gradients(
             total_loss += -math.log(max(p_target, PROBABILITY_FLOOR))
         hits += int((p.argmax(-1) == y).sum())
         block = _backward(model, tr, y)
-        if grads is None:
-            grads = [np.zeros(g.shape[1:]) for g in block]
-        # copies: a row of the running sums would keep them all alive
-        grads = [
-            np.concatenate([acc[None], g]).cumsum(axis=0)[-1].copy()
-            for acc, g in zip(grads, block)
-        ]
-        del tr, p, block  # free this block before the next one's forward
+        fold = np.empty((len(y) + 1, total.size))
+        fold[0] = total
+        np.concatenate(
+            [g.reshape(len(y), -1) for g in block], axis=1, out=fold[1:]
+        )
+        np.add.reduce(fold, axis=0, out=total)
+        del tr, p, block, fold  # free this block before the next forward
     return grads, total_loss, hits
 
 

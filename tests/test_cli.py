@@ -441,6 +441,73 @@ def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg)
 
 
 @pytest.mark.parametrize(
+    "ids, message",
+    [
+        ("", "names no graph"),
+        (",", "names no graph"),
+        (" , ", "names no graph"),
+        ("ba2motifs-0036,ba2motifs-0036", "twice: ba2motifs-0036"),
+        ("ba2motifs-0037, ba2motifs-0036,ba2motifs-0037", "twice: ba2motifs-0037"),
+    ],
+)
+def test_explain_ids_naming_no_graph_or_one_twice_exit_2(
+    pipeline, capsys, tmp_path, ids, message
+):
+    _, ds, model, _ = pipeline
+    out = tmp_path / "expl"
+    code = main(["explain", "--model", str(model), "--dataset", str(ds),
+                 "--out-dir", str(out), "--jobs", "1", "--ids", ids])
+    assert message in _assert_one_line_usage_error(code, capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-dataset", "--out", "d.json"],
+        ["train", "--dataset", "d.json", "--out", "m.json"],
+        ["explain", "--model", "m.json", "--dataset", "d.json",
+         "--out-dir", "expl"],
+        ["eval", "--model", "m.json", "--dataset", "d.json",
+         "--explanations", "expl", "--top-k", "3"],
+        ["export-dot", "--explanations", "expl", "--out-dir", "dot"],
+    ],
+    ids=operator.itemgetter(0),
+)
+def test_out_of_memory_is_one_error_line_and_exit_3(monkeypatch, capsys, argv):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    name = "cmd_" + argv[0].replace("-", "_")
+    monkeypatch.setattr(f"gxplain.cli.{name}", out_of_memory)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+
+
+def test_out_of_memory_in_training_names_the_allocation(
+    pipeline, monkeypatch, capsys, tmp_path
+):
+    # numpy's MemoryError names the array it could not allocate
+    message = (
+        "Unable to allocate 1.82 TiB for an array with shape"
+        " (100000, 100000, 25) and data type float64"
+    )
+
+    # wrapped, so the parser still reads the library's defaults from it
+    @functools.wraps(train_model)
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("gxplain.cli.train_model", exhausted)
+    _, ds, _, _ = pipeline
+    out = tmp_path / "m.json"
+    assert main(["train", "--dataset", str(ds), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, arg",
     [
         ("train", ("--hidden", "0")),

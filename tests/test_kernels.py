@@ -3,7 +3,7 @@ pinned copies in ``pinned_kernels``: every trace, gradient and update
 must have their bytes, stacked and alone."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pinned_kernels import (
     PinnedAdam,
@@ -83,6 +83,26 @@ def stacks(draw, max_nodes=20):
     return model, graphs, targets, gates
 
 
+def width_one_stack(n=12, b=3, seed=0):
+    """A :func:`stacks` case whose one GCN layer is 1 wide, on ``b``
+    graphs of ``n`` nodes: from 8 nodes on numpy sums that layer's
+    contiguous node axis pairwise."""
+    rng = np.random.default_rng(seed)
+    graphs = [
+        build_graph(
+            n, rng.integers(0, n, (3 * n, 2)).tolist(),
+            rng.normal(size=(n, 2)), False, graph_id=str(i),
+        )
+        for i in range(b)
+    ]
+    model = GnnModel(
+        2, 2,
+        (Layer(rng.normal(size=(2, 1)), rng.normal(size=1), "identity"),),
+        (Layer(rng.normal(size=(2, 2)), rng.normal(size=2), "identity"),),
+    )
+    return model, graphs, rng.integers(0, 2, b), None
+
+
 @st.composite
 def induced_rows(draw):
     """A stack of graphs with up to the oracle's 14 nodes and 1-5 rows of
@@ -140,6 +160,8 @@ def test_probability_only_pass_gives_the_trace_and_pinned_bytes(case):
 
 @settings(max_examples=150, deadline=None)
 @given(stacks())
+@example(width_one_stack())
+@example(width_one_stack(n=20, b=2, seed=1))
 def test_traces_and_weight_gradients_give_the_pinned_bytes(case):
     model, graphs, targets, _ = case
     a = _propagation(_adjacency(graphs))

@@ -21,7 +21,9 @@ from gxplain.model import (
     _adjacency,
     _induced_operands,
     _layer_stack,
+    _node_major,
     _propagation,
+    _readout,
     save_model,
 )
 
@@ -251,6 +253,34 @@ def test_empty_graph_readout_is_zero():
     assert out.logits.tolist() == [0.0, 0.0]
     # argmax tie breaks to the smallest class index
     assert out.predicted_class == 0
+
+
+@pytest.mark.parametrize("broadcast", [False, True], ids=["stack", "stride 0"])
+@pytest.mark.parametrize("n", [0, 7, 8, 25])
+@pytest.mark.parametrize("width", [1, 2, 20])
+def test_node_reductions_are_numpys_and_each_graph_alone(width, n, broadcast):
+    rng = np.random.default_rng(100 * n + width)
+    # magnitudes 16 decades apart: any other summation order moves bits
+    shape = (12, n, width)
+    h = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    if broadcast:
+        h = np.broadcast_to(h[0], shape)
+    fields, nodes = _node_major(h)
+    # the readout's and _backward's bias-gradient reductions
+    sums = fields.sum(axis=nodes)
+    assert sums.tobytes() == h.sum(axis=-2).tobytes()
+    u = _readout(h)
+    assert u.shape == (12, 2 * width)
+    if n:
+        assert fields.max(axis=nodes).tobytes() == h.max(axis=-2).tobytes()
+        want = np.concatenate([h.max(axis=-2), h.mean(axis=-2)], axis=-1)
+        assert u.tobytes() == want.tobytes()
+    for i in range(len(h)):
+        assert sums[i].tobytes() == h[i].sum(axis=0).tobytes()
+        assert u[i].tobytes() == _readout(h[i]).tobytes()
+    # only a stack wider than 1 is copied node-major; one graph never is
+    assert (nodes == 0) == (width > 1)
+    assert _node_major(h[0])[1] == -2
 
 
 def test_argmax_tie_breaks_to_smallest_class():

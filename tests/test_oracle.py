@@ -14,7 +14,7 @@ from conftest import (
     random_small_graph,
     stack_rows,
 )
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gxplain import oracle
@@ -251,12 +251,42 @@ def _same_bits(a, b):
     return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an explicit example: every draw
+    gives ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy, label=None):
+        return self.value
+
+
+def width_one_case(gcn_widths, seed):
+    """A 12-node graph and a model whose last node fields are 1 wide:
+    numpy sums their contiguous node axis pairwise.  With no GCN layer
+    the readout reads the oracle's stride-0 view of the attributes."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)]
+    g = build_graph(12, edges, rng.normal(size=(12, 1)), False, graph_id="w")
+    layers, dim = [], 1
+    for width in gcn_widths:
+        layers.append(
+            Layer(rng.normal(size=(dim, width)), rng.normal(size=width), "relu")
+        )
+        dim = width
+    head = Layer(rng.normal(size=(2, 2)), rng.normal(size=2), "identity")
+    return g, GnnModel(1, 2, tuple(layers), (head,))
+
+
 @settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(oracle_case(MAX_ORACLE_NODES), st.data())
+@example(width_one_case((3, 1), seed=5), _Draws(3))
+@example(width_one_case((), seed=5), _Draws(2))
 def test_report_equals_its_parts_bit_for_bit(
     blocks, oracle_passes, oracle_stacks, case, data
 ):

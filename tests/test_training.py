@@ -175,8 +175,9 @@ def labeled_graphs_and_model(draw):
     classes = draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     graphs = []
-    # a few node counts shared by many graphs, so stacks span blocks
-    pool = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3))
+    # a few node counts shared by many graphs, so stacks span blocks;
+    # from 8 nodes on numpy sums a width-1 node axis pairwise
+    pool = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
     sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
     for i, n in enumerate(sizes):
         edges = []
@@ -242,6 +243,36 @@ def test_stacked_epoch_sums_one_entry_parameters_in_order():
     )
     grads, _, _ = _epoch_gradients(model, _stack_graphs(graphs))
     ref_grads, _, _ = reference_epoch(model, graphs)
+    for got, want in zip(grads, ref_grads):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_epoch_sums_one_entry_and_wide_parameters_in_order():
+    # one fold over a flat (b + 1, P) array mixes one-entry and wide
+    # parameters; every column must still add graph by graph, and the
+    # width-1 layer's node sums keep numpy's pairwise order at 9 nodes
+    rng = np.random.default_rng(27)
+    graphs = [
+        build_graph(
+            9, [(j, (j + 2) % 9) for j in range(9)],
+            rng.normal(size=(9, 1)) * 10.0 ** rng.integers(-1, 2, (9, 1)),
+            False, label=i % 2, graph_id=f"m{i}",
+        )
+        for i in range(40)
+    ]
+    model = GnnModel(
+        1, 2,
+        (
+            Layer(rng.normal(size=(1, 1)), rng.normal(size=1), "identity"),
+            Layer(rng.normal(size=(1, 7)), rng.normal(size=7), "relu"),
+        ),
+        (Layer(rng.normal(size=(14, 2)), rng.normal(size=2), "identity"),),
+    )
+    stacks = _stack_graphs(graphs)
+    assert len(stacks) == 1 and len(stacks[0].labels) == 40
+    grads, _, _ = _epoch_gradients(model, stacks)
+    ref_grads, _, _ = reference_epoch(model, graphs)
+    assert [g.shape for g in grads] == [g.shape for g in ref_grads]
     for got, want in zip(grads, ref_grads):
         assert got.tobytes() == want.tobytes()
 
