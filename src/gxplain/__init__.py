@@ -51,7 +51,6 @@ from .metrics import (
     GraphVerdict,
     default_prediction,
     evaluate,
-    keep_top_attributes,
     resolve_budget,
     sweep,
     write_eval_csv,

@@ -221,6 +221,29 @@ class MaskSet:
     def attr_logit_matrix(self) -> np.ndarray:
         return self.attr_logits[self.attr_slot]
 
+    def check_graph(self, g: AttributedGraph) -> None:
+        """Raise ShapeMismatch unless these masks are laid out for ``g``:
+        one edge slot per arc, an ``(n, d)`` attribute slot matrix, and
+        every slot within its side of ``logits``."""
+        edge, attr = self.edge_slot, self.attr_slot
+        attr_params = len(self.logits) - self.edge_params
+        within = (
+            0 <= self.edge_params <= len(self.logits)
+            and ((edge >= 0) & (edge < self.edge_params)).all()
+            and ((attr >= 0) & (attr < attr_params)).all()
+        )
+        if not within or (edge.shape, attr.shape) != (
+            (g.arc_count,), (g.node_count, g.attr_dim)
+        ):
+            raise ShapeMismatch(
+                f"masks with edge_slot {edge.shape}, attr_slot {attr.shape}"
+                f" and {'every slot within' if within else 'a slot outside'}"
+                f" {self.edge_params} + {attr_params} logits; graph"
+                f" {g.graph_id!r} needs edge_slot ({g.arc_count},),"
+                f" attr_slot ({g.node_count}, {g.attr_dim}) and slots"
+                " within the logits"
+            )
+
     def copy(self) -> "MaskSet":
         return MaskSet(
             self.logits.copy(),
@@ -508,7 +531,8 @@ def learn_masks(
     set up once, before the epoch loop.
 
     ``on_epoch(epoch, masks)`` is called after each update with the live
-    mask object.
+    mask object.  ``initial_masks`` not laid out for ``g`` raise
+    ShapeMismatch before the first epoch (:meth:`MaskSet.check_graph`).
     """
     hc = config.hard_concrete
     unmasked = _propagation(_adjacency([g]))[0]
@@ -517,6 +541,7 @@ def learn_masks(
     if initial_masks is None:
         masks = init_masks(g, config, hc.seed)
     else:
+        initial_masks.check_graph(g)
         masks = initial_masks.copy()
 
     n, d, n_arcs = g.node_count, g.attr_dim, g.arc_count

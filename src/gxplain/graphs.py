@@ -183,19 +183,6 @@ class AttributedGraph:
         """The source and destination of every arc: ``arcs``' columns."""
         return self.arcs[:, 0], self.arcs[:, 1]
 
-    def with_attributes(self, attributes) -> "AttributedGraph":
-        """This graph with another attribute matrix, ``node_count`` rows;
-        the arcs, checked already, are not checked again."""
-        return AttributedGraph(
-            self.node_count,
-            self.arcs,
-            _attribute_matrix(self.node_count, attributes),
-            self.directed,
-            self.label,
-            self.graph_id,
-            _checked=True,
-        )
-
 
 def _arc_array(arcs) -> np.ndarray:
     """``arcs``, ``(src, dst)`` pairs, as a new ``(E, 2)`` int64 array, or

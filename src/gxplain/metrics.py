@@ -15,11 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._atomic import write_atomic, write_json
-from .errors import (
-    InvalidBudget,
-    MissingExplanation,
-    ShapeMismatch,
-)
+from .errors import InvalidBudget, MissingExplanation
 from .explain import Explanation
 from .graphs import AttributedGraph
 from .model import (
@@ -77,40 +73,8 @@ def resolve_budget(
 
 def default_prediction(model: GnnModel) -> int:
     """Prediction on the empty graph (the zero-readout output)."""
-    empty = AttributedGraph(
-        0, (), np.zeros((0, model.attr_dim)), directed=True
-    )
-    return _prediction(model, empty)
-
-
-def _prediction(model: GnnModel, g: AttributedGraph) -> int:
-    """The class ``g`` predicts unmasked, from a probability-only pass."""
-    _check_attr_dim(model, g)
-    a = _propagation(_adjacency([g]))
-    return int(np.argmax(_probabilities(model, a, g.attributes[None])[0]))
-
-
-def keep_top_attributes(
-    g: AttributedGraph, attr_score: np.ndarray, top_t: int
-) -> AttributedGraph:
-    """Zero all but each node's ``top_t`` highest-scored attributes.
-
-    Raises ShapeMismatch unless ``attr_score`` has the shape of
-    ``g.attributes``; a graph without nodes takes any empty matrix.
-    """
-    if top_t < 1:
-        raise InvalidBudget(f"top_t must be at least 1, got {top_t}")
-    if g.node_count and attr_score.shape != g.attributes.shape:
-        raise ShapeMismatch(
-            f"attribute scores of shape {attr_score.shape} for graph"
-            f" {g.graph_id!r} with attributes of shape {g.attributes.shape}"
-        )
-    keep = np.zeros_like(g.attributes)
-    order = np.argsort(-attr_score, axis=1, kind="stable")
-    cols = order[:, : min(top_t, g.attr_dim)]
-    rows = np.arange(g.node_count)[:, None]
-    keep[rows, cols] = 1.0
-    return g.with_attributes(g.attributes * keep)
+    x = np.zeros((1, 0, model.attr_dim))
+    return int(_probabilities(model, np.zeros((1, 0, 0)), x)[0].argmax())
 
 
 class _SizeStack(NamedTuple):
@@ -176,6 +140,28 @@ def _retains(
     return _probabilities(model, a, x).argmax(axis=-1) == stack.target[which]
 
 
+def _attribute_hits(
+    model: GnnModel, stacks: list[_SizeStack], scores, top_t: int
+) -> list[bool]:
+    """Whether each stacked graph still predicts its original class once
+    all but each node's ``top_t`` attributes with the highest ``scores``
+    (one matrix per graph, in scan order) are zeroed, ties going to the
+    lower column: one pass per size stack."""
+    hits = np.empty(len(scores), dtype=bool)
+    for stack in stacks:
+        x = stack.attributes
+        # a graph without nodes has nothing to zero, and scores of any width
+        if x.shape[1]:
+            score = np.stack([scores[i] for i in stack.members])
+            top = np.argsort(-score, axis=-1, kind="stable")[..., :top_t]
+            keep = np.zeros_like(x)
+            np.put_along_axis(keep, top, 1.0, axis=-1)
+            x = x * keep
+        probs = _probabilities(model, _propagation(stack.adjacency.copy()), x)
+        hits[stack.members] = probs.argmax(axis=-1) == stack.target
+    return hits.tolist()
+
+
 def _sorted_graphs(
     model: GnnModel, dataset, explanations
 ) -> list[AttributedGraph]:
@@ -193,16 +179,16 @@ def _sorted_graphs(
 
 
 def _scan(
-    model: GnnModel, graphs, explanations, slots, find_min_k: bool = True
+    model: GnnModel, graphs, explanations, stacks, slots, find_min_k=True
 ) -> list[GraphVerdict]:
     """One row per ``(graph index, budget)`` slot, all read from one
-    lockstep scan over ranking prefixes; a ``None`` budget is unscored.
+    lockstep scan over ranking prefixes of the size ``stacks`` of
+    ``graphs``; a ``None`` budget is unscored.
 
-    The graphs are stacked by node count once.  Step s scores, in
-    stacked passes, the s-node prefix of every graph with a slot of
-    budget s or whose ``min_k`` is still pending (eligible graphs only),
-    plus the complement of each budgeted prefix.  Steps no graph needs
-    are skipped.
+    Step s scores, in stacked passes, the s-node prefix of every graph
+    with a slot of budget s or whose ``min_k`` is still pending (eligible
+    graphs only), plus the complement of each budgeted prefix.  Steps no
+    graph needs are skipped.
     """
     default = default_prediction(model)
     node_count = np.array([g.node_count for g in graphs], dtype=np.int64)
@@ -226,7 +212,6 @@ def _scan(
     # the full ranking reproduces the graph, so every min_k is found
     min_k = np.where(pending & (node_count == 0), 0, -1)
     pending &= node_count > 0
-    stacks = _stack_by_size(model, graphs, explanations)
     size = 0
     while pending.any() or size < last:
         size += 1
@@ -275,7 +260,8 @@ def evaluate(
     """Full evaluation pass; per-graph rows come out sorted by graph id.
 
     The budgeted keep and remaining sets and the ``min_k`` ranking
-    prefixes of the eligible graphs all come from one lockstep scan.
+    prefixes of the eligible graphs all come from one lockstep scan; it
+    and the ``attr_top`` pass read the same size stacks, built once.
 
     Raises:
         MissingExplanation: some selected graph has no explanation.
@@ -289,19 +275,16 @@ def evaluate(
     if attr_top is not None and attr_top < 1:
         raise InvalidBudget(f"attr_top must be at least 1, got {attr_top}")
     graphs = _sorted_graphs(model, dataset, explanations)
+    stacks = _stack_by_size(model, graphs, explanations)
     attribute_hits = []
     if attr_top is not None:
-        for g in graphs:
-            expl = explanations[g.graph_id]
-            masked = keep_top_attributes(g, expl.attr_score, attr_top)
-            attribute_hits.append(
-                _prediction(model, masked) == expl.original_prediction
-            )
+        scores = [explanations[g.graph_id].attr_score for g in graphs]
+        attribute_hits = _attribute_hits(model, stacks, scores, attr_top)
     slots = [
         (i, resolve_budget(g.node_count, k, rate))
         for i, g in enumerate(graphs)
     ]
-    rows = _scan(model, graphs, explanations, slots, compute_sparsity)
+    rows = _scan(model, graphs, explanations, stacks, slots, compute_sparsity)
     scored = [r for r in rows if r.budget is not None]
     min_ks = [r.min_k for r in rows if r.min_k is not None]
     return EvalReport(
@@ -334,7 +317,8 @@ def sweep(
         for budget in range(1, max_n + 1)
         for i, g in enumerate(graphs)
     ]
-    return _scan(model, graphs, explanations, slots)
+    stacks = _stack_by_size(model, graphs, explanations)
+    return _scan(model, graphs, explanations, stacks, slots)
 
 
 def _share(hits: list[bool]) -> float | None:

@@ -46,7 +46,8 @@ SUBSET_BLOCK_ROWS = 128
 # memory than one forward of its largest graph.  Blocking bounds only
 # those fields: the operands of every row exist before it.  In the eval
 # scan they are no larger than the size stack's 0/1 adjacency, which is
-# held anyway; in the oracle they are 8x its distinct bool subset blocks
+# held anyway, and the attribute pass holds one normalized copy of it; in
+# the oracle they are 8x its distinct bool subset blocks
 _BLOCK_ENTRIES = SUBSET_BLOCK_ROWS * 16 * 16
 
 _ACTIVATIONS = ("relu", "identity")

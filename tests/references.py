@@ -1,10 +1,12 @@
 """Definitions the tests compare the library with, which the pipeline
-itself never calls: the loss that the backward pass differentiates, and
-field-by-field equality of graphs and datasets.
+itself never calls: the loss that the backward pass differentiates, the
+attribute budget's verdict, and field-by-field equality of graphs and
+datasets.
 """
 
 import numpy as np
 
+from gxplain.graphs import AttributedGraph
 from gxplain.model import PROBABILITY_FLOOR, forward
 
 
@@ -12,6 +14,19 @@ def loss(model, g, mask, target_class):
     """Cross-entropy toward ``target_class`` with the probability floored."""
     p = forward(model, g, mask).probabilities[target_class]
     return -float(np.log(max(float(p), PROBABILITY_FLOOR)))
+
+
+def keeps_class_on_top_attributes(model, g, attr_score, top_t, target):
+    """Whether ``g`` still predicts ``target`` once all but each node's
+    ``top_t`` highest-scored attributes are zeroed, ties going to the
+    lower column; a graph without nodes gets the model's width."""
+    x = np.zeros((g.node_count, model.attr_dim))
+    for v in range(g.node_count):
+        ranked = sorted(range(g.attr_dim), key=lambda c: -attr_score[v, c])
+        for c in ranked[:top_t]:
+            x[v, c] = g.attributes[v, c]
+    kept = AttributedGraph(g.node_count, g.arcs, x, g.directed)
+    return forward(model, kept).predicted_class == target
 
 
 def graphs_equal(a, b):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import graphs_equal
 
-from gxplain import graphs as graphs_module
 from gxplain.datasets import generate_ba2motifs, load_dataset, save_dataset
 from gxplain.errors import IndexOutOfRange, InvalidGraph, ShapeMismatch
 from gxplain.graphs import (
@@ -391,23 +390,6 @@ def test_huge_endpoints_are_out_of_range(make, message):
     assert str(raised.value) == message
 
 
-def test_with_attributes_keeps_the_checked_arcs(monkeypatch):
-    g = build_graph(4, [(0, 1), (1, 2), (3, 0)], np.ones((4, 2)), False, 1, "g")
-    calls = []
-    monkeypatch.setattr(
-        graphs_module, "_check_arcs", lambda *a: calls.append(a)
-    )
-    h = g.with_attributes(np.zeros((4, 3)))
-    assert calls == []
-    want = AttributedGraph(4, g.arcs, np.zeros((4, 3)), False, 1, "g")
-    assert graphs_equal(h, want)
-    assert h.arc_index_arrays()[0].tolist() == want.arc_index_arrays()[0].tolist()
-    assert h.arc_index_arrays()[1].tolist() == want.arc_index_arrays()[1].tolist()
-    assert not h.attributes.flags.writeable
-    with pytest.raises(ShapeMismatch):
-        g.with_attributes(np.zeros((3, 3)))
-
-
 def test_replace_checks_the_arcs_again():
     g = build_graph(3, [(0, 1)], np.ones((3, 1)), True)
     with pytest.raises(IndexOutOfRange):
@@ -472,15 +454,13 @@ def _saved_and_loaded(tmp_path):
         lambda _: AttributedGraph(3, [(0, 1), (2, 1)], np.ones((3, 1)), True),
         lambda _: generate_ba2motifs(2, seed=0).graphs[1],
         _saved_and_loaded,
-        lambda _: build_graph(3, [(0, 1)], np.ones((3, 1)), True)
-        .with_attributes(np.zeros((3, 2))),
         lambda _: node_induced_subgraph(
             build_graph(4, [(0, 1), (1, 3)], np.ones((4, 1)), False),
             NodeSet([0, 1, 3]),
         ),
     ],
     ids=["build_graph", "AttributedGraph", "generate_ba2motifs",
-         "load_dataset", "with_attributes", "node_induced_subgraph"],
+         "load_dataset", "node_induced_subgraph"],
 )
 def test_stored_arcs_are_read_only(make, tmp_path):
     g = make(tmp_path)

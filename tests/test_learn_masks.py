@@ -20,7 +20,7 @@ from pinned_kernels import (
     pinned_hard_concrete_with_grad,
 )
 
-from gxplain.errors import NonFiniteLoss
+from gxplain.errors import NonFiniteLoss, ShapeMismatch
 from gxplain.explain import (
     MODES,
     SHARING_MODES,
@@ -352,6 +352,45 @@ def test_infinite_logit_under_zero_entropy_weights_is_a_non_finite_loss():
             learn_masks(model, g, config, initial_masks=masks)
         with pytest.raises(NonFiniteLoss):
             reference_learn_masks(model, g, config, initial_masks=masks)
+
+
+def _path(n, rng):
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return build_graph(n, edges, rng.normal(size=(n, 2)), False, graph_id="g")
+
+
+def _misfit(masks, fault):
+    """``masks`` with one field no longer laid out as it was."""
+    if fault == "attr_slot of one column":
+        masks.attr_slot = masks.attr_slot[:, :1]
+    elif fault == "edge slot on an attribute":
+        masks.edge_slot[-1] = masks.edge_params
+    elif fault == "attribute slot past the logits":
+        masks.attr_slot[-1, -1] = len(masks.logits) - masks.edge_params
+    elif fault == "negative slot":
+        masks.edge_slot[0] = -1
+    return masks
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["another graph's", "attr_slot of one column", "edge slot on an attribute",
+     "attribute slot past the logits", "negative slot"],
+)
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+def test_masks_laid_out_for_another_graph_are_refused(sharing, fault):
+    rng = np.random.default_rng(0)
+    g = _path(4, rng)
+    model = random_model(rng, attr_dim=2, hidden=(3,))
+    config = ExplainConfig(epochs=2, sharing=sharing)
+    masks = init_masks(_path(6, rng) if "graph" in fault else g, config, 0)
+    masks = _misfit(masks, fault)
+    epochs = []
+    needs = r"graph 'g' needs edge_slot \(6,\), attr_slot \(4, 2\)"
+    with pytest.raises(ShapeMismatch, match=needs):
+        learn_masks(model, g, config, masks, lambda e, _: epochs.append(e))
+    # refused before the first epoch
+    assert epochs == []
 
 
 @pytest.mark.parametrize("sharing", SHARING_MODES)

@@ -6,6 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import detector_model, random_model, random_small_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from references import keeps_class_on_top_attributes
 
 from gxplain.errors import InvalidBudget, MissingExplanation, ShapeMismatch
 from gxplain.explain import (
@@ -16,9 +19,10 @@ from gxplain.explain import (
 )
 from gxplain.graphs import build_graph
 from gxplain.metrics import (
+    _attribute_hits,
+    _stack_by_size,
     default_prediction,
     evaluate,
-    keep_top_attributes,
     resolve_budget,
     sweep,
     write_eval_csv,
@@ -78,12 +82,61 @@ def test_default_prediction_is_head_of_zero_readout():
     assert default_prediction(detector_model()) == 0
 
 
-def test_keep_top_attributes_zeroes_the_rest():
-    g = build_graph(2, [(0, 1)], [[3.0, 1.0, 2.0], [5.0, 6.0, 4.0]], True)
-    score = np.array([[0.9, 0.1, 0.5], [0.2, 0.8, 0.3]])
-    kept = keep_top_attributes(g, score, top_t=2)
-    assert kept.attributes.tolist() == [[3.0, 0.0, 2.0], [0.0, 6.0, 4.0]]
-    assert kept.arcs.tolist() == g.arcs.tolist()
+@st.composite
+def attribute_cases(draw):
+    """A model, 1-6 graphs of 0-5 nodes (node-less ones in any width),
+    attribute scores from four values, so that ties are common, and an
+    attribute budget from 1 to one past the model's width."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(1, 4), max_size=2))
+    model = random_model(rng, d, hidden, draw(st.integers(2, 3)))
+    graphs, expls = [], {}
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    for i, n in enumerate(sizes):
+        width = draw(st.integers(0, 4)) if n == 0 else d
+        edges = rng.integers(0, max(n, 1), (2 * n, 2)).tolist()
+        attrs = rng.normal(size=(n, width))
+        directed = bool(rng.integers(2))
+        g = build_graph(n, edges, attrs, directed, graph_id=f"g{i}")
+        expls[g.graph_id] = dataclasses.replace(
+            manual_explanation(g, range(n), rng.integers(model.num_classes)),
+            attr_score=rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, width)),
+        )
+        graphs.append(g)
+    return model, graphs, expls, draw(st.integers(1, d + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(attribute_cases())
+def test_attribute_budget_scores_each_graph_as_its_reference(case):
+    model, graphs, expls, top_t = case
+    want = [
+        keeps_class_on_top_attributes(
+            model, g, expls[g.graph_id].attr_score, top_t,
+            expls[g.graph_id].original_prediction,
+        )
+        for g in graphs
+    ]
+    stacks = _stack_by_size(model, graphs, expls)
+    scores = [expls[g.graph_id].attr_score for g in graphs]
+    assert _attribute_hits(model, stacks, scores, top_t) == want
+    report = evaluate(model, graphs, expls, k=1, attr_top=top_t)
+    assert report.ep_attribute == sum(want) / len(want)
+
+
+def test_attribute_budget_takes_a_node_less_graph_of_any_width():
+    # as the scan does: the zero readout reads no attribute column
+    model = detector_model()
+    empty = build_graph(0, [], np.zeros((0, 3)), True, graph_id="empty")
+    hot = hot_path_graph("hot")
+    expls = {
+        "empty": manual_explanation(empty, [], pred=0),
+        "hot": manual_explanation(hot, [2, 0, 1, 3, 4]),
+    }
+    assert evaluate(model, [empty, hot], expls, k=1).ep_attribute is None
+    report = evaluate(model, [empty, hot], expls, k=1, attr_top=1)
+    assert report.ep_attribute == 1.0
 
 
 def test_ep_explained_counts_retaining_subgraphs():

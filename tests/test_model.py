@@ -157,6 +157,13 @@ def test_probability_readers_keep_no_trace():
         names = {_name(c) for c in _calls(tree)}
         assert "_probabilities" in names
         assert not (traced | {"_backward"}) & names
+    # and metrics builds 0/1 arc matrices in one place, its size stacks,
+    # which every metric reads: no one-graph operator of its own
+    def adjacency_calls(tree):
+        return sum(_name(c) == "_adjacency" for c in _calls(tree))
+
+    stack = _functions("metrics")["_stack_by_size"]
+    assert adjacency_calls(_source("metrics")) == adjacency_calls(stack) == 1
 
 
 def test_no_probability_only_result_reaches_backward():
