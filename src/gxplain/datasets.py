@@ -62,7 +62,7 @@ class Dataset:
                     f"graph {g.graph_id!r} labeled {g.label}, dataset has"
                     f" {self.num_classes} classes"
                 )
-        seen: set[int] = set()
+        split_of: dict[int, str] = {}
         for split, indices in self.splits.items():
             for i in indices:
                 if not 0 <= i < len(self.graphs):
@@ -70,11 +70,14 @@ class Dataset:
                         f"split {split!r} references graph {i}, only"
                         f" {len(self.graphs)} exist"
                     )
-                if i in seen:
-                    raise ValidationError(
-                        f"graph {i} appears in more than one split"
+                if i in split_of:
+                    where = (
+                        f"twice in split {split!r}"
+                        if split_of[i] == split
+                        else f"in splits {split_of[i]!r} and {split!r}"
                     )
-                seen.add(i)
+                    raise ValidationError(f"graph {i} appears {where}")
+                split_of[i] = split
 
     def split_graphs(self, split: str) -> list[AttributedGraph]:
         return [self.graphs[i] for i in self.splits.get(split, [])]

@@ -47,7 +47,9 @@ SUBSET_BLOCK_ROWS = 128
 # those fields: the operands of every row exist before it.  In the eval
 # scan they are no larger than the size stack's 0/1 adjacency, which is
 # held anyway, and the attribute pass holds one normalized copy of it; in
-# the oracle they are 8x its distinct bool subset blocks
+# the oracle they are 8x its distinct bool subset blocks.  Training's
+# calibration also keeps one layer output per stack, each layer's input
+# to the next (training._calibrate_parameters)
 _BLOCK_ENTRIES = SUBSET_BLOCK_ROWS * 16 * 16
 
 _ACTIVATIONS = ("relu", "identity")

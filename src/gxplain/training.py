@@ -1,9 +1,11 @@
 """Full-batch Adam trainer for the graph classifier.
 
 The graphs of a split are stacked by node count once per call, and every
-pass (calibration, the training epochs, validation) runs on blocks of
-those stacks: one forward and one backward per block rather than per
-graph.
+pass (calibration, the training epochs, validation) runs on
+:func:`model._blocks` slices of those stacks: one forward and one
+backward per block rather than per graph.  Calibration holds one
+layer-output buffer per stack beside the stacks, so its peak memory
+above them is about one ``(graphs, nodes, width)`` float64 field.
 """
 
 import math
@@ -67,9 +69,10 @@ def _stack_graphs(graphs) -> list[_Stack]:
 
 
 def _accuracy(model: GnnModel, stacks: list[_Stack]) -> float:
-    """Fraction of the stacked graphs whose prediction matches the label,
-    or NaN when there are none."""
-    count = sum(len(s.labels) for s in stacks)
+    """Fraction of the stacked labeled graphs whose prediction matches the
+    label, or NaN when none is labeled; an unlabeled graph (label -1) is
+    neither a hit nor a miss."""
+    count = sum(int((s.labels >= 0).sum()) for s in stacks)
     if not count:
         return float("nan")
     hits = sum(
@@ -79,6 +82,22 @@ def _accuracy(model: GnnModel, stacks: list[_Stack]) -> float:
     return hits / count
 
 
+def _fold(total: np.ndarray, parts: list[np.ndarray]) -> None:
+    """Add the rows of ``parts``, ``(r, ...)`` arrays laid side by side,
+    to the running sum ``total`` one row after another.
+
+    Row 0 of a ``(1 + r, total.size)`` array holds ``total`` and the rest
+    the rows, and ``np.add.reduce`` over that outer axis adds them in
+    order, as numpy's ``.sum(axis=0)`` of all rows so far would (over a
+    contiguous inner axis it would add pairwise; ``total`` needs two
+    entries or more).
+    """
+    fold = np.empty((1 + len(parts[0]), total.size))
+    fold[0] = total
+    np.concatenate(parts, axis=1, out=fold[1:])
+    np.add.reduce(fold, axis=0, out=total)
+
+
 def _epoch_gradients(
     model: GnnModel, stacks: list[_Stack]
 ) -> tuple[list[np.ndarray], float, int]:
@@ -86,14 +105,12 @@ def _epoch_gradients(
     over the stacked graphs, one forward and backward per block.
 
     Sums run graph by graph in block order, so they equal a per-graph
-    loop over the same order bit for bit.  Each block is folded in once:
-    row 0 of a ``(b + 1, P)`` array holds the running sum of all ``P``
-    parameters, row ``1 + i`` graph ``i``'s gradients side by side, and
-    ``np.add.reduce`` over that outer axis adds the rows one after
-    another (over a contiguous inner axis it would add pairwise; the
-    head bias alone gives ``P >= 2``).  The node axis inside each graph
-    is reduced as :func:`model._node_major` says.  The gradients are
-    returned as views of the running sum, shaped as the parameters.
+    loop over the same order bit for bit.  Each block is folded in once
+    by :func:`_fold`, graph ``i``'s gradients side by side in row ``i``
+    (the head bias alone gives ``P >= 2`` columns).  The node axis
+    inside each graph is reduced as :func:`model._node_major` says.  The
+    gradients are returned as views of the running sum, shaped as the
+    parameters.
     """
     params = [
         w
@@ -119,13 +136,8 @@ def _epoch_gradients(
             total_loss += -math.log(max(p_target, PROBABILITY_FLOOR))
         hits += int((p.argmax(-1) == y).sum())
         block = _backward(model, tr, y)
-        fold = np.empty((len(y) + 1, total.size))
-        fold[0] = total
-        np.concatenate(
-            [g.reshape(len(y), -1) for g in block], axis=1, out=fold[1:]
-        )
-        np.add.reduce(fold, axis=0, out=total)
-        del tr, p, block, fold  # free this block before the next forward
+        _fold(total, [g.reshape(len(y), -1) for g in block])
+        del tr, p, block  # free this block before the next forward
     return grads, total_loss, hits
 
 
@@ -156,12 +168,57 @@ def init_parameters(
 def _center_and_scale(weight, bias, pre) -> None:
     if pre.shape[0] == 0:
         return
-    mean = pre.mean(axis=0)
-    std = pre.std(axis=0)
+    _set_affine(weight, bias, pre.mean(axis=0), pre.std(axis=0))
+
+
+def _set_affine(weight, bias, mean, std) -> None:
     live = std > 1e-8
     scale = np.where(live, std, 1.0)
     weight /= scale
     bias[:] = np.where(live, -mean / scale, 0.0)
+
+
+def _moments(pre_blocks, width: int):
+    """``(mean, std)`` over the rows of the ``(..., width)`` arrays that
+    ``pre_blocks()`` yields, or None when they hold no rows.
+
+    The bytes are numpy's ``.mean(axis=0)`` and ``.std(axis=0)`` of all
+    rows stacked in order, with only one block held at a time:
+    ``pre_blocks`` is called twice, once to :func:`_fold` the rows, once
+    to fold their squared deviations from the mean (numpy's ``_var``:
+    subtract, square, sum, divide by the count, then the square root).
+    Numpy sums a contiguous width-1 column pairwise, so that column (8
+    bytes a row) is gathered and handed to numpy instead.
+    """
+    if width == 1:
+        col = np.concatenate([p.reshape(-1, 1) for p in pre_blocks()])
+        return (col.mean(axis=0), col.std(axis=0)) if len(col) else None
+    total, count = np.zeros(width), 0
+    for pre in pre_blocks():
+        pre = pre.reshape(-1, width)
+        _fold(total, [pre])
+        count += len(pre)
+    if not count:
+        return None
+    mean = total / count
+    squares = np.zeros(width)
+    for pre in pre_blocks():
+        x = pre.reshape(-1, width) - mean
+        x *= x
+        _fold(squares, [x])
+    return mean, np.sqrt(squares / count)
+
+
+def _layer_buffer(h: np.ndarray, width: int, reuse: bool) -> np.ndarray:
+    """An uninitialized ``(b, n, width)`` array for the layer fed ``(b, n,
+    w)`` fields ``h``; with ``reuse`` and ``width <= w`` it lies on
+    ``h``'s memory.  Block ``rows`` of it then ends no later than block
+    ``rows`` of ``h``, so blocks written in order only overwrite input
+    that is already read."""
+    b, n, w = h.shape
+    if reuse and width <= w:
+        return h.reshape(-1)[: b * n * width].reshape(b, n, width)
+    return np.empty((b, n, width))
 
 
 def _calibrate_parameters(
@@ -176,17 +233,46 @@ def _calibrate_parameters(
     bias set to cancel the mean) removes the offset before the first
     update.  Uses only the given split (as :func:`_stack_graphs` stacks
     it), deterministic for a fixed draw.
+
+    Each layer reads the split in :func:`model._blocks` slices, three
+    times: :func:`_moments` folds the pre-activations, then their
+    deviations, and a last pass writes the layer's output into one
+    buffer per stack (over its input where the width allows; the last
+    layer's output goes straight to the readouts).  So besides the
+    stacks only one layer's output (two while a wider layer follows a
+    narrower one) and one block's fields are held, and the result is,
+    byte for byte, the statistics of the whole stacked split.
     """
     hs = [s.attributes for s in stacks]
-    for i in range(len(hidden_dims)):
+    readouts = np.empty(
+        (sum(len(s.labels) for s in stacks), 2 * hidden_dims[-1])
+    )
+    for i, width in enumerate(hidden_dims):
         w, b = params[2 * i], params[2 * i + 1]
-        # one propagation per stack; the layer input is not kept past it
-        hs = [s.propagation @ h for s, h in zip(stacks, hs)]
-        pre = [(m @ w).reshape(-1, w.shape[1]) for m in hs]
-        _center_and_scale(w, b, np.concatenate(pre))
-        hs = [np.maximum(m @ w + b, 0.0) for m in hs]
+
+        def pre_blocks():
+            for s, h in zip(stacks, hs):
+                for rows in _blocks(s.propagation):
+                    yield (s.propagation[rows] @ h[rows]) @ w
+
+        moments = _moments(pre_blocks, width)
+        if moments is not None:
+            _set_affine(w, b, *moments)
+        last = i == len(hidden_dims) - 1
+        lo = 0
+        for j, (s, h) in enumerate(zip(stacks, hs)):
+            out = None if last else _layer_buffer(h, width, i > 0)
+            for rows in _blocks(s.propagation):
+                z = (s.propagation[rows] @ h[rows]) @ w
+                z += b
+                if last:
+                    u = _readout(np.maximum(z, 0.0))
+                    readouts[lo : lo + len(u)] = u
+                    lo += len(u)
+                else:
+                    np.maximum(z, 0.0, out=out[rows])
+            hs[j] = out  # the last layer frees each stack's buffer
     w, b = params[-2], params[-1]
-    readouts = np.concatenate([_readout(h) for h in hs])
     _center_and_scale(w, b, readouts @ w)
 
 
@@ -205,7 +291,9 @@ def _assemble(
 
 
 def evaluate_accuracy(model: GnnModel, graphs) -> float:
-    """Fraction of graphs whose prediction matches the stored label."""
+    """Fraction of the labeled graphs whose prediction matches the stored
+    label; unlabeled graphs are skipped, and with no labeled graph the
+    result is NaN."""
     graphs = list(graphs)
     for g in graphs:
         _check_attr_dim(model, g)

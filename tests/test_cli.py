@@ -663,6 +663,8 @@ DATASET_FAULTS = {
         edges=[[0, 1], [1, 2]],
         x=[[0.1] * d["attr_dim"]] * 2 + [[0.1] * (d["attr_dim"] - 1) + [True]],
     ),
+    "index twice in one split": lambda d: d["splits"]["train"].append(0),
+    "index in two splits": lambda d: d["splits"]["test"].append(1),
 }
 # where the message must point, for faults that name one exact location
 DATASET_FAULT_WHERE = {
@@ -677,6 +679,8 @@ DATASET_FAULT_WHERE = {
     "edges not a list": "graphs[1]: edges: expected a list",
     "edge end outside the last graph": "graphs[3]: edges[24]: (-1,",
     "boolean x in a smaller graph": "graphs[1]: x: expected numbers, got a boolean",
+    "index twice in one split": ": graph 0 appears twice in split 'train'\n",
+    "index in two splits": ": graph 1 appears in splits 'train' and 'test'\n",
 }
 
 
@@ -696,6 +700,8 @@ def test_train_rejects_malformed_dataset(tmp_path, capsys, fault):
         "text num_classes",
         "text split index",
         "negative attr_dim",
+        "index twice in one split",
+        "index in two splits",
     ):
         assert "graphs[" in err
     assert DATASET_FAULT_WHERE.get(fault, "") in err

@@ -114,8 +114,14 @@ def test_dataset_validates_split_indices():
     g = build_graph(2, [(0, 1)], np.zeros((2, 3)), False, label=0, graph_id="v")
     with pytest.raises(ValidationError):
         Dataset("bad", [g], 3, 2, splits={"train": [5]})
-    with pytest.raises(ValidationError):
+    with pytest.raises(
+        ValidationError, match="^graph 0 appears in splits 'train' and 'test'$"
+    ):
         Dataset("bad", [g], 3, 2, splits={"train": [0], "test": [0]})
+    with pytest.raises(
+        ValidationError, match="^graph 0 appears twice in split 'train'$"
+    ):
+        Dataset("bad", [g], 3, 2, splits={"train": [0, 0]})
 
 
 def test_dataset_validates_attr_dim_and_labels():

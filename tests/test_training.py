@@ -1,14 +1,15 @@
 """Optimizer behavior and end-to-end training."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gxplain.datasets import Dataset, generate_ba2motifs
+from gxplain.datasets import Dataset, generate_ba2motifs, generate_motif_graphs
 from gxplain.graphs import build_graph
 from gxplain.model import (
     PROBABILITY_FLOOR,
@@ -21,6 +22,7 @@ from gxplain.model import (
     _readout,
     save_model,
 )
+from gxplain import training as training_module
 from gxplain.optim import Adam
 from gxplain.training import (
     _assemble,
@@ -139,6 +141,44 @@ def test_evaluate_accuracy_counts_correct_predictions():
     ds = tiny_dataset()
     model = train_model(ds, hidden_dims=(4,), epochs=300, seed=0).model
     assert evaluate_accuracy(model, ds.graphs) == 1.0
+
+
+def unlabeled_copy(g, gid):
+    return build_graph(
+        g.node_count, g.arcs.tolist(), g.attributes, g.directed,
+        label=None, graph_id=gid,
+    )
+
+
+def test_accuracy_scores_labeled_graphs_only():
+    ds = tiny_dataset()
+    model = train_model(ds, hidden_dims=(4,), epochs=300, seed=0).model
+    hot, cold = ds.graphs
+    blank = [unlabeled_copy(g, f"u{i}") for i, g in enumerate([hot, cold, hot])]
+    # two labeled hits among unlabeled graphs: 1.0, not 2 of 5
+    assert evaluate_accuracy(model, [blank[0], hot, blank[1], cold, blank[2]]) == 1.0
+    assert math.isnan(evaluate_accuracy(model, blank))
+    assert math.isnan(evaluate_accuracy(model, []))
+
+
+def test_validation_accuracy_scores_labeled_graphs_only():
+    hot, cold = tiny_dataset().graphs
+    graphs = [hot, cold, unlabeled_copy(hot, "u0"), unlabeled_copy(cold, "u1")]
+    graphs.append(build_graph(
+        4, [(0, 1), (1, 2), (2, 3)], hot.attributes, False, label=1,
+        graph_id="hot2",
+    ))
+    ds = Dataset(
+        "tiny", graphs, 2, 2,
+        splits={"train": [0, 1], "validation": [2, 4, 3]},
+    )
+    result = train_model(ds, hidden_dims=(4,), epochs=300, seed=0)
+    assert result.validation_accuracy[-1] == 1.0
+    assert set(result.validation_accuracy) <= {0.0, 1.0}
+    ds.splits["validation"] = [2, 3]
+    result = train_model(ds, hidden_dims=(4,), epochs=3, seed=0)
+    assert len(result.validation_accuracy) == 3
+    assert all(math.isnan(a) for a in result.validation_accuracy)
 
 
 def test_loss_history_decreases_overall():
@@ -279,8 +319,10 @@ def test_stacked_epoch_sums_one_entry_and_wide_parameters_in_order():
 
 def reference_train(dataset, epochs, seed, hidden_dims=(20, 20, 20)):
     """``train_model`` as a per-graph loop: calibration, forward and
-    backward one graph at a time, in split order."""
+    backward one graph at a time, in (node count, split position) order,
+    which on equal-size splits is the split order."""
     graphs = dataset.split_graphs("train")
+    graphs = sorted(graphs, key=lambda g: g.node_count)  # a stable sort
     params = init_parameters(dataset.attr_dim, dataset.num_classes, hidden_dims, seed)
     props = [_propagation(_adjacency([g]))[0] for g in graphs]
     hs = [g.attributes for g in graphs]
@@ -299,12 +341,117 @@ def reference_train(dataset, epochs, seed, hidden_dims=(20, 20, 20)):
     return _assemble(dataset.attr_dim, dataset.num_classes, hidden_dims, params)
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_train_model_saves_the_bytes_of_the_per_graph_loop(tmp_path, seed):
-    ds = generate_ba2motifs(200, seed=seed)
-    save_model(train_model(ds, epochs=4, seed=seed).model, tmp_path / "a.json")
-    save_model(reference_train(ds, epochs=4, seed=seed), tmp_path / "b.json")
+def mixed_sizes(seed):
+    """25- and 13-node motif graphs, interleaved, and two node-less ones."""
+    big = generate_motif_graphs(100, seed, name="big").graphs
+    small = generate_motif_graphs(100, seed, base_size=8, name="small").graphs
+    graphs = [g for pair in zip(big, small) for g in pair]
+    graphs[3:3] = [
+        build_graph(0, [], np.zeros((0, 10)), False, label=i, graph_id=f"e{i}")
+        for i in range(2)
+    ]
+    return Dataset(
+        "mixed", graphs, 10, 2,
+        splits={"train": list(range(170)), "test": list(range(170, 202))},
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, hidden_dims, mixed",
+    [
+        pytest.param(0, (20, 20, 20), False, id="0"),
+        pytest.param(7, (20, 20, 20), False, id="7"),
+        # numpy sums a width-1 column pairwise, a wide one row by row
+        pytest.param(3, (1,), False, id="width 1"),
+        pytest.param(5, (1, 7), False, id="widths 1, 7"),
+        pytest.param(2, (20, 20, 20), True, id="mixed node counts"),
+    ],
+)
+def test_train_model_saves_the_bytes_of_the_per_graph_loop(
+    tmp_path, seed, hidden_dims, mixed
+):
+    ds = mixed_sizes(seed) if mixed else generate_ba2motifs(200, seed=seed)
+    model = train_model(ds, hidden_dims, epochs=4, seed=seed).model
+    save_model(model, tmp_path / "a.json")
+    reference = reference_train(ds, epochs=4, seed=seed, hidden_dims=hidden_dims)
+    save_model(reference, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@st.composite
+def calibration_case(draw):
+    attr_dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    graphs = []
+    # enough graphs that some stack spans several blocks
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=10, max_size=24))
+    for i, n in enumerate(sizes):
+        ends = st.integers(0, max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+        scale = 10.0 ** rng.integers(-2, 3, (n, attr_dim))
+        graphs.append(build_graph(
+            n, edges, rng.normal(size=(n, attr_dim)) * scale,
+            draw(st.booleans()), label=0, graph_id=f"g{i}",
+        ))
+    # three layers, so the middle one writes its output over its input's
+    # buffer or beside it as it narrows, keeps or widens
+    widths = tuple(draw(st.lists(st.sampled_from([1, 2, 20]), min_size=3, max_size=3)))
+    return graphs, widths, rng
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(calibration_case())
+def test_calibration_statistics_are_numpys_on_the_stacked_split(blocks, case):
+    graphs, widths, rng = case
+    params = init_parameters(graphs[0].attr_dim, 2, widths, int(rng.integers(100)))
+    drawn = [w.copy() for w in params[0:-2:2]]
+    with mock.patch(
+        "gxplain.training._set_affine", wraps=training_module._set_affine
+    ) as fitted:
+        _calibrate_parameters(params, widths, _stack_graphs(graphs))
+    # each layer's (mean, std), then the head's
+    fits = [c.args[2:] for c in fitted.call_args_list][:-1]
+    graphs = sorted(graphs, key=lambda g: g.node_count)
+    props = [_propagation(_adjacency([g]))[0] for g in graphs]
+    hs = [g.attributes for g in graphs]
+    if not sum(g.node_count for g in graphs):
+        assert fits == []
+        return
+    assert len(fits) == 3
+    for i, w in enumerate(drawn):
+        pre = np.vstack([(a @ h) @ w for a, h in zip(props, hs)])
+        mean, std = fits[i]
+        assert mean.shape == std.shape == (widths[i],)
+        assert mean.tobytes() == pre.mean(axis=0).tobytes()
+        assert std.tobytes() == pre.std(axis=0).tobytes()
+        w, b = params[2 * i], params[2 * i + 1]
+        hs = [np.maximum((a @ h) @ w + b, 0.0) for a, h in zip(props, hs)]
+
+
+def test_calibration_holds_one_layer_field_above_the_stacks(ba_dataset):
+    graphs = ba_dataset.split_graphs("train")
+    assert len(graphs) == 800 and {g.node_count for g in graphs} == {25}
+    hidden = (20, 20, 20)
+    stacks = _stack_graphs(graphs)
+    params = init_parameters(ba_dataset.attr_dim, 2, hidden, seed=0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _calibrate_parameters(params, hidden, stacks)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    # one (800, 25, 20) float64 layer output, plus block-sized fields
+    assert peak <= 1.5 * 800 * 25 * 20 * 8
 
 
 def reference_propagation(g):
