@@ -9,15 +9,15 @@ one node; a fixed budget larger than a graph skips that graph entirely.
 import csv
 import io
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._atomic import write_atomic, write_json
-from .errors import InvalidBudget, MissingExplanation
+from .errors import InvalidBudget, MissingExplanation, ValidationError
 from .explain import Explanation
-from .graphs import AttributedGraph
 from .model import (
     GnnModel,
     _adjacency,
@@ -51,6 +51,12 @@ class EvalReport:
     per_graph: list[GraphVerdict]
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a bool or a non-integer budget; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidBudget(f"{name} must be an integer, got {value!r}")
+
+
 def resolve_budget(
     node_count: int, k: int | None = None, rate: float | None = None
 ) -> int | None:
@@ -63,9 +69,11 @@ def resolve_budget(
     if (k is None) == (rate is None):
         raise InvalidBudget("give exactly one of k and rate")
     if rate is not None:
-        if not 0.0 < rate <= 1.0:
+        real = isinstance(rate, numbers.Real) and not isinstance(rate, bool)
+        if not (real and 0.0 < rate <= 1.0):
             raise InvalidBudget(f"rate must lie in (0, 1], got {rate}")
         return max(1, int(math.floor(rate * node_count + 0.5)))
+    _check_integer("k", k)
     if k < 1:
         raise InvalidBudget(f"k must be at least 1, got {k}")
     return None if k > node_count else int(k)
@@ -87,15 +95,18 @@ class _SizeStack(NamedTuple):
     target: np.ndarray  # (b,) original predictions
 
 
-def _stack_by_size(model: GnnModel, graphs, explanations) -> list[_SizeStack]:
-    """One :class:`_SizeStack` per node count of ``graphs``."""
+def _stack_by_size(
+    model: GnnModel, graphs, rankings, targets
+) -> list[_SizeStack]:
+    """One :class:`_SizeStack` per node count of ``graphs``, with each
+    graph's node ranking (a permutation of its nodes) and original
+    prediction from ``rankings`` and ``targets``, in ``graphs`` order."""
     by_size: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_size.setdefault(g.node_count, []).append(i)
     stacks = []
     for n, members in by_size.items():
         group = [graphs[i] for i in members]
-        expls = [explanations[g.graph_id] for g in group]
         if n:
             for g in group:
                 _check_attr_dim(model, g)
@@ -109,9 +120,9 @@ def _stack_by_size(model: GnnModel, graphs, explanations) -> list[_SizeStack]:
                 _adjacency(group),
                 attributes,
                 np.array(
-                    [e.node_ranking for e in expls], dtype=np.int64
+                    [rankings[i] for i in members], dtype=np.int64
                 ).reshape(len(group), n),
-                np.array([e.original_prediction for e in expls]),
+                np.array([targets[i] for i in members]),
             )
         )
     return stacks
@@ -162,43 +173,47 @@ def _attribute_hits(
     return hits.tolist()
 
 
-def _sorted_graphs(
-    model: GnnModel, dataset, explanations
-) -> list[AttributedGraph]:
+def _explained(model: GnnModel, dataset, explanations):
+    """The graphs of ``dataset`` sorted by id, their explanations in that
+    order, each checked once, and their size stacks: the one reader of
+    explanations here."""
     graphs = getattr(dataset, "graphs", dataset)
     graphs = sorted(graphs, key=lambda g: g.graph_id)
-    missing = [g.graph_id for g in graphs if g.graph_id not in explanations]
+    ids = [g.graph_id for g in graphs]
+    twice = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+    if twice:
+        raise ValidationError(f"graph ids repeat: {', '.join(twice)}")
+    missing = [i for i in ids if i not in explanations]
     if missing:
         raise MissingExplanation(
             f"missing explanations for: {', '.join(missing)}"
         )
-    for g in graphs:
-        explanations[g.graph_id].check_graph(g)
-        explanations[g.graph_id].check_model(model)
-    return graphs
+    expls = [explanations[i] for i in ids]
+    for g, e in zip(graphs, expls):
+        e.check_graph(g)
+        e.check_model(model)
+    rankings = [e.node_ranking for e in expls]
+    targets = [e.original_prediction for e in expls]
+    return graphs, expls, _stack_by_size(model, graphs, rankings, targets)
 
 
 def _scan(
-    model: GnnModel, graphs, explanations, stacks, slots, find_min_k=True
+    model: GnnModel, graphs, stacks, slots, find_min_k=True
 ) -> list[GraphVerdict]:
     """One row per ``(graph index, budget)`` slot, all read from one
     lockstep scan over ranking prefixes of the size ``stacks`` of
     ``graphs``; a ``None`` budget is unscored.
 
     Step s scores, in stacked passes, the s-node prefix of every graph
-    with a slot of budget s or whose ``min_k`` is still pending (eligible
-    graphs only), plus the complement of each budgeted prefix.  Steps no
-    graph needs are skipped.
+    with a slot of budget s or a pending ``min_k`` (eligible graphs: a
+    target other than the empty graph's), plus the complement of each
+    budgeted prefix.  Steps no graph needs are skipped.
     """
     default = default_prediction(model)
     node_count = np.array([g.node_count for g in graphs], dtype=np.int64)
-    eligible = np.array(
-        [
-            explanations[g.graph_id].original_prediction != default
-            for g in graphs
-        ],
-        dtype=bool,
-    )
+    eligible = np.zeros(len(graphs), dtype=bool)
+    for stack in stacks:
+        eligible[stack.members] = stack.target != default
     last = max((b for _, b in slots if b is not None), default=0)
     budgeted = np.zeros(
         (len(graphs), max(last, node_count.max(initial=0)) + 1), dtype=bool
@@ -265,6 +280,7 @@ def evaluate(
 
     Raises:
         MissingExplanation: some selected graph has no explanation.
+        ValidationError: a graph id repeats among the selected graphs.
         InvalidBudget: malformed node or attribute budget.
         ShapeMismatch: an explanation that does not fit its graph
             (:meth:`Explanation.check_graph`) or names a class the model
@@ -272,19 +288,20 @@ def evaluate(
     """
     # validate the budgets once, before any graph is read
     resolve_budget(1, k, rate)
-    if attr_top is not None and attr_top < 1:
-        raise InvalidBudget(f"attr_top must be at least 1, got {attr_top}")
-    graphs = _sorted_graphs(model, dataset, explanations)
-    stacks = _stack_by_size(model, graphs, explanations)
+    if attr_top is not None:
+        _check_integer("attr_top", attr_top)
+        if attr_top < 1:
+            raise InvalidBudget(f"attr_top must be at least 1, got {attr_top}")
+    graphs, expls, stacks = _explained(model, dataset, explanations)
     attribute_hits = []
     if attr_top is not None:
-        scores = [explanations[g.graph_id].attr_score for g in graphs]
+        scores = [e.attr_score for e in expls]
         attribute_hits = _attribute_hits(model, stacks, scores, attr_top)
     slots = [
         (i, resolve_budget(g.node_count, k, rate))
         for i, g in enumerate(graphs)
     ]
-    rows = _scan(model, graphs, explanations, stacks, slots, compute_sparsity)
+    rows = _scan(model, graphs, stacks, slots, compute_sparsity)
     scored = [r for r in rows if r.budget is not None]
     min_ks = [r.min_k for r in rows if r.min_k is not None]
     return EvalReport(
@@ -307,18 +324,18 @@ def sweep(
 
     Raises:
         MissingExplanation: some selected graph has no explanation.
+        ValidationError: a graph id repeats among the selected graphs.
         ShapeMismatch: an explanation that does not fit its graph or
             names a class the model does not have.
     """
-    graphs = _sorted_graphs(model, dataset, explanations)
+    graphs, _, stacks = _explained(model, dataset, explanations)
     max_n = max((g.node_count for g in graphs), default=0)
     slots = [
         (i, budget if budget <= g.node_count else None)
         for budget in range(1, max_n + 1)
         for i, g in enumerate(graphs)
     ]
-    stacks = _stack_by_size(model, graphs, explanations)
-    return _scan(model, graphs, explanations, stacks, slots)
+    return _scan(model, graphs, stacks, slots)
 
 
 def _share(hits: list[bool]) -> float | None:

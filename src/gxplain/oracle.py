@@ -20,6 +20,7 @@ import numpy as np
 from ._atomic import write_json
 from .errors import InvalidBudget, TooLarge
 from .graphs import AttributedGraph, NodeSet
+from .metrics import _check_integer
 from .model import (
     GnnModel,
     _adjacency,
@@ -81,6 +82,7 @@ def _subset_cells(n: int, k: int) -> np.ndarray:
 
 
 def _check_budget(g: AttributedGraph, k: int) -> None:
+    _check_integer("k", k)
     if g.node_count > MAX_ORACLE_NODES:
         raise TooLarge(
             f"{g.node_count} nodes exceed the oracle cap of"

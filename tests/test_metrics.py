@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import keeps_class_on_top_attributes
 
-from gxplain.errors import InvalidBudget, MissingExplanation, ShapeMismatch
+from gxplain.errors import (
+    InvalidBudget,
+    MissingExplanation,
+    ShapeMismatch,
+    ValidationError,
+)
 from gxplain.explain import (
     ExplainConfig,
     Explanation,
@@ -118,7 +123,12 @@ def test_attribute_budget_scores_each_graph_as_its_reference(case):
         )
         for g in graphs
     ]
-    stacks = _stack_by_size(model, graphs, expls)
+    stacks = _stack_by_size(
+        model,
+        graphs,
+        [expls[g.graph_id].node_ranking for g in graphs],
+        [expls[g.graph_id].original_prediction for g in graphs],
+    )
     scores = [expls[g.graph_id].attr_score for g in graphs]
     assert _attribute_hits(model, stacks, scores, top_t) == want
     report = evaluate(model, graphs, expls, k=1, attr_top=top_t)
@@ -222,6 +232,44 @@ def test_sparsity_none_when_no_graph_is_eligible():
     report = evaluate(model, [cold], expls, rate=1.0)
     assert report.sparsity is None
     assert report.eligible_count == 0
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_budgets_that_are_not_integers_are_refused(value):
+    with pytest.raises(InvalidBudget, match="k must be an integer"):
+        resolve_budget(10, k=value)
+    # each before any graph is read
+    for budget in ({"k": value}, {"k": 1, "attr_top": value}):
+        with pytest.raises(InvalidBudget, match="must be an integer"):
+            evaluate(detector_model(), [hot_path_graph("gone")], {}, **budget)
+
+
+@pytest.mark.parametrize("rate", [True, np.True_, "0.3"])
+def test_a_rate_that_is_a_bool_or_not_a_number_is_refused(rate):
+    with pytest.raises(InvalidBudget, match="rate"):
+        resolve_budget(10, rate=rate)
+    with pytest.raises(InvalidBudget, match="rate"):
+        evaluate(detector_model(), [hot_path_graph("gone")], {}, rate=rate)
+
+
+def test_numpy_integer_budgets_score_as_python_integers():
+    model = detector_model()
+    g = hot_path_graph()
+    expls = {"hot": manual_explanation(g, [2, 1, 3, 0, 4])}
+    assert resolve_budget(10, k=np.int64(3)) == 3
+    want = evaluate(model, [g], expls, k=2, attr_top=1)
+    got = evaluate(model, [g], expls, k=np.int32(2), attr_top=np.int64(1))
+    assert got == want
+
+
+def test_a_graph_id_repeated_among_the_scored_graphs_is_refused():
+    model = detector_model()
+    g = hot_path_graph()
+    expls = {"hot": manual_explanation(g, [2, 1, 3, 0, 4])}
+    with pytest.raises(ValidationError, match="hot"):
+        evaluate(model, [g, hot_path_graph("cold"), g], expls, k=2)
+    with pytest.raises(ValidationError, match="hot"):
+        sweep(model, [g, g], expls)
 
 
 def test_evaluate_checks_attr_top_before_reading_any_graph():

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gxplain import oracle
-from gxplain.errors import TooLarge
+from gxplain.errors import InvalidBudget, TooLarge
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
 from gxplain.model import GnnModel, Layer, forward
 from gxplain.oracle import (
@@ -123,6 +123,20 @@ def test_size_guard():
     g = build_graph(n, [], np.zeros((n, 1)), True, graph_id="big")
     with pytest.raises(TooLarge):
         oracle_report(model, g, k=2)
+
+
+@pytest.mark.parametrize("k", [2.5, True, "2"])
+def test_oracle_report_refuses_a_budget_that_is_not_an_integer(k):
+    with pytest.raises(InvalidBudget, match="integer"):
+        oracle_report(detector_model(), hot_graph(gid="k"), k)
+
+
+def test_oracle_report_takes_a_numpy_integer_budget():
+    model, g = detector_model(), hot_graph(gid="np")
+    want = oracle_report(model, g, k=2)
+    got = oracle_report(model, g, k=np.int64(2))
+    assert got.best_subset == want.best_subset
+    assert got.best_probability == want.best_probability
 
 
 def test_oracle_report_bundles_all_three():

@@ -19,10 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gxplain
+from gxplain import metrics
 from gxplain.explain import Explanation
 from gxplain.graphs import NodeSet, build_graph, node_induced_subgraph
 from gxplain.metrics import (
     _induced_blocks,
+    _scan,
+    _stack_by_size,
     default_prediction,
     evaluate,
     resolve_budget,
@@ -149,43 +152,55 @@ def test_occlusion_equals_one_gated_forward_per_arc(blocks):
             assert drops[a] == p0 - p
 
 
-def _verdict_by_definition(model, g, expl, budget, default):
+def _verdict_by_definition(model, g, ranking, target, budget, default):
     def retains(keep):
         sub = node_induced_subgraph(g, keep)
-        return forward(model, sub).predicted_class == expl.original_prediction
+        return forward(model, sub).predicted_class == target
 
     kept = rest = None
     if budget is not None:
-        keep = NodeSet(expl.node_ranking[:budget])
+        keep = NodeSet(ranking[:budget])
         rest = NodeSet(set(range(g.node_count)) - set(keep.members))
         kept, rest = retains(keep), retains(rest)
     min_k = None
-    if expl.original_prediction != default:
+    if target != default:
         min_k = next(
             (
                 k
                 for k in range(1, g.node_count + 1)
-                if retains(NodeSet(expl.node_ranking[:k]))
+                if retains(NodeSet(ranking[:k]))
             ),
             g.node_count,
         )
     return kept, rest, min_k
 
 
-def _assert_rows_by_definition(model, graphs, expls, rows, budgets, min_k):
-    """Each row against :func:`_verdict_by_definition`, with its budget
-    from ``budgets``; its ``min_k`` must be ``None`` unless ``min_k``."""
+def _assert_rows_by_definition(
+    model, graphs, rankings, targets, rows, budgets, min_k
+):
+    """Each row against :func:`_verdict_by_definition`, with its graph's
+    ranking and target from ``rankings`` and ``targets`` (by graph id)
+    and its budget from ``budgets``; its ``min_k`` must be ``None``
+    unless ``min_k``."""
     default = default_prediction(model)
     by_id = {g.graph_id: g for g in graphs}
     for row, budget in zip(rows, budgets, strict=True):
-        g, expl = by_id[row.graph_id], expls[row.graph_id]
+        gid = row.graph_id
         kept, rest, want_k = _verdict_by_definition(
-            model, g, expl, budget, default
+            model, by_id[gid], rankings[gid], targets[gid], budget, default
         )
         assert row.budget == budget
         assert (row.retained_explained, row.retained_remaining) == (kept, rest)
         assert row.min_k == (want_k if min_k else None)
-        assert row.eligible == (expl.original_prediction != default)
+        assert row.eligible == (targets[gid] != default)
+
+
+def _ranked(expls):
+    """Each explanation's ranking and original prediction, by graph id."""
+    return (
+        {i: e.node_ranking for i, e in expls.items()},
+        {i: e.original_prediction for i, e in expls.items()},
+    )
 
 
 def _evaluate_by_definition(model, graphs, expls, sparsity=True, **budget):
@@ -197,7 +212,7 @@ def _evaluate_by_definition(model, graphs, expls, sparsity=True, **budget):
     nodes = {g.graph_id: g.node_count for g in graphs}
     want = [resolve_budget(nodes[i], **budget) for i in ids]
     _assert_rows_by_definition(
-        model, graphs, expls, report.per_graph, want, sparsity
+        model, graphs, *_ranked(expls), report.per_graph, want, sparsity
     )
     return report
 
@@ -211,7 +226,9 @@ def _sweep_by_definition(model, graphs, expls):
     want = [
         b if b <= nodes[i] else None for b in range(1, max_n + 1) for i in ids
     ]
-    _assert_rows_by_definition(model, graphs, expls, rows, want, True)
+    _assert_rows_by_definition(
+        model, graphs, *_ranked(expls), rows, want, True
+    )
     return rows
 
 
@@ -271,6 +288,46 @@ def test_sweep_matches_a_per_subgraph_loop_on_mixed_sizes(blocks):
     assert min_k["g40"] == 0
     assert all(r.min_k == min_k[r.graph_id] for r in rows)
     assert sweep(model, [], {}) == []
+
+
+@pytest.mark.parametrize("order", ["node id", "seeded permutation"])
+def test_the_scan_scores_rankings_and_targets_without_explanations(
+    order, blocks
+):
+    model, graphs, _ = _mixed_case()
+    rng = np.random.default_rng(31)
+    rankings = [
+        np.arange(g.node_count)
+        if order == "node id"
+        else rng.permutation(g.node_count)
+        for g in graphs
+    ]
+    targets = [forward(model, g).predicted_class for g in graphs]
+    stacks = _stack_by_size(model, graphs, rankings, targets)
+    budget_slots = [
+        (i, resolve_budget(g.node_count, k=3)) for i, g in enumerate(graphs)
+    ]
+    max_n = max(g.node_count for g in graphs)
+    sweep_slots = [
+        (i, b if b <= g.node_count else None)
+        for b in range(1, max_n + 1)
+        for i, g in enumerate(graphs)
+    ]
+    ids = [g.graph_id for g in graphs]
+    by_id = dict(zip(ids, rankings)), dict(zip(ids, targets))
+    for slots, min_k in (
+        (budget_slots, True),
+        (budget_slots, False),
+        (sweep_slots, True),
+    ):
+        rows = _scan(model, graphs, stacks, slots, min_k)
+        assert [r.graph_id for r in rows] == [ids[i] for i, _ in slots]
+        budgets = [b for _, b in slots]
+        _assert_rows_by_definition(
+            model, graphs, *by_id, rows, budgets, min_k
+        )
+    default = default_prediction(model)
+    assert 5 <= sum(t != default for t in targets) < len(graphs)
 
 
 @st.composite
@@ -365,3 +422,63 @@ def test_one_scan_scores_subsets_and_eval_calls_each_entry_point_once():
     for name in ("evaluate", "sweep"):
         (call,) = _calls(cli, name)
         assert id(call) not in looped
+
+
+def test_metrics_reads_explanations_in_one_place():
+    src = Path(gxplain.__file__).parent
+    tree = ast.parse((src / "metrics.py").read_text("utf-8"))
+    fields = {"node_ranking", "original_prediction"}
+    fields |= {"check_graph", "check_model"}
+
+    def touched(node):
+        return sorted(
+            n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr in fields
+        )
+
+    functions = {
+        f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)
+    }
+    assert touched(tree) == touched(functions["_explained"]) == sorted(fields)
+    # the scan's entry points take rankings and targets, not explanations
+    def params(name):
+        return [a.arg for a in functions[name].args.args]
+
+    assert params("_stack_by_size")[2:] == ["rankings", "targets"]
+    assert params("_scan")[2:] == ["stacks", "slots", "find_min_k"]
+
+
+def test_evaluate_and_sweep_check_each_explanation_once_and_stack_once(
+    monkeypatch,
+):
+    model, graphs, expls = _mixed_case()
+    checked, stacked = [], []
+    check_graph, check_model = Explanation.check_graph, Explanation.check_model
+    stack_by_size = metrics._stack_by_size
+
+    def counted_graph_check(self, g):
+        checked.append(("graph", self.graph_id))
+        return check_graph(self, g)
+
+    def counted_model_check(self, model):
+        checked.append(("model", self.graph_id))
+        return check_model(self, model)
+
+    def counted_stack(model, graphs, rankings, targets):
+        stacked.append(len(graphs))
+        return stack_by_size(model, graphs, rankings, targets)
+
+    monkeypatch.setattr(Explanation, "check_graph", counted_graph_check)
+    monkeypatch.setattr(Explanation, "check_model", counted_model_check)
+    monkeypatch.setattr(metrics, "_stack_by_size", counted_stack)
+    want = sorted((kind, i) for kind in ("graph", "model") for i in expls)
+    for run in (
+        lambda: evaluate(model, graphs, expls, k=3, attr_top=1),
+        lambda: sweep(model, graphs, expls),
+    ):
+        checked.clear()
+        stacked.clear()
+        run()
+        assert sorted(checked) == want
+        assert stacked == [len(graphs)]
