@@ -77,6 +77,22 @@ def _select_graphs(dataset, split: str, ids: str | None):
     return dataset.split_graphs(split)
 
 
+def _explanation_path(directory, graph_id: str) -> Path:
+    """``<directory>/<graph_id>.json``; ParseError for an id whose file
+    would lie outside ``directory``, fail to open, be hidden or be taken
+    for another graph's oracle result."""
+    if (
+        graph_id in ("", ".", "..")
+        or any(c in graph_id for c in "/\\\0")
+        or graph_id.endswith(".oracle")
+    ):
+        raise ParseError(
+            f"graph id {graph_id!r} cannot name a file: an id must not be"
+            " empty, '.' or '..', hold '/', '\\' or NUL, or end in '.oracle'"
+        )
+    return Path(directory) / f"{graph_id}.json"
+
+
 def cmd_gen_dataset(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
@@ -174,16 +190,13 @@ def _config_from_args(args) -> ExplainConfig:
 
 
 def _explain_one(job) -> str:
-    model, g, config, out_dir, want_oracle = job
+    model, g, config, path, want_oracle = job
     explanation = explain(model, g, config)
-    path = Path(out_dir) / f"{g.graph_id}.json"
     save_explanation(explanation, config, path)
     if want_oracle and g.node_count <= MAX_ORACLE_NODES:
         budget = min(5, g.node_count)
         result = oracle_report(model, g, budget)
-        save_oracle_result(
-            result, g, Path(out_dir) / f"{g.graph_id}.oracle.json"
-        )
+        save_oracle_result(result, g, path.with_suffix(".oracle.json"))
     return g.graph_id
 
 
@@ -195,8 +208,12 @@ def cmd_explain(args) -> int:
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, args.ids)
     out_dir = Path(args.out_dir)
+    # every id is checked before the first file is written
+    jobs = [
+        (model, g, config, _explanation_path(out_dir, g.graph_id), args.oracle)
+        for g in graphs
+    ]
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(model, g, config, str(out_dir), args.oracle) for g in graphs]
     if args.jobs > 1 and len(jobs) > 1:
         # a fork pool starts all its workers at the first submit
         workers = min(args.jobs, len(jobs))
@@ -217,9 +234,9 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, None)
+    paths = [_explanation_path(in_dir, g.graph_id) for g in graphs]
     explanations = {}
-    for g in graphs:
-        path = in_dir / f"{g.graph_id}.json"
+    for g, path in zip(graphs, paths):
         if not path.exists():
             continue  # evaluate names every missing explanation
         expl, _ = load_explanation(path)

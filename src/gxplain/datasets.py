@@ -217,13 +217,20 @@ def _load_graph(entry, attr_dim: int, where: str) -> tuple:
             f"{where}: x has shape {attrs.shape}, expected ({n}, {attr_dim})"
         )
     label = entry.get("y")
+    # the graph keeps a copy of its id: the document's own string would
+    # keep the document's allocator arenas resident for as long as the
+    # dataset lives (surrogatepass copies a lone surrogate too)
+    graph_id = read_field(entry, "id", as_str, where)
+    graph_id = graph_id.encode(errors="surrogatepass").decode(
+        errors="surrogatepass"
+    )
     return (
         n,
         edges,
         attrs,
         read_field(entry, "directed", as_bool, where),
         None if label is None else as_int(label, f"{where}: y"),
-        read_field(entry, "id", as_str, where),
+        graph_id,
     )
 
 

@@ -574,7 +574,7 @@ def learn_masks(
     # unshared, slot is the identity and so are its gathers and scatters
     shared = not np.array_equal(slot, np.arange(params))
     # a pinned side reads the graph as it is: coef * 1 and x * 1 are exact
-    flat, coef = arcs = _arc_entries(g, unmasked)
+    flat, coef = _arc_entries(g, unmasked)
     a_eff = unmasked.copy() if learn_edges else unmasked
     a_flat = a_eff.reshape(-1)
     h = g.attributes
@@ -593,10 +593,11 @@ def learn_masks(
         if learn_attrs:
             h = g.attributes * gate[n_arcs:].reshape(n, d)
         tr = _layer_stack(model, a_eff, h)
-        tr.arcs = arcs
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
         ce = -math.log(p_target)
-        ce_edge, ce_attr = _backward(model, tr, target, g)
+        da, dx = _backward(model, tr, target, inputs=True)
+        # an edge gate scales its arc's coefficient, an attribute gate a cell
+        ce_edge, ce_attr = da.ravel()[flat] * coef, dx * g.attributes
         # bincount adds in index order into zeros, as np.add.at does; a
         # product, not *=, keeps its int result of no gates a float
         grad = np.bincount(

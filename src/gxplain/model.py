@@ -187,9 +187,6 @@ class _Trace:
     head_z: list[np.ndarray]
     logits: np.ndarray
     probabilities: np.ndarray
-    # each arc's index into the flattened operator and its coefficient
-    # before gating; see _arc_entries
-    arcs: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def predicted_class(self) -> int:
@@ -352,25 +349,19 @@ def _forward_trace(
     mask: MaskedInput | None,
     unmasked: np.ndarray | None = None,
 ) -> _Trace:
-    """Forward pass of one graph, with its :func:`_arc_entries`;
-    ``unmasked`` is ``_propagation(_adjacency([g]))[0]`` when the caller
-    holds it."""
+    """Forward pass of one graph; ``unmasked`` is
+    ``_propagation(_adjacency([g]))[0]`` when the caller holds it."""
     _check_attr_dim(model, g)
     if mask is not None:
         _check_mask(g, mask)
     if unmasked is None:
         unmasked = _propagation(_adjacency([g]))[0]
-    arcs = _arc_entries(g, unmasked)
     if mask is None:
-        a_eff, h = unmasked, np.asarray(g.attributes)
-    else:
-        flat, coef = arcs
-        a_eff = unmasked.copy()
-        a_eff.ravel()[flat] = coef * mask.edge_gate
-        h = g.attributes * mask.attribute_gate
-    tr = _layer_stack(model, a_eff, h)
-    tr.arcs = arcs
-    return tr
+        return _layer_stack(model, unmasked, np.asarray(g.attributes))
+    flat, coef = _arc_entries(g, unmasked)
+    a_eff = unmasked.copy()
+    a_eff.ravel()[flat] = coef * mask.edge_gate
+    return _layer_stack(model, a_eff, g.attributes * mask.attribute_gate)
 
 
 def forward(
@@ -428,21 +419,17 @@ def _induced_operands(
     return a, attributes[graph, rows]
 
 
-def _backward(
-    model: GnnModel,
-    tr: _Trace,
-    target,
-    g: AttributedGraph | None = None,
-):
+def _backward(model: GnnModel, tr: _Trace, target, inputs: bool = False):
     """Reverse-mode gradients of the floored cross-entropy.
 
     ``tr`` may stack graphs on leading axes, as :func:`_layer_stack`
-    does; ``target`` then holds one class per graph.  Without ``g`` the
-    result lists the weight gradients ``dW, db`` per layer in forward
-    order, each with the stack's leading axes, so slice ``i`` is the
-    gradient of graph ``i`` alone.  With ``g``, the graph of a one-graph
-    trace that holds its ``arcs`` (:func:`_forward_trace` sets them), the
-    result is ``(edge_gate_grad, attribute_gate_grad)`` instead.
+    does; ``target`` then holds one class per graph.  The result lists
+    the weight gradients ``dW, db`` per layer in forward order, each with
+    the stack's leading axes, so slice ``i`` is the gradient of graph
+    ``i`` alone.  With ``inputs`` it is ``(d_operator, d_fields)``
+    instead: the gradients with respect to ``tr.a_eff`` and to the input
+    node fields ``tr.node_h[0]``, in their shapes.  Gate gradients follow
+    from these by the chain rule, which the callers that gate apply.
     Every product is a per-graph one, as in the forward pass, so each
     slice is bit-identical to the same graph run alone.
     """
@@ -462,14 +449,13 @@ def _backward(
         d_logits[at] -= 1.0
         d_logits[~(p[at] >= PROBABILITY_FLOOR)] = 0.0
 
-    want_weights = g is None
     head_w: list[tuple[np.ndarray, np.ndarray]] = []
     du = d_logits
     for j in reversed(range(len(model.head_layers))):
         layer = model.head_layers[j]
         # relu subgradient at 0 is taken as 0
         dz = du * (tr.head_z[j] > 0.0) if layer.activation == "relu" else du
-        if want_weights:
+        if not inputs:
             head_w.append((tr.head_u[j][..., :, None] * dz[..., None, :], dz))
         du = (dz[..., None, :] @ layer.weight.T)[..., 0, :]
 
@@ -484,31 +470,30 @@ def _backward(
         dh += du[..., None, width:] / n
 
     gcn_w: list[tuple[np.ndarray, np.ndarray]] = []
-    da = None if want_weights else np.zeros((n, n))
+    da = np.zeros(tr.a_eff.shape) if inputs else None
     a_t = tr.a_eff.swapaxes(-1, -2)
     for l in reversed(range(len(model.gcn_layers))):
         layer = model.gcn_layers[l]
         dz = dh * (tr.node_z[l] > 0.0) if layer.activation == "relu" else dh
-        if want_weights:
+        if not inputs:
             m_t = tr.node_m[l].swapaxes(-1, -2)
             node_dz, nodes = _node_major(dz)
             gcn_w.append((m_t @ dz, node_dz.sum(axis=nodes)))
             if l == 0:
-                break  # the input layer's dm and dh feed gate gradients only
+                break  # the input layer's dm and dh feed input gradients only
         dm = dz @ layer.weight.T
-        if not want_weights:
-            da += dm @ tr.node_h[l].T
+        if inputs:
+            da += dm @ tr.node_h[l].swapaxes(-1, -2)
         dh = a_t @ dm
 
-    if want_weights:
-        weight_grads = []
-        for dw, db in reversed(gcn_w):
-            weight_grads.extend((dw, db))
-        for dw, db in reversed(head_w):
-            weight_grads.extend((dw, db))
-        return weight_grads
-    flat, coef = tr.arcs
-    return da.ravel()[flat] * coef, dh * g.attributes
+    if inputs:
+        return da, dh
+    weight_grads = []
+    for dw, db in reversed(gcn_w):
+        weight_grads.extend((dw, db))
+    for dw, db in reversed(head_w):
+        weight_grads.extend((dw, db))
+    return weight_grads
 
 
 def mask_gradients(
@@ -522,9 +507,12 @@ def mask_gradients(
         raise IndexOutOfRange(
             f"target class {target_class} outside [0, {model.num_classes})"
         )
-    tr = _forward_trace(model, g, mask)
-    edge_grad, attr_grad = _backward(model, tr, target_class, g)
-    return MaskGradients(edge_grad, attr_grad)
+    unmasked = _propagation(_adjacency([g]))[0]
+    tr = _forward_trace(model, g, mask, unmasked)
+    da, dx = _backward(model, tr, target_class, inputs=True)
+    # an edge gate scales its arc's coefficient, an attribute gate a cell
+    flat, coef = _arc_entries(g, unmasked)
+    return MaskGradients(da.ravel()[flat] * coef, dx * g.attributes)
 
 
 def _layer_to_dict(layer: Layer) -> dict:

@@ -165,12 +165,6 @@ def init_parameters(
     return params
 
 
-def _center_and_scale(weight, bias, pre) -> None:
-    if pre.shape[0] == 0:
-        return
-    _set_affine(weight, bias, pre.mean(axis=0), pre.std(axis=0))
-
-
 def _set_affine(weight, bias, mean, std) -> None:
     live = std > 1e-8
     scale = np.where(live, std, 1.0)
@@ -273,7 +267,10 @@ def _calibrate_parameters(
                     np.maximum(z, 0.0, out=out[rows])
             hs[j] = out  # the last layer frees each stack's buffer
     w, b = params[-2], params[-1]
-    _center_and_scale(w, b, readouts @ w)
+    pre = readouts @ w
+    moments = _moments(lambda: [pre], len(b))
+    if moments is not None:
+        _set_affine(w, b, *moments)
 
 
 def _assemble(

@@ -876,3 +876,39 @@ def test_mutated_documents_exit_2_with_one_error_line(documents, data):
     assert code == 2, (kind, op, path, err)
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["", ".", "..", "../escaped", "sub/dir", "back\\slash", "nul\0id", "x.oracle"],
+)
+@pytest.mark.parametrize("command", ["explain", "eval"])
+def test_graph_ids_that_cannot_be_file_names_exit_2(
+    pipeline, capsys, tmp_path, command, bad
+):
+    _, ds, model, out = pipeline
+    dataset = gxplain.load_dataset(ds)
+    # the last test graph takes the id, so the graphs before it would be
+    # explained or read first if the check came late
+    graphs = list(dataset.graphs)
+    last = dataset.splits["test"][-1]
+    graphs[last] = dataclasses.replace(graphs[last], graph_id=bad)
+    data = tmp_path / "data"
+    data.mkdir()
+    save_dataset(dataclasses.replace(dataset, graphs=graphs), data / "ds.json")
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = {
+        "explain": ["explain", "--model", str(model),
+                    "--dataset", str(data / "ds.json"),
+                    "--out-dir", str(work / "expl"), "--epochs", "1"],
+        "eval": ["eval", "--model", str(model),
+                 "--dataset", str(data / "ds.json"),
+                 "--explanations", str(out), "--top-k", "3",
+                 "--csv", str(work / "rows.csv"),
+                 "--report", str(work / "report.json")],
+    }[command]
+    err = _assert_one_line_usage_error(main(argv), capsys)
+    assert repr(bad) in err
+    assert list(work.iterdir()) == []
+    assert [p.name for p in data.iterdir()] == ["ds.json"]

@@ -1,5 +1,6 @@
 """Synthetic motif benchmark generation and dataset serialization."""
 
+import dataclasses
 import gzip
 import json
 
@@ -135,6 +136,10 @@ def test_dataset_validates_attr_dim_and_labels():
 
 def test_save_load_round_trip(tmp_path):
     ds = generate_ba2motifs(20, seed=3)
+    # ids that the load copies too: empty, non-ASCII, a lone surrogate
+    odd = ["", "\u00e9", "\ud800", "a\0b"]
+    renamed = [dataclasses.replace(g, graph_id=i) for g, i in zip(ds.graphs, odd)]
+    ds = dataclasses.replace(ds, graphs=renamed + ds.graphs[len(odd) :])
     path = tmp_path / "ds.json.gz"
     save_dataset(ds, path)
     loaded = load_dataset(path)

@@ -29,6 +29,20 @@ def central_diff_attr(model, g, mask, target, node, col):
     return (hi - lo) / (2 * FD_STEP)
 
 
+def central_diff_operator(model, a, x, target, entry):
+    """Central difference of the loss in one entry of the operator ``a``,
+    gated or not, on the node fields ``x``."""
+    from gxplain.model import PROBABILITY_FLOOR, _layer_stack
+
+    def at(step):
+        moved = a.copy()
+        moved[entry] += step
+        p = _layer_stack(model, moved, x, keep=False)[target]
+        return -float(np.log(max(float(p), PROBABILITY_FLOOR)))
+
+    return (at(FD_STEP) - at(-FD_STEP)) / (2 * FD_STEP)
+
+
 def relu_kink_free(model, g, mask):
     """True when no pre-activation sits within KINK_TOL of a relu kink.
 
@@ -60,8 +74,11 @@ def test_edge_gradient_matches_hand_value():
 
 
 def test_gradients_match_finite_differences():
+    from gxplain.model import _backward, _forward_trace
+
     rng = np.random.default_rng(11)
     checked = 0
+    off_arc = 0
     trials = 0
     while checked < 20 and trials < 60:
         trials += 1
@@ -83,8 +100,22 @@ def test_gradients_match_finite_differences():
             fd = central_diff_attr(model, g, mask, target, node, 0)
             scale = max(abs(fd), abs(grads.attribute_gate[node, 0]), 1e-8)
             assert abs(grads.attribute_gate[node, 0] - fd) / scale < 1e-4
+        # operator entries that no gate reaches: the diagonal, and the
+        # zeros where no arc runs
+        trace = _forward_trace(model, g, mask)
+        d_operator, _ = _backward(model, trace, target, inputs=True)
+        n = g.node_count
+        diagonal = [(v, v) for v in range(min(n, 3))]
+        zeros = [tuple(e) for e in np.argwhere(trace.a_eff == 0.0)[:3]]
+        off_arc += len(zeros)
+        for entry in diagonal + zeros:
+            fd = central_diff_operator(
+                model, trace.a_eff, trace.node_h[0], target, entry
+            )
+            scale = max(abs(fd), abs(d_operator[entry]), 1e-8)
+            assert abs(d_operator[entry] - fd) / scale < 1e-4
         checked += 1
-    assert checked == 20
+    assert checked == 20 and off_arc > 0
 
 
 def test_gradient_shapes_match_graph():

@@ -191,9 +191,32 @@ def test_masked_traces_and_gate_gradients_give_the_pinned_bytes(case):
         got = _forward_trace(model, g, mask, unmasked)
         want = pinned_forward_trace(model, g, mask, unmasked)
         assert_same_trace(got, want)
+        # the gate rule on the input gradients, with the pinned arc entries
+        da, dx = _backward(model, got, target, inputs=True)
+        flat, coef = want.arcs
         assert_same_arrays(
-            _backward(model, got, target, g),
+            (da.ravel()[flat] * coef, dx * g.attributes),
             pinned_backward(model, want, target, g),
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+@example(width_one_stack())
+def test_stacked_input_gradients_give_each_graphs_bytes(case):
+    model, graphs, targets, gates = case
+    traces = [
+        _forward_trace(model, g, None if gates is None else gates[i])
+        for i, g in enumerate(graphs)
+    ]
+    a = np.stack([tr.a_eff for tr in traces])
+    x = np.stack([tr.node_h[0] for tr in traces])
+    da, dx = _backward(model, _layer_stack(model, a, x), targets, inputs=True)
+    assert da.shape == a.shape and dx.shape == x.shape
+    for i, target in enumerate(targets):
+        alone = _layer_stack(model, a[i], x[i])
+        assert_same_arrays(
+            (da[i], dx[i]), _backward(model, alone, target, inputs=True)
         )
 
 

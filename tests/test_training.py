@@ -27,8 +27,8 @@ from gxplain.optim import Adam
 from gxplain.training import (
     _assemble,
     _calibrate_parameters,
-    _center_and_scale,
     _epoch_gradients,
+    _set_affine,
     _stack_graphs,
     evaluate_accuracy,
     init_parameters,
@@ -329,10 +329,12 @@ def reference_train(dataset, epochs, seed, hidden_dims=(20, 20, 20)):
     for i in range(len(hidden_dims)):
         w, b = params[2 * i], params[2 * i + 1]
         hs = [a @ h for a, h in zip(props, hs)]
-        _center_and_scale(w, b, np.vstack([m @ w for m in hs]))
+        pre = np.vstack([m @ w for m in hs])
+        _set_affine(w, b, pre.mean(axis=0), pre.std(axis=0))
         hs = [np.maximum(m @ w + b, 0.0) for m in hs]
     readouts = np.vstack([_readout(h) for h in hs])
-    _center_and_scale(params[-2], params[-1], readouts @ params[-2])
+    pre = readouts @ params[-2]
+    _set_affine(params[-2], params[-1], pre.mean(axis=0), pre.std(axis=0))
     optimizer = Adam(params, 0.001)
     for _ in range(epochs):
         model = _assemble(dataset.attr_dim, dataset.num_classes, hidden_dims, params)
