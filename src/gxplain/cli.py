@@ -8,6 +8,7 @@ running out of memory).
 import argparse
 import dataclasses
 import inspect
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -80,7 +81,10 @@ def _select_graphs(dataset, split: str, ids: str | None):
 def _explanation_path(directory, graph_id: str) -> Path:
     """``<directory>/<graph_id>.json``; ParseError for an id whose file
     would lie outside ``directory``, fail to open, be hidden or be taken
-    for another graph's oracle result."""
+    for another graph's oracle result, or whose longest file name, the
+    oracle result's ``<id>.oracle.json.<16 hex>.tmp`` while it is written,
+    passes the name limit of ``directory`` (255 bytes before it exists).
+    """
     if (
         graph_id in ("", ".", "..")
         or any(c in graph_id for c in "/\\\0")
@@ -89,6 +93,21 @@ def _explanation_path(directory, graph_id: str) -> Path:
         raise ParseError(
             f"graph id {graph_id!r} cannot name a file: an id must not be"
             " empty, '.' or '..', hold '/', '\\' or NUL, or end in '.oracle'"
+        )
+    try:
+        longest = len(os.fsencode(f"{graph_id}.oracle.json.{'0' * 16}.tmp"))
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise ParseError(
+            f"graph id {graph_id!r} cannot name a file: {exc}"
+        ) from exc
+    try:
+        limit = os.pathconf(directory, "PC_NAME_MAX")
+    except FileNotFoundError:
+        limit = 255
+    if 0 < limit < longest:
+        raise ParseError(
+            f"graph id {graph_id!r} cannot name a file: its longest file"
+            f" name takes {longest} bytes, {directory} allows {limit}"
         )
     return Path(directory) / f"{graph_id}.json"
 

@@ -83,18 +83,6 @@ class Dataset:
         return [self.graphs[i] for i in self.splits.get(split, [])]
 
 
-def _preferential_attachment_edges(size: int, rng) -> list[tuple[int, int]]:
-    # attachment parameter 1: each new node wires to one existing endpoint
-    # drawn with probability proportional to current degree
-    edges = [(0, 1)]
-    endpoints = [0, 1]
-    for new in range(2, size):
-        target = endpoints[int(rng.integers(len(endpoints)))]
-        edges.append((target, new))
-        endpoints.extend((target, new))
-    return edges
-
-
 def generate_motif_graphs(
     n_graphs: int,
     seed: int,
@@ -107,6 +95,16 @@ def generate_motif_graphs(
 
     Labels alternate house (0), cycle (1), so every contiguous slice of even
     length is class-balanced.
+
+    Each graph's base grows by preferential attachment with one edge per
+    new node: node ``k`` wires to an entry of the endpoint list of the
+    edges so far, which holds ``2 * (k - 1)`` entries whatever was drawn
+    before.  So every draw's bound is known up front, and the draws come,
+    graph by graph, in this order: one pick per node ``k = 2, ...,
+    base_size - 1`` below ``2 * (k - 1)``, then the motif's attachment
+    node below 5, then the base's below ``base_size``.  All graphs' draws
+    are made in one call; the picks then resolve to endpoints one
+    attachment step at a time across all graphs.
 
     Raises:
         InvalidCount: ``n_graphs`` is smaller than 2 or odd.
@@ -121,25 +119,34 @@ def generate_motif_graphs(
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
+    bounds = [*range(2, 2 * base_size - 2, 2), 5, base_size]
+    picks = rng.integers(np.tile(bounds, n_graphs)).reshape(n_graphs, -1)
+    # the base edges, flattened, are the endpoint list: edge k - 1 is
+    # (the endpoint node k picked, k)
+    ends = np.zeros((n_graphs, 2 * base_size - 2), dtype=np.int64)
+    ends[:, 1::2] = np.arange(1, base_size)
+    rows = np.arange(n_graphs)
+    for k in range(2, base_size):
+        ends[:, 2 * k - 2] = ends[rows, picks[:, k - 2]]
+    # row i: graph i's base edges, its motif's and the attachment edge; a
+    # cycle leaves the last row unused
+    edges = np.zeros((n_graphs, base_size + 6, 2), dtype=np.int64)
+    edges[:, : base_size - 1] = ends.reshape(n_graphs, -1, 2)
+    edges[0::2, base_size - 1 : -1] = np.add(HOUSE_EDGES, base_size)
+    edges[1::2, base_size - 1 : -2] = np.add(CYCLE_EDGES, base_size)
+    labels = rows % 2
+    edges[rows, base_size + 5 - labels, 0] = base_size + picks[:, -2]
+    edges[rows, base_size + 5 - labels, 1] = picks[:, -1]
+    used = np.ones(edges.shape[:2], dtype=bool)
+    used[1::2, -1] = False
     node_count = base_size + 5
-    ends: list[int] = []  # every graph's edges, flattened
-    edge_counts = []
-    for i in range(n_graphs):
-        motif = HOUSE_EDGES if i % 2 == 0 else CYCLE_EDGES
-        edges = _preferential_attachment_edges(base_size, rng)
-        edges.extend((base_size + u, base_size + v) for u, v in motif)
-        motif_node = base_size + int(rng.integers(5))
-        base_node = int(rng.integers(base_size))
-        edges.append((motif_node, base_node))
-        ends.extend(itertools.chain.from_iterable(edges))
-        edge_counts.append(len(edges))
     graphs = build_graphs(
         [node_count] * n_graphs,
-        np.array(ends, dtype=np.int64).reshape(-1, 2),
-        edge_counts,
+        edges[used],
+        base_size + 6 - labels,
         [np.full((node_count, attr_dim), attr_value)] * n_graphs,
         [False] * n_graphs,
-        [i % 2 for i in range(n_graphs)],
+        labels.tolist(),
         [f"{name}-{i:04d}" for i in range(n_graphs)],
     )
     train_end = int(n_graphs * 0.8)
@@ -194,6 +201,16 @@ def save_dataset(dataset: Dataset, path) -> None:
 _LOAD_BATCH = 100
 
 
+def _copied(graph_id: str) -> str:
+    """A copy of a document's id string, for the graph to keep: the
+    document's own string would keep the document's allocator arenas
+    resident for as long as the dataset lives (surrogatepass copies a
+    lone surrogate too)."""
+    return graph_id.encode(errors="surrogatepass").decode(
+        errors="surrogatepass"
+    )
+
+
 def _load_graph(entry, attr_dim: int, where: str) -> tuple:
     """The checked fields of one graph entry, in the order
     :func:`build_graphs` takes them: node count, the entry's own list of
@@ -217,25 +234,88 @@ def _load_graph(entry, attr_dim: int, where: str) -> tuple:
             f"{where}: x has shape {attrs.shape}, expected ({n}, {attr_dim})"
         )
     label = entry.get("y")
-    # the graph keeps a copy of its id: the document's own string would
-    # keep the document's allocator arenas resident for as long as the
-    # dataset lives (surrogatepass copies a lone surrogate too)
-    graph_id = read_field(entry, "id", as_str, where)
-    graph_id = graph_id.encode(errors="surrogatepass").decode(
-        errors="surrogatepass"
-    )
     return (
         n,
         edges,
         attrs,
         read_field(entry, "directed", as_bool, where),
         None if label is None else as_int(label, f"{where}: y"),
-        graph_id,
+        _copied(read_field(entry, "id", as_str, where)),
     )
+
+
+_GRAPH_FIELDS = frozenset(("n", "edges", "x", "directed", "id"))
+
+
+def _read_batch(entries, attr_dim: int) -> tuple | None:
+    """:func:`build_graphs`' arguments for a batch of graph entries when
+    whole-list tests find every entry well-formed, else None.
+
+    Each test is one pass over a whole list (the batch's node counts,
+    pairs, edge ends, attribute rows or values) or one numpy test, and
+    none accepts what :func:`_load_graph` refuses.  A batch they refuse,
+    one with an integral attribute value too, goes to that per-graph walk.
+    """
+    if set(map(type, entries)) != {dict} or not all(
+        e.keys() >= _GRAPH_FIELDS for e in entries
+    ):
+        return None
+    ns = [e["n"] for e in entries]
+    edge_lists = [e["edges"] for e in entries]
+    xs = [e["x"] for e in entries]
+    directed = [e["directed"] for e in entries]
+    labels = [e.get("y") for e in entries]
+    ids = [e["id"] for e in entries]
+    if (
+        set(map(type, ns)) != {int}
+        or set(map(type, directed)) != {bool}
+        or not set(map(type, labels)) <= {int, type(None)}
+        or set(map(type, ids)) != {str}
+        or set(map(type, edge_lists)) != {list}
+        or set(map(type, xs)) != {list}
+        # so every n is a row count: non-negative, and no larger than
+        # the document
+        or list(map(len, xs)) != ns
+    ):
+        return None
+    pairs = list(itertools.chain.from_iterable(edge_lists))
+    rows = list(itertools.chain.from_iterable(xs))
+    if (
+        not set(map(type, pairs)) <= {list}
+        or not set(map(len, pairs)) <= {2}
+        or not set(map(type, itertools.chain.from_iterable(pairs))) <= {int}
+        or not set(map(type, rows)) <= {list}
+        or not set(map(len, rows)) <= {attr_dim}
+        or not set(map(type, itertools.chain.from_iterable(rows))) <= {float}
+    ):
+        return None
+    try:
+        ends = np.fromiter(
+            itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs)
+        ).reshape(-1, 2)
+    except OverflowError:  # an end past int64
+        return None
+    counts = list(map(len, edge_lists))
+    owner_n = np.repeat(np.array(ns, dtype=np.int64), counts)[:, None]
+    attrs = np.fromiter(
+        itertools.chain.from_iterable(rows), np.float64, len(rows) * attr_dim
+    ).reshape(len(rows), attr_dim)
+    if not (
+        ((ends >= 0) & (ends < owner_n)).all() and np.isfinite(attrs).all()
+    ):
+        return None
+    xs = np.split(attrs, np.cumsum(ns[:-1]))
+    return ns, ends, counts, xs, directed, labels, list(map(_copied, ids))
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
+
+    The graphs are read :data:`_LOAD_BATCH` at a time.  Whole-list checks
+    come first (:func:`_read_batch`); only a batch they refuse is walked
+    graph by graph (:func:`_load_graph`), and that walk words the error,
+    so the first fault in the file is named as a graph-by-graph read
+    would name it.
 
     Raises:
         ParseError: unreadable or truncated JSON, missing fields, a value
@@ -253,23 +333,27 @@ def load_dataset(path) -> Dataset:
     entries = read_field(doc, "graphs", as_list, where)
     graphs = []
     for lo in range(0, len(entries), _LOAD_BATCH):
-        fields = [
-            _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
-            for i, entry in enumerate(entries[lo : lo + _LOAD_BATCH], lo)
-        ]
-        ns, edge_lists, xs, directed, labels, ids = zip(*fields)
-        ends = itertools.chain.from_iterable(
-            itertools.chain.from_iterable(edge_lists)
-        )
-        graphs += build_graphs(
-            ns,
-            np.fromiter(ends, np.int64).reshape(-1, 2),
-            list(map(len, edge_lists)),
-            xs,
-            directed,
-            labels,
-            ids,
-        )
+        batch = entries[lo : lo + _LOAD_BATCH]
+        fields = _read_batch(batch, attr_dim)
+        if fields is None:
+            walked = [
+                _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
+                for i, entry in enumerate(batch, lo)
+            ]
+            ns, edge_lists, xs, directed, labels, ids = zip(*walked)
+            ends = itertools.chain.from_iterable(
+                itertools.chain.from_iterable(edge_lists)
+            )
+            fields = (
+                ns,
+                np.fromiter(ends, np.int64).reshape(-1, 2),
+                list(map(len, edge_lists)),
+                xs,
+                directed,
+                labels,
+                ids,
+            )
+        graphs += build_graphs(*fields)
     splits = require(doc, "splits", where)
     if not isinstance(splits, dict):
         raise ParseError(f"{where}: splits must be an object")

@@ -880,7 +880,14 @@ def test_mutated_documents_exit_2_with_one_error_line(documents, data):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", ".", "..", "../escaped", "sub/dir", "back\\slash", "nul\0id", "x.oracle"],
+    [
+        "", ".", "..", "../escaped", "sub/dir", "back\\slash", "nul\0id",
+        "x.oracle",
+        # past the file system's name limit once the writer's suffixes
+        # are added, and a name the file system cannot encode
+        pytest.param("x" * 300, id="300-chars"),
+        pytest.param("\ud800", id="lone-surrogate"),
+    ],
 )
 @pytest.mark.parametrize("command", ["explain", "eval"])
 def test_graph_ids_that_cannot_be_file_names_exit_2(

@@ -2,11 +2,15 @@
 
 import dataclasses
 import gzip
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
-from references import datasets_equal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from references import datasets_equal, reference_motif_graphs
 
 from gxplain import datasets as datasets_module
 from gxplain.datasets import (
@@ -174,3 +178,190 @@ def test_gzip_dataset_file_has_no_time_stamp(tmp_path):
     # MTIME, header bytes 4-8, is zero, so equal datasets give equal files
     assert data[4:8] == bytes(4)
     assert gzip.decompress(data) == (tmp_path / "plain.json").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    base_size=st.integers(2, 30),
+    attr_dim=st.integers(0, 4),
+    attr_value=st.floats(allow_nan=False, width=64),
+)
+def test_generator_equals_the_graph_by_graph_draws(
+    half, seed, base_size, attr_dim, attr_value
+):
+    args = (2 * half, seed, base_size, attr_dim, attr_value, "m")
+    assert datasets_equal(
+        generate_motif_graphs(*args), reference_motif_graphs(*args)
+    )
+
+
+# SHA-256 of the benchmark's datasets saved as plain JSON, recorded with
+# the graph-by-graph generator: generate_ba2motifs(1000, 1) and the
+# audit's 13-node graphs
+@pytest.mark.parametrize(
+    ("n_graphs", "seed", "base_size", "name", "digest"),
+    [
+        (1000, 1, 20, "ba2motifs",
+         "bbd7baea73d847650c48848a6fb9846dfc58ae68edd444c872a8318d7c82116e"),
+        (400, 0, 8, "motifs13",
+         "cb9466e4fdc1ac879c25fb9a9099826a36bb1760b09b4fccb9c19c1d730c716b"),
+        (400, 1, 8, "motifs13",
+         "36bc9c3889fc67805fbdacfa5d289239c2f7b2a66829bf8c974f80a43a32a40c"),
+        (400, 2, 8, "motifs13",
+         "59229908f3f66fd7425917a5b212d0c96b056c71939575136f8a1227f3e49a87"),
+    ],
+)
+def test_benchmark_datasets_keep_their_bytes(
+    tmp_path, n_graphs, seed, base_size, name, digest
+):
+    path = tmp_path / "ds.json"
+    ds = generate_motif_graphs(n_graphs, seed, base_size=base_size, name=name)
+    save_dataset(ds, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def multi_batch(tmp_path_factory):
+    """A saved dataset of three batches and its decoded document."""
+    ds = generate_ba2motifs(2 * datasets_module._LOAD_BATCH + 50, seed=4)
+    path = tmp_path_factory.mktemp("batches") / "ds.json"
+    save_dataset(ds, path)
+    return ds, json.loads(path.read_text())
+
+
+_DROP = object()
+
+
+def _corrupt(entry, path, value):
+    """Set ``entry[path[0]][path[1]]...`` to ``value``, or delete it."""
+    *parents, last = path
+    for key in parents:
+        entry = entry[key]
+    if value is _DROP:
+        del entry[last]
+    else:
+        entry[last] = value
+
+
+# each corruption of one graph in the last batch, and the error a
+# graph-by-graph read gives for it
+@pytest.mark.parametrize(
+    ("path", "value", "message"),
+    [
+        pytest.param(
+            ("edges", 1), [True, 3], "edges[1]: expected an integer, got True",
+            id="bool-end",
+        ),
+        pytest.param(
+            ("edges", 1), [0, 3.0], "edges[1]: expected an integer, got 3.0",
+            id="float-end",
+        ),
+        pytest.param(
+            ("edges", 1), [2**70, 3],
+            "edges[1]: (1180591620717411303424, 3) outside [0, 25)",
+            id="end-past-int64",
+        ),
+        pytest.param(
+            ("edges", 1), [0, -1], "edges[1]: (0, -1) outside [0, 25)",
+            id="negative-end",
+        ),
+        pytest.param(
+            ("edges", 1), [0, 25], "edges[1]: (0, 25) outside [0, 25)",
+            id="end-past-n",
+        ),
+        pytest.param(
+            ("edges", 1), [0], "edges[1]: expected a [src, dst] pair",
+            id="one-end",
+        ),
+        pytest.param(
+            ("edges", 1), [0, 1, 2], "edges[1]: expected a [src, dst] pair",
+            id="three-ends",
+        ),
+        pytest.param(
+            ("edges", 1), {"src": 0, "dst": 1},
+            "edges[1]: expected a [src, dst] pair",
+            id="object-pair",
+        ),
+        pytest.param(
+            ("edges",), {"0": [0, 1]},
+            "edges: expected a list, got {'0': [0, 1]}",
+            id="edges-object",
+        ),
+        pytest.param(
+            ("x", 3, 2), True, "x: expected numbers, got a boolean",
+            id="bool-attribute",
+        ),
+        pytest.param(
+            ("x", 3, 2), math.nan, "x: expected finite numbers",
+            id="nan-attribute",
+        ),
+        pytest.param(
+            ("n",), True, "n: expected an integer, got True", id="bool-n"
+        ),
+        pytest.param(("n",), -1, "n is negative (-1)", id="negative-n"),
+        pytest.param(
+            ("n",), 24, "edges[21]: (20, 24) outside [0, 24)", id="n-short"
+        ),
+        pytest.param(
+            ("x", 24), _DROP, "x has shape (24, 10), expected (25, 10)",
+            id="row-missing",
+        ),
+        pytest.param(
+            ("id",), 3, "id: expected a string, got 3", id="int-id"
+        ),
+        pytest.param(
+            ("directed",), 0, "directed: expected true or false, got 0",
+            id="int-directed",
+        ),
+        pytest.param(
+            ("y",), True, "y: expected an integer, got True", id="bool-label"
+        ),
+        pytest.param(("x",), _DROP, "missing field 'x'", id="no-x"),
+    ],
+)
+def test_load_words_a_fault_as_the_graph_by_graph_read(
+    multi_batch, tmp_path, path, value, message
+):
+    _, doc = multi_batch
+    doc = json.loads(json.dumps(doc))
+    bad = 2 * datasets_module._LOAD_BATCH + 17
+    _corrupt(doc["graphs"][bad], path, value)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as info:
+        load_dataset(file)
+    assert str(info.value) == f"{file}: graphs[{bad}]: {message}"
+
+
+def test_load_reads_an_integral_attribute_as_a_float(multi_batch, tmp_path):
+    ds, doc = multi_batch
+    doc = json.loads(json.dumps(doc))
+    bad = 2 * datasets_module._LOAD_BATCH + 17
+    _corrupt(doc["graphs"][bad], ("x", 3, 2), 1)
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(doc))
+    g = ds.graphs[bad]
+    x = g.attributes.copy()
+    x[3, 2] = 1.0
+    graphs = list(ds.graphs)
+    graphs[bad] = dataclasses.replace(g, attributes=x)
+    assert datasets_equal(load_dataset(path), dataclasses.replace(ds, graphs=graphs))
+
+
+def test_a_saved_dataset_loads_without_the_graph_by_graph_walk(
+    tmp_path, monkeypatch
+):
+    ds = generate_ba2motifs(250, seed=2)
+    save_dataset(ds, tmp_path / "ds.json")
+    walked = []
+    load_graph = datasets_module._load_graph
+
+    def counted(*args):
+        walked.append(args[2])
+        return load_graph(*args)
+
+    monkeypatch.setattr(datasets_module, "_load_graph", counted)
+    assert datasets_equal(load_dataset(tmp_path / "ds.json"), ds)
+    assert walked == []
