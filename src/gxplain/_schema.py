@@ -20,8 +20,9 @@ def read_document(fh, where: str, version: int) -> dict:
     """The top-level JSON object read from the binary file ``fh``.
 
     Raises:
-        ParseError: the bytes are not UTF-8, not JSON, or corrupt gzip
-            data, or the top level is not an object.
+        ParseError: the bytes are not UTF-8, not JSON, nested too
+            deeply to decode, or corrupt gzip data, or the top level is
+            not an object.
         VersionMismatch: ``format_version`` is not ``version``.
     """
     try:
@@ -30,6 +31,8 @@ def read_document(fh, where: str, version: int) -> dict:
         raise ParseError(f"{where}: not UTF-8 text ({exc})") from exc
     except ValueError as exc:  # bad JSON, or an integer of too many digits
         raise ParseError(f"{where}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{where}: JSON nested too deeply ({exc})") from exc
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise ParseError(f"{where}: truncated or corrupt ({exc})") from exc
     if not isinstance(doc, dict):

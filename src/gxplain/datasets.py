@@ -211,15 +211,13 @@ def _copied(graph_id: str) -> str:
     )
 
 
-def _load_graph(entry, attr_dim: int, where: str) -> tuple:
-    """The checked fields of one graph entry, in the order
-    :func:`build_graphs` takes them: node count, the entry's own list of
-    ``[src, dst]`` pairs, attributes, directed, label and id."""
+def _load_graph(entry, attr_dim: int, where: str) -> None:
+    """Raise :class:`ParseError` for the first fault of one graph entry,
+    worded as a graph-by-graph read words it; return if there is none."""
     n = read_field(entry, "n", as_int, where)
     if n < 0:
         raise ParseError(f"{where}: n is negative ({n})")
-    edges = read_field(entry, "edges", as_list, where)
-    for j, pair in enumerate(edges):
+    for j, pair in enumerate(read_field(entry, "edges", as_list, where)):
         at = f"{where}: edges[{j}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"{at}: expected a [src, dst] pair")
@@ -227,34 +225,32 @@ def _load_graph(entry, attr_dim: int, where: str) -> tuple:
         if not (0 <= src < n and 0 <= dst < n):
             raise ParseError(f"{at}: ({src}, {dst}) outside [0, {n})")
     attrs = read_field(entry, "x", as_float_array, where)
-    if n == 0 and attrs.size == 0:
+    if n == 0 and attrs.shape == (0,):
         attrs = attrs.reshape(0, attr_dim)
     if attrs.shape != (n, attr_dim):
         raise ParseError(
             f"{where}: x has shape {attrs.shape}, expected ({n}, {attr_dim})"
         )
-    label = entry.get("y")
-    return (
-        n,
-        edges,
-        attrs,
-        read_field(entry, "directed", as_bool, where),
-        None if label is None else as_int(label, f"{where}: y"),
-        _copied(read_field(entry, "id", as_str, where)),
-    )
+    read_field(entry, "directed", as_bool, where)
+    if entry.get("y") is not None:
+        as_int(entry["y"], f"{where}: y")
+    read_field(entry, "id", as_str, where)
 
 
 _GRAPH_FIELDS = frozenset(("n", "edges", "x", "directed", "id"))
+# the JSON integers an attribute may be: those numpy reads as int64 or
+# uint64, the attribute being their float64 value
+_ATTR_INTS = range(-(2**63), 2**64)
 
 
 def _read_batch(entries, attr_dim: int) -> tuple | None:
-    """:func:`build_graphs`' arguments for a batch of graph entries when
-    whole-list tests find every entry well-formed, else None.
+    """:func:`build_graphs`' arguments for a batch of graph entries, or
+    None when an entry has a fault.
 
     Each test is one pass over a whole list (the batch's node counts,
-    pairs, edge ends, attribute rows or values) or one numpy test, and
-    none accepts what :func:`_load_graph` refuses.  A batch they refuse,
-    one with an integral attribute value too, goes to that per-graph walk.
+    pairs, edge ends, attribute rows or values) or one numpy test.  They
+    accept a batch exactly when :func:`_load_graph` finds no fault in any
+    of its entries, so only a refused batch is walked, to name its fault.
     """
     if set(map(type, entries)) != {dict} or not all(
         e.keys() >= _GRAPH_FIELDS for e in entries
@@ -286,7 +282,16 @@ def _read_batch(entries, attr_dim: int) -> tuple | None:
         or not set(map(type, itertools.chain.from_iterable(pairs))) <= {int}
         or not set(map(type, rows)) <= {list}
         or not set(map(len, rows)) <= {attr_dim}
-        or not set(map(type, itertools.chain.from_iterable(rows))) <= {float}
+    ):
+        return None
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    if not kinds <= {float, int} or (
+        int in kinds
+        and not all(
+            v in _ATTR_INTS
+            for v in itertools.chain.from_iterable(rows)
+            if type(v) is int
+        )
     ):
         return None
     try:
@@ -311,11 +316,10 @@ def _read_batch(entries, attr_dim: int) -> tuple | None:
 def load_dataset(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
-    The graphs are read :data:`_LOAD_BATCH` at a time.  Whole-list checks
-    come first (:func:`_read_batch`); only a batch they refuse is walked
-    graph by graph (:func:`_load_graph`), and that walk words the error,
-    so the first fault in the file is named as a graph-by-graph read
-    would name it.
+    The graphs are read and built :data:`_LOAD_BATCH` at a time by
+    :func:`_read_batch`.  A batch it refuses is walked graph by graph
+    (:func:`_load_graph`) only to word the error, so the first fault in
+    the file is named as a graph-by-graph read would name it.
 
     Raises:
         ParseError: unreadable or truncated JSON, missing fields, a value
@@ -336,22 +340,11 @@ def load_dataset(path) -> Dataset:
         batch = entries[lo : lo + _LOAD_BATCH]
         fields = _read_batch(batch, attr_dim)
         if fields is None:
-            walked = [
+            for i, entry in enumerate(batch, lo):
                 _load_graph(entry, attr_dim, f"{where}: graphs[{i}]")
-                for i, entry in enumerate(batch, lo)
-            ]
-            ns, edge_lists, xs, directed, labels, ids = zip(*walked)
-            ends = itertools.chain.from_iterable(
-                itertools.chain.from_iterable(edge_lists)
-            )
-            fields = (
-                ns,
-                np.fromiter(ends, np.int64).reshape(-1, 2),
-                list(map(len, edge_lists)),
-                xs,
-                directed,
-                labels,
-                ids,
+            raise ParseError(
+                f"{where}: graphs[{lo}:{lo + len(batch)}]: refused by the"
+                " batch read, no fault found graph by graph"
             )
         graphs += build_graphs(*fields)
     splits = require(doc, "splits", where)

@@ -107,6 +107,9 @@ class HardConcreteConfig:
             )
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
+        # the gate noise keys Philox with the seed's 64 bits
+        if self.seed >= 2**64:
+            raise DomainError(f"seed must be below 2**64, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -667,16 +670,17 @@ def explanation_to_dict(
         "graph_id": explanation.graph_id,
         "predicted_class": explanation.original_prediction,
         "probability": explanation.original_probability,
-        "node_scores": [float(v) for v in explanation.node_score],
-        "node_attr_scores": [float(v) for v in explanation.node_attr_score],
+        "node_scores": explanation.node_score.tolist(),
+        "node_attr_scores": explanation.node_attr_score.tolist(),
         "node_ranking": list(explanation.node_ranking),
+        # a hand-built explanation may hold numpy ints as arc ends
         "edge_scores": [
-            {"src": int(s), "dst": int(d), "score": float(v)}
-            for (s, d), v in zip(explanation.arcs, explanation.edge_score)
+            {"src": int(s), "dst": int(d), "score": v}
+            for (s, d), v in zip(
+                explanation.arcs, explanation.edge_score.tolist()
+            )
         ],
-        "attr_scores": [
-            [float(v) for v in row] for row in explanation.attr_score
-        ],
+        "attr_scores": explanation.attr_score.tolist(),
         "config": dataclasses.asdict(config),
         "seed": config.hard_concrete.seed,
     }

@@ -78,63 +78,41 @@ def _arc_sort(owner, src, dst) -> tuple[np.ndarray, np.ndarray]:
     return order, repeat
 
 
-def _check_arcs(src, dst, offsets, node_counts, directed) -> None:
-    """The arc rules, checked for a batch of graphs at once.
+def _check_arcs(src, dst, node_count, directed) -> None:
+    """The arc rules, checked for the stored arcs ``src``/``dst`` of one
+    graph of ``node_count`` nodes.
 
-    Graph ``i`` has ``node_counts[i]`` nodes and owns the arcs
-    ``offsets[i]:offsets[i + 1]`` of ``src``/``dst``.  Every arc joins two
-    distinct nodes of its graph, no arc repeats within a graph, and an
-    undirected graph stores an even number of arcs, arc ``2k + 1`` being
-    the reverse of arc ``2k``.  The error names the first graph that
-    breaks a rule, and in it the first broken rule in that order.
+    Every arc joins two distinct nodes of the graph, no arc repeats, and
+    an undirected graph stores an even number of arcs, arc ``2k + 1``
+    being the reverse of arc ``2k``.  The error names the first broken
+    rule in that order, and in it the first arc that breaks it.
 
     Raises:
         IndexOutOfRange: an endpoint outside ``[0, node_count)``.
         InvalidGraph: a self-loop, a repeated arc, or undirected arcs
             that do not pair up.
     """
-    if not len(src):  # every rule is about an arc
-        return
-    node_counts = np.asarray(node_counts, dtype=np.int64)
-    undirected = ~np.asarray(directed, dtype=bool)
-    starts = np.asarray(offsets[:-1], dtype=np.int64)
-    counts = np.diff(offsets)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    n = node_counts[owner]
+    n = node_count
     stray = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
-    del n
-    # a stable sort puts every later copy of an arc after the first
-    order, later = _arc_sort(owner, src, dst)
-    repeat = np.zeros(len(src), dtype=bool)
-    repeat[order] = later
-    del order, later
-    odd = undirected & (counts % 2 == 1)
-    local = np.arange(len(src)) - starts[owner]
-    lead = np.flatnonzero((undirected & ~odd)[owner] & (local % 2 == 0))
-    unpaired = np.zeros(len(src), dtype=bool)
-    unpaired[lead] = (src[lead + 1] != dst[lead]) | (
-        dst[lead + 1] != src[lead]
-    )
-    faulty = odd.copy()
-    faulty[owner[stray | repeat | unpaired]] = True
-    if not faulty.any():
-        return
-    i = int(faulty.argmax())
-    n = int(node_counts[i])
-    arcs = range(starts[i], starts[i] + counts[i])
-    j = next((j for j in arcs if stray[j]), None)
-    if j is not None:
+    if stray.any():
+        j = int(stray.argmax())
         s, d = int(src[j]), int(dst[j])
         if not (0 <= s < n and 0 <= d < n):
             raise IndexOutOfRange(f"arc ({s}, {d}) outside [0, {n})")
         raise InvalidGraph(f"self-loop stored on node {s}")
-    j = next((j for j in arcs if repeat[j]), None)
-    if j is not None:
+    # a stable sort puts every later copy of an arc after the first
+    order, later = _arc_sort(np.zeros(len(src), dtype=np.int64), src, dst)
+    if later.any():
+        j = order[later].min()
         raise InvalidGraph(f"arc {(int(src[j]), int(dst[j]))} stored twice")
-    if odd[i]:
+    if directed:
+        return
+    if len(src) % 2:
         raise InvalidGraph("undirected graph with an odd arc count")
-    k = int(local[next(j for j in arcs if unpaired[j])])
-    raise InvalidGraph(f"arcs {k} and {k + 1} are not a direction pair")
+    unpaired = (src[1::2] != dst[::2]) | (dst[1::2] != src[::2])
+    if unpaired.any():
+        k = 2 * int(unpaired.argmax())
+        raise InvalidGraph(f"arcs {k} and {k + 1} are not a direction pair")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +125,9 @@ class AttributedGraph:
     ``(node_count, attr_dim)`` float matrix.
 
     ``_checked``, private to this module, says that ``arcs`` is already
-    an int64 array that has passed :func:`_check_arcs` and ``attributes``
-    a float matrix of ``node_count`` rows, both owned by this graph;
-    nothing is then checked or copied again.
+    an int64 array that keeps the rules of :func:`_check_arcs` and
+    ``attributes`` a float matrix of ``node_count`` rows, both owned by
+    this graph; nothing is then checked or copied again.
     """
 
     node_count: int
@@ -165,7 +143,7 @@ class AttributedGraph:
         if not _checked:
             attrs = _attribute_matrix(self.node_count, self.attributes)
             arcs = _arc_array(self.arcs)
-            _check_arcs(*arcs.T, [0, len(arcs)], [self.node_count], [self.directed])
+            _check_arcs(*arcs.T, self.node_count, self.directed)
             object.__setattr__(self, "attributes", attrs)
             object.__setattr__(self, "arcs", arcs)
         self.arcs.flags.writeable = False
@@ -224,12 +202,13 @@ def build_graphs(
     ``graph_ids[i]``.  Self-loops are dropped (the propagation rule
     injects its own), duplicate edges collapse, and arcs come out in
     sorted order.  For an undirected graph each edge is emitted as the
-    pair ``(u, v), (v, u)`` with ``u < v``.  The arcs are checked once,
-    by :func:`_check_arcs`, for the whole batch.  Each graph owns copies
-    of its arcs and attributes, so a graph that outlives the batch does
-    not keep the batch's arrays alive.  A faulty batch fails as building
-    its graphs one by one would: on the first faulty graph, with that
-    graph's error.
+    pair ``(u, v), (v, u)`` with ``u < v``.  Such arcs can break no arc
+    rule but endpoint range, so that alone is tested, once for the whole
+    batch, and :func:`_check_arcs` words the first faulty graph's error.
+    Each graph owns copies of its arcs and attributes, so a graph that
+    outlives the batch does not keep the batch's arrays alive.  A faulty
+    batch fails as building its graphs one by one would: on the first
+    faulty graph, with that graph's error.
 
     Raises:
         IndexOutOfRange: a negative node count, or an endpoint of a kept
@@ -247,15 +226,18 @@ def build_graphs(
     flags = np.asarray(directed, dtype=bool)
     owner = np.repeat(np.arange(len(counts)), edge_counts)
     s, d = edges[:, 0], edges[:, 1]
-    n = counts[owner]
-    # a loop on a node outside the graph is kept for the check to refuse
-    keep = (s != d) | (s < 0) | (s >= n)
+    # a loop on a node outside the graph is kept for the range test
+    keep = (s != d) | (s < 0) | (s >= counts[owner])
     owner, s, d = owner[keep], s[keep], d[keep]
     swap = ~flags[owner] & (d < s)
     u, v = np.where(swap, d, s), np.where(swap, s, d)
     order, repeat = _arc_sort(owner, u, v)
     order = order[~repeat]
     owner, u, v = owner[order], u[order], v[order]
+    # loops are gone and repeats collapsed, and the mates below pair up:
+    # only an end outside its graph can break an arc rule
+    n = counts[owner]
+    stray = owner[(u < 0) | (u >= n) | (v < 0) | (v >= n)]
     # each undirected edge becomes two adjacent arcs, its mate second
     width = np.where(flags[owner], 1, 2)
     arcs = np.repeat(np.stack([u, v], axis=1), width, axis=0)
@@ -267,10 +249,12 @@ def build_graphs(
     # the canonical arcs are all that is kept
     del n, keep, swap, u, v, order, repeat, owner, width, mate, per_graph
 
-    # the graphs before one with faulty attributes must pass the arc rules
-    k = len(attrs)
-    head = offsets[k]
-    _check_arcs(*arcs[:head].T, offsets[: k + 1], counts[:k], flags[:k])
+    # the graphs before one with faulty attributes must pass the arc
+    # rules; the first that does not words its error
+    if len(stray) and stray[0] < len(attrs):
+        i = stray[0]
+        lo, hi = offsets[i], offsets[i + 1]
+        _check_arcs(*arcs[lo:hi].T, int(counts[i]), flags[i])
     if fault is not None:
         raise fault
     bounds = offsets.tolist()

@@ -429,6 +429,7 @@ def test_train_and_export_dot_flags_default_to_the_library():
         ("--jobs", "0"),
         ("--jobs", "-3"),
         ("--seed", "-1"),
+        ("--seed", str(2**64)),
     ],
 )
 def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg):
@@ -563,6 +564,29 @@ def test_integer_past_the_json_digit_limit_is_usage_error(tmp_path, capsys):
     code = main(["eval", "--model", str(path), "--dataset", str(path),
                  "--explanations", str(tmp_path), "--top-k", "3"])
     _assert_one_line_usage_error(code, capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-dot"])
+def test_deeply_nested_json_is_usage_error(
+    pipeline, capsys, tmp_path, command
+):
+    # json.loads recurses once per level and runs out of stack: as the
+    # dataset, the model or an explanation
+    _, ds, _, out = pipeline
+    deep = tmp_path / "deep"
+    deep.mkdir()
+    nested = deep / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    argv = {
+        "train": ["train", "--dataset", str(nested),
+                  "--out", str(tmp_path / "m.json")],
+        "eval": ["eval", "--model", str(nested), "--dataset", str(ds),
+                 "--explanations", str(out), "--top-k", "3"],
+        "export-dot": ["export-dot", "--explanations", str(deep),
+                       "--out-dir", str(tmp_path / "dots")],
+    }[command]
+    err = _assert_one_line_usage_error(main(argv), capsys)
+    assert f"{nested}: JSON nested too deeply" in err
 
 
 EDGE_ENTRY_FAULTS = {

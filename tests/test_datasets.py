@@ -1,5 +1,6 @@
 """Synthetic motif benchmark generation and dataset serialization."""
 
+import collections
 import dataclasses
 import gzip
 import hashlib
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from references import datasets_equal, reference_motif_graphs
 
 from gxplain import datasets as datasets_module
+from gxplain import graphs as graphs_module
+from gxplain._schema import as_float_array
 from gxplain.datasets import (
     Dataset,
     generate_ba2motifs,
@@ -20,8 +23,8 @@ from gxplain.datasets import (
     load_dataset,
     save_dataset,
 )
-from gxplain.errors import ParseError, ValidationError
-from gxplain.graphs import build_graph
+from gxplain.errors import IndexOutOfRange, ParseError, ValidationError
+from gxplain.graphs import AttributedGraph, build_graph
 
 HOUSE_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)}
 CYCLE_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
@@ -348,6 +351,186 @@ def test_load_reads_an_integral_attribute_as_a_float(multi_batch, tmp_path):
     graphs = list(ds.graphs)
     graphs[bad] = dataclasses.replace(g, attributes=x)
     assert datasets_equal(load_dataset(path), dataclasses.replace(ds, graphs=graphs))
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63), 2**64 - 1])
+def test_load_reads_an_int64_or_uint64_attribute_as_a_float(
+    multi_batch, tmp_path, value
+):
+    ds, doc = multi_batch
+    doc = json.loads(json.dumps(doc))
+    bad = 2 * datasets_module._LOAD_BATCH + 17
+    _corrupt(doc["graphs"][bad], ("x", 3, 2), value)
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(doc))
+    assert load_dataset(path).graphs[bad].attributes[3, 2] == float(value)
+
+
+@pytest.mark.parametrize("value", [2**64, -(2**63) - 1])
+def test_load_refuses_an_attribute_integer_past_uint64_or_int64(
+    multi_batch, tmp_path, value
+):
+    _, doc = multi_batch
+    doc = json.loads(json.dumps(doc))
+    bad = 2 * datasets_module._LOAD_BATCH + 17
+    _corrupt(doc["graphs"][bad], ("x", 3, 2), value)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as info:
+        load_dataset(path)
+    message = "x: expected a list of numbers"
+    assert str(info.value) == f"{path}: graphs[{bad}]: {message}"
+
+
+# edge ends past int64, and attribute integers inside and past
+# [-2**63, 2**64), where numpy reads them as int64 or uint64
+EDGE_INTS = [2**63, -(2**63) - 1, 2**64]
+ATTR_INTS = [0, -3, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1,
+             -(2**63)]
+BIG_INTS = [2**64, 2**64 + 1, -(2**63) - 1, 10**30]
+# decoded JSON values of every type
+JSON_VALUES = [None, True, False, 0, -1, 2.5, math.nan, math.inf, "1", [],
+               [1.0], {}]
+
+
+@st.composite
+def graph_entry(draw, attr_dim):
+    """A well-formed decoded graph entry of up to four nodes."""
+    n = draw(st.sampled_from(range(5)))
+    end = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.lists(end, min_size=2, max_size=2), max_size=5))
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    x = draw(st.lists(
+        st.lists(value, min_size=attr_dim, max_size=attr_dim),
+        min_size=n, max_size=n,
+    ))
+    entry = {"n": n, "edges": edges if n else [], "x": x,
+             "directed": draw(st.booleans()), "id": draw(st.text(max_size=3))}
+    if draw(st.booleans()):
+        entry["y"] = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return entry
+
+
+FAULTS = [
+    "attr", "attr-bool", "attr-int", "attr-big", "retype", "drop", "n",
+    "end", "pair", "row", "cell", "deep", "empty-rows", "not-object",
+]
+
+
+def _break(draw, entries, attr_dim):
+    """Give one of ``entries`` one fault: a value of the wrong type, a
+    bool, NaN, a wrong shape, a missing key, an end outside the graph or
+    an attribute integer past [-2**63, 2**64).  An ``attr-int`` draw, an
+    attribute integer inside that range, leaves the entry well-formed."""
+    k = draw(st.integers(0, len(entries) - 1))
+    entry = entries[k]
+    if not isinstance(entry, dict):
+        return
+    fault = draw(st.sampled_from(FAULTS))
+    rows = entry.get("x") if isinstance(entry.get("x"), list) else []
+    cells = [(i, j) for i, row in enumerate(rows)
+             if isinstance(row, list) for j in range(len(row))]
+    n = entry.get("n") if type(entry.get("n")) is int else 0
+    if fault.startswith("attr") and cells:
+        i, j = draw(st.sampled_from(cells))
+        pool = {"attr": JSON_VALUES, "attr-bool": [True, False],
+                "attr-int": ATTR_INTS, "attr-big": BIG_INTS}[fault]
+        rows[i][j] = draw(st.sampled_from(pool))
+    elif fault == "retype":
+        entry[draw(st.sampled_from(sorted(entry)))] = draw(
+            st.sampled_from(JSON_VALUES)
+        )
+    elif fault == "drop":
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    elif fault == "n" and "n" in entry:
+        entry["n"] = draw(st.sampled_from([-1, n + 1, max(n - 1, 0), True]))
+    elif fault == "end" and isinstance(entry.get("edges"), list):
+        pair = [draw(st.sampled_from([-1, n, *EDGE_INTS])), 0]
+        entry["edges"].append(pair[:: draw(st.sampled_from([1, -1]))])
+    elif fault == "pair" and isinstance(entry.get("edges"), list):
+        entry["edges"].append(draw(st.sampled_from([[0], [0, 0, 0], {}, 0])))
+    elif fault == "row" and "x" in entry:
+        entry["x"] = rows[:-1] if rows and draw(st.booleans()) else (
+            rows + [[0.5] * attr_dim]
+        )
+    elif fault == "cell" and cells:
+        i, _ = draw(st.sampled_from(cells))
+        rows[i] = rows[i][:-1] or [0.5, 0.5]
+    elif fault == "deep" and cells:
+        i, j = draw(st.sampled_from(cells))
+        rows[i][j] = [rows[i][j]]
+    elif fault == "empty-rows":
+        entry.update(n=0, edges=[], x=[[]] * draw(st.integers(1, 2)))
+    elif fault == "not-object":
+        entries[k] = draw(st.sampled_from(JSON_VALUES))
+
+
+def _walk_accepts(entries, attr_dim) -> bool:
+    try:
+        for entry in entries:
+            datasets_module._load_graph(entry, attr_dim, "graphs[?]")
+    except ParseError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), attr_dim=st.sampled_from(range(4)))
+def test_the_batch_read_accepts_exactly_what_the_walk_accepts(data, attr_dim):
+    entries = data.draw(
+        st.lists(graph_entry(attr_dim), min_size=1, max_size=3)
+    )
+    for _ in range(data.draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        _break(data.draw, entries, attr_dim)
+    fields = datasets_module._read_batch(entries, attr_dim)
+    assert (fields is not None) == _walk_accepts(entries, attr_dim)
+    if fields is None:
+        return
+    ns, ends, counts, xs, directed, labels, ids = fields
+    assert ns == [e["n"] for e in entries]
+    assert counts == [len(e["edges"]) for e in entries]
+    pairs = [pair for e in entries for pair in e["edges"]]
+    assert ends.dtype == np.int64 and ends.shape == (len(pairs), 2)
+    assert ends.tolist() == pairs
+    for x, e in zip(xs, entries, strict=True):
+        want = as_float_array(e["x"], "x").reshape(e["n"], attr_dim)
+        assert x.dtype == np.float64 and x.shape == want.shape
+        assert x.tobytes() == want.tobytes()
+    assert directed == [e["directed"] for e in entries]
+    assert labels == [e.get("y") for e in entries]
+    assert ids == [e["id"] for e in entries]
+
+
+def test_generating_and_loading_sort_the_arcs_once_and_check_none(
+    tmp_path, monkeypatch
+):
+    # build_graphs canonicalizes with one sort, and its arcs need no check
+    calls = collections.Counter()
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(datasets_module, "build_graphs")
+    counted(graphs_module, "_arc_sort")
+    counted(graphs_module, "_check_arcs")
+    ds = generate_motif_graphs(1000, 0)
+    assert calls == {"build_graphs": 1, "_arc_sort": 1}
+    save_dataset(ds, tmp_path / "ds.json")
+    calls.clear()
+    load_dataset(tmp_path / "ds.json")
+    batches = 1000 // datasets_module._LOAD_BATCH
+    assert calls == {"build_graphs": batches, "_arc_sort": batches}
+    # a stored arc outside the graph is refused before the sort
+    calls.clear()
+    with pytest.raises(IndexOutOfRange):
+        AttributedGraph(2, [(0, 1), (0, 5)], np.zeros((2, 1)), True)
+    assert calls == {"_check_arcs": 1}
 
 
 def test_a_saved_dataset_loads_without_the_graph_by_graph_walk(

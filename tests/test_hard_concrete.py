@@ -84,6 +84,16 @@ def test_importance_is_sigmoid_of_scaled_logit():
     assert imp == pytest.approx(1.0 / (1.0 + np.exp(-m / 0.5)), abs=1e-15)
 
 
+def test_config_refuses_a_seed_past_the_noise_key():
+    # the gate noise keys Philox with the seed's 64 bits, so 2**64 would
+    # draw the noise of seed 0
+    assert HardConcreteConfig(seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(DomainError, match=r"^seed must be below 2\*\*64, got"):
+        HardConcreteConfig(seed=2**64)
+    with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+        HardConcreteConfig(seed=-1)
+
+
 def test_config_validates_stretch_interval():
     with pytest.raises(DomainError):
         HardConcreteConfig(stretch_low=0.1)
