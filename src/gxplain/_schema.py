@@ -16,6 +16,13 @@ import numpy as np
 from .errors import ParseError, VersionMismatch
 
 
+def _shown(value, limit: int = 60) -> str:
+    """``repr(value)`` cut to ``limit`` characters, so that an error
+    naming a refused value stays one short line whatever its size."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def read_document(fh, where: str, version: int) -> dict:
     """The top-level JSON object read from the binary file ``fh``.
 
@@ -42,7 +49,7 @@ def read_document(fh, where: str, version: int) -> dict:
     )
     if found != version:
         raise VersionMismatch(
-            f"{where}: format_version {found!r}, expected {version}"
+            f"{where}: format_version {_shown(found)}, expected {version}"
         )
     return doc
 
@@ -64,41 +71,45 @@ def read_field(doc, key: str, read, where: str):
 def as_int(value, where: str) -> int:
     """A JSON integer (booleans and integral floats are not integers)."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
+        raise ParseError(f"{where}: expected an integer, got {_shown(value)}")
     return value
 
 
 def as_float(value, where: str) -> float:
     """A finite JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {value!r}")
+        raise ParseError(f"{where}: expected a number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ParseError(f"{where}: expected a finite number, got {value!r}")
+        raise ParseError(
+            f"{where}: expected a finite number, got {_shown(value)}"
+        )
     return number
 
 
 def as_str(value, where: str) -> str:
     """A JSON string."""
     if not isinstance(value, str):
-        raise ParseError(f"{where}: expected a string, got {value!r}")
+        raise ParseError(f"{where}: expected a string, got {_shown(value)}")
     return value
 
 
 def as_bool(value, where: str) -> bool:
     """A JSON boolean."""
     if not isinstance(value, bool):
-        raise ParseError(f"{where}: expected true or false, got {value!r}")
+        raise ParseError(
+            f"{where}: expected true or false, got {_shown(value)}"
+        )
     return value
 
 
 def as_list(value, where: str) -> list:
     """A JSON array."""
     if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list, got {value!r}")
+        raise ParseError(f"{where}: expected a list, got {_shown(value)}")
     return value
 
 

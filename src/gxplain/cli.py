@@ -37,7 +37,7 @@ from .explain import (
     load_explanation,
     save_explanation,
 )
-from .metrics import evaluate, save_report, sweep, write_eval_csv
+from .metrics import _evaluation, save_report, write_eval_csv
 from .model import load_model, save_model
 from .oracle import MAX_ORACLE_NODES, oracle_report, save_oracle_result
 from .training import evaluate_accuracy, train_model
@@ -265,13 +265,9 @@ def cmd_eval(args) -> int:
         except ShapeMismatch as exc:
             raise ParseError(f"{path}: {exc}") from exc
         explanations[g.graph_id] = expl
-    report = evaluate(
-        model,
-        graphs,
-        explanations,
-        k=args.top_k,
-        rate=args.top_r,
-        attr_top=args.attr_top,
+    report, rows = _evaluation(
+        model, graphs, explanations, args.top_k, args.top_r, args.attr_top,
+        swept=args.sweep,
     )
     line = (
         f"ep_explained={_fmt(report.ep_explained)}"
@@ -285,9 +281,6 @@ def cmd_eval(args) -> int:
     if args.report:
         save_report(report, args.report)
     if args.csv:
-        rows = report.per_graph
-        if args.sweep:
-            rows = sweep(model, graphs, explanations)
         write_eval_csv(args.csv, rows)
     return EXIT_OK
 
@@ -420,7 +413,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--sweep",
         action="store_true",
-        help="CSV rows for every node budget from 1 to the largest graph",
+        help=(
+            "CSV rows for every node budget from 1 to the largest graph,"
+            " from the one pass that serves the budget and min_k"
+        ),
     )
     ev.set_defaults(func=cmd_eval)
 

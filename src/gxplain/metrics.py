@@ -3,7 +3,7 @@ model's original prediction?
 
 All comparisons target the model's own unmasked prediction, never the
 ground-truth label.  Node budgets resolve round-half-up with a floor of
-one node; a fixed budget larger than a graph skips that graph entirely.
+one node; a budget larger than a graph skips that graph entirely.
 """
 
 import csv
@@ -64,7 +64,8 @@ def resolve_budget(
 
     Exactly one of ``k`` (absolute, >= 1) and ``rate`` (fraction in (0, 1])
     must be given.  Fractional budgets round half up and keep at least one
-    node; an absolute budget larger than the graph yields ``None``.
+    node; a budget larger than the graph yields ``None``, so a graph
+    without nodes is skipped under either.
     """
     if (k is None) == (rate is None):
         raise InvalidBudget("give exactly one of k and rate")
@@ -72,10 +73,11 @@ def resolve_budget(
         real = isinstance(rate, numbers.Real) and not isinstance(rate, bool)
         if not (real and 0.0 < rate <= 1.0):
             raise InvalidBudget(f"rate must lie in (0, 1], got {rate}")
-        return max(1, int(math.floor(rate * node_count + 0.5)))
-    _check_integer("k", k)
-    if k < 1:
-        raise InvalidBudget(f"k must be at least 1, got {k}")
+        k = max(1, int(math.floor(rate * node_count + 0.5)))
+    else:
+        _check_integer("k", k)
+        if k < 1:
+            raise InvalidBudget(f"k must be at least 1, got {k}")
     return None if k > node_count else int(k)
 
 
@@ -263,6 +265,47 @@ def _scan(
     ]
 
 
+def _evaluation(
+    model, dataset, explanations, k=None, rate=None, attr_top=None,
+    compute_sparsity=True, swept=False,
+) -> tuple[EvalReport, list[GraphVerdict]]:
+    """:func:`evaluate`'s report and its CSV rows: the report's own, or
+    :func:`sweep`'s if ``swept``, from one check of the explanations,
+    one stack build and one scan whose budget cells are sweep cells."""
+    # validate the budgets once, before any graph is read
+    resolve_budget(1, k, rate)
+    if attr_top is not None:
+        _check_integer("attr_top", attr_top)
+        if attr_top < 1:
+            raise InvalidBudget(f"attr_top must be at least 1, got {attr_top}")
+    graphs, expls, stacks = _explained(model, dataset, explanations)
+    attribute_hits = []
+    if attr_top is not None:
+        scores = [e.attr_score for e in expls]
+        attribute_hits = _attribute_hits(model, stacks, scores, attr_top)
+    max_n = max((g.node_count for g in graphs), default=0) if swept else 0
+    budgets = [(k, rate)] + [(b, None) for b in range(1, max_n + 1)]
+    slots = [
+        (i, resolve_budget(g.node_count, *budget))
+        for budget in budgets
+        for i, g in enumerate(graphs)
+    ]
+    rows = _scan(model, graphs, stacks, slots, compute_sparsity)
+    rows, swept_rows = rows[: len(graphs)], rows[len(graphs) :]
+    scored = [r for r in rows if r.budget is not None]
+    min_ks = [r.min_k for r in rows if r.min_k is not None]
+    report = EvalReport(
+        ep_explained=_share([r.retained_explained for r in scored]),
+        ep_remaining=_share([r.retained_remaining for r in scored]),
+        ep_attribute=_share(attribute_hits),
+        sparsity=float(np.mean(min_ks)) if min_ks else None,
+        eligible_count=sum(r.eligible for r in rows),
+        evaluated_count=len(scored),
+        per_graph=rows,
+    )
+    return report, swept_rows if swept else rows
+
+
 def evaluate(
     model: GnnModel,
     dataset,
@@ -286,56 +329,21 @@ def evaluate(
             (:meth:`Explanation.check_graph`) or names a class the model
             does not have (:meth:`Explanation.check_model`).
     """
-    # validate the budgets once, before any graph is read
-    resolve_budget(1, k, rate)
-    if attr_top is not None:
-        _check_integer("attr_top", attr_top)
-        if attr_top < 1:
-            raise InvalidBudget(f"attr_top must be at least 1, got {attr_top}")
-    graphs, expls, stacks = _explained(model, dataset, explanations)
-    attribute_hits = []
-    if attr_top is not None:
-        scores = [e.attr_score for e in expls]
-        attribute_hits = _attribute_hits(model, stacks, scores, attr_top)
-    slots = [
-        (i, resolve_budget(g.node_count, k, rate))
-        for i, g in enumerate(graphs)
-    ]
-    rows = _scan(model, graphs, stacks, slots, compute_sparsity)
-    scored = [r for r in rows if r.budget is not None]
-    min_ks = [r.min_k for r in rows if r.min_k is not None]
-    return EvalReport(
-        ep_explained=_share([r.retained_explained for r in scored]),
-        ep_remaining=_share([r.retained_remaining for r in scored]),
-        ep_attribute=_share(attribute_hits),
-        sparsity=float(np.mean(min_ks)) if min_ks else None,
-        eligible_count=sum(r.eligible for r in rows),
-        evaluated_count=len(scored),
-        per_graph=rows,
-    )
+    return _evaluation(
+        model, dataset, explanations, k, rate, attr_top, compute_sparsity
+    )[0]
 
 
 def sweep(
     model: GnnModel, dataset, explanations: dict[str, Explanation]
 ) -> list[GraphVerdict]:
     """Rows for every node budget from 1 to the largest graph, ordered by
-    budget and then by graph id, from one scan; a graph smaller than the
-    budget gets an unscored row.  ``min_k`` is as ``evaluate`` gives it.
-
-    Raises:
-        MissingExplanation: some selected graph has no explanation.
-        ValidationError: a graph id repeats among the selected graphs.
-        ShapeMismatch: an explanation that does not fit its graph or
-            names a class the model does not have.
+    budget and then by graph id; a graph smaller than the budget gets an
+    unscored row.  ``min_k`` is as ``evaluate`` gives it, and the errors
+    are ``evaluate``'s but for ``InvalidBudget``.
     """
-    graphs, _, stacks = _explained(model, dataset, explanations)
-    max_n = max((g.node_count for g in graphs), default=0)
-    slots = [
-        (i, budget if budget <= g.node_count else None)
-        for budget in range(1, max_n + 1)
-        for i, g in enumerate(graphs)
-    ]
-    return _scan(model, graphs, stacks, slots)
+    # any budget serves: its cells are sweep cells
+    return _evaluation(model, dataset, explanations, rate=1.0, swept=True)[1]
 
 
 def _share(hits: list[bool]) -> float | None:

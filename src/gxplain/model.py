@@ -18,6 +18,7 @@ import numpy as np
 
 from ._atomic import write_json
 from ._schema import (
+    _shown,
     as_float_array,
     as_int,
     as_list,
@@ -74,7 +75,7 @@ class Layer:
             raise ShapeMismatch("layer parameters must be finite")
         if self.activation not in _ACTIVATIONS:
             raise UnsupportedActivation(
-                f"unknown activation {self.activation!r}"
+                f"unknown activation {_shown(self.activation)}"
             )
         w.flags.writeable = False
         b.flags.writeable = False
@@ -108,7 +109,7 @@ class GnnModel:
                 f"need at least 2 classes, got {self.num_classes}"
             )
         if self.readout != READOUT_MAX_MEAN:
-            raise ShapeMismatch(f"unknown readout {self.readout!r}")
+            raise ShapeMismatch(f"unknown readout {_shown(self.readout)}")
         if not self.head_layers:
             raise ShapeMismatch("model needs at least one head layer")
         dim = self.attr_dim

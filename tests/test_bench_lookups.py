@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import gxplain as gx
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -40,6 +42,34 @@ def _workload_lookups():
     return sorted(found)
 
 
+def _dotted(node):
+    """``"gx.a.b"`` of an attribute chain on a name, else ``None``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        inner = _dotted(node.value)
+        return inner and f"{inner}.{node.attr}"
+    return None
+
+
+def _workload_keywords():
+    """``(dotted name, keyword)`` of each keyword the workloads pass to a
+    ``gx.<name>(...)`` call, directly or through the ledger's
+    ``attempt(what, fn, *args, **kwargs)``."""
+    tree = ast.parse((BENCH / "workloads.py").read_text("utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if getattr(fn, "attr", "") == "attempt" and len(node.args) > 1:
+            fn = node.args[1]
+        name = _dotted(fn) or ""
+        if name.startswith("gx."):
+            found |= {(name, kw.arg) for kw in node.keywords if kw.arg}
+    return sorted(found)
+
+
 KERNELS = [
     (module, name)
     for module, names in _spans_constant("_KERNELS").items()
@@ -47,6 +77,7 @@ KERNELS = [
 ]
 METHODS = sorted(_spans_constant("_METHODS").items())
 WORKLOAD_LOOKUPS = _workload_lookups()
+WORKLOAD_KEYWORDS = _workload_keywords()
 
 
 def test_the_workloads_look_up_the_names_this_suite_pins():
@@ -56,6 +87,22 @@ def test_the_workloads_look_up_the_names_this_suite_pins():
         ("metrics", "save_report"),
         ("metrics", "report_to_dict"),
     } <= set(WORKLOAD_LOOKUPS)
+
+
+def test_the_workloads_pass_keywords_this_suite_pins():
+    assert {
+        ("gx.evaluate", "compute_sparsity"),
+        ("gx.evaluate", "k"),
+        ("gx.evaluate", "attr_top"),
+    } <= set(WORKLOAD_KEYWORDS)
+
+
+@pytest.mark.parametrize("name, keyword", WORKLOAD_KEYWORDS)
+def test_each_keyword_the_workloads_pass_is_a_parameter(name, keyword):
+    fn = gx
+    for part in name.split(".")[1:]:
+        fn = getattr(fn, part)
+    assert keyword in inspect.signature(fn).parameters
 
 
 @pytest.mark.parametrize("module, name", KERNELS + WORKLOAD_LOOKUPS)

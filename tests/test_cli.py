@@ -1,5 +1,6 @@
 """End-to-end command pipeline: gen-dataset, train, explain, eval, export-dot."""
 
+import collections
 import contextlib
 import copy
 import csv
@@ -23,12 +24,13 @@ import gxplain
 from gxplain.cli import (
     _build_parser,
     _config_from_args,
+    _fmt,
     _train_options,
     main,
     render_dot,
 )
 from gxplain.datasets import generate_motif_graphs, save_dataset
-from gxplain.explain import ExplainConfig, load_explanation
+from gxplain.explain import ExplainConfig, Explanation, load_explanation
 from gxplain.training import train_model
 
 
@@ -180,6 +182,89 @@ def test_eval_sweep_csv_has_every_budget_in_order(pipeline, tmp_path):
     assert len(min_k) == 4
     for r in rows:
         assert r["min_k"] == min_k[r["graph_id"]]
+
+
+EVAL_FLAGS = [
+    pytest.param(["--top-k", "5"], id="k 5"),
+    # above every graph: no graph is scored
+    pytest.param(["--top-k", "30"], id="k 30"),
+    pytest.param(["--top-r", "0.3"], id="rate 0.3"),
+    pytest.param(["--top-k", "3", "--attr-top", "2"], id="k 3 attr 2"),
+]
+
+
+@pytest.mark.parametrize("flags", EVAL_FLAGS)
+@pytest.mark.parametrize("swept", [False, True], ids=["budget", "sweep"])
+def test_eval_checks_twice_and_stacks_and_scans_once(
+    pipeline, monkeypatch, tmp_path, flags, swept
+):
+    _, ds, model, out = pipeline
+    calls = collections.Counter()
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(gxplain.cli, "_evaluation")
+    for name in ("evaluate", "sweep", "_explained", "_stack_by_size", "_scan"):
+        count(gxplain.metrics, name)
+    count(Explanation, "check_graph")
+    count(Explanation, "check_model")
+    argv = ["eval", "--model", str(model), "--dataset", str(ds),
+            "--explanations", str(out), *flags,
+            "--csv", str(tmp_path / "rows.csv")]
+    assert main(argv + ["--sweep"] * swept) == 0
+    # 4 test graphs: the cli's check and the pass's
+    assert calls == {
+        "_evaluation": 1, "_explained": 1, "_stack_by_size": 1, "_scan": 1,
+        "check_graph": 8, "check_model": 8,
+    }
+
+
+@pytest.mark.parametrize("flags", EVAL_FLAGS)
+def test_eval_gives_the_outputs_of_separate_evaluate_and_sweep_calls(
+    pipeline, capsys, tmp_path, flags
+):
+    _, ds, model_path, out = pipeline
+    argv = ["eval", "--model", str(model_path), "--dataset", str(ds),
+            "--explanations", str(out), *flags,
+            "--report", str(tmp_path / "report.json")]
+    for swept in (False, True):
+        csv_path = tmp_path / f"rows{swept:d}.csv"
+        assert main(argv + ["--csv", str(csv_path)] + ["--sweep"] * swept) == 0
+    stdout = capsys.readouterr().out
+    args = _build_parser().parse_args(argv)
+    model = gxplain.load_model(model_path)
+    graphs = gxplain.load_dataset(ds).split_graphs("test")
+    expls = {
+        g.graph_id: load_explanation(out / f"{g.graph_id}.json")[0]
+        for g in graphs
+    }
+    budget = dict(k=args.top_k, rate=args.top_r, attr_top=args.attr_top)
+    report = gxplain.evaluate(model, graphs, expls, **budget)
+    rows = gxplain.metrics.sweep(model, graphs, expls)
+    gxplain.metrics.save_report(report, tmp_path / "want.json")
+    gxplain.metrics.write_eval_csv(tmp_path / "want0.csv", report.per_graph)
+    gxplain.metrics.write_eval_csv(tmp_path / "want1.csv", rows)
+    for got, want in (("report.json", "want.json"), ("rows0.csv", "want0.csv"),
+                      ("rows1.csv", "want1.csv")):
+        assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
+    line = (
+        f"ep_explained={_fmt(report.ep_explained)}"
+        f" ep_remaining={_fmt(report.ep_remaining)}"
+        f" sparsity={_fmt(report.sparsity)}"
+        f" eligible={report.eligible_count}"
+    )
+    if args.attr_top is not None:
+        line += f" ep_attribute={_fmt(report.ep_attribute)}"
+    assert stdout == f"{line}\n" * 2
+    if args.top_k == 30:
+        assert report.evaluated_count == 0 and report.ep_explained is None
 
 
 def test_eval_sweep_without_csv_is_usage_error(pipeline, capsys):
@@ -564,6 +649,21 @@ def test_integer_past_the_json_digit_limit_is_usage_error(tmp_path, capsys):
     code = main(["eval", "--model", str(path), "--dataset", str(path),
                  "--explanations", str(tmp_path), "--top-k", "3"])
     _assert_one_line_usage_error(code, capsys)
+
+
+def test_a_large_refused_value_leaves_a_short_error_line(tmp_path, capsys):
+    # a 2000-entry object where the graph list belongs
+    path = tmp_path / "ds.json"
+    assert main(["gen-dataset", "--n", "4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["graphs"] = {str(i): e for i, e in enumerate(doc["graphs"] * 500)}
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(path), "--out",
+                 str(tmp_path / "m.json"), "--epochs", "1"])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert f"{path}: graphs: expected a list, got {{'0': {{" in err
+    assert len(err) <= len(f"error: {path}: graphs: expected a list, got ") + 61
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "export-dot"])

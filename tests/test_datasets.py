@@ -15,7 +15,14 @@ from references import datasets_equal, reference_motif_graphs
 
 from gxplain import datasets as datasets_module
 from gxplain import graphs as graphs_module
-from gxplain._schema import as_float_array
+from gxplain._schema import (
+    as_bool,
+    as_float,
+    as_float_array,
+    as_int,
+    as_list,
+    as_str,
+)
 from gxplain.datasets import (
     Dataset,
     generate_ba2motifs,
@@ -548,3 +555,20 @@ def test_a_saved_dataset_loads_without_the_graph_by_graph_walk(
     monkeypatch.setattr(datasets_module, "_load_graph", counted)
     assert datasets_equal(load_dataset(tmp_path / "ds.json"), ds)
     assert walked == []
+
+
+# a 999-entry object, as a loader may meet one where any field belongs
+BIG_OBJECT = {str(i): [i] * 9 for i in range(999)}
+
+
+@pytest.mark.parametrize(
+    "read, value",
+    [(r, BIG_OBJECT) for r in (as_int, as_float, as_str, as_bool, as_list)]
+    + [(as_float, 10**400)],
+    ids=["int", "float", "str", "bool", "list", "float past the range"],
+)
+def test_readers_cut_a_refused_value_short(read, value):
+    with pytest.raises(ParseError) as exc:
+        read(value, "f")
+    assert str(exc.value).startswith("f: expected ")
+    assert len(str(exc.value)) <= 100

@@ -83,6 +83,28 @@ def test_resolve_budget_skips_oversized_k_and_rounds_half_up():
     assert resolve_budget(4, rate=0.01) == 1
 
 
+@pytest.mark.parametrize("budget", [{"k": 1}, {"rate": 0.5}, {"rate": 1.0}])
+def test_a_graph_without_nodes_is_skipped_under_a_rate_as_under_k(budget):
+    assert resolve_budget(0, **budget) is None
+    model = detector_model()
+    empty = build_graph(0, [], np.zeros((0, 1)), False, graph_id="empty")
+    hot = hot_path_graph("hot")
+    expls = {
+        "empty": manual_explanation(empty, [], pred=0),
+        "hot": manual_explanation(hot, [2, 1, 3, 0, 4]),
+    }
+    report = evaluate(model, [empty, hot], expls, **budget)
+    assert report.evaluated_count == 1
+    assert (report.ep_explained, report.ep_remaining) == (1.0, 0.0)
+    row = report.per_graph[0]
+    assert row.graph_id == "empty"
+    assert (row.budget, row.retained_explained, row.retained_remaining) == (
+        None,
+        None,
+        None,
+    )
+
+
 def test_default_prediction_is_head_of_zero_readout():
     assert default_prediction(detector_model()) == 0
 

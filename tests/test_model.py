@@ -330,6 +330,19 @@ def test_layer_rejects_unknown_activation():
         Layer(np.eye(2), np.zeros(2), "tanh")
 
 
+def test_a_long_unknown_activation_or_readout_is_cut_short_in_the_error():
+    name = "x" * 100_000
+    with pytest.raises(UnsupportedActivation) as exc:
+        Layer(np.eye(2), np.zeros(2), name)
+    assert str(exc.value).startswith("unknown activation 'xxx")
+    assert len(str(exc.value)) <= 100
+    head = (Layer(np.ones((2, 2)), np.zeros(2), "identity"),)
+    with pytest.raises(ShapeMismatch) as exc:
+        GnnModel(1, 2, (), head, readout=name)
+    assert str(exc.value).startswith("unknown readout 'xxx")
+    assert len(str(exc.value)) <= 100
+
+
 def test_model_rejects_broken_dimension_chain():
     gcn = (Layer(np.ones((3, 4)), np.zeros(4), "relu"),)
     head = (Layer(np.ones((5, 2)), np.zeros(2), "identity"),)

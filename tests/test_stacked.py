@@ -419,9 +419,10 @@ def test_one_scan_scores_subsets_and_eval_calls_each_entry_point_once():
         if isinstance(loop, loops)
         for node in ast.walk(loop)
     }
-    for name in ("evaluate", "sweep"):
-        (call,) = _calls(cli, name)
-        assert id(call) not in looped
+    # one pass serves the report and --sweep
+    assert _calls(cli, "evaluate") == _calls(cli, "sweep") == []
+    (call,) = _calls(cli, "_evaluation")
+    assert id(call) not in looped
 
 
 def test_metrics_reads_explanations_in_one_place():
@@ -453,9 +454,9 @@ def test_evaluate_and_sweep_check_each_explanation_once_and_stack_once(
     monkeypatch,
 ):
     model, graphs, expls = _mixed_case()
-    checked, stacked = [], []
+    checked, stacked, scanned = [], [], []
     check_graph, check_model = Explanation.check_graph, Explanation.check_model
-    stack_by_size = metrics._stack_by_size
+    stack_by_size, scan = metrics._stack_by_size, metrics._scan
 
     def counted_graph_check(self, g):
         checked.append(("graph", self.graph_id))
@@ -469,16 +470,41 @@ def test_evaluate_and_sweep_check_each_explanation_once_and_stack_once(
         stacked.append(len(graphs))
         return stack_by_size(model, graphs, rankings, targets)
 
+    def counted_scan(model, graphs, stacks, slots, find_min_k=True):
+        scanned.append(len(graphs))
+        return scan(model, graphs, stacks, slots, find_min_k)
+
     monkeypatch.setattr(Explanation, "check_graph", counted_graph_check)
     monkeypatch.setattr(Explanation, "check_model", counted_model_check)
     monkeypatch.setattr(metrics, "_stack_by_size", counted_stack)
+    monkeypatch.setattr(metrics, "_scan", counted_scan)
     want = sorted((kind, i) for kind in ("graph", "model") for i in expls)
     for run in (
         lambda: evaluate(model, graphs, expls, k=3, attr_top=1),
         lambda: sweep(model, graphs, expls),
+        lambda: metrics._evaluation(
+            model, graphs, expls, rate=0.4, attr_top=1, swept=True
+        ),
     ):
         checked.clear()
         stacked.clear()
+        scanned.clear()
         run()
         assert sorted(checked) == want
-        assert stacked == [len(graphs)]
+        assert stacked == scanned == [len(graphs)]
+
+
+@pytest.mark.parametrize(
+    "budget", [{"k": 1}, {"k": 3}, {"k": 50}, {"rate": 0.4}, {"rate": 1.0}]
+)
+def test_one_pass_gives_the_report_and_the_sweep_of_separate_calls(
+    budget, blocks
+):
+    model, graphs, expls = _mixed_case()
+    report, rows = metrics._evaluation(
+        model, graphs, expls, attr_top=2, swept=True, **budget
+    )
+    assert report == evaluate(model, graphs, expls, attr_top=2, **budget)
+    assert rows == sweep(model, graphs, expls)
+    alone, own_rows = metrics._evaluation(model, graphs, expls, **budget)
+    assert own_rows is alone.per_graph
