@@ -16,11 +16,11 @@ import numpy as np
 from .errors import ParseError, VersionMismatch
 
 
-def _shown(value, limit: int = 60) -> str:
-    """``repr(value)`` cut to ``limit`` characters, so that an error
-    naming a refused value stays one short line whatever its size."""
+def _shown(value) -> str:
+    """``repr(value)`` cut to 60 characters, so that an error naming a
+    refused value stays one short line whatever its size."""
     text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def read_document(fh, where: str, version: int) -> dict:

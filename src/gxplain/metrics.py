@@ -283,13 +283,11 @@ def _evaluation(
     if attr_top is not None:
         scores = [e.attr_score for e in expls]
         attribute_hits = _attribute_hits(model, stacks, scores, attr_top)
-    max_n = max((g.node_count for g in graphs), default=0) if swept else 0
-    budgets = [(k, rate)] + [(b, None) for b in range(1, max_n + 1)]
-    slots = [
-        (i, resolve_budget(g.node_count, *budget))
-        for budget in budgets
-        for i, g in enumerate(graphs)
-    ]
+    sizes = [g.node_count for g in graphs]
+    slots = [(i, resolve_budget(n, k, rate)) for i, n in enumerate(sizes)]
+    max_n = max(sizes, default=0) if swept else 0
+    for b in range(1, max_n + 1):
+        slots += [(i, b if b <= n else None) for i, n in enumerate(sizes)]
     rows = _scan(model, graphs, stacks, slots, compute_sparsity)
     rows, swept_rows = rows[: len(graphs)], rows[len(graphs) :]
     scored = [r for r in rows if r.budget is not None]
