@@ -12,15 +12,25 @@ import json
 import os
 
 
+# the settings of every gxplain document: compact, no NaN/inf; without
+# ``indent`` the stdlib encodes with its C encoder
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def json_value(value) -> str:
+    """``value`` as compact JSON, laid out as it is inside
+    :func:`json_text`, with no newline: a piece of a document."""
+    return _ENCODER.encode(value)
+
+
 def json_text(doc) -> str:
     """The JSON layout of every gxplain document: compact one-line JSON
     ending in a newline, no NaN/inf.
 
-    Without ``indent`` the stdlib writes with its C encoder.
     ``python -m json.tool FILE`` pretty-prints a document; a ``.gz``
     dataset is this text at gzip level 6 with no time stamp.
     """
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+    return json_value(doc) + "\n"
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._atomic import json_text, write_atomic
+from ._atomic import json_value, write_atomic
 from ._schema import (
+    _shown,
     as_bool,
     as_float_array,
     as_int,
@@ -22,7 +23,7 @@ from ._schema import (
     require,
 )
 from .errors import DomainError, InvalidCount, ParseError, ValidationError
-from .graphs import AttributedGraph, build_graphs
+from .graphs import AttributedGraph, _attribute_ids, build_graphs
 
 DATASET_FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "validation", "test")
@@ -49,32 +50,33 @@ class Dataset:
             j = first_index.setdefault(g.graph_id, i)
             if j != i:
                 raise ValidationError(
-                    f"graphs[{i}] repeats the id {g.graph_id!r} of"
+                    f"graphs[{i}] repeats the id {_shown(g.graph_id)} of"
                     f" graphs[{j}]"
                 )
             if g.attr_dim != self.attr_dim:
                 raise ValidationError(
-                    f"graph {g.graph_id!r} has {g.attr_dim} attributes,"
+                    f"graph {_shown(g.graph_id)} has {g.attr_dim} attributes,"
                     f" dataset declares {self.attr_dim}"
                 )
             if g.label is not None and not 0 <= g.label < self.num_classes:
                 raise ValidationError(
-                    f"graph {g.graph_id!r} labeled {g.label}, dataset has"
-                    f" {self.num_classes} classes"
+                    f"graph {_shown(g.graph_id)} labeled {g.label}, dataset"
+                    f" has {self.num_classes} classes"
                 )
         split_of: dict[int, str] = {}
         for split, indices in self.splits.items():
             for i in indices:
                 if not 0 <= i < len(self.graphs):
                     raise ValidationError(
-                        f"split {split!r} references graph {i}, only"
+                        f"split {_shown(split)} references graph {i}, only"
                         f" {len(self.graphs)} exist"
                     )
                 if i in split_of:
                     where = (
-                        f"twice in split {split!r}"
+                        f"twice in split {_shown(split)}"
                         if split_of[i] == split
-                        else f"in splits {split_of[i]!r} and {split!r}"
+                        else f"in splits {_shown(split_of[i])} and"
+                        f" {_shown(split)}"
                     )
                     raise ValidationError(f"graph {i} appears {where}")
                 split_of[i] = split
@@ -164,31 +166,68 @@ def generate_ba2motifs(n_graphs: int, seed: int) -> Dataset:
     return generate_motif_graphs(n_graphs, seed)
 
 
-def _graph_to_dict(g: AttributedGraph) -> dict:
-    # mates are adjacent, so the even rows are the undirected edges
-    edges = g.arcs if g.directed else g.arcs[::2]
-    return {
-        "id": g.graph_id,
-        "n": g.node_count,
-        "directed": g.directed,
-        "edges": edges.tolist(),
-        "x": g.attributes.tolist(),
-        "y": g.label,
-    }
+def _attribute_texts(dataset: Dataset) -> list[str]:
+    """Each graph's ``"x"``: its attribute matrix as :func:`json_value`
+    renders it.  Each distinct attribute row, byte for byte, is rendered
+    once (the motif benchmark's rows are all one row).
+
+    Raises:
+        ValueError: an attribute is NaN or infinite.
+    """
+    graphs = dataset.graphs
+    attrs = np.concatenate(
+        [np.empty((0, dataset.attr_dim)), *(g.attributes for g in graphs)]
+    )
+    ids = _attribute_ids(attrs)
+    # a row of each id: any one, as they are equal byte for byte
+    row_of = np.empty(ids.max(initial=-1) + 1, dtype=np.intp)
+    row_of[ids] = np.arange(len(ids))
+    # one encoder call renders them all: '[[a,b],[c,d]]' holds the rows
+    # 'a,b' and 'c,d', as no number's text holds a bracket
+    texts = json_value(attrs[row_of].tolist())[2:-2].split("],[")
+    rows = list(map(texts.__getitem__, ids.tolist()))
+    bounds = np.cumsum([0, *(g.node_count for g in graphs)]).tolist()
+    return [
+        f"[[{'],['.join(rows[lo:hi])}]]" if hi > lo else "[]"
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the dataset as JSON, gzip-compressed when the path ends .gz."""
-    doc = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "name": dataset.name,
-        "attr_dim": dataset.attr_dim,
-        "num_classes": dataset.num_classes,
-        "generation_seed": dataset.generation_seed,
-        "splits": {k: list(v) for k, v in dataset.splits.items()},
-        "graphs": [_graph_to_dict(g) for g in dataset.graphs],
-    }
-    data = json_text(doc).encode("utf-8")
+    """Write the dataset as JSON, gzip-compressed when the path ends .gz.
+
+    The text is :func:`json_text` of the whole document, built from
+    pieces so that each distinct attribute row is rendered once.
+
+    Raises:
+        ValueError: an attribute is NaN or infinite; nothing is written.
+    """
+    head = json_value(
+        {
+            "format_version": DATASET_FORMAT_VERSION,
+            "name": dataset.name,
+            "attr_dim": dataset.attr_dim,
+            "num_classes": dataset.num_classes,
+            "generation_seed": dataset.generation_seed,
+            "splits": {k: list(v) for k, v in dataset.splits.items()},
+            "graphs": [],
+        }
+    )
+    entries = []
+    for g, x in zip(dataset.graphs, _attribute_texts(dataset)):
+        # mates are adjacent, so the even rows are the undirected edges
+        edges = g.arcs if g.directed else g.arcs[::2]
+        skeleton = json_value(
+            {
+                "id": g.graph_id,
+                "n": g.node_count,
+                "directed": g.directed,
+                "edges": edges.tolist(),
+            }
+        )
+        entries.append(f'{skeleton[:-1]},"x":{x},"y":{json_value(g.label)}}}')
+    # head ends '[]}': the entries go between the brackets
+    data = f"{head[:-2]}{','.join(entries)}]}}\n".encode("utf-8")
     if str(path).endswith(".gz"):
         # gzip's default level, and no time stamp in the header: one
         # dataset, one file
@@ -352,13 +391,10 @@ def load_dataset(path) -> Dataset:
         raise ParseError(f"{where}: splits must be an object")
     name = read_field(doc, "name", as_str, where)
     num_classes = read_field(doc, "num_classes", as_int, where)
-    split_lists = {
-        str(k): [
-            as_int(i, f"{where}: splits[{k!r}]")
-            for i in as_list(v, f"{where}: splits[{k!r}]")
-        ]
-        for k, v in splits.items()
-    }
+    split_lists = {}
+    for k, v in splits.items():
+        at = f"{where}: splits[{_shown(k)}]"
+        split_lists[k] = [as_int(i, at) for i in as_list(v, at)]
     try:
         return Dataset(
             name,

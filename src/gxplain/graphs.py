@@ -52,6 +52,17 @@ def _attribute_matrix(node_count: int, attributes) -> np.ndarray:
     return attrs
 
 
+def _attribute_ids(attributes: np.ndarray) -> np.ndarray:
+    """One id per row of an attribute matrix, ``0 .. distinct - 1``,
+    equal for rows that are equal byte for byte, so ``0.0`` and ``-0.0``
+    get different ids."""
+    n, width = attributes.shape[0], attributes.shape[1] * attributes.itemsize
+    if width == 0:
+        return np.zeros(n, dtype=np.intp)
+    rows = np.ascontiguousarray(attributes).view((np.void, width))[:, 0]
+    return np.unique(rows, return_inverse=True)[1]
+
+
 def _arc_sort(owner, src, dst) -> tuple[np.ndarray, np.ndarray]:
     """The stable order of arcs by ``(owner, src, dst)``, and whether
     each arc, in that order, equals the one before it.

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._atomic import write_json
 from .errors import InvalidBudget, TooLarge
-from .graphs import AttributedGraph, NodeSet
+from .graphs import AttributedGraph, NodeSet, _attribute_ids
 from .metrics import _check_integer
 from .model import (
     GnnModel,
@@ -92,16 +92,6 @@ def _check_budget(g: AttributedGraph, k: int) -> None:
         raise InvalidBudget(
             f"k must lie in [0, {g.node_count}], got {k}"
         )
-
-
-def _attribute_ids(attributes: np.ndarray) -> np.ndarray:
-    """One id per node, equal for nodes whose attribute rows are equal
-    byte for byte, so ``0.0`` and ``-0.0`` get different ids."""
-    n, width = attributes.shape[0], attributes.shape[1] * attributes.itemsize
-    if width == 0:
-        return np.zeros(n, dtype=np.intp)
-    rows = np.ascontiguousarray(attributes).view((np.void, width))[:, 0]
-    return np.unique(rows, return_inverse=True)[1]
 
 
 def _original(

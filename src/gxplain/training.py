@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._schema import _shown
 from .datasets import Dataset
 from .errors import DomainError, EmptyDataset, NonFiniteLoss, ValidationError
 from .model import (
@@ -334,7 +335,7 @@ def train_model(
         raise EmptyDataset("split 'train' selects no graphs")
     for g in train_graphs:
         if g.label is None:
-            raise ValidationError(f"graph {g.graph_id!r} has no label")
+            raise ValidationError(f"graph {_shown(g.graph_id)} has no label")
 
     params = init_parameters(
         dataset.attr_dim, dataset.num_classes, tuple(hidden_dims), seed

@@ -666,6 +666,60 @@ def test_a_large_refused_value_leaves_a_short_error_line(tmp_path, capsys):
     assert len(err) <= len(f"error: {path}: graphs: expected a list, got ") + 61
 
 
+@pytest.mark.parametrize(
+    "case", ["split name", "split list", "graph id", "unlabeled graph"]
+)
+def test_a_long_split_name_or_graph_id_leaves_a_short_error_line(
+    tmp_path, capsys, case
+):
+    # a split that lists a graph twice or is no list, two graphs of one
+    # id, or a training graph without a label: the error names the
+    # 100 000-character split or id, cut short
+    path = tmp_path / "ds.json"
+    assert main(["gen-dataset", "--n", "4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    long = "s" * 100_000
+    if case == "split name":
+        doc["splits"] = {long: [0, 0]}
+    elif case == "split list":
+        doc["splits"] = {long: 3}
+    elif case == "graph id":
+        doc["graphs"][0]["id"] = doc["graphs"][1]["id"] = long
+    else:
+        doc["graphs"][0].update(id=long, y=None)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(path), "--out",
+                 str(tmp_path / "m.json"), "--epochs", "1"])
+    err = capsys.readouterr().err
+    # a readable file that cannot be trained on is not a usage error
+    assert code == (3 if case == "unlabeled graph" else 2)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 400
+    assert f"'{'s' * 56}..." in err
+
+
+@pytest.mark.parametrize("malformed_first", [True, False])
+def test_eval_names_a_malformed_explanation_before_a_missing_one(
+    pipeline, capsys, tmp_path, malformed_first
+):
+    # the first graph's explanation is malformed and the last one's is
+    # missing, or the other way round: usage error, not exit 3
+    _, ds, model, out = pipeline
+    expl = tmp_path / "expl"
+    expl.mkdir()
+    for path in out.glob("*.json"):
+        (expl / path.name).write_bytes(path.read_bytes())
+    first, *_, last = sorted(expl.glob("*.json"))
+    bad, gone = (first, last) if malformed_first else (last, first)
+    bad.write_text(bad.read_text()[:-20])
+    gone.unlink()
+    code = main(["eval", "--model", str(model), "--dataset", str(ds),
+                 "--explanations", str(expl), "--top-k", "3"])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert str(bad) in err and "missing" not in err
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "export-dot"])
 def test_deeply_nested_json_is_usage_error(
     pipeline, capsys, tmp_path, command

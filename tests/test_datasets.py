@@ -6,6 +6,8 @@ import gzip
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +190,123 @@ def test_gzip_dataset_file_has_no_time_stamp(tmp_path):
     # MTIME, header bytes 4-8, is zero, so equal datasets give equal files
     assert data[4:8] == bytes(4)
     assert gzip.decompress(data) == (tmp_path / "plain.json").read_bytes()
+
+
+def _reference_bytes(dataset, path) -> bytes:
+    """The bytes the per-graph dict builder wrote: one dict per graph,
+    every attribute a Python float, one ``json.dumps`` of the whole."""
+
+    def graph_to_dict(g):
+        edges = g.arcs if g.directed else g.arcs[::2]
+        return {
+            "id": g.graph_id,
+            "n": g.node_count,
+            "directed": g.directed,
+            "edges": edges.tolist(),
+            "x": g.attributes.tolist(),
+            "y": g.label,
+        }
+
+    doc = {
+        "format_version": datasets_module.DATASET_FORMAT_VERSION,
+        "name": dataset.name,
+        "attr_dim": dataset.attr_dim,
+        "num_classes": dataset.num_classes,
+        "generation_seed": dataset.generation_seed,
+        "splits": {k: list(v) for k, v in dataset.splits.items()},
+        "graphs": [graph_to_dict(g) for g in dataset.graphs],
+    }
+    text = json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+    data = text.encode("utf-8")
+    if str(path).endswith(".gz"):
+        data = gzip.compress(data, compresslevel=6, mtime=0)
+    return data
+
+
+# attribute values whose text is easy to get wrong: the two zeros, the
+# smallest subnormal, and floats whose repr switches to an exponent
+ODD_VALUES = [0.0, -0.0, 5e-324, 0.1, 1e16, 1e22]
+# ids that JSON escapes: quotes, backslashes, control characters,
+# non-ASCII text and a lone surrogate
+ID_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2603",
+                         "\U0001f600", "\ud800", "a"]),
+        st.characters(),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def saved_datasets(draw):
+    """A dataset of up to five graphs of up to five nodes, its attribute
+    rows drawn from a small pool so that rows repeat, and rows that
+    differ only in the sign of a zero meet."""
+    attr_dim = draw(st.integers(0, 4))
+    value = st.one_of(
+        st.sampled_from(ODD_VALUES),
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+    )
+    pool = draw(st.lists(
+        st.lists(value, min_size=attr_dim, max_size=attr_dim),
+        min_size=1, max_size=4,
+    ))
+    # each row's twin with every zero's sign flipped: equal as numbers,
+    # not as bytes
+    pool += [[-v if v == 0 else v for v in row] for row in pool]
+    ids = draw(st.lists(ID_TEXT, max_size=5, unique=True))
+    graphs = []
+    for gid in ids:
+        n = draw(st.integers(0, 5))
+        rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        end = st.integers(0, max(n - 1, 0))
+        edges = draw(st.lists(st.tuples(end, end), max_size=6)) if n else []
+        graphs.append(build_graph(
+            n,
+            edges,
+            np.array(rows, dtype=np.float64).reshape(n, attr_dim),
+            draw(st.booleans()),
+            draw(st.one_of(st.none(), st.integers(0, 2))),
+            gid,
+        ))
+    places = draw(st.lists(
+        st.sampled_from([None, *datasets_module.SPLIT_NAMES]),
+        min_size=len(graphs), max_size=len(graphs),
+    ))
+    splits = {
+        name: [i for i, p in enumerate(places) if p == name]
+        for name in sorted(set(places) - {None})
+    }
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**64 - 1)))
+    return Dataset("d\u00e9\"s", graphs, attr_dim, 3, splits, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset=saved_datasets(), suffix=st.sampled_from([".json", ".json.gz"]))
+def test_save_writes_the_bytes_of_the_per_graph_dict_builder(dataset, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"ds{suffix}"
+        save_dataset(dataset, path)
+        assert path.read_bytes() == _reference_bytes(dataset, path)
+
+
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_save_refuses_a_non_finite_attribute_and_keeps_the_old_file(
+    tmp_path, suffix, bad
+):
+    path = tmp_path / f"ds{suffix}"
+    ds = generate_ba2motifs(4, seed=0)
+    save_dataset(ds, path)
+    before = path.read_bytes()
+    attrs = np.full((3, ds.attr_dim), 0.5)
+    attrs[2, 1] = bad
+    graphs = [*ds.graphs, build_graph(3, [(0, 1)], attrs, False, 1, "bad")]
+    with pytest.raises(ValueError):
+        save_dataset(dataclasses.replace(ds, graphs=graphs), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 @settings(max_examples=60, deadline=None)

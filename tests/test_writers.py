@@ -28,6 +28,23 @@ EXPLANATION = explain(MODEL, GRAPH, CONFIG)
 REPORT = evaluate(MODEL, [GRAPH], {"w": EXPLANATION}, k=2)
 
 
+def _varied_dataset():
+    """The 4-graph benchmark with normal attributes, one ``-0.0`` and
+    one row repeated in another graph."""
+    ds = generate_ba2motifs(4, seed=0)
+    x = np.random.default_rng(1).normal(size=(100, ds.attr_dim))
+    x[3, 4] = -0.0
+    x[60] = x[2]
+    graphs = [
+        dataclasses.replace(g, attributes=x[25 * i : 25 * (i + 1)])
+        for i, g in enumerate(ds.graphs)
+    ]
+    return dataclasses.replace(ds, graphs=graphs)
+
+
+VARIED = _varied_dataset()
+
+
 def _export_dot(path: Path) -> None:
     # export-dot names its output after the explanation file it renders
     in_dir = path.parent / f"{path.stem}-in"
@@ -51,6 +68,8 @@ WRITERS = {
         lambda p: save_dataset(generate_ba2motifs(4, seed=0), p),
         ".json.gz",
     ),
+    "save_dataset_varied": (lambda p: save_dataset(VARIED, p), ".json"),
+    "save_dataset_varied_gz": (lambda p: save_dataset(VARIED, p), ".json.gz"),
     "save_explanation": (
         lambda p: save_explanation(EXPLANATION, CONFIG, p),
         ".json",
