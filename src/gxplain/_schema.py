@@ -23,6 +23,14 @@ def _shown(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def _listed(values) -> str:
+    """The first three ``values`` through :func:`_shown` and a count of
+    the rest, so that an error naming many values stays one short line."""
+    shown = ", ".join(map(_shown, values[:3]))
+    rest = len(values) - 3
+    return f"{shown} and {rest} more" if rest > 0 else shown
+
+
 def read_document(fh, where: str, version: int) -> dict:
     """The top-level JSON object read from the binary file ``fh``.
 

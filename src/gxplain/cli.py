@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ._atomic import write_atomic
+from ._schema import _listed, _shown
 from .datasets import (
     SPLIT_NAMES,
     generate_ba2motifs,
@@ -64,14 +65,14 @@ def _select_graphs(dataset, split: str, ids: str | None):
     if ids is not None:
         wanted = [s.strip() for s in ids.split(",") if s.strip()]
         if not wanted:
-            raise ParseError(f"--ids {ids!r} names no graph")
+            raise ParseError(f"--ids {_shown(ids)} names no graph")
         twice = sorted({w for w in wanted if wanted.count(w) > 1})
         if twice:
-            raise ParseError(f"--ids names graphs twice: {', '.join(twice)}")
+            raise ParseError(f"--ids names graphs twice: {_listed(twice)}")
         by_id = {g.graph_id: g for g in dataset.graphs}
         missing = [w for w in wanted if w not in by_id]
         if missing:
-            raise ParseError(f"unknown graph ids: {', '.join(missing)}")
+            raise ParseError(f"unknown graph ids: {_listed(missing)}")
         return [by_id[w] for w in wanted]
     if split == "all":
         return list(dataset.graphs)
@@ -91,14 +92,15 @@ def _explanation_path(directory, graph_id: str) -> Path:
         or graph_id.endswith(".oracle")
     ):
         raise ParseError(
-            f"graph id {graph_id!r} cannot name a file: an id must not be"
-            " empty, '.' or '..', hold '/', '\\' or NUL, or end in '.oracle'"
+            f"graph id {_shown(graph_id)} cannot name a file: an id must not"
+            " be empty, '.' or '..', hold '/', '\\' or NUL, or end in"
+            " '.oracle'"
         )
     try:
         longest = len(os.fsencode(f"{graph_id}.oracle.json.{'0' * 16}.tmp"))
     except UnicodeEncodeError as exc:  # a lone surrogate
         raise ParseError(
-            f"graph id {graph_id!r} cannot name a file: {exc}"
+            f"graph id {_shown(graph_id)} cannot name a file: {exc}"
         ) from exc
     try:
         limit = os.pathconf(directory, "PC_NAME_MAX")
@@ -106,8 +108,8 @@ def _explanation_path(directory, graph_id: str) -> Path:
         limit = 255
     if 0 < limit < longest:
         raise ParseError(
-            f"graph id {graph_id!r} cannot name a file: its longest file"
-            f" name takes {longest} bytes, {directory} allows {limit}"
+            f"graph id {_shown(graph_id)} cannot name a file: its longest"
+            f" file name takes {longest} bytes, {directory} allows {limit}"
         )
     return Path(directory) / f"{graph_id}.json"
 

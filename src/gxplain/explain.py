@@ -21,6 +21,7 @@ import numpy as np
 
 from ._atomic import write_json
 from ._schema import (
+    _shown,
     as_float,
     as_float_array,
     as_int,
@@ -242,7 +243,7 @@ class MaskSet:
                 f"masks with edge_slot {edge.shape}, attr_slot {attr.shape}"
                 f" and {'every slot within' if within else 'a slot outside'}"
                 f" {self.edge_params} + {attr_params} logits; graph"
-                f" {g.graph_id!r} needs edge_slot ({g.arc_count},),"
+                f" {_shown(g.graph_id)} needs edge_slot ({g.arc_count},),"
                 f" attr_slot ({g.node_count}, {g.attr_dim}) and slots"
                 " within the logits"
             )
@@ -326,13 +327,13 @@ class Explanation:
             raise ShapeMismatch(
                 f"scores {self.node_count} nodes, {len(self.arcs)} arcs and"
                 f" {self.attr_score.shape[1]} attributes, graph"
-                f" {g.graph_id!r} has {g.node_count} nodes, {g.arc_count}"
-                f" arcs and {g.attr_dim} attributes"
+                f" {_shown(g.graph_id)} has {g.node_count} nodes,"
+                f" {g.arc_count} arcs and {g.attr_dim} attributes"
             )
         if sorted(self.node_ranking) != list(range(g.node_count)):
             raise ShapeMismatch(
-                f"node ranking of graph {g.graph_id!r} is not a permutation"
-                f" of its {g.node_count} nodes"
+                f"node ranking of graph {_shown(g.graph_id)} is not a"
+                f" permutation of its {g.node_count} nodes"
             )
 
     def check_model(self, model: GnnModel) -> None:
@@ -340,7 +341,7 @@ class Explanation:
         ``model``'s classes."""
         if not 0 <= self.original_prediction < model.num_classes:
             raise ShapeMismatch(
-                f"explanation of graph {self.graph_id!r} names class"
+                f"explanation of graph {_shown(self.graph_id)} names class"
                 f" {self.original_prediction}, outside the model's"
                 f" [0, {model.num_classes})"
             )

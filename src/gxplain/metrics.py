@@ -16,15 +16,15 @@ from typing import NamedTuple
 import numpy as np
 
 from ._atomic import write_atomic, write_json
+from ._schema import _listed
 from .errors import InvalidBudget, MissingExplanation, ValidationError
 from .explain import Explanation
 from .model import (
     GnnModel,
-    _adjacency,
-    _check_attr_dim,
     _induced_operands,
     _probabilities,
     _propagation,
+    _size_stacks,
 )
 
 
@@ -100,34 +100,12 @@ class _SizeStack(NamedTuple):
 def _stack_by_size(
     model: GnnModel, graphs, rankings, targets
 ) -> list[_SizeStack]:
-    """One :class:`_SizeStack` per node count of ``graphs``, with each
-    graph's node ranking (a permutation of its nodes) and original
-    prediction from ``rankings`` and ``targets``, in ``graphs`` order."""
-    by_size: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_size.setdefault(g.node_count, []).append(i)
-    stacks = []
-    for n, members in by_size.items():
-        group = [graphs[i] for i in members]
-        if n:
-            for g in group:
-                _check_attr_dim(model, g)
-            attributes = np.stack([g.attributes for g in group])
-        else:
-            # a graph without nodes takes any width
-            attributes = np.zeros((len(group), 0, model.attr_dim))
-        stacks.append(
-            _SizeStack(
-                np.array(members),
-                _adjacency(group),
-                attributes,
-                np.array(
-                    [rankings[i] for i in members], dtype=np.int64
-                ).reshape(len(group), n),
-                np.array([targets[i] for i in members]),
-            )
-        )
-    return stacks
+    """:func:`model._size_stacks` of ``graphs`` with each graph's node
+    ranking (a permutation of its nodes) as int64 and its original
+    prediction, from ``rankings`` and ``targets`` in ``graphs`` order."""
+    rankings = [np.array(r, dtype=np.int64) for r in rankings]
+    stacks = _size_stacks(graphs, model.attr_dim, rankings, targets)
+    return [_SizeStack(*s) for s in stacks]
 
 
 def _induced_blocks(
@@ -184,11 +162,11 @@ def _explained(model: GnnModel, dataset, explanations):
     ids = [g.graph_id for g in graphs]
     twice = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
     if twice:
-        raise ValidationError(f"graph ids repeat: {', '.join(twice)}")
+        raise ValidationError(f"graph ids repeat: {_listed(twice)}")
     missing = [i for i in ids if i not in explanations]
     if missing:
         raise MissingExplanation(
-            f"missing explanations for: {', '.join(missing)}"
+            f"missing explanations for: {_listed(missing)}"
         )
     expls = [explanations[i] for i in ids]
     for g, e in zip(graphs, expls):

@@ -200,11 +200,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_attr_dim(model: GnnModel, g: AttributedGraph) -> None:
-    if g.attr_dim != model.attr_dim:
+def _check_attr_dim(attr_dim: int, g: AttributedGraph) -> None:
+    if g.attr_dim != attr_dim:
         raise ShapeMismatch(
-            f"graph has {g.attr_dim} attributes, model expects"
-            f" {model.attr_dim}"
+            f"graph has {g.attr_dim} attributes, model expects {attr_dim}"
         )
 
 
@@ -230,6 +229,29 @@ def _adjacency(graphs) -> np.ndarray:
         src, dst = g.arc_index_arrays()
         a[i, dst, src] = 1.0
     return a
+
+
+def _size_stacks(graphs, attr_dim: int, *columns) -> list[tuple]:
+    """``graphs`` stacked by node count, ascending: per count, the
+    members' indices into ``graphs`` in list order, their 0/1
+    :func:`_adjacency` stack, their ``(b, n, d)`` attributes and each of
+    ``columns`` (one entry per graph) gathered by member.  A graph with
+    nodes must have ``attr_dim`` attributes; one without nodes takes any
+    width, and its stack gets ``attr_dim``-wide zeros."""
+    sizes = np.array([g.node_count for g in graphs], dtype=np.int64)
+    stacks = []
+    for n in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == n)
+        group = [graphs[i] for i in members]
+        if n:
+            for g in group:
+                _check_attr_dim(attr_dim, g)
+            x = np.stack([g.attributes for g in group])
+        else:
+            x = np.zeros((len(group), 0, attr_dim))
+        gathered = [np.array([c[i] for i in members]) for c in columns]
+        stacks.append((members, _adjacency(group), x, *gathered))
+    return stacks
 
 
 def _propagation(a: np.ndarray) -> np.ndarray:
@@ -352,7 +374,7 @@ def _forward_trace(
 ) -> _Trace:
     """Forward pass of one graph; ``unmasked`` is
     ``_propagation(_adjacency([g]))[0]`` when the caller holds it."""
-    _check_attr_dim(model, g)
+    _check_attr_dim(model.attr_dim, g)
     if mask is not None:
         _check_mask(g, mask)
     if unmasked is None:

@@ -106,7 +106,7 @@ def _original(
     stack: row 0 is the unmasked operator and row ``1 + i`` gates edge
     ``i`` out, both arcs of an undirected edge.
     """
-    _check_attr_dim(model, g)
+    _check_attr_dim(model.attr_dim, g)
     adjacency = _adjacency([g])
     links = adjacency[0] != 0
     full = _propagation(adjacency)[0]

@@ -1,6 +1,7 @@
 """Full-batch Adam trainer for the graph classifier.
 
-The graphs of a split are stacked by node count once per call, and every
+The graphs of a split are stacked once per call by
+:func:`model._size_stacks`, the builder the eval scan uses too, and every
 pass (calibration, the training epochs, validation) runs on
 :func:`model._blocks` slices of those stacks: one forward and one
 backward per block rather than per graph.  Calibration holds one
@@ -21,7 +22,6 @@ from .model import (
     PROBABILITY_FLOOR,
     GnnModel,
     Layer,
-    _adjacency,
     _backward,
     _blocks,
     _check_attr_dim,
@@ -29,6 +29,7 @@ from .model import (
     _probabilities,
     _propagation,
     _readout,
+    _size_stacks,
 )
 from .optim import Adam
 
@@ -49,23 +50,14 @@ class _Stack(NamedTuple):
     labels: np.ndarray  # (b,), -1 for an unlabeled graph
 
 
-def _stack_graphs(graphs) -> list[_Stack]:
-    """Stacks of ``graphs`` by ascending node count.
-
-    Normalization is fixed, so the stacks serve every pass of a training
-    run.  Graph order within the split is kept inside each stack; on a
-    split of equal-size graphs the stack order is the split order.
-    """
-    by_size: dict[int, list] = {}
-    for g in graphs:
-        by_size.setdefault(g.node_count, []).append(g)
+def _stack_graphs(graphs, attr_dim: int) -> list[_Stack]:
+    """:func:`model._size_stacks` of ``graphs``, normalized, with their
+    labels.  Normalization is fixed, so the stacks serve every pass of a
+    training run."""
+    labels = [-1 if g.label is None else g.label for g in graphs]
     return [
-        _Stack(
-            _propagation(_adjacency(group)),
-            np.stack([g.attributes for g in group]),
-            np.array([-1 if g.label is None else g.label for g in group]),
-        )
-        for _, group in sorted(by_size.items())
+        _Stack(_propagation(a), x, y)
+        for _, a, x, y in _size_stacks(graphs, attr_dim, labels)
     ]
 
 
@@ -294,8 +286,8 @@ def evaluate_accuracy(model: GnnModel, graphs) -> float:
     result is NaN."""
     graphs = list(graphs)
     for g in graphs:
-        _check_attr_dim(model, g)
-    return _accuracy(model, _stack_graphs(graphs))
+        _check_attr_dim(model.attr_dim, g)
+    return _accuracy(model, _stack_graphs(graphs, model.attr_dim))
 
 
 def train_model(
@@ -340,8 +332,10 @@ def train_model(
     params = init_parameters(
         dataset.attr_dim, dataset.num_classes, tuple(hidden_dims), seed
     )
-    train_stacks = _stack_graphs(train_graphs)
-    val_stacks = _stack_graphs(dataset.split_graphs("validation"))
+    train_stacks = _stack_graphs(train_graphs, dataset.attr_dim)
+    val_stacks = _stack_graphs(
+        dataset.split_graphs("validation"), dataset.attr_dim
+    )
     _calibrate_parameters(params, tuple(hidden_dims), train_stacks)
     optimizer = Adam(params, learning_rate)
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gxplain
+from gxplain._schema import _shown
 from gxplain.cli import (
     _build_parser,
     _config_from_args,
@@ -532,8 +533,9 @@ def test_explain_rejects_out_of_range_arguments(pipeline, capsys, tmp_path, arg)
         ("", "names no graph"),
         (",", "names no graph"),
         (" , ", "names no graph"),
-        ("ba2motifs-0036,ba2motifs-0036", "twice: ba2motifs-0036"),
-        ("ba2motifs-0037, ba2motifs-0036,ba2motifs-0037", "twice: ba2motifs-0037"),
+        ("ba2motifs-0036,ba2motifs-0036", "twice: 'ba2motifs-0036'"),
+        ("ba2motifs-0037, ba2motifs-0036,ba2motifs-0037",
+         "twice: 'ba2motifs-0037'"),
     ],
 )
 def test_explain_ids_naming_no_graph_or_one_twice_exit_2(
@@ -667,16 +669,29 @@ def test_a_large_refused_value_leaves_a_short_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["split name", "split list", "graph id", "unlabeled graph"]
+    "case",
+    ["split name", "split list", "graph id", "unlabeled graph",
+     "file name", "unknown --ids", "repeated --ids", "missing explanations"],
 )
 def test_a_long_split_name_or_graph_id_leaves_a_short_error_line(
     tmp_path, capsys, case
 ):
     # a split that lists a graph twice or is no list, two graphs of one
-    # id, or a training graph without a label: the error names the
-    # 100 000-character split or id, cut short
+    # id, a training graph without a label, an id too long for a file
+    # name, --ids naming an unknown id or one twice, or graphs without
+    # explanations: the error names the 100 000-character split or id,
+    # or the first three 200-character ids, cut short
     path = tmp_path / "ds.json"
+    model = tmp_path / "m.json"
     assert main(["gen-dataset", "--n", "4", "--out", str(path)]) == 0
+    train = ["train", "--dataset", str(path), "--out", str(model),
+             "--epochs", "1"]
+    explain = ["explain", "--model", str(model), "--dataset", str(path),
+               "--out-dir", str(tmp_path / "expl"), "--split", "all"]
+    if case in ("split name", "split list", "graph id", "unlabeled graph"):
+        argv = train
+    else:
+        assert main(train) == 0
     doc = json.loads(path.read_text())
     long = "s" * 100_000
     if case == "split name":
@@ -685,18 +700,36 @@ def test_a_long_split_name_or_graph_id_leaves_a_short_error_line(
         doc["splits"] = {long: 3}
     elif case == "graph id":
         doc["graphs"][0]["id"] = doc["graphs"][1]["id"] = long
-    else:
+    elif case == "unlabeled graph":
         doc["graphs"][0].update(id=long, y=None)
+    elif case == "file name":
+        doc["graphs"][0]["id"] = long
+        argv = explain
+    elif case == "unknown --ids":
+        argv = explain + ["--ids", long]
+    elif case == "repeated --ids":
+        argv = explain + ["--ids", f"{long},{long}"]
+    else:
+        # each id fits a file name; together they would not fit the line
+        for i, graph in enumerate(doc["graphs"]):
+            graph["id"] = "s" * 200 + str(i)
+        (tmp_path / "none").mkdir()
+        argv = ["eval", "--model", str(model), "--dataset", str(path),
+                "--explanations", str(tmp_path / "none"), "--split", "all",
+                "--top-k", "1"]
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    code = main(["train", "--dataset", str(path), "--out",
-                 str(tmp_path / "m.json"), "--epochs", "1"])
+    code = main(argv)
     err = capsys.readouterr().err
-    # a readable file that cannot be trained on is not a usage error
-    assert code == (3 if case == "unlabeled graph" else 2)
+    # a readable file that cannot be trained on or evaluated is not a
+    # usage error
+    computing = ("unlabeled graph", "missing explanations")
+    assert code == (3 if case in computing else 2)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err.encode()) < 400
     assert f"'{'s' * 56}..." in err
+    if case == "missing explanations":
+        assert err.endswith(" and 1 more\n")
 
 
 @pytest.mark.parametrize("malformed_first", [True, False])
@@ -1094,6 +1127,7 @@ def test_graph_ids_that_cannot_be_file_names_exit_2(
                  "--report", str(work / "report.json")],
     }[command]
     err = _assert_one_line_usage_error(main(argv), capsys)
-    assert repr(bad) in err
+    # the id as every error line quotes one, cut to 60 characters
+    assert _shown(bad) in err
     assert list(work.iterdir()) == []
     assert [p.name for p in data.iterdir()] == ["ds.json"]

@@ -20,6 +20,7 @@ from gxplain.explain import (
     ExplainConfig,
     Explanation,
     explain,
+    init_masks,
     node_importance,
 )
 from gxplain.graphs import build_graph
@@ -169,6 +170,13 @@ def test_attribute_budget_takes_a_node_less_graph_of_any_width():
     assert evaluate(model, [empty, hot], expls, k=1).ep_attribute is None
     report = evaluate(model, [empty, hot], expls, k=1, attr_top=1)
     assert report.ep_attribute == 1.0
+    # a graph with nodes must have the model's width
+    wide = build_graph(2, [(0, 1)], np.ones((2, 3)), True, graph_id="wide")
+    expls["wide"] = manual_explanation(wide, [0, 1])
+    refused = "graph has 3 attributes, model expects 1"
+    for attr_top in (None, 1):
+        with pytest.raises(ShapeMismatch, match=refused):
+            evaluate(model, [empty, hot, wide], expls, k=1, attr_top=attr_top)
 
 
 def test_ep_explained_counts_retaining_subgraphs():
@@ -376,6 +384,40 @@ def test_a_prediction_outside_the_model_classes_is_refused(scorer, pred):
             evaluate(model, [g], expls, k=2)
         else:
             sweep(model, [g], expls)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["repeated id", "missing explanations", "foreign graph", "bad ranking",
+     "class outside", "masks of another graph"],
+)
+def test_an_error_naming_a_long_graph_id_stays_one_short_line(fault):
+    # the id is cut by _schema._shown, a list of ids after its first three
+    long = "s" * 100_000
+    g = hot_path_graph(long)
+    graphs, expls = [g], {long: manual_explanation(g, range(5))}
+    if fault == "repeated id":
+        graphs = [g, g]
+    elif fault == "missing explanations":
+        graphs = [hot_path_graph(long + str(i)) for i in range(5)]
+    elif fault == "foreign graph":
+        expls = {long: manual_explanation(path_graph(4), range(4))}
+    elif fault == "bad ranking":
+        expls[long] = dataclasses.replace(
+            expls[long], node_ranking=(0, 0, 1, 2, 3)
+        )
+    elif fault == "class outside":
+        expls = {long: manual_explanation(g, range(5), pred=7)}
+    errors = (ValidationError, MissingExplanation, ShapeMismatch)
+    with pytest.raises(errors) as refused:
+        if fault == "masks of another graph":
+            init_masks(path_graph(4), ExplainConfig(), 0).check_graph(g)
+        else:
+            evaluate(detector_model(), graphs, expls, k=2)
+    message = str(refused.value)
+    assert len(message) < 400 and f"'{'s' * 56}..." in message
+    if fault == "missing explanations":
+        assert message.endswith(" and 2 more")
 
 
 def test_report_fractions_and_counts_in_range():

@@ -157,13 +157,17 @@ def test_probability_readers_keep_no_trace():
         names = {_name(c) for c in _calls(tree)}
         assert "_probabilities" in names
         assert not (traced | {"_backward"}) & names
-    # and metrics builds 0/1 arc matrices in one place, its size stacks,
-    # which every metric reads: no one-graph operator of its own
+    # and training and metrics build 0/1 arc matrices in one place, the
+    # size-stack builder, which every stacked pass reads: no grouping or
+    # one-graph operator of their own
     def adjacency_calls(tree):
         return sum(_name(c) == "_adjacency" for c in _calls(tree))
 
-    stack = _functions("metrics")["_stack_by_size"]
-    assert adjacency_calls(_source("metrics")) == adjacency_calls(stack) == 1
+    builder = _functions("model")["_size_stacks"]
+    stackers = [_source("training"), _source("metrics")]
+    assert [adjacency_calls(t) for t in [*stackers, builder]] == [0, 0, 1]
+    for tree in stackers:
+        assert "_size_stacks" in {_name(c) for c in _calls(tree)}
 
 
 def test_no_probability_only_result_reaches_backward():

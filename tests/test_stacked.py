@@ -39,6 +39,7 @@ from gxplain.model import (
     _block_rows,
     _induced_operands,
     _probabilities,
+    _size_stacks,
     forward,
 )
 from gxplain.oracle import occlusion_scores
@@ -288,6 +289,67 @@ def test_sweep_matches_a_per_subgraph_loop_on_mixed_sizes(blocks):
     assert min_k["g40"] == 0
     assert all(r.min_k == min_k[r.graph_id] for r in rows)
     assert sweep(model, [], {}) == []
+
+
+@st.composite
+def graphs_of_mixed_sizes(draw):
+    attr_dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.sampled_from(pool), max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graphs = []
+    for i, n in enumerate(sizes):
+        # a graph without nodes may have any width
+        width = draw(st.integers(0, 4)) if n == 0 else attr_dim
+        edges = [
+            (s, t)
+            for s in range(n)
+            for t in range(s + 1, n)
+            if rng.random() < 0.4
+        ]
+        graphs.append(build_graph(
+            n, edges, rng.normal(size=(n, width)), draw(st.booleans()),
+            graph_id=f"g{i}",
+        ))
+    return graphs, attr_dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_of_mixed_sizes())
+def test_size_stacks_group_graphs_by_ascending_node_count(case):
+    graphs, attr_dim = case
+    labels = [i % 3 for i in range(len(graphs))]
+    ids = [g.graph_id for g in graphs]
+    stacks = _size_stacks(graphs, attr_dim, labels, ids)
+    assert [a.shape[-1] for _, a, *_ in stacks] == sorted(
+        {g.node_count for g in graphs}
+    )
+    members = [i for m, *_ in stacks for i in m.tolist()]
+    assert sorted(members) == list(range(len(graphs)))
+    for m, a, x, label, graph_id in stacks:
+        n = a.shape[-1]
+        assert m.tolist() == sorted(m.tolist())
+        assert x.shape == (len(m), n, attr_dim) and x.dtype == np.float64
+        assert label.tolist() == [labels[i] for i in m]
+        assert graph_id.tolist() == [ids[i] for i in m]
+        for i, a_i, x_i in zip(m, a, x):
+            assert graphs[i].node_count == n
+            assert a_i.tobytes() == _adjacency([graphs[i]])[0].tobytes()
+            if n:
+                assert x_i.tobytes() == graphs[i].attributes.tobytes()
+        if not n:
+            assert not x.any()
+    # metrics' stacks carry int64 rankings, (b, 0) ones for graphs
+    # without nodes, and the targets, both by member
+    model = random_model(np.random.default_rng(0), attr_dim=attr_dim)
+    rankings = [tuple(range(g.node_count))[::-1] for g in graphs]
+    targets = [len(g.graph_id) % 2 for g in graphs]
+    for stack in _stack_by_size(model, graphs, rankings, targets):
+        m, n = stack.members, stack.adjacency.shape[-1]
+        assert stack.ranking.dtype == np.int64
+        assert stack.ranking.shape == (len(m), n)
+        assert stack.ranking.tolist() == [list(rankings[i]) for i in m]
+        assert stack.target.tolist() == [targets[i] for i in m]
 
 
 @pytest.mark.parametrize("order", ["node id", "seeded permutation"])

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gxplain.datasets import Dataset, generate_ba2motifs, generate_motif_graphs
+from gxplain.errors import ShapeMismatch
 from gxplain.graphs import build_graph
 from gxplain.model import (
     PROBABILITY_FLOOR,
@@ -20,6 +21,7 @@ from gxplain.model import (
     _adjacency,
     _propagation,
     _readout,
+    forward,
     save_model,
 )
 from gxplain import training as training_module
@@ -127,7 +129,7 @@ def test_calibration_centers_and_scales_preactivations():
     ds = generate_ba2motifs(40, seed=2)
     graphs = ds.split_graphs("train")
     params = init_parameters(ds.attr_dim, ds.num_classes, (8, 8), seed=0)
-    _calibrate_parameters(params, (8, 8), _stack_graphs(graphs))
+    _calibrate_parameters(params, (8, 8), _stack_graphs(graphs, ds.attr_dim))
 
     # the first layer's pre-activations, as the model's own forward pass
     # computes them
@@ -141,6 +143,13 @@ def test_evaluate_accuracy_counts_correct_predictions():
     ds = tiny_dataset()
     model = train_model(ds, hidden_dims=(4,), epochs=300, seed=0).model
     assert evaluate_accuracy(model, ds.graphs) == 1.0
+    # a graph without nodes must have the model's width too, as forward
+    # asks, though the stacks give it zeros of that width
+    empty = build_graph(0, [], np.zeros((0, 3)), True, label=0)
+    with pytest.raises(ShapeMismatch, match="graph has 3 attributes"):
+        forward(model, empty)
+    with pytest.raises(ShapeMismatch, match="graph has 3 attributes"):
+        evaluate_accuracy(model, [empty])
 
 
 def unlabeled_copy(g, gid):
@@ -255,7 +264,9 @@ def labeled_graphs_and_model(draw):
 def test_stacked_epoch_is_bitwise_the_per_graph_loop(case, block_rows):
     graphs, model = case
     with mock.patch("gxplain.model.SUBSET_BLOCK_ROWS", block_rows):
-        grads, total_loss, hits = _epoch_gradients(model, _stack_graphs(graphs))
+        grads, total_loss, hits = _epoch_gradients(
+            model, _stack_graphs(graphs, model.attr_dim)
+        )
     ref_grads, ref_loss, ref_hits = reference_epoch(model, graphs)
     assert total_loss == ref_loss
     assert hits == ref_hits
@@ -281,7 +292,9 @@ def test_stacked_epoch_sums_one_entry_parameters_in_order():
         (Layer(rng.normal(size=(1, 1)), rng.normal(size=1), "identity"),),
         (Layer(rng.normal(size=(2, 2)), rng.normal(size=2), "identity"),),
     )
-    grads, _, _ = _epoch_gradients(model, _stack_graphs(graphs))
+    grads, _, _ = _epoch_gradients(
+        model, _stack_graphs(graphs, model.attr_dim)
+    )
     ref_grads, _, _ = reference_epoch(model, graphs)
     for got, want in zip(grads, ref_grads):
         assert got.tobytes() == want.tobytes()
@@ -308,7 +321,7 @@ def test_stacked_epoch_sums_one_entry_and_wide_parameters_in_order():
         ),
         (Layer(rng.normal(size=(14, 2)), rng.normal(size=2), "identity"),),
     )
-    stacks = _stack_graphs(graphs)
+    stacks = _stack_graphs(graphs, model.attr_dim)
     assert len(stacks) == 1 and len(stacks[0].labels) == 40
     grads, _, _ = _epoch_gradients(model, stacks)
     ref_grads, _, _ = reference_epoch(model, graphs)
@@ -415,7 +428,9 @@ def test_calibration_statistics_are_numpys_on_the_stacked_split(blocks, case):
     with mock.patch(
         "gxplain.training._set_affine", wraps=training_module._set_affine
     ) as fitted:
-        _calibrate_parameters(params, widths, _stack_graphs(graphs))
+        _calibrate_parameters(
+            params, widths, _stack_graphs(graphs, graphs[0].attr_dim)
+        )
     # each layer's (mean, std), then the head's
     fits = [c.args[2:] for c in fitted.call_args_list][:-1]
     graphs = sorted(graphs, key=lambda g: g.node_count)
@@ -439,7 +454,7 @@ def test_calibration_holds_one_layer_field_above_the_stacks(ba_dataset):
     graphs = ba_dataset.split_graphs("train")
     assert len(graphs) == 800 and {g.node_count for g in graphs} == {25}
     hidden = (20, 20, 20)
-    stacks = _stack_graphs(graphs)
+    stacks = _stack_graphs(graphs, ba_dataset.attr_dim)
     params = init_parameters(ba_dataset.attr_dim, 2, hidden, seed=0)
     started = not tracemalloc.is_tracing()
     if started:
@@ -474,7 +489,7 @@ def _assert_stacks_are_the_per_graph_operators(graphs):
     by_size: dict[int, list] = {}
     for g in graphs:
         by_size.setdefault(g.node_count, []).append(g)
-    stacks = _stack_graphs(graphs)
+    stacks = _stack_graphs(graphs, graphs[0].attr_dim)
     assert len(stacks) == len(by_size)
     for stack, n in zip(stacks, sorted(by_size)):
         group = by_size[n]
@@ -514,5 +529,5 @@ def test_training_builds_one_operator_stack_per_node_count():
     with mock.patch(
         "gxplain.training._propagation", wraps=_propagation
     ) as built:
-        _stack_graphs(graphs)
+        _stack_graphs(graphs, graphs[0].attr_dim)
     assert built.call_count == 2
