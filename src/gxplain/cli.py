@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def _select_graphs(dataset, split: str, ids: str | None):
         wanted = [s.strip() for s in ids.split(",") if s.strip()]
         if not wanted:
             raise ParseError(f"--ids {_shown(ids)} names no graph")
-        twice = sorted({w for w in wanted if wanted.count(w) > 1})
+        twice = sorted(w for w, k in Counter(wanted).items() if k > 1)
         if twice:
             raise ParseError(f"--ids names graphs twice: {_listed(twice)}")
         by_id = {g.graph_id: g for g in dataset.graphs}

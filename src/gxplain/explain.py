@@ -73,16 +73,48 @@ FIELD_CHOICES = {
 }
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x, out=None, opz=None, ge=None) -> np.ndarray:
+    """``1 / (1 + z)`` where ``x >= 0`` and ``z / (1 + z)`` elsewhere, ``z``
+    being ``exp(-|x|)``, so no exp overflows.
+
+    The result goes into ``out``, which may be ``x`` itself; ``opz``
+    (float) and ``ge`` (bool) are scratch of ``x``'s shape.  Each array
+    left None is made here.
+    """
     x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    one_plus_z = 1.0 + z
-    return np.where(x >= 0.0, 1.0 / one_plus_z, z / one_plus_z)
+    if out is None:
+        out = np.empty(x.shape)
+    if opz is None:
+        opz = np.empty(x.shape)
+    if ge is None:
+        ge = np.empty(x.shape, dtype=bool)
+    np.greater_equal(x, 0.0, out=ge)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=opz)
+    np.divide(out, opz, out=out)
+    np.divide(1.0, opz, out=opz)
+    np.putmask(out, ge, opz)
+    return out
 
 
-def _binary_entropy_of_logit(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # H(sigmoid(m)) written with softplus so saturated logits stay finite
-    return p * np.logaddexp(0.0, -m) + (1.0 - p) * np.logaddexp(0.0, m)
+def _binary_entropy_of_logit(
+    m: np.ndarray, p: np.ndarray, out=None, work=None, one_minus_p=None
+) -> np.ndarray:
+    """H(sigmoid(m)) for ``p = sigmoid(m)``, written with softplus so
+    saturated logits stay finite, into ``out``; ``work`` is scratch of
+    ``m``'s shape and ``one_minus_p`` holds ``1 - p``.  Each array left
+    None is made here."""
+    if one_minus_p is None:
+        one_minus_p = 1.0 - p
+    out = np.negative(m, out=out)
+    np.logaddexp(0.0, out, out=out)
+    out *= p
+    work = np.logaddexp(0.0, m, out=work)
+    work *= one_minus_p
+    out += work
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,18 +197,66 @@ def _logistic_noise(u) -> np.ndarray:
     return np.log(u) - np.log1p(-u)
 
 
+class _GateBuffers:
+    """The arrays one :func:`_hard_concrete_with_grad` call writes, for
+    gates of ``shape``, and views of their rows, all made once.
+
+    ``sig`` stacks the sigmoid pass: row ``s`` is the sampler's
+    ``sigmoid((noise + logits) / beta)``; with ``penalty`` a row
+    ``logit_sig`` holds ``sigmoid(logits)``, which the mask penalty
+    reads, so both sigmoids run as one pass.  ``opz`` and ``ge`` are the
+    pass's scratch; after it their first rows, ``span_s`` and ``below``,
+    hold ``s * span`` and ``raw < 1``.
+    """
+
+    __slots__ = (
+        "sig", "opz", "ge", "s", "logit_sig", "span_s", "below",
+        "gate", "dgate", "clamped",
+    )
+
+    def __init__(self, shape, penalty: bool = False):
+        stack = (1 + penalty, *shape)
+        self.sig = np.empty(stack)
+        self.opz = np.empty(stack)
+        self.ge = np.empty(stack, dtype=bool)
+        self.s, self.span_s, self.below = self.sig[0], self.opz[0], self.ge[0]
+        self.logit_sig = self.sig[1] if penalty else None
+        self.gate = np.empty(shape)
+        self.dgate = np.empty(shape)
+        self.clamped = np.empty(shape, dtype=bool)
+
+
 def _hard_concrete_with_grad(
-    logits: np.ndarray, config: HardConcreteConfig, noise: np.ndarray
+    logits, config: HardConcreteConfig, noise: np.ndarray, buffers=None
 ):
-    """Gates and d gate / d logit for ``logits`` and their noise."""
+    """Gates and d gate / d logit for ``logits`` and their noise, written
+    into ``buffers`` (a :class:`_GateBuffers`, made here when None) and
+    returned as its ``gate`` and ``dgate``."""
+    if buffers is None:
+        buffers = _GateBuffers(np.broadcast(noise, logits).shape)
+    b = buffers
+    s, span_s, gate, dgate, clamped = b.s, b.span_s, b.gate, b.dgate, b.clamped
+    np.add(noise, logits, out=s)
+    s /= config.beta
+    if b.logit_sig is not None:
+        b.logit_sig[...] = logits
+    _sigmoid(b.sig, b.sig, b.opz, b.ge)
     span = config.stretch_high - config.stretch_low
-    s = _sigmoid((noise + logits) / config.beta)
-    raw = s * span + config.stretch_low
-    gate = np.minimum(np.maximum(raw, 0.0), 1.0)
-    # clamped samples sit on a constant piece, so their gradient is zero
-    interior = (raw > 0.0) & (raw < 1.0)
-    grad = np.where(interior, span * s * (1.0 - s) / config.beta, 0.0)
-    return gate, grad
+    # raw = s * span + low, into gate; then clamped to [0, 1]
+    np.multiply(s, span, out=span_s)
+    np.add(span_s, config.stretch_low, out=gate)
+    np.greater(gate, 0.0, out=clamped)
+    clamped &= np.less(gate, 1.0, out=b.below)
+    np.logical_not(clamped, out=clamped)
+    np.maximum(gate, 0.0, out=gate)
+    np.minimum(gate, 1.0, out=gate)
+    # span * s * (1 - s) / beta; clamped samples sit on a constant piece,
+    # so their gradient is zero
+    np.subtract(1.0, s, out=dgate)
+    dgate *= span_s
+    dgate /= config.beta
+    np.putmask(dgate, clamped, 0.0)
+    return gate, dgate
 
 
 def sample_hard_concrete(
@@ -532,7 +612,9 @@ def learn_masks(
     What does not depend on the logits (the noise, rows of
     :func:`_noise_rows`; the operator buffer and its arc coefficients;
     the per-gate arrays; whether a side is pinned or a slot shared) is
-    set up once, before the epoch loop.
+    set up once, before the epoch loop, and so is every array the loop
+    writes: each step overwrites the same sampler, gate, gradient and
+    penalty buffers, and Adam its own scratch.
 
     ``on_epoch(epoch, masks)`` is called after each update with the live
     mask object.  ``initial_masks`` not laid out for ``g`` raise
@@ -581,44 +663,76 @@ def learn_masks(
     flat, coef = _arc_entries(g, unmasked)
     a_eff = unmasked.copy() if learn_edges else unmasked
     a_flat = a_eff.reshape(-1)
-    h = g.attributes
+    h = np.empty((n, d)) if learn_attrs else g.attributes
     optimizer = Adam([masks.logits], config.learning_rate)
+    # every array the loop writes: the sampler's, whose sigmoid pass also
+    # gives the penalty's sigmoid(logits); per-arc gates; and per-gate
+    # arrays, which unshared are per-parameter ones, so that the gate
+    # gradients then go straight into grad
+    sampled = _GateBuffers((params,), penalty=True)
+    arc_gate = np.empty(n_arcs)
+    grad = np.empty(params)
+    gates = len(slot)
+    if shared:
+        gate, p, m, dce = np.empty((4, gates))
+    else:
+        gate, p, m, dce = sampled.gate, sampled.logit_sig, masks.logits, grad
+    q, reg, one_minus_p, work = np.empty((4, gates))
+    finite = np.empty(gates, dtype=bool)
+    # each side's view of the per-gate arrays, in the graph's shapes
+    edge_gate, attr_gate = gate[:n_arcs], gate[n_arcs:].reshape(n, d)
+    dce_edge, dce_attr = dce[:n_arcs], dce[n_arcs:].reshape(n, d)
 
     for epoch in range(config.epochs):
-        gate, dgate = _hard_concrete_with_grad(masks.logits, hc, next(noise))
+        _, dgate = _hard_concrete_with_grad(
+            masks.logits, hc, next(noise), sampled
+        )
         if any_pinned:
             dgate[pinned] = 0.0
         if shared:
-            gate = gate[slot]
+            # sigmoid is elementwise, so gathering after the pass gives
+            # the bits of a pass over the gathered logits; every slot is
+            # in range, so "clip" only skips the buffering of "raise"
+            sampled.gate.take(slot, out=gate, mode="clip")
+            sampled.logit_sig.take(slot, out=p, mode="clip")
+            masks.logits.take(slot, out=m, mode="clip")
 
         # the gates lie in [0, 1] by construction, in the graph's shapes
         if learn_edges:
-            a_flat[flat] = coef * gate[:n_arcs]
+            a_flat[flat] = np.multiply(coef, edge_gate, out=arc_gate)
         if learn_attrs:
-            h = g.attributes * gate[n_arcs:].reshape(n, d)
+            np.multiply(g.attributes, attr_gate, out=h)
         tr = _layer_stack(model, a_eff, h)
         p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
         ce = -math.log(p_target)
         da, dx = _backward(model, tr, target, inputs=True)
-        # an edge gate scales its arc's coefficient, an attribute gate a cell
-        ce_edge, ce_attr = da.ravel()[flat] * coef, dx * g.attributes
-        # bincount adds in index order into zeros, as np.add.at does; a
-        # product, not *=, keeps its int result of no gates a float
-        grad = np.bincount(
-            slot, np.concatenate([ce_edge, ce_attr.ravel()]), params
-        ) * dgate
+        # an edge gate scales its arc's coefficient, an attribute gate a
+        # cell
+        np.multiply(da.ravel()[flat], coef, out=dce_edge)
+        np.multiply(dx, g.attributes, out=dce_attr)
+        if shared:
+            # bincount adds in index order into zeros, as np.add.at does
+            np.multiply(np.bincount(slot, dce, params), dgate, out=grad)
+        else:
+            # bincount's 0.0 + v: a product of -0.0 turns +0.0
+            grad += 0.0
+            grad *= dgate
 
-        m = masks.logits[slot] if shared else masks.logits
-        p = _sigmoid(m)
-        objective = ce + float(size_w @ (p / divisor))
-        reg = size_w * p * (1.0 - p)
+        np.divide(p, divisor, out=q)
+        objective = ce + float(size_w @ q)
+        np.multiply(size_w, p, out=reg)
+        np.subtract(1.0, p, out=one_minus_p)
+        reg *= one_minus_p
         # zero-weight entropy terms add exactly +0 and take away +-0,
         # unless an infinite logit makes them NaN
-        if entropic or not np.isfinite(m).all():
-            objective += float(
-                entropy_w @ (_binary_entropy_of_logit(m, p) / divisor)
-            )
-            reg -= entropy_w * m * p * (1.0 - p)
+        if entropic or not np.isfinite(m, out=finite).all():
+            _binary_entropy_of_logit(m, p, q, work, one_minus_p)
+            q /= divisor
+            objective += float(entropy_w @ q)
+            np.multiply(entropy_w, m, out=q)
+            q *= p
+            q *= one_minus_p
+            reg -= q
         reg /= divisor
         if shared:
             np.add.at(grad, slot, reg)

@@ -197,7 +197,8 @@ class _Trace:
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # np.add.reduce is ndarray.sum without its Python-level wrapper
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _check_attr_dim(attr_dim: int, g: AttributedGraph) -> None:
@@ -295,10 +296,11 @@ def _readout(h: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros(h.shape[:-2] + (2 * h.shape[-1],))
     # the node axis node-major, except where numpy's own order must stay
-    # (see _node_major); the sum over n is the bytes of h.mean, without
-    # its wrapper
+    # (see _node_major); np.add.reduce over it, divided by n, is the
+    # bytes of h.mean without its Python-level wrappers
     h, nodes = _node_major(h)
-    return np.concatenate([h.max(axis=nodes), h.sum(axis=nodes) / n], axis=-1)
+    total = np.add.reduce(h, axis=nodes)
+    return np.concatenate([h.max(axis=nodes), total / n], axis=-1)
 
 
 def _layer_stack(

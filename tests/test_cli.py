@@ -549,6 +549,25 @@ def test_explain_ids_naming_no_graph_or_one_twice_exit_2(
     assert not out.exists()
 
 
+def test_many_ids_with_repeats_name_the_first_three_repeated_once(
+    pipeline, capsys, tmp_path
+):
+    # 20 000 ids, four of them given again (one of those three times):
+    # the repeats are found by one count, sorted and named once each
+    _, ds, model, _ = pipeline
+    ids = [f"g{i}" for i in range(20_000)]
+    ids += ["g7", "g19999", "g3", "g7", "g12345"]
+    out = tmp_path / "expl"
+    code = main(["explain", "--model", str(model), "--dataset", str(ds),
+                 "--out-dir", str(out), "--ids", ",".join(ids)])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert err == (
+        "error: --ids names graphs twice: 'g12345', 'g19999', 'g3' and 1"
+        " more\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pinned_kernels import pinned_hard_concrete_with_grad, pinned_sigmoid
 
 from gxplain.errors import DomainError
 from gxplain.explain import (
     HardConcreteConfig,
+    _GateBuffers,
     _hard_concrete_with_grad,
     _logistic_noise,
     _sigmoid,
@@ -130,3 +131,68 @@ def test_sampler_and_sigmoid_give_the_pinned_bytes(pairs, beta, low, high):
     assert grad.tobytes() == want_grad.tobytes()
     x = logits / beta
     assert _sigmoid(x).tobytes() == pinned_sigmoid(x).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    first=st.lists(st.tuples(_logits, _uniforms), min_size=0, max_size=30),
+    data=st.data(),
+    beta=st.sampled_from([0.01, 0.5, 7.0]),
+)
+def test_reused_buffers_give_the_pinned_bytes_on_each_call(first, data, beta):
+    # one set of buffers serves every epoch; nothing of a call may leak
+    # into the next, whose logits and uniforms differ
+    config = HardConcreteConfig(beta=beta)
+    second = data.draw(
+        st.lists(
+            st.tuples(_logits, _uniforms),
+            min_size=len(first),
+            max_size=len(first),
+        )
+    )
+    buffers = _GateBuffers((len(first),), penalty=True)
+    for pairs in (first, second):
+        logits = np.array([m for m, _ in pairs], dtype=np.float64)
+        u = np.array([v for _, v in pairs], dtype=np.float64)
+        gate, grad = _hard_concrete_with_grad(
+            logits, config, _logistic_noise(u), buffers
+        )
+        assert gate is buffers.gate and grad is buffers.dgate
+        want_gate, want_grad = pinned_hard_concrete_with_grad(
+            logits, config, u
+        )
+        assert gate.tobytes() == want_gate.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert buffers.logit_sig.tobytes() == pinned_sigmoid(logits).tobytes()
+
+
+_edge_logits = st.one_of(
+    st.sampled_from([-np.inf, -500.0, -0.0, 0.0, 500.0, np.inf]),
+    st.floats(-600.0, 600.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_edge_logits, _uniforms), max_size=30),
+    beta=st.sampled_from([0.01, 0.5, 7.0]),
+)
+@example(pairs=[], beta=0.5)
+@example(
+    pairs=[(m, 0.5) for m in (-np.inf, -500.0, -0.0, 0.0, 500.0, np.inf)],
+    beta=0.5,
+)
+def test_each_row_of_the_stacked_sigmoid_is_that_row_alone(pairs, beta):
+    # the sampler's row and the penalty's row run as one (2, P) pass
+    logits = np.array([m for m, _ in pairs], dtype=np.float64)
+    noise = _logistic_noise(np.array([v for _, v in pairs], dtype=np.float64))
+    buffers = _GateBuffers((len(pairs),), penalty=True)
+    config = HardConcreteConfig(beta=beta)
+    _hard_concrete_with_grad(logits, config, noise, buffers)
+    rows = [(noise + logits) / beta, logits]
+    assert buffers.sig.shape == (2, len(pairs))
+    for row, x in zip(buffers.sig, rows):
+        assert row.tobytes() == _sigmoid(x).tobytes()
+        assert row.tobytes() == pinned_sigmoid(x).tobytes()
+    stacked = np.stack(rows)
+    assert _sigmoid(stacked).tobytes() == buffers.sig.tobytes()

@@ -41,6 +41,8 @@ from gxplain.model import (
     MaskedInput,
     _adjacency,
     _propagation,
+    forward,
+    mask_gradients,
 )
 
 # the package exports the function ``explain`` under the module's name
@@ -435,6 +437,7 @@ def test_epoch_loop_builds_no_per_graph_invariants():
         for node in ast.walk(loops[0])
         if isinstance(node, ast.Call)
     }
+    # nor does it make arrays: every buffer it writes is made before it
     banned = {
         "_epoch_uniforms",
         "_logistic_noise",
@@ -442,5 +445,61 @@ def test_epoch_loop_builds_no_per_graph_invariants():
         "MaskedInput",
         "_forward_trace",
         "copy",
+        "empty",
+        "zeros",
+        "_GateBuffers",
+        "concatenate",
     }
     assert not called & banned
+
+
+def _zero_sign_graphs():
+    """A graph whose attribute cells are all 0.0, so that the attribute
+    gate gradients ``dx * x`` hold -0.0 wherever ``dx`` is negative, and
+    a graph without arcs; with a model for each."""
+    rng = np.random.default_rng(2)
+    ring = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
+    zeros = build_graph(6, ring, np.zeros((6, 3)), False, graph_id="zeros")
+    zeros_model = random_model(rng, attr_dim=3, hidden=(4, 3))
+    arcless = build_graph(5, [], rng.normal(size=(5, 3)), False, graph_id="a")
+    return [
+        (zeros, zeros_model),
+        (arcless, random_model(rng, attr_dim=3, hidden=(4, 3))),
+    ]
+
+
+def test_the_zero_attribute_graph_has_negative_zero_gate_gradients():
+    # the premise of the next test
+    g, model = _zero_sign_graphs()[0]
+    mask = MaskedInput(np.full(g.arc_count, 0.5), np.full((6, 3), 0.5))
+    target = forward(model, g).predicted_class
+    dx = mask_gradients(model, g, mask, target).attribute_gate
+    assert (dx == 0.0).all() and np.signbit(dx).any()
+
+
+@pytest.mark.parametrize("graph", ["zero attributes", "arcless"])
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("mode", MODES)
+def test_zero_gradients_keep_the_bits_of_two_branches(mode, sharing, graph):
+    # unshared, the gate gradients go straight into the gradient vector
+    # with bincount's 0.0 + v, so -0.0 products and empty sides learn
+    # what the reference learns; with entropy terms, and without
+    g, model = _zero_sign_graphs()[graph == "arcless"]
+    for entropy in (0.0, 0.1):
+        config = ExplainConfig(
+            epochs=30,
+            learning_rate=0.05,
+            lambda_edge_entropy=entropy,
+            lambda_attr_entropy=entropy,
+            mode=mode,
+            sharing=sharing,
+            hard_concrete=HardConcreteConfig(seed=2),
+        )
+        masks, expl = learn_masks(model, g, config)
+        ref_masks, ref_expl = reference_learn_masks(model, g, config)
+        assert masks.logits.tobytes() == ref_masks.logits.tobytes()
+        got = json.dumps(explanation_to_dict(expl, config), sort_keys=True)
+        want = json.dumps(
+            explanation_to_dict(ref_expl, config), sort_keys=True
+        )
+        assert got == want
