@@ -115,11 +115,22 @@ def _explanation_path(directory, graph_id: str) -> Path:
     return Path(directory) / f"{graph_id}.json"
 
 
+def _out_fault(out: Path) -> str | None:
+    """Why no file can be written at ``out``, checked before any work:
+    ``out`` is a directory, or its nearest ancestor on disk is not one,
+    so its missing parents cannot be made.  None when neither holds."""
+    if out.is_dir():
+        return f"--out {out} is a directory"
+    parent = next((p for p in out.parents if os.path.lexists(p)), None)
+    if parent is not None and not parent.is_dir():
+        return f"--out {out}: {parent} is not a directory"
+    return None
+
+
 def cmd_gen_dataset(args) -> int:
     out = Path(args.out)
-    # checked before any work, as no file can replace a directory
-    if out.is_dir():
-        return _usage_error(f"--out {out} is a directory")
+    if fault := _out_fault(out):
+        return _usage_error(fault)
     if out.exists() and not args.force:
         return _usage_error(f"refusing to overwrite {out} (use --force)")
     dataset = generate_ba2motifs(args.n, args.seed)
@@ -150,8 +161,8 @@ def _train_options(args) -> dict:
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    if out.is_dir():
-        return _usage_error(f"--out {out} is a directory")
+    if fault := _out_fault(out):
+        return _usage_error(fault)
     dataset = load_dataset(args.dataset)
     result = train_model(dataset, **_train_options(args))
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -205,7 +205,7 @@ def build_graphs(
     labels,
     graph_ids,
 ) -> list[AttributedGraph]:
-    """Canonicalize a batch of graphs' raw edges at once.
+    """Canonicalize a batch of graphs' checked edges at once.
 
     Graph ``i`` has ``node_counts[i]`` nodes, the next ``edge_counts[i]``
     rows of the ``(E, 2)`` int array ``edges``, the attribute matrix
@@ -213,31 +213,21 @@ def build_graphs(
     ``graph_ids[i]``.  Self-loops are dropped (the propagation rule
     injects its own), duplicate edges collapse, and arcs come out in
     sorted order.  For an undirected graph each edge is emitted as the
-    pair ``(u, v), (v, u)`` with ``u < v``.  Such arcs can break no arc
-    rule but endpoint range, so that alone is tested, once for the whole
-    batch, and :func:`_check_arcs` words the first faulty graph's error.
-    Each graph owns copies of its arcs and attributes, so a graph that
-    outlives the batch does not keep the batch's arrays alive.  A faulty
-    batch fails as building its graphs one by one would: on the first
-    faulty graph, with that graph's error.
+    pair ``(u, v), (v, u)`` with ``u < v``.  Each graph owns copies of
+    its arcs and attributes, so a graph that outlives the batch does not
+    keep the batch's arrays alive.
 
-    Raises:
-        IndexOutOfRange: a negative node count, or an endpoint of a kept
-            arc outside ``[0, node_count)``.
-        ShapeMismatch: an attribute matrix is not ``node_count`` rows.
+    The input must already be checked: every node count at least 0,
+    every end inside its graph, and every attribute matrix ``node_count``
+    rows of floats.  Such edges give arcs that keep every arc rule, so
+    none is checked here; :func:`build_graph` checks one graph's input.
     """
-    attrs, fault = [], None
-    for n_i, a in zip(node_counts, attributes):
-        try:
-            attrs.append(_attribute_matrix(n_i, a))
-        except (IndexOutOfRange, ShapeMismatch, TypeError, ValueError) as exc:
-            fault = exc
-            break
     counts = np.asarray(node_counts, dtype=np.int64)
     flags = np.asarray(directed, dtype=bool)
+    attrs = [_attribute_matrix(n_i, a) for n_i, a in zip(node_counts, attributes)]
     owner = np.repeat(np.arange(len(counts)), edge_counts)
     s, d = edges[:, 0], edges[:, 1]
-    # a loop on a node outside the graph is kept for the range test
+    # a loop on a node outside the graph is kept for build_graph's check
     keep = (s != d) | (s < 0) | (s >= counts[owner])
     owner, s, d = owner[keep], s[keep], d[keep]
     swap = ~flags[owner] & (d < s)
@@ -245,30 +235,15 @@ def build_graphs(
     order, repeat = _arc_sort(owner, u, v)
     order = order[~repeat]
     owner, u, v = owner[order], u[order], v[order]
-    # loops are gone and repeats collapsed, and the mates below pair up:
-    # only an end outside its graph can break an arc rule
-    n = counts[owner]
-    stray = owner[(u < 0) | (u >= n) | (v < 0) | (v >= n)]
     # each undirected edge becomes two adjacent arcs, its mate second
     width = np.where(flags[owner], 1, 2)
     arcs = np.repeat(np.stack([u, v], axis=1), width, axis=0)
     mate = (np.cumsum(width) - 1)[width == 2]
     arcs[mate] = arcs[mate, ::-1]
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     per_graph = np.bincount(owner, minlength=len(counts)) * np.where(flags, 1, 2)
-    np.cumsum(per_graph, out=offsets[1:])
+    bounds = [0, *np.cumsum(per_graph).tolist()]
     # the canonical arcs are all that is kept
-    del n, keep, swap, u, v, order, repeat, owner, width, mate, per_graph
-
-    # the graphs before one with faulty attributes must pass the arc
-    # rules; the first that does not words its error
-    if len(stray) and stray[0] < len(attrs):
-        i = stray[0]
-        lo, hi = offsets[i], offsets[i + 1]
-        _check_arcs(*arcs[lo:hi].T, int(counts[i]), flags[i])
-    if fault is not None:
-        raise fault
-    bounds = offsets.tolist()
+    del keep, swap, u, v, order, repeat, owner, width, mate, per_graph
     return [
         AttributedGraph(
             int(counts[i]),
@@ -292,18 +267,20 @@ def build_graph(
     graph_id: str = "",
 ) -> AttributedGraph:
     """Canonicalize raw edge data into an AttributedGraph: the one-graph
-    call of :func:`build_graphs`, with the same rules and errors, and
-    those of :func:`_arc_array` for ``edge_list``."""
+    call of :func:`build_graphs`, which checks what that call requires.
+
+    Raises, in this order: the errors of :func:`_arc_array` for
+    ``edge_list``; IndexOutOfRange for a negative node count and
+    ShapeMismatch for an attribute matrix not ``node_count`` rows; and
+    IndexOutOfRange for an end outside the graph, the one arc rule that
+    canonical arcs can break, worded by :func:`_check_arcs`.
+    """
     edges = _arc_array(edge_list)
-    return build_graphs(
-        [node_count],
-        edges,
-        [len(edges)],
-        [attributes],
-        [directed],
-        [label],
-        [graph_id],
+    g = build_graphs(
+        [node_count], edges, [len(edges)], [attributes], [directed], [label], [graph_id]
     )[0]
+    _check_arcs(*g.arcs.T, g.node_count, g.directed)
+    return g
 
 
 def node_induced_subgraph(g: AttributedGraph, keep: NodeSet) -> AttributedGraph:

@@ -192,9 +192,10 @@ def test_eval_that_cannot_write_prints_no_metric_line(
     assert captured.err.endswith(f": {str(target)!r}\n")
 
 
+@pytest.mark.parametrize("where", ["a directory", "below a file"])
 @pytest.mark.parametrize("command", ["train", "gen-dataset"])
 def test_an_out_that_is_a_directory_is_refused_before_any_work(
-    pipeline, capsys, tmp_path, monkeypatch, command
+    pipeline, capsys, tmp_path, monkeypatch, command, where
 ):
     _, ds, _, _ = pipeline
     for name in ("load_dataset", "train_model", "generate_ba2motifs"):
@@ -204,16 +205,23 @@ def test_an_out_that_is_a_directory_is_refused_before_any_work(
             raise AssertionError("work started")
 
         monkeypatch.setattr(f"gxplain.cli.{name}", refuse)
-    target = tmp_path / "adir"
-    target.mkdir()
+    if where == "a directory":
+        target = tmp_path / "adir"
+        target.mkdir()
+        message = f"--out {target} is a directory"
+    else:
+        (tmp_path / "afile").touch()
+        target = tmp_path / "afile" / "sub" / "out.json"
+        message = f"--out {target}: {tmp_path / 'afile'} is not a directory"
+    before = sorted(tmp_path.rglob("*"))
     argv = {
         "train": ["train", "--dataset", str(ds), "--out", str(target)],
         "gen-dataset": ["gen-dataset", "--n", "4", "--force",
                         "--out", str(target)],
     }[command]
     err = _assert_one_line_usage_error(main(argv), capsys)
-    assert f"--out {target} is a directory" in err
-    assert target.is_dir() and not any(target.iterdir())
+    assert message in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_eval_sweep_csv_has_every_budget_in_order(pipeline, tmp_path):

@@ -428,6 +428,14 @@ def _corrupt(entry, path, value):
             id="nan-attribute",
         ),
         pytest.param(
+            ("x", 3, 2), math.inf, "x: expected finite numbers",
+            id="inf-attribute",
+        ),
+        pytest.param(
+            ("x", 3, 2), -math.inf, "x: expected finite numbers",
+            id="minus-inf-attribute",
+        ),
+        pytest.param(
             ("n",), True, "n: expected an integer, got True", id="bool-n"
         ),
         pytest.param(("n",), -1, "n is negative (-1)", id="negative-n"),
@@ -539,16 +547,19 @@ def graph_entry(draw, attr_dim):
 
 
 FAULTS = [
-    "attr", "attr-bool", "attr-int", "attr-big", "retype", "drop", "n",
-    "end", "pair", "row", "cell", "deep", "empty-rows", "not-object",
+    "attr", "attr-bool", "attr-int", "attr-big", "attr-nonfinite", "retype",
+    "drop", "n", "end", "pair", "row", "cell", "deep", "empty-rows",
+    "not-object",
 ]
 
 
 def _break(draw, entries, attr_dim):
     """Give one of ``entries`` one fault: a value of the wrong type, a
-    bool, NaN, a wrong shape, a missing key, an end outside the graph or
-    an attribute integer past [-2**63, 2**64).  An ``attr-int`` draw, an
-    attribute integer inside that range, leaves the entry well-formed."""
+    bool, NaN or an infinity, a wrong shape, a missing key, an end
+    outside the graph or an attribute integer past [-2**63, 2**64).  An
+    ``attr-nonfinite`` draw plants only NaN or an infinity.  An
+    ``attr-int`` draw, an attribute integer inside that range, leaves the
+    entry well-formed."""
     k = draw(st.integers(0, len(entries) - 1))
     entry = entries[k]
     if not isinstance(entry, dict):
@@ -561,7 +572,8 @@ def _break(draw, entries, attr_dim):
     if fault.startswith("attr") and cells:
         i, j = draw(st.sampled_from(cells))
         pool = {"attr": JSON_VALUES, "attr-bool": [True, False],
-                "attr-int": ATTR_INTS, "attr-big": BIG_INTS}[fault]
+                "attr-int": ATTR_INTS, "attr-big": BIG_INTS,
+                "attr-nonfinite": [math.nan, math.inf, -math.inf]}[fault]
         rows[i][j] = draw(st.sampled_from(pool))
     elif fault == "retype":
         entry[draw(st.sampled_from(sorted(entry)))] = draw(
