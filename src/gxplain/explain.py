@@ -39,16 +39,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import AttributedGraph
-from .model import (
-    PROBABILITY_FLOOR,
-    GnnModel,
-    _adjacency,
-    _arc_entries,
-    _backward,
-    _forward_trace,
-    _layer_stack,
-    _propagation,
-)
+from .model import GnnModel, _cross_entropy, _forward_trace, _Gates
 from .optim import Adam
 
 EXPLANATION_FORMAT_VERSION = 1
@@ -610,8 +601,8 @@ def learn_masks(
     gate's slot, penalty weights and mean divisor; a pinned side has
     gate 1, weight 0 and zero gradient, so its logits never move.
     What does not depend on the logits (the noise, rows of
-    :func:`_noise_rows`; the operator buffer and its arc coefficients;
-    the per-gate arrays; whether a side is pinned or a slot shared) is
+    :func:`_noise_rows`; the gated view, a :class:`model._Gates`; the
+    per-gate arrays; whether a side is pinned or a slot shared) is
     set up once, before the epoch loop, and so is every array the loop
     writes: each step overwrites the same sampler, gate, gradient and
     penalty buffers, and Adam its own scratch.
@@ -621,8 +612,8 @@ def learn_masks(
     ShapeMismatch before the first epoch (:meth:`MaskSet.check_graph`).
     """
     hc = config.hard_concrete
-    unmasked = _propagation(_adjacency([g]))[0]
-    base = _forward_trace(model, g, None, unmasked)
+    view = _Gates(g)
+    base = _forward_trace(model, g, None, view)
     target = base.predicted_class
     if initial_masks is None:
         masks = init_masks(g, config, hc.seed)
@@ -635,10 +626,8 @@ def learn_masks(
     slot = np.concatenate(
         [masks.edge_slot, masks.edge_params + masks.attr_slot.ravel()]
     )
-    learn_edges = config.mode != "attribute_only"
-    learn_attrs = config.mode != "edge_only"
     learned = np.repeat(
-        [learn_edges, learn_attrs],
+        [config.mode != "attribute_only", config.mode != "edge_only"],
         [masks.edge_params, params - masks.edge_params],
     )
     counts = [n_arcs, n * d]
@@ -659,18 +648,12 @@ def learn_masks(
     any_pinned = bool(pinned.any())
     # unshared, slot is the identity and so are its gathers and scatters
     shared = not np.array_equal(slot, np.arange(params))
-    # a pinned side reads the graph as it is: coef * 1 and x * 1 are exact
-    flat, coef = _arc_entries(g, unmasked)
-    a_eff = unmasked.copy() if learn_edges else unmasked
-    a_flat = a_eff.reshape(-1)
-    h = np.empty((n, d)) if learn_attrs else g.attributes
     optimizer = Adam([masks.logits], config.learning_rate)
     # every array the loop writes: the sampler's, whose sigmoid pass also
-    # gives the penalty's sigmoid(logits); per-arc gates; and per-gate
-    # arrays, which unshared are per-parameter ones, so that the gate
-    # gradients then go straight into grad
+    # gives the penalty's sigmoid(logits); the gated view's; and
+    # per-gate arrays, which unshared are per-parameter ones, so that the
+    # gate gradients then go straight into grad
     sampled = _GateBuffers((params,), penalty=True)
-    arc_gate = np.empty(n_arcs)
     grad = np.empty(params)
     gates = len(slot)
     if shared:
@@ -688,6 +671,8 @@ def learn_masks(
             masks.logits, hc, next(noise), sampled
         )
         if any_pinned:
+            # a pinned side reads the graph as it is, through gates of 1
+            sampled.gate[pinned] = 1.0
             dgate[pinned] = 0.0
         if shared:
             # sigmoid is elementwise, so gathering after the pass gives
@@ -698,18 +683,9 @@ def learn_masks(
             masks.logits.take(slot, out=m, mode="clip")
 
         # the gates lie in [0, 1] by construction, in the graph's shapes
-        if learn_edges:
-            a_flat[flat] = np.multiply(coef, edge_gate, out=arc_gate)
-        if learn_attrs:
-            np.multiply(g.attributes, attr_gate, out=h)
-        tr = _layer_stack(model, a_eff, h)
-        p_target = max(float(tr.probabilities[target]), PROBABILITY_FLOOR)
-        ce = -math.log(p_target)
-        da, dx = _backward(model, tr, target, inputs=True)
-        # an edge gate scales its arc's coefficient, an attribute gate a
-        # cell
-        np.multiply(da.ravel()[flat], coef, out=dce_edge)
-        np.multiply(dx, g.attributes, out=dce_attr)
+        tr = view.forward(model, edge_gate, attr_gate)
+        ce = _cross_entropy(float(tr.probabilities[target]))
+        view.gradients(model, tr, target, dce_edge, dce_attr)
         if shared:
             # bincount adds in index order into zeros, as np.add.at does
             np.multiply(np.bincount(slot, dce, params), dgate, out=grad)

@@ -12,6 +12,7 @@ Conventions used throughout:
   empty graph it is the zero vector, so every model still emits a prediction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from ._schema import (
     read_field,
 )
 from .errors import (
+    DomainError,
     IndexOutOfRange,
     ParseError,
     ShapeMismatch,
@@ -151,6 +153,9 @@ class MaskedInput:
                 f"edge gate must be a vector and attribute gate a matrix,"
                 f" got {eg.shape} and {ag.shape}"
             )
+        # clip keeps a NaN, which no gate rule reads as a gate
+        if np.isnan(eg).any() or np.isnan(ag).any():
+            raise DomainError("gates must not be NaN")
         eg.flags.writeable = False
         ag.flags.writeable = False
         object.__setattr__(self, "edge_gate", eg)
@@ -357,36 +362,62 @@ def _layer_stack(
     )
 
 
-def _arc_entries(
-    g: AttributedGraph, unmasked: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each arc's index ``dst * n + src`` into the flattened ``(n, n)``
-    operator, and its coefficient in ``unmasked``, the operator before
-    edge gates."""
-    src, dst = g.arc_index_arrays()
-    flat = dst * g.node_count + src
-    return flat, unmasked.ravel()[flat]
+class _Gates:
+    """The one gate rule, on graph ``g``: an edge gate scales its arc's
+    coefficient in ``unmasked``, ``g``'s operator before gates, at flat
+    index ``dst * n + src``, and an attribute gate scales its cell.  The
+    buffers that :meth:`forward` overwrites are made once.  Gates of 1.0
+    keep every bit: ``coef * 1`` and ``x * 1`` are exact."""
+
+    __slots__ = ("g", "unmasked", "flat", "coef", "arc", "a", "x")
+
+    def __init__(self, g: AttributedGraph):
+        self.g = g
+        self.unmasked = _propagation(_adjacency([g]))[0]
+        src, dst = g.arc_index_arrays()
+        self.flat = dst * g.node_count + src
+        self.coef = self.unmasked.ravel()[self.flat]
+        self.arc = np.empty(g.arc_count)
+        self.a = self.unmasked.copy()
+        self.x = np.empty(g.attributes.shape)
+
+    def forward(self, model: GnnModel, edge_gate, attr_gate) -> _Trace:
+        """The gated trace; it reads the buffers until the next call."""
+        np.multiply(self.coef, edge_gate, out=self.arc)
+        self.a.ravel()[self.flat] = self.arc
+        np.multiply(self.g.attributes, attr_gate, out=self.x)
+        return _layer_stack(model, self.a, self.x)
+
+    def gradients(self, model, tr, target, edge_out=None, attr_out=None):
+        """d loss / d gate of a :meth:`forward` trace, by the chain rule."""
+        da, dx = _backward(model, tr, target, inputs=True)
+        return (
+            np.multiply(da.ravel()[self.flat], self.coef, out=edge_out),
+            np.multiply(dx, self.g.attributes, out=attr_out),
+        )
+
+    def operators(self, edge_gate: np.ndarray) -> np.ndarray:
+        """The ``(b, n, n)`` operators of ``(b, arcs)`` edge gates."""
+        a = np.repeat(self.unmasked[None], len(edge_gate), axis=0)
+        a.reshape(len(a), -1)[:, self.flat] = self.coef * edge_gate
+        return a
 
 
 def _forward_trace(
     model: GnnModel,
     g: AttributedGraph,
     mask: MaskedInput | None,
-    unmasked: np.ndarray | None = None,
+    gates: _Gates | None = None,
 ) -> _Trace:
-    """Forward pass of one graph; ``unmasked`` is
-    ``_propagation(_adjacency([g]))[0]`` when the caller holds it."""
+    """Forward pass of one graph, through ``mask`` unless it is None."""
     _check_attr_dim(model.attr_dim, g)
-    if mask is not None:
-        _check_mask(g, mask)
-    if unmasked is None:
-        unmasked = _propagation(_adjacency([g]))[0]
     if mask is None:
-        return _layer_stack(model, unmasked, np.asarray(g.attributes))
-    flat, coef = _arc_entries(g, unmasked)
-    a_eff = unmasked.copy()
-    a_eff.ravel()[flat] = coef * mask.edge_gate
-    return _layer_stack(model, a_eff, g.attributes * mask.attribute_gate)
+        a = gates.unmasked if gates else _propagation(_adjacency([g]))[0]
+        return _layer_stack(model, a, np.asarray(g.attributes))
+    _check_mask(g, mask)
+    if gates is None:
+        gates = _Gates(g)
+    return gates.forward(model, mask.edge_gate, mask.attribute_gate)
 
 
 def forward(
@@ -444,8 +475,13 @@ def _induced_operands(
     return a, attributes[graph, rows]
 
 
+def _cross_entropy(p: float) -> float:
+    """``-log p``, floored where :func:`_backward`'s gradients are 0."""
+    return -math.log(max(p, PROBABILITY_FLOOR))
+
+
 def _backward(model: GnnModel, tr: _Trace, target, inputs: bool = False):
-    """Reverse-mode gradients of the floored cross-entropy.
+    """Reverse-mode gradients of :func:`_cross_entropy`.
 
     ``tr`` may stack graphs on leading axes, as :func:`_layer_stack`
     does; ``target`` then holds one class per graph.  The result lists
@@ -453,8 +489,8 @@ def _backward(model: GnnModel, tr: _Trace, target, inputs: bool = False):
     the stack's leading axes, so slice ``i`` is the gradient of graph
     ``i`` alone.  With ``inputs`` it is ``(d_operator, d_fields)``
     instead: the gradients with respect to ``tr.a_eff`` and to the input
-    node fields ``tr.node_h[0]``, in their shapes.  Gate gradients follow
-    from these by the chain rule, which the callers that gate apply.
+    node fields ``tr.node_h[0]``, in their shapes, from which
+    :meth:`_Gates.gradients` forms the gate gradients.
     Every product is a per-graph one, as in the forward pass, so each
     slice is bit-identical to the same graph run alone.
     """
@@ -532,12 +568,9 @@ def mask_gradients(
         raise IndexOutOfRange(
             f"target class {target_class} outside [0, {model.num_classes})"
         )
-    unmasked = _propagation(_adjacency([g]))[0]
-    tr = _forward_trace(model, g, mask, unmasked)
-    da, dx = _backward(model, tr, target_class, inputs=True)
-    # an edge gate scales its arc's coefficient, an attribute gate a cell
-    flat, coef = _arc_entries(g, unmasked)
-    return MaskGradients(da.ravel()[flat] * coef, dx * g.attributes)
+    gates = _Gates(g)
+    tr = _forward_trace(model, g, mask, gates)
+    return MaskGradients(*gates.gradients(model, tr, target_class))
 
 
 def _layer_to_dict(layer: Layer) -> dict:

@@ -25,9 +25,9 @@ from .model import (
     GnnModel,
     _adjacency,
     _check_attr_dim,
+    _Gates,
     _induced_operands,
     _probabilities,
-    _propagation,
 )
 
 MAX_ORACLE_NODES = 14
@@ -103,22 +103,22 @@ def _original(
     arc's occlusion drop (see :func:`occlusion_scores`).
 
     ``g`` and its occluded copies run as one :func:`_probabilities`
-    stack: row 0 is the unmasked operator and row ``1 + i`` gates edge
-    ``i`` out, both arcs of an undirected edge.
+    stack of :meth:`model._Gates.operators`: row 0 has every edge gate
+    at 1 and row ``1 + i`` gates edge ``i`` out, both arcs of an
+    undirected edge.
     """
     _check_attr_dim(model.attr_dim, g)
-    adjacency = _adjacency([g])
-    links = adjacency[0] != 0
-    full = _propagation(adjacency)[0]
     step = 1 if g.directed else 2
-    src, dst = g.arc_index_arrays()
-    a = np.repeat(full[None], 1 + g.arc_count // step, axis=0)
-    a[1 + np.arange(g.arc_count) // step, dst, src] = 0.0
+    arcs = np.arange(g.arc_count)
+    gate = np.ones((1 + g.arc_count // step, g.arc_count))
+    gate[1 + arcs // step, arcs] = 0.0
+    a = _Gates(g).operators(gate)
     x = np.broadcast_to(g.attributes, (len(a),) + g.attributes.shape)
     probs = _probabilities(model, a, x)
     original = probs[0]
     target = int(np.argmax(original))
     drops = np.repeat(original[target] - probs[1:, target], step)
+    links = _adjacency([g])[0] != 0
     return links, _attribute_ids(g.attributes), original, drops
 
 

@@ -19,12 +19,12 @@ from ._schema import _shown
 from .datasets import Dataset
 from .errors import DomainError, EmptyDataset, NonFiniteLoss, ValidationError
 from .model import (
-    PROBABILITY_FLOOR,
     GnnModel,
     Layer,
     _backward,
     _blocks,
     _check_attr_dim,
+    _cross_entropy,
     _layer_stack,
     _probabilities,
     _propagation,
@@ -126,7 +126,7 @@ def _epoch_gradients(
         tr = _layer_stack(model, a, x)
         p = tr.probabilities
         for p_target in p[np.arange(len(y)), y].tolist():
-            total_loss += -math.log(max(p_target, PROBABILITY_FLOOR))
+            total_loss += _cross_entropy(p_target)
         hits += int((p.argmax(-1) == y).sum())
         block = _backward(model, tr, y)
         _fold(total, [g.reshape(len(y), -1) for g in block])

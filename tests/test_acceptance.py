@@ -29,8 +29,6 @@ from gxplain.model import (
     MaskedInput,
     forward,
     mask_gradients,
-    _adjacency,
-    _propagation,
     save_model,
 )
 from gxplain.oracle import occlusion_scores, oracle_report
@@ -184,8 +182,7 @@ def test_criterion_4_gradients_match_finite_differences():
         )
         from gxplain.model import _forward_trace
 
-        unmasked = _propagation(_adjacency([g]))[0]
-        trace = _forward_trace(model, g, mask, unmasked)
+        trace = _forward_trace(model, g, mask)
         pres = list(trace.node_z) + list(trace.head_z)
         layers = list(model.gcn_layers) + list(model.head_layers)
         if any(

@@ -49,9 +49,9 @@ def relu_kink_free(model, g, mask):
     Finite differences straddle the kink and disagree with the exact
     one-sided derivative there, so those draws are skipped.
     """
-    from gxplain.model import _adjacency, _forward_trace, _propagation
+    from gxplain.model import _forward_trace
 
-    trace = _forward_trace(model, g, mask, _propagation(_adjacency([g]))[0])
+    trace = _forward_trace(model, g, mask)
     pres = list(trace.node_z) + list(trace.head_z)
     layers = list(model.gcn_layers) + list(model.head_layers)
     for layer, pre in zip(layers, pres):

@@ -20,6 +20,7 @@ from gxplain.model import (
     MaskedInput,
     _backward,
     _forward_trace,
+    _Gates,
     _induced_operands,
     _layer_stack,
     _probabilities,
@@ -173,7 +174,7 @@ def test_traces_and_weight_gradients_give_the_pinned_bytes(case):
         pinned_backward(model, pinned_layer_stack(model, a, x), targets),
     )
     for g, target, unmasked in zip(graphs, targets, a):
-        alone = _forward_trace(model, g, None, unmasked)
+        alone = _forward_trace(model, g, None)
         want = pinned_forward_trace(model, g, None, unmasked)
         assert_same_trace(alone, want)
         assert_same_arrays(
@@ -187,15 +188,12 @@ def test_traces_and_weight_gradients_give_the_pinned_bytes(case):
 def test_masked_traces_and_gate_gradients_give_the_pinned_bytes(case):
     model, graphs, targets, gates = case
     for g, target, mask in zip(graphs, targets, gates):
-        unmasked = _propagation(_adjacency([g]))[0]
-        got = _forward_trace(model, g, mask, unmasked)
-        want = pinned_forward_trace(model, g, mask, unmasked)
+        view = _Gates(g)
+        got = _forward_trace(model, g, mask, view)
+        want = pinned_forward_trace(model, g, mask, view.unmasked)
         assert_same_trace(got, want)
-        # the gate rule on the input gradients, with the pinned arc entries
-        da, dx = _backward(model, got, target, inputs=True)
-        flat, coef = want.arcs
         assert_same_arrays(
-            (da.ravel()[flat] * coef, dx * g.attributes),
+            view.gradients(model, got, target),
             pinned_backward(model, want, target, g),
         )
 

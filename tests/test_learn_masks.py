@@ -7,6 +7,7 @@ import inspect
 import itertools
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from gxplain.model import (
     PROBABILITY_FLOOR,
     MaskedInput,
     _adjacency,
+    _Gates,
     _propagation,
     forward,
     mask_gradients,
@@ -451,6 +453,17 @@ def test_epoch_loop_builds_no_per_graph_invariants():
         "concatenate",
     }
     assert not called & banned
+    # the loop gates through the graph's one gate object, whose step
+    # writes the buffers it made once
+    assert {"forward", "gradients"} <= called
+    step = ast.parse(textwrap.dedent(inspect.getsource(_Gates.forward)))
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(step)
+        if isinstance(node, ast.Call)
+    }
+    assert "_layer_stack" in called
+    assert not called & (banned | {"repeat", "_adjacency"})
 
 
 def _zero_sign_graphs():

@@ -9,7 +9,8 @@ from conftest import detector_model, random_model, random_small_graph, two_node_
 from references import loss
 
 from gxplain import model as model_module
-from gxplain.errors import ShapeMismatch, UnsupportedActivation
+from gxplain.errors import DomainError, ShapeMismatch, UnsupportedActivation
+from gxplain.explain import ExplainConfig, learn_masks
 from gxplain.graphs import build_graph
 from gxplain.metrics import _SizeStack, _retains
 from gxplain.model import (
@@ -18,7 +19,9 @@ from gxplain.model import (
     MaskedInput,
     forward,
     load_model,
+    mask_gradients,
     _adjacency,
+    _Gates,
     _induced_operands,
     _layer_stack,
     _node_major,
@@ -26,6 +29,7 @@ from gxplain.model import (
     _readout,
     save_model,
 )
+from gxplain.oracle import occlusion_scores
 
 SQRT2 = np.sqrt(2.0)
 
@@ -250,6 +254,76 @@ def test_gates_are_clamped_to_unit_interval():
     m = MaskedInput(np.array([2.0, -1.0]), np.full((2, 2), 1.5))
     assert m.edge_gate.tolist() == [1.0, 0.0]
     assert (m.attribute_gate == 1.0).all()
+
+
+def test_nan_gates_are_refused_and_infinite_ones_clamped():
+    g, model = two_node_chain(), identity_model()
+    nan_masks = [
+        lambda: MaskedInput([np.nan], np.ones((2, 1))),
+        lambda: MaskedInput(np.ones(1), [[1.0], [np.nan]]),
+    ]
+    for make in nan_masks:
+        with pytest.raises(DomainError, match="NaN"):
+            forward(model, g, make())
+        with pytest.raises(DomainError, match="NaN"):
+            mask_gradients(model, g, make(), 0)
+    m = MaskedInput([np.inf], [[-np.inf], [np.inf]])
+    assert m.edge_gate.tolist() == [1.0]
+    assert m.attribute_gate.tolist() == [[0.0], [1.0]]
+    gated = MaskedInput([1.0], [[0.0], [1.0]])
+    assert forward(model, g, m).logits.tobytes() == (
+        forward(model, g, gated).logits.tobytes()
+    )
+    grads = mask_gradients(model, g, m, 1)
+    want = mask_gradients(model, g, gated, 1)
+    assert grads.edge_gate.tobytes() == want.edge_gate.tobytes()
+    assert grads.attribute_gate.tobytes() == want.attribute_gate.tobytes()
+
+
+def test_every_gated_call_builds_one_gate_object(monkeypatch):
+    built = []
+    init = _Gates.__init__
+
+    def counted(self, g):
+        built.append(g.graph_id)
+        init(self, g)
+
+    monkeypatch.setattr(_Gates, "__init__", counted)
+    rng = np.random.default_rng(4)
+    model = random_model(rng)
+    g = random_small_graph(rng, gid="one")
+    mask = MaskedInput(
+        rng.uniform(size=g.arc_count), rng.uniform(size=(g.node_count, 3))
+    )
+    calls = [
+        lambda: learn_masks(model, g, ExplainConfig(epochs=3)),
+        lambda: forward(model, g, mask),
+        lambda: mask_gradients(model, g, mask, 0),
+        lambda: occlusion_scores(model, g),
+    ]
+    for call in calls:
+        built.clear()
+        call()
+        assert built == ["one"]
+    # an unmasked forward gates nothing
+    built.clear()
+    forward(model, g)
+    assert built == []
+
+
+def test_only_the_model_module_reads_the_probability_floor():
+    src = Path(model_module.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {
+            getattr(node, field, None)
+            for node in ast.walk(tree)
+            for field in ("id", "attr", "name")
+        }
+        if "PROBABILITY_FLOOR" in names:
+            readers.append(path.name)
+    assert readers == ["model.py"]
 
 
 def test_mask_shape_validation():

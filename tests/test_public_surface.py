@@ -1,8 +1,9 @@
 """The package exports only what something uses: each exported name is
 used in the library, called by the benchmark, or given a reason to be
-public in README."""
+public in README.  And each module name README gives exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -55,3 +56,27 @@ def test_stated_reasons_name_exported_names():
     readme = (ROOT / "README.md").read_text("utf-8")
     reasons = re.findall(r"`(\w+)` is public because", readme)
     assert reasons and set(reasons) <= set(_exported())
+
+
+def test_each_module_name_in_the_readme_resolves():
+    # a backticked `module.name` (or `gxplain.module.name`) names a real
+    # attribute of that gxplain module, so a rename cannot leave the
+    # README pointing at nothing
+    modules = {path.stem for path in SRC.glob("*.py")}
+    readme = (ROOT / "README.md").read_text("utf-8")
+    named = set()
+    for path in re.findall(r"`(\w+(?:\.\w+)+)", readme):
+        parts = path.split(".")
+        if parts[0] == "gxplain":
+            parts = parts[1:]
+        if len(parts) > 1 and parts[0] in modules:
+            named.add(tuple(parts))
+    assert len(named) >= 21
+    unresolved = []
+    for module, *attrs in sorted(named):
+        obj = importlib.import_module(f"gxplain.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            unresolved.append(".".join((module, *attrs)))
+    assert unresolved == []
