@@ -90,22 +90,10 @@ def _sigmoid(x, out=None, opz=None, ge=None) -> np.ndarray:
     return out
 
 
-def _binary_entropy_of_logit(
-    m: np.ndarray, p: np.ndarray, out=None, work=None, one_minus_p=None
-) -> np.ndarray:
+def _binary_entropy_of_logit(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """H(sigmoid(m)) for ``p = sigmoid(m)``, written with softplus so
-    saturated logits stay finite, into ``out``; ``work`` is scratch of
-    ``m``'s shape and ``one_minus_p`` holds ``1 - p``.  Each array left
-    None is made here."""
-    if one_minus_p is None:
-        one_minus_p = 1.0 - p
-    out = np.negative(m, out=out)
-    np.logaddexp(0.0, out, out=out)
-    out *= p
-    work = np.logaddexp(0.0, m, out=work)
-    work *= one_minus_p
-    out += work
-    return out
+    saturated logits stay finite."""
+    return p * np.logaddexp(0.0, -m) + (1.0 - p) * np.logaddexp(0.0, m)
 
 
 @dataclass(frozen=True)
@@ -603,9 +591,11 @@ def learn_masks(
     What does not depend on the logits (the noise, rows of
     :func:`_noise_rows`; the gated view, a :class:`model._Gates`; the
     per-gate arrays; whether a side is pinned or a slot shared) is
-    set up once, before the epoch loop, and so is every array the loop
-    writes: each step overwrites the same sampler, gate, gradient and
-    penalty buffers, and Adam its own scratch.
+    set up once, before the epoch loop, and so are the arrays each step
+    overwrites: the sampler's (:class:`_GateBuffers`, one sigmoid pass
+    for the sample and the penalty), the per-gate arrays a shared slot
+    gathers into, the gradient vector and Adam's scratch.  The penalty
+    terms are plain expressions; buffers for them measured no gain.
 
     ``on_epoch(epoch, masks)`` is called after each update with the live
     mask object.  ``initial_masks`` not laid out for ``g`` raise
@@ -649,19 +639,16 @@ def learn_masks(
     # unshared, slot is the identity and so are its gathers and scatters
     shared = not np.array_equal(slot, np.arange(params))
     optimizer = Adam([masks.logits], config.learning_rate)
-    # every array the loop writes: the sampler's, whose sigmoid pass also
-    # gives the penalty's sigmoid(logits); the gated view's; and
-    # per-gate arrays, which unshared are per-parameter ones, so that the
-    # gate gradients then go straight into grad
+    # the arrays the loop overwrites: the sampler's, whose sigmoid pass
+    # also gives the penalty's sigmoid(logits), and per-gate arrays,
+    # which unshared are per-parameter ones, so that the gate gradients
+    # then go straight into grad
     sampled = _GateBuffers((params,), penalty=True)
     grad = np.empty(params)
-    gates = len(slot)
     if shared:
-        gate, p, m, dce = np.empty((4, gates))
+        gate, p, m, dce = np.empty((4, len(slot)))
     else:
         gate, p, m, dce = sampled.gate, sampled.logit_sig, masks.logits, grad
-    q, reg, one_minus_p, work = np.empty((4, gates))
-    finite = np.empty(gates, dtype=bool)
     # each side's view of the per-gate arrays, in the graph's shapes
     edge_gate, attr_gate = gate[:n_arcs], gate[n_arcs:].reshape(n, d)
     dce_edge, dce_attr = dce[:n_arcs], dce[n_arcs:].reshape(n, d)
@@ -690,25 +677,17 @@ def learn_masks(
             # bincount adds in index order into zeros, as np.add.at does
             np.multiply(np.bincount(slot, dce, params), dgate, out=grad)
         else:
-            # bincount's 0.0 + v: a product of -0.0 turns +0.0
-            grad += 0.0
             grad *= dgate
 
-        np.divide(p, divisor, out=q)
-        objective = ce + float(size_w @ q)
-        np.multiply(size_w, p, out=reg)
-        np.subtract(1.0, p, out=one_minus_p)
-        reg *= one_minus_p
+        objective = ce + float(size_w @ (p / divisor))
+        one_minus_p = 1.0 - p
+        reg = size_w * p * one_minus_p
         # zero-weight entropy terms add exactly +0 and take away +-0,
         # unless an infinite logit makes them NaN
-        if entropic or not np.isfinite(m, out=finite).all():
-            _binary_entropy_of_logit(m, p, q, work, one_minus_p)
-            q /= divisor
-            objective += float(entropy_w @ q)
-            np.multiply(entropy_w, m, out=q)
-            q *= p
-            q *= one_minus_p
-            reg -= q
+        if entropic or not np.isfinite(m).all():
+            entropy = _binary_entropy_of_logit(m, p) / divisor
+            objective += float(entropy_w @ entropy)
+            reg -= entropy_w * m * p * one_minus_p
         reg /= divisor
         if shared:
             np.add.at(grad, slot, reg)

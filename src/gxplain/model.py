@@ -365,11 +365,12 @@ def _layer_stack(
 class _Gates:
     """The one gate rule, on graph ``g``: an edge gate scales its arc's
     coefficient in ``unmasked``, ``g``'s operator before gates, at flat
-    index ``dst * n + src``, and an attribute gate scales its cell.  The
-    buffers that :meth:`forward` overwrites are made once.  Gates of 1.0
-    keep every bit: ``coef * 1`` and ``x * 1`` are exact."""
+    index ``dst * n + src``, and an attribute gate scales its cell.
+    :meth:`forward` writes the gated arcs into one operator buffer, made
+    once, so a step copies no ``(n, n)`` operator.  Gates of 1.0 keep
+    every bit: ``coef * 1`` and ``x * 1`` are exact."""
 
-    __slots__ = ("g", "unmasked", "flat", "coef", "arc", "a", "x")
+    __slots__ = ("g", "unmasked", "flat", "coef", "a")
 
     def __init__(self, g: AttributedGraph):
         self.g = g
@@ -377,16 +378,12 @@ class _Gates:
         src, dst = g.arc_index_arrays()
         self.flat = dst * g.node_count + src
         self.coef = self.unmasked.ravel()[self.flat]
-        self.arc = np.empty(g.arc_count)
         self.a = self.unmasked.copy()
-        self.x = np.empty(g.attributes.shape)
 
     def forward(self, model: GnnModel, edge_gate, attr_gate) -> _Trace:
-        """The gated trace; it reads the buffers until the next call."""
-        np.multiply(self.coef, edge_gate, out=self.arc)
-        self.a.ravel()[self.flat] = self.arc
-        np.multiply(self.g.attributes, attr_gate, out=self.x)
-        return _layer_stack(model, self.a, self.x)
+        """The gated trace; it reads ``a`` until the next call."""
+        self.a.ravel()[self.flat] = self.coef * edge_gate
+        return _layer_stack(model, self.a, self.g.attributes * attr_gate)
 
     def gradients(self, model, tr, target, edge_out=None, attr_out=None):
         """d loss / d gate of a :meth:`forward` trace, by the chain rule."""

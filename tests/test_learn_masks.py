@@ -439,7 +439,9 @@ def test_epoch_loop_builds_no_per_graph_invariants():
         for node in ast.walk(loops[0])
         if isinstance(node, ast.Call)
     }
-    # nor does it make arrays: every buffer it writes is made before it
+    # nor does it call a named array maker (empty, zeros, copy,
+    # concatenate, the sampler's buffers); arithmetic temporaries are not
+    # calls and are not checked
     banned = {
         "_epoch_uniforms",
         "_logistic_noise",
@@ -453,8 +455,9 @@ def test_epoch_loop_builds_no_per_graph_invariants():
         "concatenate",
     }
     assert not called & banned
-    # the loop gates through the graph's one gate object, whose step
-    # writes the buffers it made once
+    # the loop gates through the graph's one gate object, whose forward
+    # runs the layer stack and calls none of those makers, no repeat and
+    # no adjacency builder
     assert {"forward", "gradients"} <= called
     step = ast.parse(textwrap.dedent(inspect.getsource(_Gates.forward)))
     called = {
@@ -494,8 +497,9 @@ def test_the_zero_attribute_graph_has_negative_zero_gate_gradients():
 @pytest.mark.parametrize("sharing", SHARING_MODES)
 @pytest.mark.parametrize("mode", MODES)
 def test_zero_gradients_keep_the_bits_of_two_branches(mode, sharing, graph):
-    # unshared, the gate gradients go straight into the gradient vector
-    # with bincount's 0.0 + v, so -0.0 products and empty sides learn
+    # unshared, the gate gradients go straight into the gradient vector,
+    # with no bincount to turn a -0.0 product into +0.0; Adam's first
+    # moment adds it to +0.0, so -0.0 products and empty sides learn
     # what the reference learns; with entropy terms, and without
     g, model = _zero_sign_graphs()[graph == "arcless"]
     for entropy in (0.0, 0.1):
