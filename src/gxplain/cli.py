@@ -1,8 +1,9 @@
 """Command-line pipeline: generate data, train, explain, evaluate, export.
 
 Exit codes: 0 success, 2 usage or input/output problems, 3 computation
-failures (diverging training, missing explanations, incompatible inputs,
-running out of memory).
+failures (diverging training, a floating-point overflow, invalid value or
+division by zero, missing explanations, incompatible inputs, running out
+of memory).
 """
 
 import argparse
@@ -13,6 +14,8 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from ._atomic import write_atomic
 from ._schema import _listed, _shown
@@ -459,10 +462,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow, invalid value or division by zero stops the command;
+        # underflow does not, as the gate sampler's exp(-|x|) underflows
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except _USAGE_ERRORS as exc:
         return _usage_error(exc)
-    except GxplainError as exc:
+    except (GxplainError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except MemoryError as exc:

@@ -295,8 +295,6 @@ def _read_graph(entry, attr_dim: int, where: str) -> tuple:
         values = _flat(x, attr_dim, float)
     if values is None or not math.isfinite(sum(values)):
         attrs = as_float_array(x, f"{where}: x")
-        if n == 0 and attrs.shape == (0,):
-            attrs = attrs.reshape(0, attr_dim)
         if attrs.shape != (n, attr_dim):
             raise ParseError(
                 f"{where}: x has shape {attrs.shape}, expected"

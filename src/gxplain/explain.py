@@ -317,18 +317,14 @@ class MaskSet:
         )
 
 
-def _resolved_sharing(config: ExplainConfig) -> str:
-    # attribute-only explanation always learns one shared logit per node
-    if config.mode == "attribute_only":
-        return "per_node_attr_shared"
-    return config.sharing
-
-
 def init_masks(
     g: AttributedGraph, config: ExplainConfig, seed: int
 ) -> MaskSet:
     """Draw mask logits from Normal(0, 0.1) in the sharing layout of ``config``."""
-    sharing = _resolved_sharing(config)
+    sharing = config.sharing
+    # attribute-only explanation always learns one shared logit per node
+    if config.mode == "attribute_only":
+        sharing = "per_node_attr_shared"
     n, d, n_arcs = g.node_count, g.attr_dim, g.arc_count
     if sharing == "undirected_pair_shared":
         if g.directed:
@@ -424,17 +420,19 @@ def _pair_aggregated(scores: np.ndarray, pair_agg: str) -> np.ndarray:
     return np.repeat(values, 2)
 
 
-def _node_scores_from_messages(
-    node_count: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    message_score: np.ndarray,
+def _node_scores(
+    g: AttributedGraph,
+    edge_score: np.ndarray,
     node_attr_score: np.ndarray,
     agg1: str,
     agg2: str,
 ) -> np.ndarray:
-    # agg1 over each node's outgoing and incoming messages, agg2 over the
-    # sides that have any
+    # each arc's message is its edge score times its source's attribute
+    # score; agg1 over each node's outgoing and incoming messages, agg2
+    # over the sides that have any
+    node_count = g.node_count
+    src, dst = g.arc_index_arrays()
+    message_score = edge_score * node_attr_score[src]
     sides = []
     for ends in (src, dst):
         count = np.bincount(ends, minlength=node_count)
@@ -450,31 +448,6 @@ def _node_scores_from_messages(
     score = np.where(has_out & has_in, both, np.where(has_out, out_v, in_v))
     # an isolated node falls back to its own attribute score
     return np.where(has_out | has_in, score, node_attr_score)
-
-
-def _node_scores(
-    g: AttributedGraph,
-    edge_score: np.ndarray,
-    node_attr_score: np.ndarray,
-    agg1: str,
-    agg2: str,
-) -> np.ndarray:
-    src, dst = g.arc_index_arrays()
-    return _node_scores_from_messages(
-        g.node_count,
-        src,
-        dst,
-        edge_score * node_attr_score[src],
-        node_attr_score,
-        agg1,
-        agg2,
-    )
-
-
-def _rank_nodes(node_score: np.ndarray) -> tuple[int, ...]:
-    return tuple(
-        sorted(range(len(node_score)), key=lambda i: (-node_score[i], i))
-    )
 
 
 def _epoch_uniforms(seed: int, epoch: int, count: int) -> np.ndarray:
@@ -536,7 +509,7 @@ def _build_explanation(
         edge_score = np.ones(g.arc_count)
     else:
         edge_score = importance_from_mask(masks.edge_logit_per_arc(), beta)
-        if not g.directed and g.arc_count:
+        if not g.directed:
             edge_score = _pair_aggregated(edge_score, config.pair_agg)
     if config.mode == "edge_only":
         attr_score = np.ones((g.node_count, g.attr_dim))
@@ -563,7 +536,10 @@ def _build_explanation(
         attr_score=attr_score,
         node_attr_score=node_attr_score,
         node_score=node_score,
-        node_ranking=_rank_nodes(node_score),
+        # best first, ties to the lower id
+        node_ranking=tuple(
+            np.lexsort((np.arange(len(node_score)), -node_score)).tolist()
+        ),
     )
 
 

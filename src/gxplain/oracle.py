@@ -142,36 +142,34 @@ def _subset_probabilities(
     run as one :func:`_induced_operands` stack through
     :func:`_probabilities`.
 
-    The key is a few float64 words, each an exact integer below 2**52
-    whatever the order of the sums: block cell ``j`` adds ``2**(j % 52)``
+    The key is a few float64 words: block cell ``j`` adds ``2**(j % 52)``
     to word ``j // 52``, and position ``i`` adds ``id * 16**i`` to the
-    last word (ids are below 16, and k < n <= 14 where a key is built).
+    last word (ids are below 16).  Wherever two subsets are compared (0 <
+    k < n <= 14) every word is an exact integer below 2**52, whatever the
+    order of the sums; at k = 0 and k = n there is one subset and nothing
+    to compare.
     """
     n = g.node_count
     rows = _subsets(n, k)
     blocks = links.take(_subset_cells(n, k))
-    if len(rows) == 1:
-        # k = 0 or k = n: one subset, and no zero-width key to build
-        first = np.zeros(1, dtype=np.intp)
-    else:
-        cells = k * k
-        words = -(-cells // 52)
-        weights = np.zeros((cells + k, words + 1))
-        j = np.arange(cells)
-        weights[j, j // 52] = 2.0 ** (j % 52)
-        weights[cells:, words] = 16.0 ** np.arange(k)
-        key = np.concatenate(
-            [blocks.reshape(len(rows), cells), ids[rows]],
-            axis=1,
-            dtype=np.float64,
-        ) @ weights
-        # stable, so each run of equal keys starts at its first subset
-        order = np.lexsort(key.T)
-        starts = np.zeros(len(rows), dtype=bool)
-        starts[0] = True
-        for word in key.take(order, axis=0).T:
-            starts[1:] |= word[1:] != word[:-1]
-        first = np.sort(order[starts])
+    cells = k * k
+    words = -(-cells // 52)
+    weights = np.zeros((cells + k, words + 1))
+    j = np.arange(cells)
+    weights[j, j // 52] = 2.0 ** (j % 52)
+    weights[cells:, words] = 16.0 ** np.arange(k)
+    key = np.concatenate(
+        [blocks.reshape(len(rows), cells), ids[rows]],
+        axis=1,
+        dtype=np.float64,
+    ) @ weights
+    # stable, so each run of equal keys starts at its first subset
+    order = np.lexsort(key.T)
+    starts = np.zeros(len(rows), dtype=bool)
+    starts[0] = True
+    for word in key.take(order, axis=0).T:
+        starts[1:] |= word[1:] != word[:-1]
+    first = np.sort(order[starts])
     a, x = _induced_operands(
         blocks[first], g.attributes[None], 0, rows[first]
     )

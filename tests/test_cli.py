@@ -6,6 +6,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import gzip
 import inspect
 import io
 import json
@@ -474,13 +475,17 @@ def test_explain_oracle_writes_a_best_subset_per_graph(tmp_path):
     assert sorted(p.name for p in dots.iterdir()) == [f"{i}.dot" for i in ids]
 
 
-def _assert_one_line_usage_error(code, capsys):
+def _assert_one_line_error(code, capsys, exit_code):
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == exit_code
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
     return err
+
+
+def _assert_one_line_usage_error(code, capsys):
+    return _assert_one_line_error(code, capsys, 2)
 
 
 @pytest.mark.parametrize(
@@ -957,6 +962,8 @@ DATASET_FAULTS = {
     ),
     "index twice in one split": lambda d: d["splits"]["train"].append(0),
     "index in two splits": lambda d: d["splits"]["test"].append(1),
+    "splits not an object": lambda d: d.update(splits=[[0, 1], [2], [3]]),
+    "format_version 2": lambda d: d.update(format_version=2),
 }
 # where the message must point, for faults that name one exact location
 DATASET_FAULT_WHERE = {
@@ -973,6 +980,8 @@ DATASET_FAULT_WHERE = {
     "boolean x in a smaller graph": "graphs[1]: x: expected numbers, got a boolean",
     "index twice in one split": ": graph 0 appears twice in split 'train'\n",
     "index in two splits": ": graph 1 appears in splits 'train' and 'test'\n",
+    "splits not an object": ": splits must be an object\n",
+    "format_version 2": ": format_version 2, expected 1\n",
 }
 
 
@@ -994,6 +1003,8 @@ def test_train_rejects_malformed_dataset(tmp_path, capsys, fault):
         "negative attr_dim",
         "index twice in one split",
         "index in two splits",
+        "splits not an object",
+        "format_version 2",
     ):
         assert "graphs[" in err
     assert DATASET_FAULT_WHERE.get(fault, "") in err
@@ -1212,3 +1223,187 @@ def test_graph_ids_that_cannot_be_file_names_exit_2(
     assert _shown(bad) in err
     assert list(work.iterdir()) == []
     assert [p.name for p in data.iterdir()] == ["ds.json"]
+
+
+def _edited_copy(source, target, edit):
+    """``source``'s JSON document, changed in place by ``edit`` or
+    replaced by what it returns, written as plain JSON to ``target``."""
+    raw = source.read_bytes()
+    doc = json.loads(gzip.decompress(raw) if source.suffix == ".gz" else raw)
+    new = edit(doc)
+    target.write_text(json.dumps(doc if new is None else new))
+    return target
+
+
+MODEL_FAULTS = {
+    "format_version 2": (
+        lambda d: d.update(format_version=2), "format_version 2, expected 1"
+    ),
+    "one class": (
+        lambda d: d.update(num_classes=1), "need at least 2 classes, got 1"
+    ),
+    "head of another width": (
+        lambda d: d.update(num_classes=3), "head emits 2 logits for 3 classes"
+    ),
+    "no head layer": (
+        lambda d: d.update(head_layers=[]), "model needs at least one head layer"
+    ),
+    "attributes the first layer does not take": (
+        lambda d: d.update(attr_dim=9),
+        "gcn layer 0 expects 10 inputs, chain provides 9",
+    ),
+    "bias of another width": (
+        lambda d: d["gcn_layers"][0]["bias"].append(0.0),
+        "gcn_layers[0]: layer weight (10, 8) incompatible with bias (9,)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MODEL_FAULTS))
+def test_explain_refuses_a_malformed_model_file(
+    pipeline, capsys, tmp_path, fault
+):
+    _, ds, model, _ = pipeline
+    edit, message = MODEL_FAULTS[fault]
+    bad = _edited_copy(model, tmp_path / "model.json", edit)
+    code = main(["explain", "--model", str(bad), "--dataset", str(ds),
+                 "--out-dir", str(tmp_path / "expl"), "--epochs", "1"])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "expl").exists()
+
+
+EXPLANATION_FAULTS = {
+    "format_version 2": (
+        lambda d: d.update(format_version=2), "format_version 2, expected 1"
+    ),
+    "attr_scores not a matrix": (
+        lambda d: d.update(attr_scores=[0.5] * len(d["node_scores"])),
+        "attr_scores must be a matrix",
+    ),
+    "not an object": (
+        lambda d: [d], "expected a JSON object at top level"
+    ),
+    "edge score not an object": (
+        lambda d: d["edge_scores"].__setitem__(0, 0.5),
+        "edge_scores[0]: expected an object",
+    ),
+    "node_attr_scores of another length": (
+        lambda d: d["node_attr_scores"].__delitem__(-1),
+        "node_scores and node_attr_scores must be vectors of one length,"
+        " got (25,) and (24,)",
+    ),
+    "attr_scores of another row count": (
+        lambda d: d["attr_scores"].__delitem__(-1),
+        "attr_scores has 24 rows for 25 nodes",
+    ),
+    "node_ranking not a permutation": (
+        lambda d: d.update(node_ranking=[0] * len(d["node_scores"])),
+        "node_ranking is not a permutation of the 25 nodes",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "export-dot"])
+@pytest.mark.parametrize("fault", sorted(EXPLANATION_FAULTS))
+def test_a_malformed_explanation_file_exits_2(
+    pipeline, capsys, tmp_path, fault, command
+):
+    _, ds, model, out = pipeline
+    edit, message = EXPLANATION_FAULTS[fault]
+    bad = tmp_path / "expl"
+    bad.mkdir()
+    for path in out.glob("*.json"):
+        (bad / path.name).write_bytes(path.read_bytes())
+    # the first file in name order, so no other is read before it
+    victim = sorted(bad.glob("*.json"))[0]
+    _edited_copy(victim, victim, edit)
+    dots = tmp_path / "dots"
+    argv = {
+        "eval": ["eval", "--model", str(model), "--dataset", str(ds),
+                 "--explanations", str(bad), "--top-k", "3"],
+        "export-dot": ["export-dot", "--explanations", str(bad),
+                       "--out-dir", str(dots)],
+    }[command]
+    err = _assert_one_line_usage_error(main(argv), capsys)
+    assert err == f"error: {victim}: {message}\n"
+    assert not list(dots.glob("*.dot"))
+
+
+def test_a_truncated_gzip_dataset_exits_2(pipeline, capsys, tmp_path):
+    _, ds, _, _ = pipeline
+    cut = tmp_path / "cut.json.gz"
+    data = ds.read_bytes()
+    cut.write_bytes(data[: len(data) // 2])
+    code = main(["train", "--dataset", str(cut),
+                 "--out", str(tmp_path / "m.json")])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert err.startswith(f"error: {cut}: truncated or corrupt (")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_gen_dataset_of_an_odd_count_exits_2(capsys, tmp_path):
+    out = tmp_path / "ds.json"
+    code = main(["gen-dataset", "--n", "3", "--out", str(out)])
+    err = _assert_one_line_usage_error(code, capsys)
+    assert err == (
+        "error: need an even n_graphs >= 2 for balanced classes, got 3\n"
+    )
+    assert not out.exists()
+
+
+def test_train_on_an_empty_train_split_exits_3(pipeline, capsys, tmp_path):
+    _, ds, _, _ = pipeline
+
+    def no_training_graphs(doc):
+        doc["splits"]["train"] = []
+
+    bad = _edited_copy(ds, tmp_path / "ds.json", no_training_graphs)
+    code = main(["train", "--dataset", str(bad),
+                 "--out", str(tmp_path / "m.json")])
+    err = _assert_one_line_error(code, capsys, 3)
+    assert err == "error: split 'train' selects no graphs\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_of_zero_epochs_reports_no_train_or_validation_accuracy(
+    pipeline, capsys, tmp_path
+):
+    _, ds, _, _ = pipeline
+    code = main(["train", "--dataset", str(ds),
+                 "--out", str(tmp_path / "m.json"), "--epochs", "0"])
+    assert code == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.startswith("accuracy train=nan val=nan test=")
+
+
+def test_diverging_train_prints_one_error_line_and_exits_3(
+    pipeline, capsys, tmp_path
+):
+    # the first step overflows the layer products: numpy's floating-point
+    # fault ends the command, not a warning
+    _, ds, _, _ = pipeline
+    out = tmp_path / "m.json"
+    code = main(["train", "--dataset", str(ds), "--out", str(out),
+                 "--lr", "1e300", "--epochs", "3"])
+    err = _assert_one_line_error(code, capsys, 3)
+    assert err.startswith("error: overflow encountered in ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_overflowing_explain_exits_3_from_a_worker_too(
+    pipeline, capsys, tmp_path, jobs
+):
+    _, ds, model, _ = pipeline
+
+    def huge(doc):
+        for layer in doc["gcn_layers"] + doc["head_layers"]:
+            layer["weight"] = [[w * 1e200 for w in r] for r in layer["weight"]]
+
+    bad = _edited_copy(model, tmp_path / "model.json", huge)
+    code = main(["explain", "--model", str(bad), "--dataset", str(ds),
+                 "--out-dir", str(tmp_path / "expl"), "--epochs", "2",
+                 "--jobs", jobs])
+    err = _assert_one_line_error(code, capsys, 3)
+    assert err.startswith("error: overflow encountered in ")

@@ -33,7 +33,12 @@ from gxplain.datasets import (
     load_dataset,
     save_dataset,
 )
-from gxplain.errors import IndexOutOfRange, ParseError, ValidationError
+from gxplain.errors import (
+    IndexOutOfRange,
+    InvalidCount,
+    ParseError,
+    ValidationError,
+)
 from gxplain.graphs import AttributedGraph, build_graph
 
 HOUSE_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)}
@@ -784,3 +789,10 @@ def test_readers_cut_a_refused_value_short(read, value):
         read(value, "f")
     assert str(exc.value).startswith("f: expected ")
     assert len(str(exc.value)) <= 100
+
+
+def test_generation_refuses_a_base_of_one_node():
+    with pytest.raises(
+        InvalidCount, match="^base_size must be at least 2, got 1$"
+    ):
+        generate_motif_graphs(4, 0, base_size=1)

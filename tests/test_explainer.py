@@ -21,6 +21,7 @@ from gxplain.explain import (
     save_explanation,
 )
 from gxplain.graphs import build_graph
+from gxplain.model import GnnModel, Layer
 
 FAST = ExplainConfig(epochs=5)
 
@@ -83,6 +84,8 @@ def test_ranking_is_permutation_consistent_with_scores():
     rank = list(expl.node_ranking)
     assert sorted(rank) == list(range(g.node_count))
     scores = expl.node_score
+    # nodes whose best message is one shared arc tie, so the id rule runs
+    assert len(set(scores.tolist())) < g.node_count
     for a, b in zip(rank, rank[1:]):
         assert scores[a] > scores[b] or (
             scores[a] == scores[b] and a < b
@@ -155,7 +158,7 @@ def _loop_node_scores(node_count, src, dst, message, node_attr, agg1, agg2):
 @pytest.mark.parametrize("agg1", ["max", "mean"])
 @pytest.mark.parametrize("agg2", ["max", "mean"])
 def test_vectorised_node_scores_match_the_per_node_loop(agg1, agg2):
-    from gxplain.explain import _node_scores_from_messages
+    from gxplain.explain import _node_scores
 
     rng = np.random.default_rng(11)
     for trial in range(20):
@@ -169,11 +172,10 @@ def test_vectorised_node_scores_match_the_per_node_loop(agg1, agg2):
             n, edges, np.ones((n, 1)), directed=bool(trial % 2), graph_id="v"
         )
         src, dst = g.arc_index_arrays()
-        message = rng.random(g.arc_count)
+        edge_score = rng.random(g.arc_count)
         node_attr = rng.random(n)
-        got = _node_scores_from_messages(
-            n, src, dst, message, node_attr, agg1, agg2
-        )
+        got = _node_scores(g, edge_score, node_attr, agg1, agg2)
+        message = edge_score * node_attr[src]
         want = _loop_node_scores(n, src, dst, message, node_attr, agg1, agg2)
         if agg1 == "max":
             assert np.array_equal(got, want)
@@ -348,3 +350,47 @@ def test_explanation_dict_is_json_stable():
     doc1 = json.dumps(explanation_to_dict(expl, cfg), sort_keys=True)
     doc2 = json.dumps(explanation_to_dict(expl, cfg), sort_keys=True)
     assert doc1 == doc2
+
+
+def test_a_node_less_explanation_survives_a_save_and_load(tmp_path):
+    model = random_model(np.random.default_rng(3))
+    g = build_graph(0, [], np.zeros((0, 3)), False, graph_id="none")
+    cfg = ExplainConfig(epochs=3)
+    expl = explain(model, g, cfg)
+    path = tmp_path / "none.json"
+    save_explanation(expl, cfg, path)
+    loaded, _ = load_explanation(path)
+    # the empty attribute rows read back as a (0, 0) matrix, which a
+    # graph without nodes accepts whatever its width
+    assert loaded.attr_score.shape == (0, 0)
+    loaded.check_graph(g)
+    assert json.dumps(explanation_to_dict(loaded, cfg)) == json.dumps(
+        explanation_to_dict(expl, cfg)
+    )
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.5])
+def test_importance_from_mask_refuses_a_beta_that_is_not_positive(beta):
+    with pytest.raises(DomainError, match=f"^beta must be positive, got {beta}$"):
+        importance_from_mask(np.zeros(3), beta)
+
+
+@pytest.mark.parametrize("aggs", [("min", "max"), ("max", "sum")])
+def test_node_importance_refuses_an_unknown_aggregator(aggs):
+    _, g, expl, _ = scored_explanation(seed=2, epochs=2)
+    with pytest.raises(
+        DomainError,
+        match=r"^node aggregators must be one of \('max', 'mean'\)$",
+    ):
+        node_importance(expl, g, *aggs)
+
+
+def test_a_graph_without_attribute_columns_scores_each_node_attribute_1():
+    gcn = (Layer(np.zeros((0, 2)), np.ones(2), "relu"),)
+    head = (Layer(np.ones((4, 2)), np.array([0.0, 1.0]), "identity"),)
+    model = GnnModel(0, 2, gcn, head)
+    g = build_graph(3, [(0, 1), (1, 2)], np.zeros((3, 0)), False, graph_id="bare")
+    expl = explain(model, g, ExplainConfig(epochs=3))
+    assert expl.attr_score.shape == (3, 0)
+    # the geometric mean of no columns is the empty product
+    assert expl.node_attr_score.tolist() == [1.0, 1.0, 1.0]

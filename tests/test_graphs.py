@@ -475,3 +475,9 @@ def test_stored_arcs_are_read_only(make, tmp_path):
     for stored in (g.arcs, src, dst):
         with pytest.raises(ValueError):
             stored[0] = 2
+
+
+def test_a_kept_node_past_the_graph_is_out_of_range():
+    g = build_graph(5, [(0, 1)], np.zeros((5, 1)), False, graph_id="g")
+    with pytest.raises(IndexOutOfRange, match=r"^node 5 outside \[0, 5\)$"):
+        node_induced_subgraph(g, NodeSet((1, 5)))

@@ -9,7 +9,12 @@ from conftest import detector_model, random_model, random_small_graph, two_node_
 from references import loss
 
 from gxplain import model as model_module
-from gxplain.errors import DomainError, ShapeMismatch, UnsupportedActivation
+from gxplain.errors import (
+    DomainError,
+    IndexOutOfRange,
+    ShapeMismatch,
+    UnsupportedActivation,
+)
 from gxplain.explain import ExplainConfig, learn_masks
 from gxplain.graphs import build_graph
 from gxplain.metrics import _SizeStack, _retains
@@ -445,3 +450,43 @@ def test_save_load_round_trip_is_exact(tmp_path):
         assert a.activation == b.activation
     g = random_small_graph(rng, attr_dim=4, gid="rt")
     assert np.array_equal(forward(model, g).logits, forward(loaded, g).logits)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_layer_with_a_non_finite_weight_is_refused(bad):
+    weight = np.ones((2, 2))
+    weight[1, 0] = bad
+    with pytest.raises(ShapeMismatch, match="^layer parameters must be finite$"):
+        Layer(weight, np.zeros(2), "relu")
+
+
+@pytest.mark.parametrize(
+    "edge, attr",
+    [(np.ones((1, 1)), np.ones((2, 1))), (np.ones(1), np.ones(2))],
+)
+def test_masked_input_refuses_gates_of_the_wrong_rank(edge, attr):
+    with pytest.raises(
+        ShapeMismatch,
+        match=r"^edge gate must be a vector and attribute gate a matrix, got",
+    ):
+        MaskedInput(edge, attr)
+
+
+def test_forward_refuses_an_attribute_gate_of_the_wrong_shape():
+    g = two_node_chain()
+    mask = MaskedInput(np.ones(g.arc_count), np.ones((2, 2)))
+    with pytest.raises(
+        ShapeMismatch,
+        match=r"^attribute gate shape \(2, 2\) does not match \(2, 1\)$",
+    ):
+        forward(detector_model(), g, mask)
+
+
+@pytest.mark.parametrize("target", [-1, 2])
+def test_mask_gradients_refuse_a_class_outside_the_model(target):
+    g = two_node_chain()
+    mask = MaskedInput(np.ones(g.arc_count), np.ones((2, 1)))
+    with pytest.raises(
+        IndexOutOfRange, match=rf"^target class {target} outside \[0, 2\)$"
+    ):
+        mask_gradients(detector_model(), g, mask, target)

@@ -420,6 +420,31 @@ def test_keys_of_several_words_find_the_first_subset_of_each_input(
                 assert _same_bits(probs[i], forward(model, sub).probabilities)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n", [1, 6, MAX_ORACLE_NODES])
+def test_one_subset_keys_at_both_ends_score_the_extracted_subgraph(
+    n, directed, oracle_passes
+):
+    # k = 0 and k = n key one subset each; at k = n = 14, on distinct
+    # attribute rows, the id word passes 2**52, and nothing is compared
+    rng = np.random.default_rng(n + 2 * directed)
+    model = random_model(rng)
+    g = random_small_graph(rng, n, n, directed=directed, gid="ends")
+    links, ids, original, _ = oracle._original(model, g)
+    assert len(set(ids.tolist())) == n
+    target = int(np.argmax(original))
+    for k in (0, n):
+        oracle_passes.clear()
+        first, probs = oracle._subset_probabilities(model, g, k, links, ids)
+        assert first.tolist() == [0] and oracle_passes == [1]
+        sub = node_induced_subgraph(g, NodeSet(range(k)))
+        want = forward(model, sub).probabilities
+        assert _same_bits(probs[0], want)
+        report = oracle_report(model, g, k)
+        assert report.best_subset.members == tuple(range(k))
+        assert report.best_probability == want[target]
+
+
 def test_one_stack_runs_the_graph_and_searches_read_distinct_rows():
     functions = _oracle_functions()
     # the graph and its occluded copies run in one place, as one stack
@@ -439,3 +464,10 @@ def test_one_stack_runs_the_graph_and_searches_read_distinct_rows():
         assert "take" not in _called(functions[name]), name
     # a subset key holds one attribute id per position as a hex digit
     assert MAX_ORACLE_NODES < 16
+
+
+@pytest.mark.parametrize("k", [-1, 6])
+def test_oracle_report_refuses_a_budget_outside_the_nodes(k):
+    g = hot_graph(n=5)
+    with pytest.raises(InvalidBudget, match=rf"^k must lie in \[0, 5\], got {k}$"):
+        oracle_report(detector_model(), g, k)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gxplain.datasets import Dataset, generate_ba2motifs, generate_motif_graphs
-from gxplain.errors import ShapeMismatch
+from gxplain.errors import NonFiniteLoss, ShapeMismatch
 from gxplain.graphs import build_graph
 from gxplain.model import (
     PROBABILITY_FLOOR,
@@ -531,3 +531,25 @@ def test_training_builds_one_operator_stack_per_node_count():
     ) as built:
         _stack_graphs(graphs, graphs[0].attr_dim)
     assert built.call_count == 2
+
+
+def test_diverging_training_raises_non_finite_loss():
+    ds = generate_ba2motifs(40, seed=1)
+    # the diverging step overflows on its way to the NaN loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLoss, match=r"^epoch 1: training loss nan$"):
+            train_model(ds, hidden_dims=(8, 8), learning_rate=1e300, epochs=3)
+
+
+@pytest.mark.parametrize("widths", [(1,), (2,), (2, 3)])
+def test_calibration_leaves_the_layers_of_a_node_less_split_as_drawn(widths):
+    graphs = [
+        build_graph(0, [], np.zeros((0, 2)), False, label=0, graph_id=f"e{i}")
+        for i in range(3)
+    ]
+    params = init_parameters(2, 2, widths, 4)
+    drawn = [p.copy() for p in params]
+    _calibrate_parameters(params, widths, _stack_graphs(graphs, 2))
+    # no node field to take moments of; only the head is fitted
+    for got, want in zip(params[:-2], drawn[:-2]):
+        assert got.tobytes() == want.tobytes()
