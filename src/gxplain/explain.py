@@ -39,7 +39,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import AttributedGraph
-from .model import GnnModel, _cross_entropy, _forward_trace, _Gates
+from .model import GnnModel, _cross_entropy, _forward_trace, _Gates, _on_floor
 from .optim import Adam
 
 EXPLANATION_FORMAT_VERSION = 1
@@ -573,6 +573,14 @@ def learn_masks(
     gathers into, the gradient vector and Adam's scratch.  The penalty
     terms are plain expressions; buffers for them measured no gain.
 
+    A step whose target probability sits on the loss floor
+    (:func:`model._on_floor`) skips the backward pass, whose gate
+    gradients there are all zero, and writes +0.0 instead.  The bits stay
+    those of the full pass, whose zeros may be -0.0: unshared, a gate's
+    gradient is ``+-0 * dgate + reg``, and ``reg`` is never -0.0, so
+    either sign gives the same sum; shared, bincount adds into +0.0,
+    which turns -0.0 into +0.0 too.
+
     ``on_epoch(epoch, masks)`` is called after each update with the live
     mask object.  ``initial_masks`` not laid out for ``g`` raise
     ShapeMismatch before the first epoch (:meth:`MaskSet.check_graph`).
@@ -598,9 +606,10 @@ def learn_masks(
     )
     counts = [n_arcs, n * d]
     gate_learned = learned[slot]
+    # + 0.0 turns a -0.0 weight into +0.0, so that reg is never -0.0
     size_w = gate_learned * np.repeat(
         [config.lambda_edge_size, config.lambda_attr_size], counts
-    )
+    ) + 0.0
     entropy_w = gate_learned * np.repeat(
         [config.lambda_edge_entropy, config.lambda_attr_entropy], counts
     )
@@ -647,8 +656,14 @@ def learn_masks(
 
         # the gates lie in [0, 1] by construction, in the graph's shapes
         tr = view.forward(model, edge_gate, attr_gate)
-        ce = _cross_entropy(float(tr.probabilities[target]))
-        view.gradients(model, tr, target, dce_edge, dce_attr)
+        p_target = float(tr.probabilities[target])
+        ce = _cross_entropy(p_target)
+        if _on_floor(p_target):
+            # the backward pass would give +-0 gate gradients, which the
+            # step below turns into the bits +0 gives
+            dce.fill(0.0)
+        else:
+            view.gradients(model, tr, target, dce_edge, dce_attr)
         if shared:
             # bincount adds in index order into zeros, as np.add.at does
             np.multiply(np.bincount(slot, dce, params), dgate, out=grad)

@@ -477,6 +477,19 @@ def _cross_entropy(p: float) -> float:
     return -math.log(max(p, PROBABILITY_FLOOR))
 
 
+def _log_probabilities(p: np.ndarray):
+    """``log`` of each probability in ``p``, floored as in
+    :func:`_cross_entropy`: ``math.log`` of each, which ``np.log`` is not
+    to the last bit on every input."""
+    return map(math.log, np.maximum(p, PROBABILITY_FLOOR).tolist())
+
+
+def _on_floor(p: float) -> bool:
+    """Whether the loss of target probability ``p`` sits on the floor,
+    where :func:`_backward` makes every gradient zero; a NaN does."""
+    return not p >= PROBABILITY_FLOOR
+
+
 def _backward(model: GnnModel, tr: _Trace, target, inputs: bool = False):
     """Reverse-mode gradients of :func:`_cross_entropy`.
 
@@ -498,7 +511,7 @@ def _backward(model: GnnModel, tr: _Trace, target, inputs: bool = False):
         # one graph, as in every mask step: plain scalar indexing
         stack = ()
         d_logits[target] -= 1.0
-        if not p[target] >= PROBABILITY_FLOOR:
+        if _on_floor(p[target]):
             d_logits[:] = 0.0
     else:
         # each graph's position in the stack

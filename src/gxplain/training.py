@@ -24,8 +24,8 @@ from .model import (
     _backward,
     _blocks,
     _check_attr_dim,
-    _cross_entropy,
     _layer_stack,
+    _log_probabilities,
     _probabilities,
     _propagation,
     _readout,
@@ -125,8 +125,9 @@ def _epoch_gradients(
     for a, x, y in blocks:
         tr = _layer_stack(model, a, x)
         p = tr.probabilities
-        for p_target in p[np.arange(len(y)), y].tolist():
-            total_loss += _cross_entropy(p_target)
+        # a - v is the bits of a + (-v), the sum of cross-entropies
+        for log_p in _log_probabilities(p[np.arange(len(y)), y]):
+            total_loss -= log_p
         hits += int((p.argmax(-1) == y).sum())
         block = _backward(model, tr, y)
         _fold(total, [g.reshape(len(y), -1) for g in block])

@@ -39,6 +39,8 @@ from gxplain.explain import (
 from gxplain.graphs import build_graph
 from gxplain.model import (
     PROBABILITY_FLOOR,
+    GnnModel,
+    Layer,
     MaskedInput,
     _adjacency,
     _Gates,
@@ -169,6 +171,17 @@ def cases(draw):
         n, edges, rng.normal(size=(n, attr_dim)), directed, graph_id="h"
     )
     model = random_model(rng, attr_dim=attr_dim, hidden=(3, 2))
+    # a head bias that leaves class 0 a lead of 0.1 on the unmasked graph,
+    # times a head scale of 30 or 1000, can put the target probability of
+    # a mask step on its floor, as large scales do in test_kernels.stacks
+    (head,) = model.head_layers
+    bias = head.bias.copy()
+    if draw(st.booleans()):
+        logits = forward(model, g).logits
+        bias[0] += 0.1 - (logits[0] - logits[1])
+    scale = draw(st.sampled_from([1.0, 30.0, 1000.0]))
+    head = Layer(scale * head.weight, scale * bias, head.activation)
+    model = GnnModel(attr_dim, 2, model.gcn_layers, (head,))
     lambdas = st.sampled_from([0.0, 0.005, 0.1, 1.0, 3.0])
     config = ExplainConfig(
         epochs=draw(st.integers(0, 6)),
@@ -520,3 +533,189 @@ def test_zero_gradients_keep_the_bits_of_two_branches(mode, sharing, graph):
             explanation_to_dict(ref_expl, config), sort_keys=True
         )
         assert got == want
+
+
+def _floor_case(mode, offset):
+    """A graph and a model whose target class, 0, leads by 2 nats with
+    every gate open and by ``offset`` nats with ``mode``'s learned gates
+    at 0.5; the lead grows with every gate.  An ``offset`` of -80 puts
+    every mask step below the probability floor, -27 (the floor sits
+    at -27.6) crosses it both ways, and 0 never reaches it.  The
+    second attribute column is negative and reaches no logit, so that
+    its gate gradients are -0.0 even where the loss sits on the floor."""
+    rng = np.random.default_rng(0)
+    n = 8
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, 4), (2, 6), (1, 5)]
+    x = np.stack([rng.uniform(0.5, 1.5, n), -rng.uniform(0.5, 1.5, n)], 1)
+    g = build_graph(n, edges, x, False, graph_id="floor")
+    gcn = (Layer(np.eye(2), np.zeros(2), "identity"),)
+
+    def head(scale, bias):
+        # reads the mean of the first column only
+        w = np.zeros((4, 2))
+        w[2, 0] = scale
+        layer = Layer(w, np.array([0.0, bias]), "identity")
+        return GnnModel(2, 2, gcn, (layer,))
+
+    def lead(model, edge_gate, attr_gate):
+        mask = MaskedInput(
+            np.full(g.arc_count, edge_gate), np.full((n, 2), attr_gate)
+        )
+        logits = forward(model, g, mask).logits
+        return float(logits[0] - logits[1])
+
+    unit = head(1.0, 0.0)
+    open_lead = lead(unit, 1.0, 1.0)
+    half_lead = lead(
+        unit,
+        1.0 if mode == "attribute_only" else 0.5,
+        1.0 if mode == "edge_only" else 0.5,
+    )
+    scale = (2.0 - offset) / (open_lead - half_lead)
+    return g, head(scale, scale * open_lead - 2.0)
+
+
+FLOOR_OFFSETS = {"every step": -80.0, "both ways": -27.0, "never": 0.0}
+
+
+def _floor_config(mode, sharing, entropy, **lambdas):
+    return ExplainConfig(
+        epochs=40,
+        learning_rate=0.05,
+        lambda_edge_entropy=entropy,
+        lambda_attr_entropy=entropy,
+        mode=mode,
+        sharing=sharing,
+        hard_concrete=HardConcreteConfig(seed=3),
+        **lambdas,
+    )
+
+
+def _count_steps(monkeypatch):
+    """Lists that ``learn_masks`` fills from here on: each step's target
+    probability, class 0's, and for each backward pass the number of
+    steps run so far."""
+    probs, backward = [], []
+    forward_step, gradients = _Gates.forward, _Gates.gradients
+
+    def counted_forward(self, *args):
+        tr = forward_step(self, *args)
+        probs.append(float(tr.probabilities[0]))
+        return tr
+
+    def counted_gradients(self, *args):
+        backward.append(len(probs))
+        return gradients(self, *args)
+
+    monkeypatch.setattr(_Gates, "forward", counted_forward)
+    monkeypatch.setattr(_Gates, "gradients", counted_gradients)
+    return probs, backward
+
+
+def _crossings(probs):
+    """Steps onto the floor and steps off it."""
+    off = [p >= PROBABILITY_FLOOR for p in probs]
+    pairs = list(zip(off, off[1:]))
+    return pairs.count((True, False)), pairs.count((False, True))
+
+
+@pytest.mark.parametrize("case", list(FLOOR_OFFSETS))
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("mode", MODES)
+def test_floored_steps_learn_the_bits_of_two_branches(
+    monkeypatch, mode, sharing, case
+):
+    # steps on the floor skip the backward pass and still learn what the
+    # reference learns, which runs it on every step
+    g, model = _floor_case(mode, FLOOR_OFFSETS[case])
+    probs, _ = _count_steps(monkeypatch)
+    for entropy in (0.0, 0.1):
+        config = _floor_config(mode, sharing, entropy)
+        probs.clear()
+        masks, expl = learn_masks(model, g, config)
+        floored = sum(not p >= PROBABILITY_FLOOR for p in probs)
+        if case == "every step":
+            assert floored == config.epochs
+        elif case == "both ways":
+            assert min(_crossings(probs)) >= 1
+        else:
+            assert floored == 0
+        ref_masks, ref_expl = reference_learn_masks(model, g, config)
+        assert masks.logits.tobytes() == ref_masks.logits.tobytes()
+        got = json.dumps(explanation_to_dict(expl, config), sort_keys=True)
+        want = json.dumps(
+            explanation_to_dict(ref_expl, config), sort_keys=True
+        )
+        assert got == want
+
+
+@pytest.mark.parametrize("case", list(FLOOR_OFFSETS))
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("mode", MODES)
+def test_backward_runs_once_per_step_off_the_floor(
+    monkeypatch, mode, sharing, case
+):
+    g, model = _floor_case(mode, FLOOR_OFFSETS[case])
+    config = _floor_config(mode, sharing, 0.0)
+    probs, backward = _count_steps(monkeypatch)
+    learn_masks(model, g, config)
+    assert len(probs) == config.epochs
+    off = [i + 1 for i, p in enumerate(probs) if p >= PROBABILITY_FLOOR]
+    assert backward == off
+
+
+def test_a_nan_target_probability_counts_as_on_the_floor(monkeypatch):
+    # overflowing logits make every probability NaN: the first step
+    # raises on its objective without a backward pass
+    g, _ = _floor_case("full", 0.0)
+    huge = Layer(np.full((2, 2), 1e300), np.zeros(2), "identity")
+    head = Layer(np.full((4, 2), 1e300), np.zeros(2), "identity")
+    model = GnnModel(2, 2, (huge,), (head,))
+    config = _floor_config("full", "independent", 0.0)
+    probs, backward = _count_steps(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(forward(model, g).probabilities).all()
+        with pytest.raises(NonFiniteLoss, match="epoch 0"):
+            learn_masks(model, g, config)
+    assert len(probs) == 1 and math.isnan(probs[0])
+    assert backward == []
+
+
+def test_the_floor_case_has_negative_zero_gate_gradients():
+    # the premise of the next test: on the floor the full pass gives -0.0
+    g, model = _floor_case("full", FLOOR_OFFSETS["every step"])
+    mask = MaskedInput(np.full(g.arc_count, 0.5), np.full((8, 2), 0.5))
+    assert forward(model, g, mask).probabilities[0] < PROBABILITY_FLOOR
+    dx = mask_gradients(model, g, mask, 0).attribute_gate
+    assert (dx == 0.0).all() and np.signbit(dx[:, 1]).all()
+
+
+@pytest.mark.parametrize("case", list(FLOOR_OFFSETS))
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("mode", MODES)
+def test_skipped_backward_gives_every_step_the_gradient_bits(
+    monkeypatch, mode, sharing, case
+):
+    # the full pass's gate gradients on the floor are +-0.0 (the second
+    # attribute column gives -0.0); the step must turn them into the bits
+    # the skip's +0.0 gives, also under penalty weights of -0.0
+    g, model = _floor_case(mode, FLOOR_OFFSETS[case])
+    signed = {"lambda_edge_size": -0.0, "lambda_attr_size": -0.0}
+    for entropy, lambdas in itertools.product((0.0, 0.1), ({}, signed)):
+        config = _floor_config(mode, sharing, entropy, **lambdas)
+        steps = {}
+        for skip in (True, False):
+            seen = steps[skip] = []
+
+            class Recording(explain_module.Adam):
+                def step(self, grads):
+                    seen.append(grads[0].tobytes())
+                    super().step(grads)
+
+            monkeypatch.setattr(explain_module, "Adam", Recording)
+            if not skip:
+                never = lambda p: False  # noqa: E731
+                monkeypatch.setattr(explain_module, "_on_floor", never)
+            learn_masks(model, g, config)
+            monkeypatch.undo()
+        assert steps[True] == steps[False], lambdas
