@@ -118,15 +118,18 @@ def _explanation_path(directory, graph_id: str) -> Path:
     return Path(directory) / f"{graph_id}.json"
 
 
-def _out_fault(out: Path) -> str | None:
-    """Why no file can be written at ``out``, checked before any work:
-    ``out`` is a directory, or its nearest ancestor on disk is not one,
-    so its missing parents cannot be made.  None when neither holds."""
-    if out.is_dir():
-        return f"--out {out} is a directory"
+def _out_fault(
+    out: Path, flag: str = "--out", directory: bool = False
+) -> str | None:
+    """Why ``flag`` cannot write at ``out``, checked before any work: a
+    file's ``out`` is a directory, a ``directory``'s is something else,
+    or the nearest ancestor on disk is not a directory, so the missing
+    parents cannot be made.  None when none holds."""
+    if os.path.lexists(out) and out.is_dir() != directory:
+        return f"{flag} {out} is {'not ' if directory else ''}a directory"
     parent = next((p for p in out.parents if os.path.lexists(p)), None)
     if parent is not None and not parent.is_dir():
-        return f"--out {out}: {parent} is not a directory"
+        return f"{flag} {out}: {parent} is not a directory"
     return None
 
 
@@ -245,10 +248,12 @@ def cmd_explain(args) -> int:
     config = _config_from_args(args)
     if args.jobs < 1:
         return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
+    out_dir = Path(args.out_dir)
+    if fault := _out_fault(out_dir, "--out-dir", directory=True):
+        return _usage_error(fault)
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, args.ids)
-    out_dir = Path(args.out_dir)
     # every id is checked before the first file is written
     jobs = [
         (model, g, config, _explanation_path(out_dir, g.graph_id), args.oracle)
@@ -269,6 +274,9 @@ def cmd_explain(args) -> int:
 def cmd_eval(args) -> int:
     if args.sweep and not args.csv:
         return _usage_error("--sweep needs --csv")
+    for flag, out in (("--csv", args.csv), ("--report", args.report)):
+        if out and (fault := _out_fault(Path(out), flag)):
+            return _usage_error(fault)
     in_dir = Path(args.explanations)
     if not in_dir.is_dir():
         return _usage_error(f"not a directory: {in_dir}")
@@ -357,6 +365,9 @@ def render_dot(explanation, attr_top: int = 3) -> str:
 def cmd_export_dot(args) -> int:
     if args.attr_top < 0:
         return _usage_error(f"--attr-top must be >= 0, got {args.attr_top}")
+    out_dir = Path(args.out_dir)
+    if fault := _out_fault(out_dir, "--out-dir", directory=True):
+        return _usage_error(fault)
     in_dir = Path(args.explanations)
     if not in_dir.is_dir():
         return _usage_error(f"not a directory: {in_dir}")
@@ -367,7 +378,6 @@ def cmd_export_dot(args) -> int:
     )
     if not files:
         return _usage_error(f"no explanation files in {in_dir}")
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in files:
         explanation, _ = load_explanation(path)

@@ -278,12 +278,6 @@ class MaskSet:
     def attr_logits(self) -> np.ndarray:
         return self.logits[self.edge_params :]
 
-    def edge_logit_per_arc(self) -> np.ndarray:
-        return self.edge_logits[self.edge_slot]
-
-    def attr_logit_matrix(self) -> np.ndarray:
-        return self.attr_logits[self.attr_slot]
-
     def check_graph(self, g: AttributedGraph) -> None:
         """Raise ShapeMismatch unless these masks are laid out for ``g``:
         one edge slot per arc, an ``(n, d)`` attribute slot matrix, and
@@ -508,13 +502,13 @@ def _build_explanation(
     if config.mode == "attribute_only":
         edge_score = np.ones(g.arc_count)
     else:
-        edge_score = importance_from_mask(masks.edge_logit_per_arc(), beta)
+        edge_score = importance_from_mask(masks.edge_logits[masks.edge_slot], beta)
         if not g.directed:
             edge_score = _pair_aggregated(edge_score, config.pair_agg)
     if config.mode == "edge_only":
         attr_score = np.ones((g.node_count, g.attr_dim))
     else:
-        attr_score = importance_from_mask(masks.attr_logit_matrix(), beta)
+        attr_score = importance_from_mask(masks.attr_logits[masks.attr_slot], beta)
     if config.mode != "edge_only" and masks.sharing == "per_node_attr_shared":
         node_attr_score = importance_from_mask(masks.attr_logits, beta)
     else:
@@ -548,7 +542,6 @@ def learn_masks(
     g: AttributedGraph,
     config: ExplainConfig,
     initial_masks: MaskSet | None = None,
-    on_epoch=None,
 ) -> tuple[MaskSet, Explanation]:
     """Optimize mask logits to preserve the model's own prediction.
 
@@ -581,9 +574,8 @@ def learn_masks(
     either sign gives the same sum; shared, bincount adds into +0.0,
     which turns -0.0 into +0.0 too.
 
-    ``on_epoch(epoch, masks)`` is called after each update with the live
-    mask object.  ``initial_masks`` not laid out for ``g`` raise
-    ShapeMismatch before the first epoch (:meth:`MaskSet.check_graph`).
+    ``initial_masks`` not laid out for ``g`` raise ShapeMismatch before the
+    first epoch (:meth:`MaskSet.check_graph`).
     """
     hc = config.hard_concrete
     view = _Gates(g)
@@ -688,8 +680,6 @@ def learn_masks(
         if not math.isfinite(objective):
             raise NonFiniteLoss(f"epoch {epoch}: objective {objective}")
         optimizer.step([grad])
-        if on_epoch is not None:
-            on_epoch(epoch, masks)
 
     return masks, _build_explanation(model, g, config, masks, base)
 

@@ -30,9 +30,6 @@ class NodeSet:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, node) -> bool:
-        return node in self.members
-
 
 def _attribute_matrix(node_count: int, attributes) -> np.ndarray:
     """A float copy of ``attributes``, a ``(node_count, attr_dim)`` matrix.

@@ -161,12 +161,6 @@ class MaskedInput:
         object.__setattr__(self, "edge_gate", eg)
         object.__setattr__(self, "attribute_gate", ag)
 
-    @staticmethod
-    def all_ones(g: AttributedGraph) -> "MaskedInput":
-        return MaskedInput(
-            np.ones(g.arc_count), np.ones((g.node_count, g.attr_dim))
-        )
-
 
 @dataclass(frozen=True)
 class ForwardResult:

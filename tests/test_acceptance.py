@@ -256,7 +256,10 @@ def test_criterion_6_identity_and_limit_invariants(
     test = ba_dataset.split_graphs("test")
     for g in test[:20]:
         base = forward(ba_model, g)
-        ones = forward(ba_model, g, mask=MaskedInput.all_ones(g))
+        gates = MaskedInput(
+            np.ones(g.arc_count), np.ones((g.node_count, g.attr_dim))
+        )
+        ones = forward(ba_model, g, mask=gates)
         assert np.array_equal(base.logits, ones.logits)
 
     report = evaluate(

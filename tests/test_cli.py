@@ -173,7 +173,7 @@ def test_eval_onto_a_directory_names_it_in_the_same_line_each_run(
             "--explanations", str(out), "--top-k", "3", "--csv", str(target)]
     first = _assert_one_line_usage_error(main(argv), capsys)
     assert _assert_one_line_usage_error(main(argv), capsys) == first
-    assert first.endswith(f"Is a directory: {str(target)!r}\n")
+    assert first.endswith(f"--csv {target} is a directory\n")
     assert list(tmp_path.iterdir()) == [target]
 
 
@@ -222,6 +222,39 @@ def test_an_out_that_is_a_directory_is_refused_before_any_work(
     }[command]
     err = _assert_one_line_usage_error(main(argv), capsys)
     assert message in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--csv", "afile/x.csv"],
+         "--csv afile/x.csv: afile is not a directory"),
+        (["eval", "--report", "adir"], "--report adir is a directory"),
+        (["explain", "--out-dir", "afile"],
+         "--out-dir afile is not a directory"),
+        (["export-dot", "--out-dir", "afile"],
+         "--out-dir afile is not a directory"),
+    ],
+    ids=["eval csv", "eval report", "explain", "export-dot"],
+)
+def test_an_output_path_is_refused_before_any_input_is_read(
+    pipeline, capsys, tmp_path, monkeypatch, argv, message
+):
+    # every input is missing, so the output fault is named first
+    _, ds, _, _ = pipeline
+    monkeypatch.chdir(tmp_path)
+    Path("afile").touch()
+    Path("adir").mkdir()
+    inputs = {
+        "eval": ["--model", "no-model.json", "--dataset", str(ds),
+                 "--explanations", "no-explanations", "--top-k", "3"],
+        "explain": ["--model", "no-model.json", "--dataset", str(ds)],
+        "export-dot": ["--explanations", "no-explanations"],
+    }[argv[0]]
+    before = sorted(tmp_path.rglob("*"))
+    err = _assert_one_line_usage_error(main([*argv, *inputs]), capsys)
+    assert err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -66,7 +66,9 @@ def test_edge_gradient_matches_hand_value():
     gcn = (Layer(np.array([[1.0]]), np.zeros(1), "relu"),)
     head = (Layer(np.eye(2), np.zeros(2), "identity"),)
     model = GnnModel(1, 2, gcn, head)
-    mask = MaskedInput.all_ones(g)
+    mask = MaskedInput(
+        np.ones(g.arc_count), np.ones((g.node_count, g.attr_dim))
+    )
     grads = mask_gradients(model, g, mask, 0)
     z = 1.0 / (2.0 * np.sqrt(2.0))
     expected = (1.0 / (1.0 + np.exp(-z)) - 1.0) / (2.0 * np.sqrt(2.0))
@@ -122,7 +124,10 @@ def test_gradient_shapes_match_graph():
     rng = np.random.default_rng(12)
     model = random_model(rng)
     g = random_small_graph(rng, gid="shape")
-    grads = mask_gradients(model, g, MaskedInput.all_ones(g), 0)
+    mask = MaskedInput(
+        np.ones(g.arc_count), np.ones((g.node_count, g.attr_dim))
+    )
+    grads = mask_gradients(model, g, mask, 0)
     assert grads.edge_gate.shape == (g.arc_count,)
     assert grads.attribute_gate.shape == (g.node_count, g.attr_dim)
 

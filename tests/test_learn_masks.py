@@ -12,7 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 from conftest import random_model
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from pinned_kernels import (
     PinnedAdam,
@@ -116,7 +116,7 @@ def reference_learn_masks(model, g, config, initial_masks=None):
             np.add.at(g_edge, masks.edge_slot, ce_edge)
             g_edge *= dgate_e_slots
             if n_arcs:
-                m_exp = masks.edge_logit_per_arc()
+                m_exp = masks.edge_logits[masks.edge_slot]
                 p = _sigmoid(m_exp)
                 objective += config.lambda_edge_size * p.mean()
                 objective += (
@@ -134,7 +134,7 @@ def reference_learn_masks(model, g, config, initial_masks=None):
             np.add.at(g_attr, attr_slot_flat, ce_attr.ravel())
             g_attr *= dgate_x_slots
             if n * d:
-                m_exp = masks.attr_logit_matrix().ravel()
+                m_exp = masks.attr_logits[masks.attr_slot].ravel()
                 p = _sigmoid(m_exp)
                 objective += config.lambda_attr_size * p.mean()
                 objective += (
@@ -159,8 +159,14 @@ def reference_learn_masks(model, g, config, initial_masks=None):
 def cases(draw):
     mode = draw(st.sampled_from(MODES))
     sharing = draw(st.sampled_from(SHARING_MODES))
-    n = draw(st.integers(0, 8))
-    attr_dim = draw(st.integers(0, 3))
+    # a head calibrated by _calibrated puts a run on the probability floor
+    # at every step (offset -80, and -45 with deterministic gates) or has
+    # it cross the floor both ways (-45 with stochastic gates); it needs
+    # a graph with nodes and attribute columns, and a run of 2 steps
+    offset = draw(st.sampled_from([None, -45.0, -80.0]))
+    floor = offset is not None
+    n = draw(st.integers(int(floor), 8))
+    attr_dim = draw(st.integers(int(floor), 3))
     pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
     # pair-shared masks need mates, so that sharing draws undirected graphs
@@ -171,20 +177,27 @@ def cases(draw):
         n, edges, rng.normal(size=(n, attr_dim)), directed, graph_id="h"
     )
     model = random_model(rng, attr_dim=attr_dim, hidden=(3, 2))
-    # a head bias that leaves class 0 a lead of 0.1 on the unmasked graph,
-    # times a head scale of 30 or 1000, can put the target probability of
-    # a mask step on its floor, as large scales do in test_kernels.stacks
-    (head,) = model.head_layers
-    bias = head.bias.copy()
-    if draw(st.booleans()):
-        logits = forward(model, g).logits
-        bias[0] += 0.1 - (logits[0] - logits[1])
-    scale = draw(st.sampled_from([1.0, 30.0, 1000.0]))
-    head = Layer(scale * head.weight, scale * bias, head.activation)
-    model = GnnModel(attr_dim, 2, model.gcn_layers, (head,))
+    epochs = draw(st.integers(2 if floor else 0, 6))
+    # None where the learned gates do not move the lead
+    calibrated = _calibrated(model, g, mode, offset) if floor else None
+    if calibrated is not None:
+        model = calibrated
+    else:
+        # a head bias that leaves class 0 a lead of 0.1 on the unmasked
+        # graph, times a head scale of 30 or 1000, can put the target
+        # probability of a mask step on its floor, as large scales do in
+        # test_kernels.stacks
+        (head,) = model.head_layers
+        bias = head.bias.copy()
+        if draw(st.booleans()):
+            logits = forward(model, g).logits
+            bias[0] += 0.1 - (logits[0] - logits[1])
+        scale = draw(st.sampled_from([1.0, 30.0, 1000.0]))
+        head = Layer(scale * head.weight, scale * bias, head.activation)
+        model = GnnModel(attr_dim, 2, model.gcn_layers, (head,))
     lambdas = st.sampled_from([0.0, 0.005, 0.1, 1.0, 3.0])
     config = ExplainConfig(
-        epochs=draw(st.integers(0, 6)),
+        epochs=epochs,
         learning_rate=draw(st.sampled_from([0.01, 0.3])),
         lambda_edge_size=draw(lambdas),
         lambda_attr_size=draw(lambdas),
@@ -214,7 +227,23 @@ def cases(draw):
 @given(cases())
 def test_one_mask_vector_learns_the_bits_of_two_branches(case):
     model, g, config, initial = case
-    masks, expl = learn_masks(model, g, config, initial_masks=initial)
+    floored = []
+    on_floor = explain_module._on_floor
+
+    def recorded(p):
+        floored.append(on_floor(p))
+        return floored[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(explain_module, "_on_floor", recorded)
+        masks, expl = learn_masks(model, g, config, initial_masks=initial)
+    steps = set(zip(floored, floored[1:]))
+    if floored and all(floored):
+        event("on the floor at every step")
+    elif {(False, True), (True, False)} <= steps:
+        event("crosses the floor both ways")
+    elif any(floored):
+        event("on the floor at some steps")
     ref_masks, ref_expl = reference_learn_masks(
         model, g, config, initial_masks=initial
     )
@@ -395,19 +424,30 @@ def _misfit(masks, fault):
      "attribute slot past the logits", "negative slot"],
 )
 @pytest.mark.parametrize("sharing", SHARING_MODES)
-def test_masks_laid_out_for_another_graph_are_refused(sharing, fault):
+def test_masks_laid_out_for_another_graph_are_refused(
+    monkeypatch, sharing, fault
+):
     rng = np.random.default_rng(0)
     g = _path(4, rng)
     model = random_model(rng, attr_dim=2, hidden=(3,))
     config = ExplainConfig(epochs=2, sharing=sharing)
     masks = init_masks(_path(6, rng) if "graph" in fault else g, config, 0)
     masks = _misfit(masks, fault)
-    epochs = []
+    samples = []
+    sample = explain_module._hard_concrete_with_grad
+
+    def counted_sample(*args):
+        samples.append(1)
+        return sample(*args)
+
+    monkeypatch.setattr(
+        explain_module, "_hard_concrete_with_grad", counted_sample
+    )
     needs = r"graph 'g' needs edge_slot \(6,\), attr_slot \(4, 2\)"
     with pytest.raises(ShapeMismatch, match=needs):
-        learn_masks(model, g, config, masks, lambda e, _: epochs.append(e))
-    # refused before the first epoch
-    assert epochs == []
+        learn_masks(model, g, config, masks)
+    # refused before the first epoch, whose first call is the sample
+    assert samples == []
 
 
 @pytest.mark.parametrize("sharing", SHARING_MODES)
@@ -535,44 +575,52 @@ def test_zero_gradients_keep_the_bits_of_two_branches(mode, sharing, graph):
         assert got == want
 
 
+def _calibrated(model, g, mode, offset):
+    """``model`` with its one head layer scaled and shifted so that class
+    0 leads by 2 nats with every gate of ``g`` open and by ``offset``
+    nats with ``mode``'s learned gates at 0.5; None where those gates
+    move the lead by less than 1e-3."""
+    (head,) = model.head_layers
+
+    def lead(edge_gate, attr_gate):
+        mask = MaskedInput(
+            np.full(g.arc_count, edge_gate),
+            np.full((g.node_count, g.attr_dim), attr_gate),
+        )
+        logits = forward(model, g, mask).logits
+        return float(logits[0] - logits[1])
+
+    open_lead = lead(1.0, 1.0)
+    half_lead = lead(
+        1.0 if mode == "attribute_only" else 0.5,
+        1.0 if mode == "edge_only" else 0.5,
+    )
+    if not abs(open_lead - half_lead) >= 1e-3:
+        return None
+    scale = (2.0 - offset) / (open_lead - half_lead)
+    bias = scale * head.bias + np.array([0.0, scale * open_lead - 2.0])
+    layer = Layer(scale * head.weight, bias, head.activation)
+    return GnnModel(model.attr_dim, 2, model.gcn_layers, (layer,))
+
+
 def _floor_case(mode, offset):
-    """A graph and a model whose target class, 0, leads by 2 nats with
-    every gate open and by ``offset`` nats with ``mode``'s learned gates
-    at 0.5; the lead grows with every gate.  An ``offset`` of -80 puts
-    every mask step below the probability floor, -27 (the floor sits
-    at -27.6) crosses it both ways, and 0 never reaches it.  The
-    second attribute column is negative and reaches no logit, so that
-    its gate gradients are -0.0 even where the loss sits on the floor."""
+    """A graph and a model calibrated by :func:`_calibrated`; the lead
+    grows with every gate.  An ``offset`` of -80 puts every mask step
+    below the probability floor, -27 (the floor sits at -27.6) crosses
+    it both ways, and 0 never reaches it.  The second attribute column
+    is negative and reaches no logit, so that its gate gradients are
+    -0.0 even where the loss sits on the floor."""
     rng = np.random.default_rng(0)
     n = 8
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, 4), (2, 6), (1, 5)]
     x = np.stack([rng.uniform(0.5, 1.5, n), -rng.uniform(0.5, 1.5, n)], 1)
     g = build_graph(n, edges, x, False, graph_id="floor")
     gcn = (Layer(np.eye(2), np.zeros(2), "identity"),)
-
-    def head(scale, bias):
-        # reads the mean of the first column only
-        w = np.zeros((4, 2))
-        w[2, 0] = scale
-        layer = Layer(w, np.array([0.0, bias]), "identity")
-        return GnnModel(2, 2, gcn, (layer,))
-
-    def lead(model, edge_gate, attr_gate):
-        mask = MaskedInput(
-            np.full(g.arc_count, edge_gate), np.full((n, 2), attr_gate)
-        )
-        logits = forward(model, g, mask).logits
-        return float(logits[0] - logits[1])
-
-    unit = head(1.0, 0.0)
-    open_lead = lead(unit, 1.0, 1.0)
-    half_lead = lead(
-        unit,
-        1.0 if mode == "attribute_only" else 0.5,
-        1.0 if mode == "edge_only" else 0.5,
-    )
-    scale = (2.0 - offset) / (open_lead - half_lead)
-    return g, head(scale, scale * open_lead - 2.0)
+    # reads the mean of the first column only
+    w = np.zeros((4, 2))
+    w[2, 0] = 1.0
+    head = Layer(w, np.zeros(2), "identity")
+    return g, _calibrated(GnnModel(2, 2, gcn, (head,)), g, mode, offset)
 
 
 FLOOR_OFFSETS = {"every step": -80.0, "both ways": -27.0, "never": 0.0}

@@ -222,7 +222,10 @@ def test_all_ones_mask_equals_unmasked_exactly():
     for i in range(5):
         g = random_small_graph(rng, gid=f"m{i}")
         base = forward(model, g)
-        masked = forward(model, g, mask=MaskedInput.all_ones(g))
+        ones = MaskedInput(
+            np.ones(g.arc_count), np.ones((g.node_count, g.attr_dim))
+        )
+        masked = forward(model, g, mask=ones)
         assert np.array_equal(base.logits, masked.logits)
 
 
@@ -401,7 +404,9 @@ def test_loss_is_cross_entropy_of_target():
     g = two_node_chain()
     model = identity_model()
     out = forward(model, g)
-    m = MaskedInput.all_ones(g)
+    m = MaskedInput(
+        np.ones(g.arc_count), np.ones((g.node_count, g.attr_dim))
+    )
     for target in (0, 1):
         assert loss(model, g, m, target) == pytest.approx(
             -np.log(out.probabilities[target]), abs=1e-12

@@ -1,10 +1,12 @@
 """The package exports only what something uses: each exported name is
 read by name in a library module, called by the benchmark as
-``gx.<name>``, or given a reason to be public in README.  And each
-module name README gives exists."""
+``gx.<name>``, or given a reason to be public in README; so is each
+public method and property of an exported class.  And each module name
+README gives exists."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -73,10 +75,55 @@ def test_every_exported_name_has_a_user_or_a_stated_reason():
     assert [n for n in exported if n not in library | bench | reasons] == []
 
 
+def _attributes_read(paths):
+    """Attribute names read in ``paths`` other than through ``self``: a
+    class reading its own property is not a use of it."""
+    return {
+        node.attr
+        for tree in _trees(paths)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    }
+
+
+def _public_members():
+    """``Class.name`` of each public function, static or class method and
+    property an exported class defines itself."""
+    package = importlib.import_module("gxplain")
+    kinds = (staticmethod, classmethod, property)
+    return [
+        f"{name}.{attr}"
+        for name in _exported()
+        if inspect.isclass(cls := getattr(package, name))
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, kinds))
+    ]
+
+
+def test_every_public_method_has_a_user_or_a_stated_reason():
+    read = _attributes_read(
+        [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+        + list((ROOT / "bench").glob("*.py"))
+    )
+    readme = (ROOT / "README.md").read_text("utf-8")
+    reasons = set(re.findall(r"`(\w+\.\w+)` is public because", readme))
+    members = _public_members()
+    assert "MaskSet.check_graph" in members
+    unread = [
+        m for m in members if m.split(".")[1] not in read and m not in reasons
+    ]
+    assert unread == []
+
+
 def test_stated_reasons_name_exported_names():
     readme = (ROOT / "README.md").read_text("utf-8")
     reasons = re.findall(r"`(\w+)` is public because", readme)
     assert reasons and set(reasons) <= set(_exported())
+    methods = re.findall(r"`(\w+\.\w+)` is public because", readme)
+    assert set(methods) <= set(_public_members())
 
 
 def test_each_module_name_in_the_readme_resolves():

@@ -13,15 +13,22 @@ and exit code go to ``OUT/log/``.  The runs:
   ``explain`` of the test split, ``eval`` at a 5-node budget (with
   ``--attr-top 2``, a CSV and a report), ``eval --sweep`` and
   ``export-dot``;
-* ``explain --ids`` on the first 10 test graphs under four settings:
-  entropy penalties on, ``edge_only`` with ``undirected_pair_shared``,
-  ``attribute_only`` and ``global_attr_shared``;
+* the same ``explain`` at ``--jobs 2``, whose files must equal the
+  ``--jobs 1`` files byte for byte, or the run fails;
+* ``explain --ids`` on the first 10 test graphs under the settings of
+  ``EXPLAIN_VARIANTS``, which between them take every set-up path of a
+  mask step: unshared slots with no side pinned (entropy penalties on,
+  ``--deterministic``, mean and min aggregators) and with one pinned
+  (``edge_only``, ``attribute_only``); shared slots with no side pinned
+  (``per_node_attr_shared``, ``global_attr_shared``) and with one pinned
+  (``edge_only`` with ``undirected_pair_shared``);
 * a set of 13-node graphs (``generate_motif_graphs(400, 1,
   base_size=8)``), ``train --epochs 50``, ``explain --oracle`` of its
   test split and ``eval`` at a 5-node budget.
 """
 
 import argparse
+import filecmp
 import os
 import subprocess
 import sys
@@ -34,9 +41,13 @@ ONE_THREAD = {
 
 EXPLAIN_VARIANTS = {
     "entropy": ["--lambda-edge-entropy", "1", "--lambda-attr-entropy", "0.1"],
-    "edge_pairs": ["--mode", "edge_only", "--sharing", "undirected_pair_shared"],
+    "deterministic": ["--deterministic"],
+    "mean_min": ["--agg1", "mean", "--agg2", "mean", "--pair-agg", "min"],
+    "edge_only": ["--mode", "edge_only"],
     "attribute_only": ["--mode", "attribute_only"],
+    "node_attr": ["--sharing", "per_node_attr_shared"],
     "global_attr": ["--sharing", "global_attr_shared"],
+    "edge_pairs": ["--mode", "edge_only", "--sharing", "undirected_pair_shared"],
 }
 
 SMALL_SET = """
@@ -90,6 +101,13 @@ class Runner:
         return self.python(name, "-m", "gxplain", *args)
 
 
+def _differing(a: Path, b: Path) -> list[str]:
+    """Names of the files not in both directories byte for byte."""
+    names = {p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}
+    _, mismatch, errors = filecmp.cmpfiles(a, b, sorted(names), shallow=False)
+    return mismatch + errors
+
+
 def run(root: Path, out: Path) -> None:
     r = Runner(root, out)
     data = ["--model", "model.json", "--dataset", "bench.json.gz"]
@@ -99,6 +117,10 @@ def run(root: Path, out: Path) -> None:
               "--out", "model.json", "--seed", "15")
     r.gxplain("explain", "explain", *data, "--out-dir", "explanations",
               "--split", "test", "--jobs", "1")
+    r.gxplain("explain-jobs2", "explain", *data, "--out-dir",
+              "explanations-jobs2", "--split", "test", "--jobs", "2")
+    if differ := _differing(out / "explanations", out / "explanations-jobs2"):
+        raise SystemExit(f"explain --jobs 2 differs from --jobs 1: {differ}")
     r.gxplain("eval", "eval", *data, "--explanations", "explanations",
               "--top-k", "5", "--attr-top", "2", "--csv", "verdicts.csv",
               "--report", "report.json")
