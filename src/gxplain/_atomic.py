@@ -1,9 +1,10 @@
 """The one way gxplain writes an output file.
 
 Every writer builds its bytes in memory and hands them to
-:func:`write_atomic`: they go to a fresh temporary file beside the target,
-which then replaces the target in one ``os.replace``.  A reader never sees
-a half-written file, and a failed write leaves the previous file as it was
+:func:`write_atomic`, which makes the target's missing parent directories:
+the bytes go to a fresh temporary file beside the target, which then
+replaces the target in one ``os.replace``.  A reader never sees a
+half-written file, and a failed write leaves the previous file as it was
 and no temporary file behind.
 """
 
@@ -34,7 +35,8 @@ def json_text(doc) -> str:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Replace ``path`` with ``data``, all or nothing.
+    """Replace ``path`` with ``data``, all or nothing, making the missing
+    parent directories first (they stay if the write then fails).
 
     The temporary file lies beside the target under a name of fixed
     length, unique per call: concurrent writers never share one, and any
@@ -43,10 +45,10 @@ def write_atomic(path, data: bytes) -> None:
     applies).  A failed write raises an :class:`OSError` naming ``path``.
     """
     path = os.fspath(path)
-    tmp = os.path.join(
-        os.path.dirname(path), f".gxplain.{os.urandom(8).hex()}.tmp"
-    )
+    parent = os.path.dirname(path)
+    tmp = os.path.join(parent, f".gxplain.{os.urandom(8).hex()}.tmp")
     try:
+        os.makedirs(parent or os.curdir, exist_ok=True)
         fh = open(tmp, "xb")
         try:
             with fh:

@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import ParseError, VersionMismatch
 
+# the largest count or width gxplain accepts: numpy or Python refuse a
+# larger array or list with a traceback, not with MemoryError
+MAX_SIZE = 2**31 - 1
+
 
 def _shown(value) -> str:
     """``repr(value)`` cut to 60 characters, so that an error naming a

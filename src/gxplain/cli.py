@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage or input/output problems, 3 computation
 failures (diverging training, a floating-point overflow, invalid value or
 division by zero, missing explanations, incompatible inputs, running out
-of memory).
+of memory).  A command refuses by raising; :func:`main` alone maps the
+exception to its exit code and prints the one ``error:`` line.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._atomic import write_atomic
-from ._schema import _listed, _shown
+from ._schema import MAX_SIZE, _listed, _shown
 from .datasets import (
     SPLIT_NAMES,
     generate_ba2motifs,
@@ -118,29 +119,26 @@ def _explanation_path(directory, graph_id: str) -> Path:
     return Path(directory) / f"{graph_id}.json"
 
 
-def _out_fault(
-    out: Path, flag: str = "--out", directory: bool = False
-) -> str | None:
-    """Why ``flag`` cannot write at ``out``, checked before any work: a
-    file's ``out`` is a directory, a ``directory``'s is something else,
-    or the nearest ancestor on disk is not a directory, so the missing
-    parents cannot be made.  None when none holds."""
+def _check_out(out: Path, flag: str = "--out", directory: bool = False):
+    """Refuse ``flag``'s ``out`` before any work when a file's ``out`` is
+    a directory, a ``directory``'s is something else, or the nearest
+    ancestor on disk is not a directory, so the missing parents cannot
+    be made."""
     if os.path.lexists(out) and out.is_dir() != directory:
-        return f"{flag} {out} is {'not ' if directory else ''}a directory"
+        raise (NotADirectoryError if directory else IsADirectoryError)(
+            f"{flag} {out} is {'not ' if directory else ''}a directory"
+        )
     parent = next((p for p in out.parents if os.path.lexists(p)), None)
     if parent is not None and not parent.is_dir():
-        return f"{flag} {out}: {parent} is not a directory"
-    return None
+        raise NotADirectoryError(f"{flag} {out}: {parent} is not a directory")
 
 
-def cmd_gen_dataset(args) -> int:
+def cmd_gen_dataset(args) -> None:
     out = Path(args.out)
-    if fault := _out_fault(out):
-        return _usage_error(fault)
+    _check_out(out)
     if out.exists() and not args.force:
-        return _usage_error(f"refusing to overwrite {out} (use --force)")
+        raise FileExistsError(f"refusing to overwrite {out} (use --force)")
     dataset = generate_ba2motifs(args.n, args.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out)
     avg_nodes = sum(g.node_count for g in dataset.graphs) / len(dataset.graphs)
     print(
@@ -148,7 +146,6 @@ def cmd_gen_dataset(args) -> int:
         f" avg_nodes={avg_nodes:.3f} classes={dataset.num_classes}"
         f" out={out}"
     )
-    return EXIT_OK
 
 
 def _defaults(fn) -> dict:
@@ -157,6 +154,8 @@ def _defaults(fn) -> dict:
 
 
 def _train_options(args) -> dict:
+    if args.layers > MAX_SIZE:
+        raise DomainError(f"--layers is above {MAX_SIZE}")
     return dict(
         hidden_dims=tuple([args.hidden] * args.layers),
         learning_rate=args.lr,
@@ -165,13 +164,11 @@ def _train_options(args) -> dict:
     )
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     out = Path(args.out)
-    if fault := _out_fault(out):
-        return _usage_error(fault)
+    _check_out(out)
     dataset = load_dataset(args.dataset)
     result = train_model(dataset, **_train_options(args))
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_model(result.model, out)
     test_acc = evaluate_accuracy(
         result.model, dataset.split_graphs("test")
@@ -186,7 +183,6 @@ def cmd_train(args) -> int:
         f"accuracy train={train_acc:.6f} val={val_acc:.6f}"
         f" test={test_acc:.6f}"
     )
-    return EXIT_OK
 
 
 # every ExplainConfig field but hard_concrete is one explain flag, named
@@ -244,13 +240,12 @@ def _explain_one(job) -> str:
     return g.graph_id
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> None:
     config = _config_from_args(args)
     if args.jobs < 1:
-        return _usage_error(f"--jobs must be >= 1, got {args.jobs}")
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     out_dir = Path(args.out_dir)
-    if fault := _out_fault(out_dir, "--out-dir", directory=True):
-        return _usage_error(fault)
+    _check_out(out_dir, "--out-dir", directory=True)
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, args.ids)
@@ -268,18 +263,17 @@ def cmd_explain(args) -> int:
     else:
         done = [_explain_one(job) for job in jobs]
     print(f"explained graphs={len(done)} out_dir={out_dir}")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     if args.sweep and not args.csv:
-        return _usage_error("--sweep needs --csv")
+        raise ParseError("--sweep needs --csv")
     for flag, out in (("--csv", args.csv), ("--report", args.report)):
-        if out and (fault := _out_fault(Path(out), flag)):
-            return _usage_error(fault)
+        if out:
+            _check_out(Path(out), flag)
     in_dir = Path(args.explanations)
     if not in_dir.is_dir():
-        return _usage_error(f"not a directory: {in_dir}")
+        raise NotADirectoryError(f"not a directory: {in_dir}")
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     graphs = _select_graphs(dataset, args.split, None)
@@ -313,7 +307,6 @@ def cmd_eval(args) -> int:
     if args.csv:
         write_eval_csv(args.csv, rows)
     print(line)
-    return EXIT_OK
 
 
 def _fmt(value) -> str:
@@ -362,30 +355,27 @@ def render_dot(explanation, attr_top: int = 3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_export_dot(args) -> int:
+def cmd_export_dot(args) -> None:
     if args.attr_top < 0:
-        return _usage_error(f"--attr-top must be >= 0, got {args.attr_top}")
+        raise DomainError(f"--attr-top must be >= 0, got {args.attr_top}")
     out_dir = Path(args.out_dir)
-    if fault := _out_fault(out_dir, "--out-dir", directory=True):
-        return _usage_error(fault)
+    _check_out(out_dir, "--out-dir", directory=True)
     in_dir = Path(args.explanations)
     if not in_dir.is_dir():
-        return _usage_error(f"not a directory: {in_dir}")
+        raise NotADirectoryError(f"not a directory: {in_dir}")
     files = sorted(
         p
         for p in in_dir.glob("*.json")
         if not p.name.endswith(".oracle.json")
     )
     if not files:
-        return _usage_error(f"no explanation files in {in_dir}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise FileNotFoundError(f"no explanation files in {in_dir}")
     for path in files:
         explanation, _ = load_explanation(path)
         text = render_dot(explanation, attr_top=args.attr_top)
         target = out_dir / (path.stem + ".dot")
         write_atomic(target, text.encode("utf-8"))
     print(f"exported graphs={len(files)} out_dir={out_dir}")
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -463,11 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -475,17 +460,14 @@ def main(argv=None) -> int:
         # an overflow, invalid value or division by zero stops the command;
         # underflow does not, as the gate sampler's exp(-|x|) underflows
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            args.func(args)
+        return EXIT_OK
     except _USAGE_ERRORS as exc:
-        return _usage_error(exc)
+        code, message = EXIT_USAGE, exc
     except (GxplainError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        code, message = EXIT_COMPUTE, exc
     except MemoryError as exc:
         # numpy's names the array it could not allocate; a bare one is empty
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_COMPUTE
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        code, message = EXIT_COMPUTE, str(exc) or "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return code

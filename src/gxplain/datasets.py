@@ -13,6 +13,7 @@ import numpy as np
 
 from ._atomic import json_value, write_atomic
 from ._schema import (
+    MAX_SIZE,
     _shown,
     as_bool,
     as_float_array,
@@ -110,13 +111,15 @@ def generate_motif_graphs(
     attachment step at a time across all graphs.
 
     Raises:
-        InvalidCount: ``n_graphs`` is smaller than 2 or odd.
+        InvalidCount: ``n_graphs`` is smaller than 2, odd or too large.
         DomainError: ``seed`` is negative.
     """
     if n_graphs < 2 or n_graphs % 2:
         raise InvalidCount(
             f"need an even n_graphs >= 2 for balanced classes, got {n_graphs}"
         )
+    if n_graphs > MAX_SIZE:
+        raise InvalidCount(f"n_graphs {_shown(n_graphs)} is above {MAX_SIZE}")
     if base_size < 2:
         raise InvalidCount(f"base_size must be at least 2, got {base_size}")
     if seed < 0:
@@ -328,6 +331,8 @@ def load_dataset(path) -> Dataset:
     attr_dim = read_field(doc, "attr_dim", as_int, where)
     if attr_dim < 0:
         raise ParseError(f"{where}: attr_dim is negative ({attr_dim})")
+    if attr_dim > MAX_SIZE:
+        raise ParseError(f"{where}: attr_dim is above {MAX_SIZE}")
     entries = read_field(doc, "graphs", as_list, where)
     graphs = []
     for lo in range(0, len(entries), _LOAD_BATCH):
@@ -352,6 +357,8 @@ def load_dataset(path) -> Dataset:
         raise ParseError(f"{where}: splits must be an object")
     name = read_field(doc, "name", as_str, where)
     num_classes = read_field(doc, "num_classes", as_int, where)
+    if num_classes > MAX_SIZE:
+        raise ParseError(f"{where}: num_classes is above {MAX_SIZE}")
     split_lists = {}
     for k, v in splits.items():
         at = f"{where}: splits[{_shown(k)}]"

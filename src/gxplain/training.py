@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._schema import _shown
+from ._schema import MAX_SIZE, _shown
 from .datasets import Dataset
 from .errors import DomainError, EmptyDataset, NonFiniteLoss, ValidationError
 from .model import (
@@ -304,9 +304,9 @@ def train_model(
     training split; accuracy traces are recorded before each update.
 
     Raises:
-        DomainError: no hidden layer, a width below 1, a learning rate
-            that is not positive and finite, or a negative epoch count or
-            seed.
+        DomainError: no hidden layer, a width below 1 or above
+            :data:`MAX_SIZE`, a learning rate that is not positive and
+            finite, or a negative epoch count or seed.
         EmptyDataset: the training split selects no graphs.
         ValidationError: a training graph has no label.
         NonFiniteLoss: the objective became NaN or infinite.
@@ -315,6 +315,9 @@ def train_model(
         raise DomainError(
             f"hidden_dims must be one or more widths >= 1, got {hidden_dims}"
         )
+    if max(hidden_dims) > MAX_SIZE:
+        width = _shown(max(hidden_dims))
+        raise DomainError(f"hidden width {width} is above {MAX_SIZE}")
     if not 0.0 < learning_rate < math.inf:
         raise DomainError(
             f"learning rate must be positive and finite, got {learning_rate}"

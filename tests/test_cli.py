@@ -1,5 +1,6 @@
 """End-to-end command pipeline: gen-dataset, train, explain, eval, export-dot."""
 
+import ast
 import collections
 import contextlib
 import copy
@@ -75,17 +76,53 @@ def pipeline(tmp_path_factory):
     return root, ds, model, out
 
 
-def test_python_m_gxplain_runs_the_cli():
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["gen-dataset", "--n", "3", "--out", "x.json"]],
+    ids=["help", "refused"],
+)
+def test_python_m_gxplain_runs_the_cli(tmp_path, argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(gxplain.__file__).parents[1]), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, "-m", "gxplain", "--help"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-m", "gxplain", *argv],
+        capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("usage: gxplain ")
+    if argv == ["--help"]:
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: gxplain ")
+    else:
+        # the exit code and the one line the shell gets, not main's value
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_main_alone_prints_errors_and_picks_exit_codes():
+    # a command refuses by raising; main maps the exception to its line
+    # and exit code
+    tree = ast.parse((Path(gxplain.__file__).parent / "cli.py").read_text())
+    faults = sorted(
+        f"{f.name}:{node.lineno}"
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name != "main"
+        for node in ast.walk(f)
+        if (isinstance(node, ast.Attribute) and node.attr == "stderr")
+        or (
+            isinstance(node, ast.Name)
+            and node.id in ("EXIT_USAGE", "EXIT_COMPUTE")
+        )
+        or (
+            f.name.startswith("cmd_")
+            and isinstance(node, ast.Return)
+            and node.value is not None
+        )
+    )
+    assert faults == []
 
 
 def test_gen_dataset_refuses_overwrite_without_force(tmp_path, capsys):
@@ -143,10 +180,15 @@ def test_eval_requires_exactly_one_budget(pipeline):
     assert exc.value.code == 2
 
 
-def test_eval_prints_metric_line_and_writes_artifacts(pipeline, capsys, tmp_path):
+@pytest.mark.parametrize(
+    "folder", [".", "new/deep"], ids=["existing", "missing parents"]
+)
+def test_eval_prints_metric_line_and_writes_artifacts(
+    pipeline, capsys, tmp_path, folder
+):
     _, ds, model, out = pipeline
-    csv_path = tmp_path / "rows.csv"
-    report_path = tmp_path / "report.json"
+    csv_path = tmp_path / folder / "rows.csv"
+    report_path = tmp_path / folder / "report.json"
     code = main(
         ["eval", "--model", str(model), "--dataset", str(ds),
          "--explanations", str(out), "--top-k", "5", "--attr-top", "3",
@@ -181,8 +223,9 @@ def test_eval_onto_a_directory_names_it_in_the_same_line_each_run(
 def test_eval_that_cannot_write_prints_no_metric_line(
     pipeline, capsys, tmp_path, flag
 ):
+    # the name passes the check before the scan and fails at write time
     _, ds, model, out = pipeline
-    target = tmp_path / "missing" / "out"
+    target = tmp_path / ("n" * 300)
     code = main(["eval", "--model", str(model), "--dataset", str(ds),
                  "--explanations", str(out), "--top-k", "3",
                  flag, str(target)])
@@ -725,6 +768,11 @@ def test_out_of_memory_in_training_names_the_allocation(
         ("export-dot", ("--attr-top", "-1")),
         ("train", ("--seed", "-1")),
         ("gen-dataset", ("--seed", "-1")),
+        # past the size limit, refused before numpy or a list sees them
+        ("gen-dataset", ("--n", str(10**20))),
+        ("gen-dataset", ("--n", str(4 * 10**18))),
+        ("train", ("--hidden", str(10**20))),
+        ("train", ("--layers", str(10**20))),
     ],
 )
 def test_train_and_export_dot_reject_out_of_range_arguments(
@@ -997,6 +1045,11 @@ DATASET_FAULTS = {
     "index in two splits": lambda d: d["splits"]["test"].append(1),
     "splits not an object": lambda d: d.update(splits=[[0, 1], [2], [3]]),
     "format_version 2": lambda d: d.update(format_version=2),
+    "huge attr_dim": lambda d: (
+        d.update(attr_dim=10**30),
+        [g.update(n=0, edges=[], x=[]) for g in d["graphs"]],
+    ),
+    "huge num_classes": lambda d: d.update(num_classes=10**30),
 }
 # where the message must point, for faults that name one exact location
 DATASET_FAULT_WHERE = {
@@ -1015,6 +1068,8 @@ DATASET_FAULT_WHERE = {
     "index in two splits": ": graph 1 appears in splits 'train' and 'test'\n",
     "splits not an object": ": splits must be an object\n",
     "format_version 2": ": format_version 2, expected 1\n",
+    "huge attr_dim": f": attr_dim is above {2**31 - 1}\n",
+    "huge num_classes": f": num_classes is above {2**31 - 1}\n",
 }
 
 
@@ -1038,6 +1093,8 @@ def test_train_rejects_malformed_dataset(tmp_path, capsys, fault):
         "index in two splits",
         "splits not an object",
         "format_version 2",
+        "huge attr_dim",
+        "huge num_classes",
     ):
         assert "graphs[" in err
     assert DATASET_FAULT_WHERE.get(fault, "") in err

@@ -117,6 +117,17 @@ def test_write_onto_a_directory_fails_and_leaves_no_temp_file(tmp_path, name):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n in WRITERS if n != "export_dot")
+)
+def test_a_write_makes_the_missing_parent_directories(tmp_path, name):
+    write, suffix = WRITERS[name]
+    target = tmp_path / "new" / "deep" / f"doc{suffix}"
+    write(target)
+    assert list(target.parent.iterdir()) == [target]
+    assert _content(target)
+
+
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_overwrite_replaces_the_whole_file_with_plain_open_mode(tmp_path, name):
     write, suffix = WRITERS[name]
