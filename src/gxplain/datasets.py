@@ -47,6 +47,9 @@ class Dataset:
     generation_seed: int | None = None
 
     def __post_init__(self):
+        for name in ("attr_dim", "num_classes"):
+            if getattr(self, name) > MAX_SIZE:
+                raise ValidationError(f"{name} is above {MAX_SIZE}")
         first_index: dict[str, int] = {}
         for i, g in enumerate(self.graphs):
             j = first_index.setdefault(g.graph_id, i)
@@ -111,7 +114,8 @@ def generate_motif_graphs(
     attachment step at a time across all graphs.
 
     Raises:
-        InvalidCount: ``n_graphs`` is smaller than 2, odd or too large.
+        InvalidCount: ``n_graphs`` is smaller than 2, odd or too large,
+            or ``base_size`` is smaller than 2 or too large.
         DomainError: ``seed`` is negative.
     """
     if n_graphs < 2 or n_graphs % 2:
@@ -122,6 +126,10 @@ def generate_motif_graphs(
         raise InvalidCount(f"n_graphs {_shown(n_graphs)} is above {MAX_SIZE}")
     if base_size < 2:
         raise InvalidCount(f"base_size must be at least 2, got {base_size}")
+    if base_size > MAX_SIZE:
+        raise InvalidCount(
+            f"base_size {_shown(base_size)} is above {MAX_SIZE}"
+        )
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

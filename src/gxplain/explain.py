@@ -13,7 +13,6 @@ incoming arcs yields the final node score.
 """
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -203,6 +202,18 @@ class _GateBuffers:
         self.gate = np.empty(shape)
         self.dgate = np.empty(shape)
         self.clamped = np.empty(shape, dtype=bool)
+
+    def rows(self, k: int) -> "_GateBuffers":
+        """Views of the first ``k`` rows of buffers made without
+        ``penalty`` for gates stacked on a first axis."""
+        view = _GateBuffers.__new__(_GateBuffers)
+        for name in ("sig", "opz", "ge"):
+            setattr(view, name, getattr(self, name)[:, :k])
+        for name in ("gate", "dgate", "clamped"):
+            setattr(view, name, getattr(self, name)[:k])
+        view.s, view.span_s, view.below = view.sig[0], view.opz[0], view.ge[0]
+        view.logit_sig = None
+        return view
 
 
 def _hard_concrete_with_grad(
@@ -451,6 +462,10 @@ def _epoch_uniforms(seed: int, epoch: int, count: int) -> np.ndarray:
     return np.clip(u, 1e-12, 1.0 - 1e-12)
 
 
+# the most mask steps that one stacked sample and one stacked pass check
+# (see learn_masks); graphs of up to 32 nodes take 32 rows in one pass
+_WINDOW_STEPS = 32
+
 # entries of the largest noise table kept, 8 MiB of float64; see
 # _noise_rows
 _TABLE_ENTRIES = 1 << 20
@@ -459,9 +474,29 @@ _TABLE_ENTRIES = 1 << 20
 _noise_table: tuple[int | None, np.ndarray] = (None, np.empty((0, 0)))
 
 
+class _DrawnRows:
+    """The noise rows of :func:`_noise_rows` drawn each time they are
+    read: ``rows[e]`` is epoch ``e``'s and ``rows[lo:hi]`` stacks those
+    epochs' rows."""
+
+    __slots__ = ("seed", "epochs", "count")
+
+    def __init__(self, seed: int, epochs: int, count: int):
+        self.seed, self.epochs, self.count = seed, epochs, count
+
+    def __getitem__(self, epochs):
+        if isinstance(epochs, slice):
+            rows = [self[e] for e in range(self.epochs)[epochs]]
+            return np.array(rows).reshape(len(rows), self.count)
+        if not 0 <= epochs < self.epochs:
+            raise IndexError(epochs)
+        return _logistic_noise(_epoch_uniforms(self.seed, epochs, self.count))
+
+
 def _noise_rows(seed: int, epochs: int, count: int):
     """The rows ``_logistic_noise(_epoch_uniforms(seed, e, count))`` for
-    ``e < epochs``, in order, read from one table kept per process.
+    ``e < epochs``, indexed by epoch, read from one table kept per
+    process.
 
     A Philox stream's first ``c`` draws do not depend on how many follow
     (``random(N)[:c] == random(c)``), and the noise is elementwise, so the
@@ -469,8 +504,8 @@ def _noise_rows(seed: int, epochs: int, count: int):
     one seed, and every row holds the bits of one fresh generator per
     epoch, whatever the call order.  The table never exceeds
     ``_TABLE_ENTRIES``: a grown size above it is replaced by the size
-    asked for, and a request above it draws each row when it is read,
-    keeping none.
+    asked for, and a request above it draws each row when it is read
+    (:class:`_DrawnRows`), keeping none.
     """
     global _noise_table
     kept_seed, table = _noise_table
@@ -480,15 +515,14 @@ def _noise_rows(seed: int, epochs: int, count: int):
     if rows * cols > _TABLE_ENTRIES:
         rows, cols = epochs, count
     if rows * cols > _TABLE_ENTRIES:
-        draws = (_epoch_uniforms(seed, e, count) for e in range(epochs))
-        return map(_logistic_noise, draws)
+        return _DrawnRows(seed, epochs, count)
     if kept_seed != seed or table.shape != (rows, cols):
         table = np.empty((rows, cols))
         for epoch in range(rows):
             table[epoch] = _logistic_noise(_epoch_uniforms(seed, epoch, cols))
         table.flags.writeable = False
         _noise_table = (seed, table)
-    return iter(table[:epochs, :count])
+    return table[:epochs, :count]
 
 
 def _build_explanation(
@@ -537,6 +571,19 @@ def _build_explanation(
     )
 
 
+def _window_gates(logits, config, noise, buffers, pinned, slot, out):
+    """The per-gate gates of the steps whose logits and noise are the
+    rows of ``logits`` and ``noise``: one stacked sample into the first
+    rows of ``buffers``, gates of 1 where ``pinned``, then gathered by
+    ``slot`` into the first rows of ``out`` unless it is None."""
+    k = len(logits)
+    gates, _ = _hard_concrete_with_grad(logits, config, noise, buffers.rows(k))
+    gates[:, pinned] = 1.0
+    if out is None:
+        return gates
+    return gates.take(slot, axis=1, out=out[:k], mode="clip")
+
+
 def learn_masks(
     model: GnnModel,
     g: AttributedGraph,
@@ -574,6 +621,21 @@ def learn_masks(
     either sign gives the same sum; shared, bincount adds into +0.0,
     which turns -0.0 into +0.0 too.
 
+    Such a step's update depends on the logits alone, and so does the
+    next one's while it stays on the floor.  So the steps after it run
+    ahead in windows of 2, 4, ... up to ``_WINDOW_STEPS`` steps, each
+    only the penalty and the Adam step; then one stacked sample of the
+    window's logits and noise rows and one stacked pass
+    (:meth:`model._Gates.below_floor`) check them all.  A window stays
+    if every target probability is below the floor, and otherwise goes
+    back to the logits and Adam state before its first step that is
+    not, NaN included, which the loop then runs as usual.  The bits are
+    those of one step at a time: each row of the stacked sample and pass
+    is, bit for bit, that step's own, and ``+0 * dgate`` is +0 while
+    ``dgate`` is finite, which a finite ``span / beta`` ensures (no
+    window opens otherwise).  A step whose penalty is not finite ends
+    its window, so the loop raises there.
+
     ``initial_masks`` not laid out for ``g`` raise ShapeMismatch before the
     first epoch (:meth:`MaskSet.check_graph`).
     """
@@ -610,12 +672,17 @@ def learn_masks(
     if hc.stochastic:
         noise = _noise_rows(hc.seed, config.epochs, params)
     else:
-        noise = itertools.repeat(_logistic_noise(np.full(params, 0.5)))
+        noise = np.broadcast_to(
+            _logistic_noise(np.full(params, 0.5)), (config.epochs, params)
+        )
     pinned = ~learned
     any_pinned = bool(pinned.any())
     # unshared, slot is the identity and so are its gathers and scatters
     shared = not np.array_equal(slot, np.arange(params))
     optimizer = Adam([masks.logits], config.learning_rate)
+    first_moment, second_moment = (
+        optimizer.first_moment[0], optimizer.second_moment[0]
+    )
     # the arrays the loop overwrites: the sampler's, whose sigmoid pass
     # also gives the penalty's sigmoid(logits), and per-gate arrays,
     # which unshared are per-parameter ones, so that the gate gradients
@@ -629,10 +696,94 @@ def learn_masks(
     # each side's view of the per-gate arrays, in the graph's shapes
     edge_gate, attr_gate = gate[:n_arcs], gate[n_arcs:].reshape(n, d)
     dce_edge, dce_attr = dce[:n_arcs], dce[n_arcs:].reshape(n, d)
+    # run_ahead's arrays: a window's steps are rows, at most one stacked
+    # pass of them.  Its steps take the floored gradient +0 * dgate as
+    # +0, which holds while dgate, at most span / (4 * beta), is finite;
+    # with an infinite span / beta no window opens
+    rows = min(_WINDOW_STEPS, view.rows_per_pass())
+    if not math.isfinite((hc.stretch_high - hc.stretch_low) / hc.beta):
+        rows = 0
+    ahead = _GateBuffers((rows, params))
+    ahead_logits, ahead_first, ahead_second = np.empty((3, rows, params))
+    ahead_gate = np.empty((rows, len(slot))) if shared else None
+    floor_ce = _cross_entropy(0.0)
 
-    for epoch in range(config.epochs):
+    def run_ahead(first, ce):
+        """Finish step ``first``, whose target probability sits on the
+        floor, then run the steps after it in windows of 2, 4, ... steps
+        that only one stacked sample and pass check; return the first
+        step the epoch loop has to run."""
+        lo, size = first, 1
+        while lo < config.epochs:
+            end = min(lo + size, config.epochs)
+            for epoch in range(lo, end):
+                # the state the step starts from, for a roll-back
+                row = epoch - lo
+                ahead_logits[row] = masks.logits
+                ahead_first[row] = first_moment
+                ahead_second[row] = second_moment
+                _sigmoid(
+                    masks.logits, sampled.logit_sig, sampled.opz[1],
+                    sampled.ge[1],
+                )
+                if shared:
+                    sampled.logit_sig.take(slot, out=p, mode="clip")
+                    masks.logits.take(slot, out=m, mode="clip")
+                # the gate gradients on the floor: +0, then the penalty's
+                grad.fill(0.0)
+                objective = ce + float(size_w @ (p / divisor))
+                one_minus_p = 1.0 - p
+                reg = size_w * p * one_minus_p
+                if entropic or not np.isfinite(m).all():
+                    entropy = _binary_entropy_of_logit(m, p) / divisor
+                    objective += float(entropy_w @ entropy)
+                    reg -= entropy_w * m * p * one_minus_p
+                reg /= divisor
+                if shared:
+                    np.add.at(grad, slot, reg)
+                else:
+                    np.add(grad, reg, out=grad)
+                if not math.isfinite(objective):
+                    if epoch == first:
+                        raise NonFiniteLoss(
+                            f"epoch {epoch}: objective {objective}"
+                        )
+                    # the epoch loop runs this step, once the window's
+                    # steps before it are checked
+                    end = epoch
+                    break
+                optimizer.step([grad])
+                ce = floor_ce
+            if first < lo < end:
+                # every step of the window checked at once; from the first
+                # step off the floor on, none happened
+                k = end - lo
+                gates = _window_gates(
+                    ahead_logits[:k], hc, noise[lo:end], ahead, pinned,
+                    slot, ahead_gate,
+                )
+                below = view.below_floor(
+                    model,
+                    gates[:, :n_arcs],
+                    gates[:, n_arcs:].reshape(k, n, d),
+                    target,
+                )
+                kept = k if below.all() else int(below.argmin())
+                if kept < k:
+                    masks.logits[...] = ahead_logits[kept]
+                    first_moment[...] = ahead_first[kept]
+                    second_moment[...] = ahead_second[kept]
+                    optimizer.step_count = lo + kept
+                    return lo + kept
+            if end < lo + size:
+                return end
+            lo, size = end, min(2 * size, rows)
+        return lo
+
+    epoch = 0
+    while epoch < config.epochs:
         _, dgate = _hard_concrete_with_grad(
-            masks.logits, hc, next(noise), sampled
+            masks.logits, hc, noise[epoch], sampled
         )
         if any_pinned:
             # a pinned side reads the graph as it is, through gates of 1
@@ -650,12 +801,13 @@ def learn_masks(
         tr = view.forward(model, edge_gate, attr_gate)
         p_target = float(tr.probabilities[target])
         ce = _cross_entropy(p_target)
-        if _on_floor(p_target):
-            # the backward pass would give +-0 gate gradients, which the
-            # step below turns into the bits +0 gives
-            dce.fill(0.0)
-        else:
-            view.gradients(model, tr, target, dce_edge, dce_attr)
+        if _on_floor(p_target) and rows:
+            # the backward pass would give +-0 gate gradients, and the
+            # steps after this one have the penalty's alone while they
+            # stay on the floor
+            epoch = run_ahead(epoch, ce)
+            continue
+        view.gradients(model, tr, target, dce_edge, dce_attr)
         if shared:
             # bincount adds in index order into zeros, as np.add.at does
             np.multiply(np.bincount(slot, dce, params), dgate, out=grad)
@@ -680,6 +832,7 @@ def learn_masks(
         if not math.isfinite(objective):
             raise NonFiniteLoss(f"epoch {epoch}: objective {objective}")
         optimizer.step([grad])
+        epoch += 1
 
     return masks, _build_explanation(model, g, config, masks, base)
 

@@ -393,6 +393,19 @@ class _Gates:
         a.reshape(len(a), -1)[:, self.flat] = self.coef * edge_gate
         return a
 
+    def rows_per_pass(self) -> int:
+        """Gated views of ``g`` that one stacked pass takes."""
+        return _block_rows(self.g.node_count)
+
+    def below_floor(self, model, edge_gate, attr_gate, target) -> np.ndarray:
+        """Whether ``target``'s probability lies below the floor in each
+        gated view, for ``(b, arcs)`` edge and ``(b, n, d)`` attribute
+        gates; a NaN does not.  One :func:`_probabilities` pass scores
+        the views, so row ``i`` reads the bits :meth:`forward` gives."""
+        x = self.g.attributes * attr_gate
+        probs = _probabilities(model, self.operators(edge_gate), x)
+        return probs[:, target] < PROBABILITY_FLOOR
+
 
 def _forward_trace(
     model: GnnModel,

@@ -156,6 +156,22 @@ def test_dataset_validates_attr_dim_and_labels():
         Dataset("bad", [lab], 3, 2)
 
 
+@pytest.mark.parametrize("name", ["attr_dim", "num_classes"])
+def test_dataset_refuses_a_size_above_the_limit(name):
+    # the limit the loader and the CLI keep, so that no array of that
+    # size is ever asked for
+    ds = generate_ba2motifs(4, 0)
+    with pytest.raises(ValidationError, match=f"^{name} is above 2147483647$"):
+        dataclasses.replace(ds, **{name: 10**30})
+
+
+def test_generation_refuses_a_base_above_the_limit():
+    with pytest.raises(
+        InvalidCount, match=f"^base_size {10**30} is above 2147483647$"
+    ):
+        generate_motif_graphs(2, 0, base_size=10**30)
+
+
 def test_save_load_round_trip(tmp_path):
     ds = generate_ba2motifs(20, seed=3)
     # ids that the load copies too: empty, non-ASCII, a lone surrogate

@@ -2,6 +2,7 @@
 must learn exactly what one edge branch plus one attribute branch learn."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -21,6 +22,7 @@ from pinned_kernels import (
     pinned_hard_concrete_with_grad,
 )
 
+from gxplain import model as model_module
 from gxplain.errors import NonFiniteLoss, ShapeMismatch
 from gxplain.explain import (
     MODES,
@@ -476,22 +478,34 @@ def test_acceptance_config_learns_the_bits_of_two_branches(mode, sharing):
     assert got == want
 
 
+def _called(tree):
+    return {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+
+
 def test_epoch_loop_builds_no_per_graph_invariants():
     # draws, the unmasked operator and mask validation happen once per
-    # graph, before the loop; the loop runs only what the logits change
+    # graph, before the loop; the loop runs only what the logits change,
+    # and so do the windows that floored steps run ahead in
     tree = ast.parse(inspect.getsource(learn_masks))
     loops = [
         node
         for node in ast.walk(tree)
-        if isinstance(node, ast.For)
-        and getattr(node.target, "id", None) == "epoch"
+        if isinstance(node, ast.While)
+        and getattr(node.test.left, "id", None) == "epoch"
     ]
     assert len(loops) == 1
-    called = {
-        getattr(node.func, "id", getattr(node.func, "attr", None))
-        for node in ast.walk(loops[0])
-        if isinstance(node, ast.Call)
-    }
+    called = _called(loops[0])
+    (window,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "run_ahead"
+    ]
+    sample = ast.parse(inspect.getsource(explain_module._window_gates))
+    window_called = _called(window) | _called(sample)
     # nor does it call a named array maker (empty, zeros, copy,
     # concatenate, the sampler's buffers); arithmetic temporaries are not
     # calls and are not checked
@@ -508,16 +522,16 @@ def test_epoch_loop_builds_no_per_graph_invariants():
         "concatenate",
     }
     assert not called & banned
+    assert not window_called & banned
     # the loop gates through the graph's one gate object, whose forward
     # runs the layer stack and calls none of those makers, no repeat and
-    # no adjacency builder
-    assert {"forward", "gradients"} <= called
+    # no adjacency builder; a window checks its steps with one stacked
+    # sample and one stacked pass, and runs no forward of its own
+    assert {"forward", "gradients", "run_ahead"} <= called
+    assert {"_window_gates", "below_floor"} <= window_called
+    assert not {"forward", "gradients"} & window_called
     step = ast.parse(textwrap.dedent(inspect.getsource(_Gates.forward)))
-    called = {
-        getattr(node.func, "id", getattr(node.func, "attr", None))
-        for node in ast.walk(step)
-        if isinstance(node, ast.Call)
-    }
+    called = _called(step)
     assert "_layer_stack" in called
     assert not called & (banned | {"repeat", "_adjacency"})
 
@@ -640,11 +654,16 @@ def _floor_config(mode, sharing, entropy, **lambdas):
 
 
 def _count_steps(monkeypatch):
-    """Lists that ``learn_masks`` fills from here on: each step's target
-    probability, class 0's, and for each backward pass the number of
-    steps run so far."""
-    probs, backward = [], []
+    """Lists that ``learn_masks`` fills from here on: each committed
+    step's target probability, class 0's, and for each backward pass the
+    number of steps run so far.  A step's probability comes from its own
+    forward or from its window's stacked pass; a window keeps its steps
+    up to the first one off the floor, and the loop runs that one again,
+    so each step is recorded once, in step order."""
+    probs, backward, stacked = [], [], []
     forward_step, gradients = _Gates.forward, _Gates.gradients
+    below_floor = _Gates.below_floor
+    probabilities = model_module._probabilities
 
     def counted_forward(self, *args):
         tr = forward_step(self, *args)
@@ -655,8 +674,20 @@ def _count_steps(monkeypatch):
         backward.append(len(probs))
         return gradients(self, *args)
 
+    def kept_probabilities(*args):
+        stacked[:] = [probabilities(*args)]
+        return stacked[0]
+
+    def counted_below_floor(self, *args):
+        below = below_floor(self, *args)
+        kept = len(below) if below.all() else int(below.argmin())
+        probs.extend(stacked[0][:kept, 0].tolist())
+        return below
+
     monkeypatch.setattr(_Gates, "forward", counted_forward)
     monkeypatch.setattr(_Gates, "gradients", counted_gradients)
+    monkeypatch.setattr(_Gates, "below_floor", counted_below_floor)
+    monkeypatch.setattr(model_module, "_probabilities", kept_probabilities)
     return probs, backward
 
 
@@ -753,11 +784,13 @@ def test_skipped_backward_gives_every_step_the_gradient_bits(
         config = _floor_config(mode, sharing, entropy, **lambdas)
         steps = {}
         for skip in (True, False):
-            seen = steps[skip] = []
+            # by step, so that a step a window rolls back and runs again
+            # keeps the gradient of its run that counts
+            seen = steps[skip] = {}
 
             class Recording(explain_module.Adam):
                 def step(self, grads):
-                    seen.append(grads[0].tobytes())
+                    seen[self.step_count] = grads[0].tobytes()
                     super().step(grads)
 
             monkeypatch.setattr(explain_module, "Adam", Recording)
@@ -767,3 +800,189 @@ def test_skipped_backward_gives_every_step_the_gradient_bits(
             learn_masks(model, g, config)
             monkeypatch.undo()
         assert steps[True] == steps[False], lambdas
+
+
+def _count_windows(monkeypatch):
+    """Lists that ``learn_masks`` fills from here on: one entry per
+    forward of a step, and each window's floor test of its steps."""
+    forwards, windows = [], []
+    forward_step, below_floor = _Gates.forward, _Gates.below_floor
+
+    def counted_forward(self, *args):
+        forwards.append(1)
+        return forward_step(self, *args)
+
+    def counted_below_floor(self, *args):
+        below = below_floor(self, *args)
+        windows.append(below.tolist())
+        return below
+
+    monkeypatch.setattr(_Gates, "forward", counted_forward)
+    monkeypatch.setattr(_Gates, "below_floor", counted_below_floor)
+    return forwards, windows
+
+
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("mode", MODES)
+def test_floored_steps_run_ahead_in_windows(monkeypatch, mode, sharing):
+    # on the floor at every step, the first step's forward opens windows
+    # of 2, 4, 8, ... steps, and one stacked pass checks each of them
+    g, model = _floor_case(mode, FLOOR_OFFSETS["every step"])
+    config = _floor_config(mode, sharing, 0.0)
+    forwards, windows = _count_windows(monkeypatch)
+    learn_masks(model, g, config)
+    assert len(forwards) <= len(windows)
+    assert [len(w) for w in windows] == [2, 4, 8, 16, 9]
+    assert all(all(w) for w in windows)
+
+
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_window_that_leaves_the_floor_is_rolled_back(
+    monkeypatch, mode, sharing
+):
+    # crossing the floor both ways, some window ends early: its steps
+    # from the first one off the floor on are undone, and the epoch loop
+    # runs that step; the bits stay the reference's
+    g, model = _floor_case(mode, FLOOR_OFFSETS["both ways"])
+    forwards, windows = _count_windows(monkeypatch)
+    for entropy in (0.0, 0.1):
+        config = _floor_config(mode, sharing, entropy)
+        windows.clear()
+        masks, expl = learn_masks(model, g, config)
+        assert any(not all(w) for w in windows)
+        ref_masks, ref_expl = reference_learn_masks(model, g, config)
+        assert masks.logits.tobytes() == ref_masks.logits.tobytes()
+        got = json.dumps(explanation_to_dict(expl, config), sort_keys=True)
+        want = json.dumps(
+            explanation_to_dict(ref_expl, config), sort_keys=True
+        )
+        assert got == want
+
+
+def _overflowing_model():
+    """A model of :func:`_floor_case`'s graph whose class 0 leads with
+    every gate open.  Its relu layer turns node fields below 0.25 into
+    values near 2e307, which its head reads, times 12, into class 1's
+    logit: as the gates close, class 0 falls below the floor, and then
+    that logit overflows and every probability is NaN."""
+    big = 2e307
+    layer = Layer(np.diag([-big / 0.25, 0.0]), np.array([big, 0.0]), "relu")
+    w = np.zeros((4, 2))
+    w[0, 1] = 12.0
+    head = Layer(w, np.array([0.0, -2.0]), "identity")
+    return GnnModel(2, 2, (layer,), (head,))
+
+
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+def test_a_nan_target_probability_inside_a_window_raises_at_its_step(
+    monkeypatch, sharing
+):
+    # a window's stacked pass sees the NaN, which is not below the floor,
+    # so the window ends there and the epoch loop runs that step, which
+    # raises as the reference does
+    g, _ = _floor_case("full", 0.0)
+    model = _overflowing_model()
+    config = ExplainConfig(
+        epochs=40,
+        learning_rate=0.05,
+        sharing=sharing,
+        hard_concrete=HardConcreteConfig(stochastic=False),
+    )
+    probs, backward = _count_steps(monkeypatch)
+    forwards, windows = _count_windows(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert forward(model, g).predicted_class == 0
+        with pytest.raises(NonFiniteLoss) as want:
+            reference_learn_masks(model, g, config)
+        with pytest.raises(NonFiniteLoss) as got:
+            learn_masks(model, g, config)
+    epoch = len(probs) - 1
+    assert str(got.value) == str(want.value) == f"epoch {epoch}: objective nan"
+    assert epoch > 2 and max(probs[:-1]) < PROBABILITY_FLOOR
+    assert math.isnan(probs[-1]) and backward == []
+    assert not all(windows[-1]) and len(forwards) < epoch
+
+
+@pytest.mark.parametrize("learning_rate", [4e307, 1e308])
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_non_finite_objective_ends_a_window_before_its_step(
+    monkeypatch, mode, sharing, learning_rate
+):
+    # steps of about the learning rate overflow the logits; the window
+    # keeps the steps before the first NaN objective, checked, and the
+    # epoch loop raises at that step as the reference does
+    g, model = _floor_case(mode, FLOOR_OFFSETS["every step"])
+    config = dataclasses.replace(
+        _floor_config(mode, sharing, 0.0), learning_rate=learning_rate
+    )
+    forwards, windows = _count_windows(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLoss) as want:
+            reference_learn_masks(model, g, config)
+        with pytest.raises(NonFiniteLoss) as got:
+            learn_masks(model, g, config)
+    # the first step's forward, the checked windows' steps, and the
+    # step the loop runs, with its own forward
+    epoch = 1 + sum(map(len, windows))
+    assert str(got.value) == str(want.value) == f"epoch {epoch}: objective nan"
+    assert all(all(w) for w in windows) and len(forwards) == 2
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_window_opens_where_a_gate_gradient_may_be_infinite(
+    monkeypatch, mode
+):
+    # beta = 1e-320 makes span / beta overflow: a gate at 0.5 has an
+    # infinite dgate, so a floored step's gradient is 0 * inf = NaN, as
+    # with the backward pass on every step, not the +0 a window assumes
+    g, model = _floor_case(mode, FLOOR_OFFSETS["every step"])
+    config = dataclasses.replace(
+        _floor_config(mode, "independent", 0.0),
+        hard_concrete=HardConcreteConfig(beta=1e-320, stochastic=False),
+    )
+    masks = init_masks(g, config, 0)
+    masks.logits[:] = 0.0
+    messages = []
+    for skip in (True, False):
+        if not skip:
+            monkeypatch.setattr(explain_module, "_on_floor", lambda p: False)
+        forwards, windows = _count_windows(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteLoss) as raised:
+                learn_masks(model, g, config, initial_masks=masks)
+        messages.append(str(raised.value))
+        assert windows == []
+    assert messages[0] == messages[1]
+
+
+def test_rows_drawn_when_read_are_the_table_rows(monkeypatch):
+    # above the cap no table is kept: rows come by epoch, by slice and in
+    # order, with the bits of a fresh generator per epoch
+    empty = (None, np.empty((0, 0)))
+    monkeypatch.setattr(explain_module, "_noise_table", empty)
+    monkeypatch.setattr(explain_module, "_TABLE_ENTRIES", 0)
+    drawn = explain_module._noise_rows(3, 5, 7)
+    want = np.array(
+        [_logistic_noise(_epoch_uniforms(3, e, 7)) for e in range(5)]
+    )
+    assert np.array(list(drawn)).tobytes() == want.tobytes()
+    assert drawn[1:4].tobytes() == want[1:4].tobytes()
+    assert drawn[4:4].shape == (0, 7)
+
+
+@pytest.mark.parametrize("sharing", SHARING_MODES)
+def test_windows_over_rows_drawn_when_read_learn_the_reference_bits(
+    monkeypatch, sharing
+):
+    # the windows' noise rows are drawn when read, as stacked slices
+    empty = (None, np.empty((0, 0)))
+    monkeypatch.setattr(explain_module, "_noise_table", empty)
+    monkeypatch.setattr(explain_module, "_TABLE_ENTRIES", 0)
+    for case in ("every step", "both ways"):
+        g, model = _floor_case("full", FLOOR_OFFSETS[case])
+        config = _floor_config("full", sharing, 0.0)
+        masks, _ = learn_masks(model, g, config)
+        ref_masks, _ = reference_learn_masks(model, g, config)
+        assert masks.logits.tobytes() == ref_masks.logits.tobytes()
